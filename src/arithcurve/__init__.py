@@ -19,7 +19,6 @@ from .curve import (
     FirstTermTooSmall,
     GcdNotOne,
     GeneratorSet,
-    NotMinimalGenerators,
     SequenceError,
     expected_generator_count,
     validate_sequence,

@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 from .closedform import (
@@ -51,7 +51,10 @@ def parse_field(text: str):
     if text == "q":
         return QQ
     if text.startswith("fp:"):
-        return PrimeField(int(text[3:]))
+        try:
+            return PrimeField(int(text[3:]))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown field {text!r}; use q or fp:<prime>")
 
 
@@ -63,17 +66,33 @@ def parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
-def load_limits(path: Optional[str], deadline_s: Optional[float] = None) -> Limits:
-    limits = Limits()
-    if path:
+def load_limits(path: str) -> Limits:
+    """Resource caps from a JSON object whose keys are fields of Limits.
+
+    Integer caps must be positive integers and deadline_s a positive number;
+    anything else is a usage error (exit 2) that names the key.
+    """
+    try:
         with open(path) as fh:
             data = json.load(fh)
-        for key in ("max_spairs", "max_basis", "max_support", "deadline_s"):
-            if key in data:
-                setattr(limits, key, data[key])
-    if deadline_s is not None:
-        limits.deadline_s = deadline_s
-    return limits
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc}") from None
+    if not isinstance(data, dict):
+        raise argparse.ArgumentTypeError(f"{path!r} must hold a JSON object")
+    defaults = {f.name: f.default for f in fields(Limits)}
+    for key, value in data.items():
+        if key not in defaults:
+            raise argparse.ArgumentTypeError(
+                f"unknown key {key!r}; allowed: {', '.join(defaults)}"
+            )
+        integral = isinstance(defaults[key], int)
+        kinds = int if integral else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+            kind = "integer" if integral else "number"
+            raise argparse.ArgumentTypeError(
+                f"key {key!r} must be a positive {kind}, got {json.dumps(value)}"
+            )
+    return Limits(**data)
 
 
 @dataclass
@@ -258,9 +277,9 @@ def cmd_resolve(args) -> int:
     except WrongCase as exc:
         print(f"invalid method: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    limits = load_limits(args.config)
     try:
-        report, complex_ = build_report(seq, method, args.field, args.verify, limits)
+        report, complex_ = build_report(seq, method, args.field, args.verify,
+                                        args.limits)
     except ResourceLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -323,20 +342,16 @@ def _scan_cell(payload: tuple) -> dict:
 def cmd_scan(args) -> int:
     n = args.n
     b_values = [args.b] if args.b else list(range(1, n + 1))
-    a_lo, a_hi = args.a_range if args.a_range else (args.a_min, args.a_max)
-    d_lo, d_hi = args.d_range if args.d_range else (args.d_min, args.d_max)
-    if None in (a_lo, a_hi, d_lo, d_hi):
-        print("scan needs --a LO..HI and --d LO..HI (or --a-min/--a-max etc.)",
-              file=sys.stderr)
+    if args.a_range is None or args.d_range is None:
+        print("scan needs --a LO..HI and --d LO..HI", file=sys.stderr)
         return EXIT_INVALID
-    limits = load_limits(args.config, deadline_s=args.cell_timeout)
+    a_lo, a_hi = args.a_range
+    d_lo, d_hi = args.d_range
+    limits = args.limits
+    if args.cell_timeout is not None:
+        limits = replace(limits, deadline_s=args.cell_timeout)
     prime = None if args.field is QQ else args.field.p
-    limits_data = {
-        "max_spairs": limits.max_spairs,
-        "max_basis": limits.max_basis,
-        "max_support": limits.max_support,
-        "deadline_s": limits.deadline_s,
-    }
+    limits_data = asdict(limits)
     payloads = [
         (n, b, a, d, prime, limits_data)
         for b in b_values
@@ -431,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_res.add_argument("--emit-matrices", action="store_true")
         p_res.add_argument("--timing", action="store_true",
                            help="include wall-clock timings (breaks byte-stability)")
-        p_res.add_argument("--config", default=None,
+        p_res.add_argument("--config", dest="limits", type=load_limits,
+                           default=Limits(), metavar="FILE",
                            help="JSON file overriding resource caps")
         if force_verify:
             p_res.set_defaults(verify=True)
@@ -447,17 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="LO..HI")
     p_scan.add_argument("--d", dest="d_range", type=parse_range, default=None,
                         metavar="LO..HI")
-    p_scan.add_argument("--a-min", type=int, default=None)
-    p_scan.add_argument("--a-max", type=int, default=None)
-    p_scan.add_argument("--d-min", type=int, default=None)
-    p_scan.add_argument("--d-max", type=int, default=None)
     p_scan.add_argument("--json", action="store_true")
     p_scan.add_argument("--field", type=parse_field,
                         default=PrimeField(SCAN_DEFAULT_PRIME))
     p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--cell-timeout", type=float, default=None,
                         help="wall-clock budget per cell in seconds")
-    p_scan.add_argument("--config", default=None)
+    p_scan.add_argument("--config", dest="limits", type=load_limits,
+                        default=Limits(), metavar="FILE",
+                        help="JSON file overriding resource caps")
     p_scan.set_defaults(func=cmd_scan)
     return parser
 

@@ -3,7 +3,11 @@
 A sequence m0, m0+d, ..., m0+n*d qualifies when (i) the terms have gcd 1,
 (ii) they increase strictly, and (iii) no term is a non-negative integer
 combination of the others, i.e. the terms generate their numerical semigroup
-minimally.  Writing m0 = a*n + b with b in [1, n], minimality forces a >= 1.
+minimally.  Write m0 = a*n + b with b in [1, n].  Given (i), condition (iii)
+holds exactly when a >= 1, that is m0 > n, so validation checks no more.  A
+relation m_j = m_{i_1} + ... + m_{i_k} with k >= 2 reads
+(k-1)*m0 = (j - i_1 - ... - i_k)*d, and gcd(m0, d) = 1 makes m0 divide a
+positive number at most n; conversely m_{m0} = (d+1)*m0 when m0 <= n.
 
 The defining ideal of the curve X_i = t^{m_i} is generated by two families of
 homogeneous binomials (weights deg X_i = m_i):
@@ -37,10 +41,6 @@ class GcdNotOne(SequenceError):
 
 class FirstTermTooSmall(SequenceError):
     """m0 <= n, so the quotient of m0 by n vanishes and minimality fails."""
-
-
-class NotMinimalGenerators(SequenceError):
-    """Some term is a non-negative integer combination of the others."""
 
 
 def _representable(target: int, parts: tuple[int, ...]) -> bool:
@@ -85,12 +85,6 @@ class ArithmeticSequence:
                 f"m0 = {m0} <= n = {n}: writing m0 = a*n + b with b in [1,n] "
                 f"gives a = 0, and the terms cannot generate minimally"
             )
-        for j, mj in enumerate(terms):
-            others = terms[:j] + terms[j + 1 :]
-            if _representable(mj, others):
-                raise NotMinimalGenerators(
-                    f"term m_{j} = {mj} is a non-negative combination of {others}"
-                )
         return cls(m0=m0, d=d, n=n, a=a, b=b, terms=terms)
 
     # -- ring and parametrization -----------------------------------------

@@ -267,34 +267,6 @@ class _Engine:
                 self.add_element(s, coord)
 
 
-class IncrementalModuleGB:
-    """Groebner basis of a growing submodule; supports membership tests.
-
-    Adding a vector completes the basis immediately, so `contains` is always
-    answered against the current module.
-    """
-
-    def __init__(self, ring: PolyRing, rank: int, limits: Limits = DEFAULT_LIMITS):
-        self._eng = _Engine(ring, rank, want_syzygies=False, limits=limits)
-        self._empty = True
-
-    def contains(self, v: Vector) -> bool:
-        if self._empty:
-            return v_is_zero(v)
-        reduced, _ = self._eng.top_reduce(v, None)
-        return v_is_zero(reduced)
-
-    def add(self, v: Vector):
-        if v_is_zero(v):
-            return
-        reduced, _ = self._eng.top_reduce(v, None)
-        if v_is_zero(reduced):
-            return
-        self._eng.add_element(reduced, None)
-        self._eng._main_loop()
-        self._empty = False
-
-
 def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
                               shifts: Optional[Sequence[int]] = None,
                               limits: Limits = DEFAULT_LIMITS) -> list[Vector]:
@@ -316,13 +288,17 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
         lead = v_leading(v)
         return (deg, lead[0], ring.order.key(lead[1]))
 
-    inc = IncrementalModuleGB(ring, rank, limits=limits)
+    # one engine holds a Groebner basis of the kept module throughout, so a
+    # candidate lies in it exactly when top reduction sends it to zero
+    eng = _Engine(ring, rank, want_syzygies=False, limits=limits)
     kept: list[Vector] = []
     for v in sorted(nonzero, key=sort_key):
-        if inc.contains(v):
+        reduced, _ = eng.top_reduce(v, None)
+        if v_is_zero(reduced):
             continue
         kept.append(v)
-        inc.add(v)
+        eng.add_element(reduced, None)
+        eng._main_loop()
     return kept
 
 

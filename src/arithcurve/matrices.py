@@ -109,24 +109,6 @@ class PolyMatrix:
             for c2 in range(c1 + 1, self.cols)
         ]
 
-    def delete_row(self, i: int) -> "PolyMatrix":
-        entries = [
-            self.entries[r * self.cols + c]
-            for r in range(self.rows)
-            if r != i
-            for c in range(self.cols)
-        ]
-        return PolyMatrix(self.ring, self.rows - 1, self.cols, entries)
-
-    def delete_col(self, j: int) -> "PolyMatrix":
-        entries = [
-            self.entries[r * self.cols + c]
-            for r in range(self.rows)
-            for c in range(self.cols)
-            if c != j
-        ]
-        return PolyMatrix(self.ring, self.rows, self.cols - 1, entries)
-
     def with_entries(self, entries: Sequence[Polynomial]) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.rows, self.cols, entries)
 

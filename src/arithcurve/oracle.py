@@ -11,8 +11,8 @@ ones is a genuine two-route check.
                        [f, g_1, ..., g_k], compared back to I
   minimal_generators   graded greedy minimalization of a homogeneous set
   minimal_resolution   iterated syzygies, pruned to minimal kernel generators
-                       at every step (plus a unit-cancellation safety net), so
-                       each differential is minimal and ranks are Betti numbers
+                       at every step, so each differential is minimal and the
+                       ranks are the Betti numbers
   verify_exactness     image of d_1 generates the target ideal, every syzygy
                        of d_s lies in the image of d_{s+1}, and the last map
                        is injective
@@ -21,7 +21,7 @@ ones is a genuine two-route check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .closedform import BettiTable
 from .complexes import GradedComplex, GradedFreeModule
@@ -30,7 +30,6 @@ from .matrices import PolyMatrix
 from .ring import (
     QQ,
     Polynomial,
-    PolyRing,
     curve_ring,
     drop_first_variable,
     elimination_ring,
@@ -45,6 +44,7 @@ from .groebner import (
     module_groebner_basis,
     module_reducer,
     syzygy_generators,
+    v_degree,
     v_is_zero,
 )
 
@@ -128,88 +128,8 @@ def minimal_generators(gens: Sequence[Polynomial],
 # -- minimal free resolution ---------------------------------------------------
 
 
-def _column_degree(col: Sequence[Polynomial], target_shifts: Sequence[int]):
-    degs = set()
-    for pos, p in enumerate(col):
-        if p.is_zero():
-            continue
-        d = p.weighted_degree()
-        if d is None:
-            return None
-        degs.add(d + target_shifts[pos])
-    if len(degs) != 1:
-        return None
-    return degs.pop()
-
-
 def _matrix_columns(mat: PolyMatrix) -> list[tuple]:
     return [mat.column(j) for j in range(mat.cols)]
-
-
-def _find_unit(mat: PolyMatrix):
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            e = mat.entry(i, j)
-            if not e.is_zero() and e.is_constant():
-                return i, j
-    return None
-
-
-def _cancel_unit(prev: Optional[PolyMatrix], cur: PolyMatrix, i: int, j: int,
-                 ring: PolyRing):
-    """Split off the trivial summand through the unit at cur[i][j].
-
-    Returns (new_prev, new_cur): basis element j of the source and i of the
-    target are removed after clearing row i and column j with exact row and
-    column operations; the compensating column operations are applied to
-    `prev` (the differential out of the target module).
-    """
-    unit = cur.entry(i, j)
-    c_inv = ring.field.inv(unit.leading_coeff())
-    cols = cur.cols
-    entries = list(cur.entries)
-
-    # column operations: clear row i (compensation would act on the not yet
-    # computed next differential, so none is needed)
-    for j2 in range(cols):
-        if j2 == j:
-            continue
-        factor = entries[i * cols + j2]
-        if factor.is_zero():
-            continue
-        q = factor.scale(c_inv)
-        for r in range(cur.rows):
-            pivot = entries[r * cols + j]
-            if not pivot.is_zero():
-                entries[r * cols + j2] = entries[r * cols + j2] - q * pivot
-
-    # row operations: clear column j; compensate on prev's columns
-    prev_entries = list(prev.entries) if prev is not None else None
-    for i2 in range(cur.rows):
-        if i2 == i:
-            continue
-        factor = entries[i2 * cols + j]
-        if factor.is_zero():
-            continue
-        q = factor.scale(c_inv)
-        for c in range(cols):
-            pivot = entries[i * cols + c]
-            if not pivot.is_zero():
-                entries[i2 * cols + c] = entries[i2 * cols + c] - q * pivot
-        if prev_entries is not None:
-            # prev <- prev * V^{-1}: column i of prev gains q * column i2
-            for r in range(prev.rows):
-                add = prev_entries[r * prev.cols + i2]
-                if not add.is_zero():
-                    prev_entries[r * prev.cols + i] = (
-                        prev_entries[r * prev.cols + i] + q * add
-                    )
-
-    new_cur = PolyMatrix(ring, cur.rows, cur.cols, entries).delete_row(i).delete_col(j)
-    new_prev = None
-    if prev is not None:
-        new_prev = PolyMatrix(ring, prev.rows, prev.cols, prev_entries).delete_col(i)
-    return new_prev, new_cur
 
 
 def minimal_resolution(gens: Sequence[Polynomial],
@@ -219,9 +139,14 @@ def minimal_resolution(gens: Sequence[Polynomial],
 
     The generators are first minimalized; at every step the syzygies are
     pruned to a minimal generating set of the kernel (graded Nakayama), so
-    each differential is minimal and the ranks are the Betti numbers.  A
-    unit-cancellation pass guards the minimality invariant; with the pruning
-    in place it is expected to find nothing.
+    each differential is minimal and the ranks are the Betti numbers.
+
+    No entry of a differential is a nonzero constant.  Suppose a syzygy of
+    the columns of d_s had a nonzero constant in position i.  The relation
+    it records would write column i of d_s (generator i when s = 1) in
+    terms of the other columns, contradicting the minimality established at
+    the previous step.  So every syzygy, and with it every kept column,
+    already lies in m*F_s; `verify_complex` reports this as `minimal`.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -249,39 +174,13 @@ def minimal_resolution(gens: Sequence[Polynomial],
         syz = minimal_module_generators(syz, ring, shifts=tgt_shifts, limits=limits)
         if not syz:
             break
-        columns = list(syz)
-        new_mat = PolyMatrix(
+        mats.append(PolyMatrix(
             ring,
             cur.cols,
-            len(columns),
-            [col[i] for i in range(cur.cols) for col in columns],
-        )
-        new_shifts = tuple(_column_degree(col, tgt_shifts) for col in columns)
-
-        # safety net: cancel any unit entry (keeps minimality exact even if
-        # the pruning ever left one); compensations act on the previous matrix
-        prev = mats[-1]
-        prev_shifts = list(shifts[-1])
-        cur_shifts = list(new_shifts)
-        while True:
-            hit = _find_unit(new_mat)
-            if hit is None:
-                break
-            i, j = hit
-            prev, new_mat = _cancel_unit(prev, new_mat, i, j, ring)
-            del prev_shifts[i]
-            del cur_shifts[j]
-        mats[-1] = prev
-        shifts[-1] = tuple(prev_shifts)
-        if new_mat.cols == 0:
-            break
-        mats.append(new_mat)
-        shifts.append(tuple(cur_shifts))
-
-    # a fully cancelled last step leaves an empty matrix; drop it
-    while mats and mats[-1].cols == 0:
-        mats.pop()
-        shifts.pop()
+            len(syz),
+            [col[i] for i in range(cur.cols) for col in syz],
+        ))
+        shifts.append(tuple(v_degree(col, tgt_shifts) for col in syz))
 
     modules = [
         GradedFreeModule(

@@ -36,9 +36,6 @@ class Rationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -50,9 +47,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / _rational(a)
 
-    def div(self, a, b):
-        return a / b
-
     def __repr__(self):
         return "QQ"
 
@@ -63,11 +57,45 @@ class Rationals:
         return hash("Rationals")
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below this bound
+# (Sorenson & Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BOUND = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic primality for p < _MR_EXACT_BOUND; ValueError above it."""
+    if p >= _MR_EXACT_BOUND:
+        raise ValueError(
+            f"{p} is too large: primality is only decided below {_MR_EXACT_BOUND}"
+        )
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Integers modulo a prime p; values are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 + int(p ** 0.5) + 1))):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -86,9 +114,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -97,9 +122,6 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * pow(b, -1, self.p)) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -263,17 +285,6 @@ class Polynomial:
 
     def leading_coeff(self):
         return self.leading_term()[1]
-
-    def coeff_of(self, exps):
-        for m, c in self.terms:
-            if m == exps:
-                return c
-        return None
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(m) for m, _ in self.terms)
 
     def weighted_degree(self):
         """Common weighted degree of all terms, or None if inhomogeneous.
@@ -458,9 +469,6 @@ def monomial_div(b: Sequence[int], a: Sequence[int]):
 
 def monomial_lcm(a: Sequence[int], b: Sequence[int]):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-def monomial_mul(a: Sequence[int], b: Sequence[int]):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def curve_ring(weights: Sequence[int], field=QQ) -> PolyRing:

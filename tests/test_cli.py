@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from arithcurve.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -156,10 +158,10 @@ class TestScan:
         assert statuses[(1, 3)] == "invalid"
         assert obj["summary"][0]["cells_invalid"] == 2
 
-    def test_min_max_flags(self, capsys):
+    def test_single_value_ranges(self, capsys):
         code, out, _ = run_cli(
-            capsys, "scan", "--n", "3", "--b", "3", "--a-min", "1", "--a-max", "1",
-            "--d-min", "1", "--d-max", "1", "--json",
+            capsys, "scan", "--n", "3", "--b", "3", "--a", "1..1", "--d", "1..1",
+            "--json",
         )
         assert code == EXIT_OK
         obj = json.loads(out)
@@ -187,3 +189,47 @@ class TestScan:
         _, serial, _ = run_cli(capsys, *args)
         _, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
         assert serial == parallel
+
+
+# (config, text the error message must contain)
+BAD_CONFIGS = [
+    ({"max_spair": 1}, "'max_spair'"),
+    ({"max_spairs": "10"}, "'max_spairs'"),
+    ({"max_basis": True}, "'max_basis'"),
+    ({"max_support": 2.5}, "'max_support'"),
+    ({"max_spairs": 0}, "'max_spairs'"),
+    ({"deadline_s": -1}, "'deadline_s'"),
+    ({"deadline_s": None}, "'deadline_s'"),
+    ([1], "JSON object"),
+]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("argv", [
+        ("resolve", "7", "1", "4", "--method", "oracle"),
+        ("scan", "--n", "3", "--a", "1..1", "--d", "1..1"),
+    ])
+    @pytest.mark.parametrize("data,needle", BAD_CONFIGS)
+    def test_invalid_config_rejected(self, capsys, tmp_path, argv, data, needle):
+        cfg = tmp_path / "caps.json"
+        cfg.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == EXIT_INVALID
+        assert needle in capsys.readouterr().err
+
+    def test_valid_config_applies(self, capsys, tmp_path):
+        cfg = tmp_path / "caps.json"
+        cfg.write_text(json.dumps({"max_spairs": 1, "deadline_s": 30}))
+        code, _, err = run_cli(
+            capsys, "resolve", "7", "1", "4", "--method", "oracle",
+            "--config", str(cfg),
+        )
+        assert code == EXIT_RESOURCE
+        assert "S-pair budget 1" in err
+
+    def test_oversized_prime_field_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["resolve", "5", "1", "4", "--field", f"fp:{2**89 - 1}"])
+        assert exc.value.code == EXIT_INVALID
+        assert "too large" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from arithcurve import (
     expected_generator_count,
     validate_sequence,
 )
+from arithcurve.curve import _representable
 
 
 class TestValidation:
@@ -60,6 +61,30 @@ class TestValidation:
                             continue
                         seq = validate_sequence(m0, d, n)
                         assert seq.a == a and seq.b == b
+
+    def test_minimality_matches_representability(self):
+        """Condition (iii) checked term by term agrees with m0 > n under gcd 1."""
+        count = 0
+        for n in range(2, 8):
+            for m0 in range(1, 50):
+                for d in range(30):
+                    terms = tuple(m0 + i * d for i in range(n + 1))
+                    if math.gcd(*terms) != 1:
+                        continue
+                    count += 1
+                    minimal = not any(
+                        _representable(t, terms[:j] + terms[j + 1 :])
+                        for j, t in enumerate(terms)
+                    )
+                    if minimal:
+                        validate_sequence(m0, d, n)
+                    else:
+                        with pytest.raises(FirstTermTooSmall):
+                            validate_sequence(m0, d, n)
+        assert count == 5412
+
+    def test_huge_first_term_validates_quickly(self):
+        assert validate_sequence(10**12 + 1, 1, 4).b == 1
 
 
 class TestSemigroup:

@@ -15,7 +15,6 @@ from arithcurve import (
     validate_sequence,
 )
 from arithcurve.groebner import (
-    IncrementalModuleGB,
     minimal_module_generators,
     v_is_zero,
     v_leading,
@@ -110,18 +109,16 @@ class TestModules:
         assert (s[0] * x0 + s[1] * x1).is_zero()
 
     def test_minimal_module_generators_prunes(self, R):
-        x0, x1 = R.var(0), R.var(1)
-        vecs = [(x0, R.zero), (x1, R.zero), (x0 * x1, R.zero)]
+        x0, x1, x3, z = R.var(0), R.var(1), R.var(3), R.zero
+        vecs = [(x0, z), (x1, z), (x0 * x1, z)]
         kept = minimal_module_generators(vecs, R)
         assert len(kept) == 2
-
-    def test_incremental_gb_contains(self, R):
-        inc = IncrementalModuleGB(R, 1)
-        assert inc.contains((R.zero,))
-        assert not inc.contains((R.var(0),))
-        inc.add((R.var(0),))
-        assert inc.contains((R.var(0) * R.var(3),))
-        assert not inc.contains((R.var(1),))
+        # a zero vector and a multiple of a kept vector are dropped; a vector
+        # outside the module of the kept ones is kept
+        vecs = [(z, z), (x0 * x3, z), (x0, z), (x1, z)]
+        assert minimal_module_generators(vecs, R) == [(x0, z), (x1, z)]
+        assert minimal_module_generators([(z,)], R) == []
+        assert minimal_module_generators([(x0,)], R) == [(x0,)]
 
     def test_leading_term_position_priority(self, R):
         v = (R.zero, R.var(3), R.var(0))

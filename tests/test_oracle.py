@@ -156,6 +156,15 @@ class TestMinimalResolution:
         rep = verify_complex(C)
         assert rep.dd_zero and rep.homogeneous and rep.minimal
 
+    @pytest.mark.parametrize("m0,d,n", [(5, 1, 4), (6, 1, 4), (7, 1, 4), (8, 1, 4)])
+    def test_minimal_without_unit_entries(self, m0, d, n):
+        seq = validate_sequence(m0, d, n)
+        C = minimal_resolution(list(seq.generators(PrimeField(32003)).all))
+        assert verify_complex(C).minimal
+        for s in range(1, C.length + 1):
+            assert not any(e.is_constant() and not e.is_zero()
+                           for e in C.differential(s).entries)
+
     def test_b1_agrees_with_construction(self):
         seq = validate_sequence(5, 1, 4)
         C = minimal_resolution(list(seq.generators().all))

@@ -1,5 +1,7 @@
 """Polynomial kernel: exact arithmetic, weighted degrees, monomial orders."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from arithcurve.ring import (
     curve_ring,
     elimination_ring,
 )
+from arithcurve.ring import _MR_EXACT_BOUND, _is_prime
 
 W = (5, 6, 7, 8, 9)
 
@@ -98,6 +101,29 @@ def test_prime_field_values_reduced():
     assert F.inv(3) == 5  # 3*5 = 15 = 1 mod 7
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def _trial_division_prime(p):
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    for p in range(10**4):
+        assert _is_prime(p) == _trial_division_prime(p), p
+
+
+def test_large_prime_field():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    # composites: a Carmichael number, the smallest strong pseudoprime to the
+    # first nine prime bases, and a product of two Mersenne primes
+    for n in (561, 3825123056546413051, (2**31 - 1) * (2**61 - 1)):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_primality_bound_named():
+    with pytest.raises(ValueError, match=str(_MR_EXACT_BOUND)):
+        PrimeField(_MR_EXACT_BOUND)
 
 
 def test_prime_field_rejects_bad_denominator():
