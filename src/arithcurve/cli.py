@@ -66,6 +66,23 @@ def parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
+def _is_positive(value, kinds) -> bool:
+    """A positive number of the given types; rejects booleans and NaN."""
+    return not isinstance(value, bool) and isinstance(value, kinds) and value > 0
+
+
+def _parse_cell_timeout(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if not _is_positive(value, float):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}"
+        )
+    return value
+
+
 def load_limits(path: str) -> Limits:
     """Resource caps from a JSON object whose keys are fields of Limits.
 
@@ -87,7 +104,7 @@ def load_limits(path: str) -> Limits:
             )
         integral = isinstance(defaults[key], int)
         kinds = int if integral else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+        if not _is_positive(value, kinds):
             kind = "integer" if integral else "number"
             raise argparse.ArgumentTypeError(
                 f"key {key!r} must be a positive {kind}, got {json.dumps(value)}"
@@ -467,8 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--field", type=parse_field,
                         default=PrimeField(SCAN_DEFAULT_PRIME))
     p_scan.add_argument("--jobs", type=int, default=1)
-    p_scan.add_argument("--cell-timeout", type=float, default=None,
-                        help="wall-clock budget per cell in seconds")
+    p_scan.add_argument("--cell-timeout", type=_parse_cell_timeout, default=None,
+                        help="wall-clock budget in seconds (positive) for each "
+                             "engine run of a cell")
     p_scan.add_argument("--config", dest="limits", type=load_limits,
                         default=Limits(), metavar="FILE",
                         help="JSON file overriding resource caps")

@@ -13,9 +13,18 @@ pair criteria are applied while syzygies are requested (every same-position
 pair is reduced); for plain rank-1 basis runs the coprime-lead criterion is
 used to skip pairs.
 
+Minimal-generator pruning completes its basis degree by degree: before a
+candidate of degree D is tested, only the pairs of shifted degree <= D are
+reduced.  For homogeneous input under non-negative weights every S-pair is
+homogeneous of its lcm's shifted degree and a reduction never raises the
+degree, so after those pairs the basis is a Groebner basis up to degree D and
+top reduction decides membership of the candidate exactly (La Scala &
+Stillman's degree-by-degree strategy, applied to pruning only).
+
 All computations are deterministic: fixed insertion order, pairs processed in
-increasing (lcm order key, position, i, j), reducers chosen first-in-basis.
-Resource limits are explicit errors, never silent truncation.
+increasing (lcm order key, position, i, j) - prefixed by the lcm's shifted
+degree in pruning runs - and reducers chosen first-in-basis.  Resource limits
+are explicit errors, never silent truncation.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .ring import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    weighted_degree_of,
 )
 
 
@@ -133,19 +143,25 @@ def v_degree(v: Vector, shifts: Optional[Sequence[int]] = None):
 
 
 class _Engine:
-    """One Buchberger run over vectors of a fixed rank."""
+    """One Buchberger run over vectors of a fixed rank.
+
+    With `shifts` (one per position) the pairs are keyed first by the
+    shifted degree of their lcm, so `_main_loop(stop)` can complete the
+    basis degree by degree.
+    """
 
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
-                 limits: Limits):
+                 limits: Limits, shifts: Optional[Sequence[int]] = None):
         self.ring = ring
         self.rank = rank
         self.want_syz = want_syzygies
+        self.shifts = shifts
         self.meter = limits.start()
         self.basis: list[Vector] = []
         self.leads: list[tuple] = []  # (pos, exps); basis elements are monic
         self.coords: list[Vector] = []  # expressions in the original inputs
         self.by_pos: dict[int, list[int]] = {}
-        self.pairs: list[tuple] = []  # (sort_key, i, j)
+        self.pairs: list[tuple] = []  # ([shifted degree,] order key, pos, i, j)
         self.syzygies: list[Vector] = []
         self.n_inputs = 0
 
@@ -222,7 +238,10 @@ class _Engine:
 
     def _pair_key_for(self, pos, e1, e2, i, j):
         lcm = monomial_lcm(e1, e2)
-        return (self.ring.order.key(lcm), pos, i, j)
+        key = (self.ring.order.key(lcm), pos, i, j)
+        if self.shifts is None:
+            return key
+        return (weighted_degree_of(lcm, self.ring.weights) + self.shifts[pos],) + key
 
     def run(self, vectors: Sequence[Vector]):
         self.n_inputs = len(vectors)
@@ -241,9 +260,13 @@ class _Engine:
         self._main_loop()
         return self
 
-    def _main_loop(self):
+    def _main_loop(self, stop: Optional[int] = None):
+        """Reduce pairs in key order; with `stop`, leave those of shifted
+        degree above it in the queue."""
         while self.pairs:
-            _, _, i, j = heapq.heappop(self.pairs)
+            if stop is not None and self.pairs[0][0] > stop:
+                return
+            *_, i, j = heapq.heappop(self.pairs)
             self.meter.tick_pair()
             e_i = self.leads[i][1]
             e_j = self.leads[j][1]
@@ -275,11 +298,21 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     Candidates are taken in increasing degree (graded Nakayama); a candidate
     already inside the module of the kept ones is dropped.  Ties and the kept
     order are deterministic.
+
+    The basis of the kept module is completed only up to the degree of the
+    candidate at hand.  This is exact because the vectors are homogeneous
+    and the weights non-negative: every S-pair is homogeneous of the shifted
+    degree of its lcm, and reducing a degree-D vector uses only basis
+    elements of degree <= D.  Once every pair of degree <= D is reduced, the
+    basis is a Groebner basis up to degree D, so a degree-D candidate lies
+    in the kept module exactly when top reduction sends it to zero.  Pairs
+    above the last candidate's degree are never processed.
     """
     nonzero = [v for v in vectors if not v_is_zero(v)]
     if not nonzero:
         return []
     rank = len(nonzero[0])
+    shifts = tuple(shifts) if shifts else (0,) * rank
 
     def sort_key(v: Vector):
         deg = v_degree(v, shifts)
@@ -288,17 +321,15 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
         lead = v_leading(v)
         return (deg, lead[0], ring.order.key(lead[1]))
 
-    # one engine holds a Groebner basis of the kept module throughout, so a
-    # candidate lies in it exactly when top reduction sends it to zero
-    eng = _Engine(ring, rank, want_syzygies=False, limits=limits)
+    eng = _Engine(ring, rank, want_syzygies=False, limits=limits, shifts=shifts)
     kept: list[Vector] = []
     for v in sorted(nonzero, key=sort_key):
+        eng._main_loop(stop=v_degree(v, shifts))
         reduced, _ = eng.top_reduce(v, None)
         if v_is_zero(reduced):
             continue
         kept.append(v)
         eng.add_element(reduced, None)
-        eng._main_loop()
     return kept
 
 

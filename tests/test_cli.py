@@ -184,6 +184,21 @@ class TestScan:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_invalid_cell_timeout_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--n", "3", "--a", "1..1", "--d", "1..1",
+                  "--cell-timeout", value])
+        assert exc.value.code == EXIT_INVALID
+        assert "--cell-timeout" in capsys.readouterr().err
+
+    def test_valid_cell_timeout_keeps_json(self, capsys):
+        args = ("scan", "--n", "3", "--a", "1..1", "--d", "1..2", "--json")
+        _, plain, _ = run_cli(capsys, *args)
+        code, timed, _ = run_cli(capsys, *args, "--cell-timeout", "60")
+        assert code == EXIT_OK
+        assert timed == plain
+
     def test_parallel_matches_serial(self, capsys):
         args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..2", "--json")
         _, serial, _ = run_cli(capsys, *args)

@@ -1,5 +1,7 @@
 """The Buchberger engine: reduced bases, module membership, syzygies, limits."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from arithcurve import (
     ResourceLimitExceeded,
     groebner,
     ideal_member,
+    minimal_resolution,
     module_groebner_basis,
     module_member,
     reduce_poly,
@@ -16,6 +19,7 @@ from arithcurve import (
 )
 from arithcurve.groebner import (
     minimal_module_generators,
+    v_degree,
     v_is_zero,
     v_leading,
 )
@@ -194,3 +198,91 @@ def test_random_syzygies_annihilate(gens):
         for coeff, g in zip(s, gens):
             total = total + coeff * g
         assert total.is_zero()
+
+
+# -- degree-truncated pruning against full completion ---------------------------
+
+
+def reference_prune(vectors, ring, shifts=None):
+    """Greedy pruning that decides each candidate against a Groebner basis of
+    the kept vectors completed from scratch, with no degree truncation."""
+
+    def key(v):
+        pos, exps, _ = v_leading(v)
+        return (v_degree(v, shifts), pos, ring.order.key(exps))
+
+    kept, gb = [], []
+    for v in sorted((v for v in vectors if not v_is_zero(v)), key=key):
+        if not module_member(v, gb, ring):
+            kept.append(v)
+            gb = module_groebner_basis(kept, ring)
+    return kept
+
+
+@pytest.mark.parametrize("m0,d,n", [(5, 1, 3), (6, 1, 3), (7, 1, 3), (8, 1, 3),
+                                    (7, 1, 4)])
+def test_truncated_pruning_matches_full_completion(m0, d, n):
+    """Replay every pruning call of minimal_resolution: the generators, then
+    the raw syzygies of each differential with the real shifts."""
+    seq = validate_sequence(m0, d, n)
+    gens = list(seq.generators(PrimeField(32003)).all)
+    ring = gens[0].ring
+    candidates = [(g,) for g in gens]
+    assert minimal_module_generators(candidates, ring) == reference_prune(
+        candidates, ring
+    )
+    C = minimal_resolution(gens)
+    for s in range(1, C.length + 1):
+        mat = C.differential(s)
+        raw = syzygy_generators([mat.column(j) for j in range(mat.cols)], ring)
+        shifts = C.shifts(s)
+        assert minimal_module_generators(raw, ring, shifts=shifts) == reference_prune(
+            raw, ring, shifts
+        ), (s, len(raw))
+
+
+def monomials_of_degree(ring, k):
+    return [e for e in itertools.product(*(range(k // w + 1) for w in ring.weights))
+            if sum(a * w for a, w in zip(e, ring.weights)) == k]
+
+
+@st.composite
+def homogeneous_candidates(draw):
+    """Rank-2 homogeneous vectors under mixed shifts: a few random ones and
+    homogeneous combinations of them, so some candidates are redundant only
+    through an S-pair of their own degree."""
+    shifts = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+
+    def poly(k):
+        mons = monomials_of_degree(R3, k)
+        if not mons:
+            return R3.zero
+        chosen = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=2,
+                               unique=True))
+        return R3.from_dict({m: R3.field.of(draw(st.integers(1, 3))) for m in chosen})
+
+    base = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(max(shifts) + 2, max(shifts) + 8))
+        v = (poly(deg - shifts[0]), poly(deg - shifts[1]))
+        if not v_is_zero(v):
+            base.append((v, deg))
+    combos = []
+    for _ in range(draw(st.integers(0, 3))):
+        deg = draw(st.integers(max(shifts) + 4, max(shifts) + 12))
+        total = (R3.zero, R3.zero)
+        for v, dv in base:
+            f = poly(deg - dv)
+            total = (total[0] + f * v[0], total[1] + f * v[1])
+        combos.append(total)
+    vectors = draw(st.permutations([v for v, _ in base] + combos))
+    return vectors, shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_candidates())
+def test_truncated_pruning_on_mixed_shifts(data):
+    vectors, shifts = data
+    assert minimal_module_generators(vectors, R3, shifts=shifts) == reference_prune(
+        vectors, R3, shifts
+    )

@@ -237,6 +237,40 @@ class TestMinimalResolution:
         C = minimal_resolution(gens)
         assert verify_exactness(C, gens).all_ok
 
+    @pytest.mark.parametrize("m0,d,n", [(7, 1, 4), (7, 2, 4), (11, 1, 4), (8, 1, 5)])
+    def test_exactness_where_no_construction_exists(self, m0, d, n):
+        """b = 3: no construction or closed form, so only these checks tie the
+        oracle's complex to the curve ideal."""
+        seq = validate_sequence(m0, d, n)
+        gens = list(seq.generators(PrimeField(32003)).all)
+        C = minimal_resolution(gens)
+        assert verify_complex(C).minimal
+        assert verify_exactness(C, gens).all_ok
+
+    def test_n5_grid_betti_by_residue_class(self):
+        """The uniformity check one n higher: a, d in {1, 2} gives at least
+        two valid cells in every class b."""
+        import math
+
+        field = PrimeField(32003)
+        found = {}
+        for b in range(1, 6):
+            for a in (1, 2):
+                for d in (1, 2):
+                    m0 = 5 * a + b
+                    if math.gcd(m0, d) != 1:
+                        continue
+                    seq = validate_sequence(m0, d, 5)
+                    C = minimal_resolution(list(seq.generators(field).all))
+                    found.setdefault(b, []).append(C.betti())
+        assert sorted(found) == [1, 2, 3, 4, 5]
+        for b, vectors in found.items():
+            assert len(vectors) >= 2 and len(set(vectors)) == 1, (b, vectors)
+        betti = {b: vectors[0] for b, vectors in found.items()}
+        assert betti[1] == betti_b1(5) == (1, 15, 40, 45, 24, 5)
+        assert betti[5] == betti_bn(5) == (1, 11, 30, 35, 19, 4)
+        assert betti[2] == betti[2][::-1] == (1, 14, 35, 35, 14, 1)
+
     def test_rejects_inhomogeneous(self):
         R = curve_ring((5, 6, 7))
         with pytest.raises(ValueError):
