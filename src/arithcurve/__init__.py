@@ -5,6 +5,7 @@ Groebner-basis/syzygy oracle."""
 from .ring import (
     QQ,
     EliminationOrder,
+    MonomialOutOfRange,
     Polynomial,
     PolyRing,
     PrimeField,

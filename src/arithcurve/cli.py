@@ -418,7 +418,10 @@ def cmd_scan(args) -> int:
                 print(f"  b={c['b']} a={c['a']} d={c['d']} m0={c['m0']}: "
                       f"{c['status']} ({c['reason']})")
         for s in summaries:
-            if "uniform" not in s:
+            if "uniform" not in s and s["cells_limited"]:
+                print(f"b={s['b']}: no completed cells "
+                      f"({s['cells_limited']} resource-limit)")
+            elif "uniform" not in s:
                 print(f"b={s['b']}: no valid cells")
             elif s["uniform"]:
                 print(f"b={s['b']}: uniform, betti {s['betti']}")

@@ -21,8 +21,13 @@ degree, so after those pairs the basis is a Groebner basis up to degree D and
 top reduction decides membership of the candidate exactly (La Scala &
 Stillman's degree-by-degree strategy, applied to pruning only).
 
+The engine works on packed monomials (see `ring`): leading monomials are
+packed ints, a reducer is found by the guard-bit divisibility test, the
+multiplier of a reduction is a difference of packed ints, and an S-pair is
+keyed by its packed lcm, which sorts exactly like the lcm's order key.
+
 All computations are deterministic: fixed insertion order, pairs processed in
-increasing (lcm order key, position, i, j) - prefixed by the lcm's shifted
+increasing (packed lcm, position, i, j) - prefixed by the lcm's shifted
 degree in pruning runs - and reducers chosen first-in-basis.  Resource limits
 are explicit errors, never silent truncation.
 """
@@ -34,14 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ring import (
-    Polynomial,
-    PolyRing,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    weighted_degree_of,
-)
+from .ring import Polynomial, PolyRing
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -73,9 +71,11 @@ class _Meter:
             raise ResourceLimitExceeded(
                 f"S-pair budget {self.limits.max_spairs} exhausted"
             )
+        # the clock is read on the first pair of a run and every 64th after
+        # it, so short runs are checked too
         if (
             self.limits.deadline_s is not None
-            and self.spairs % 64 == 0
+            and self.spairs % 64 == 1
             and time.monotonic() - self.t0 > self.limits.deadline_s
         ):
             raise ResourceLimitExceeded(
@@ -87,7 +87,7 @@ class _Meter:
             raise ResourceLimitExceeded(f"basis size cap {self.limits.max_basis} hit")
 
     def check_support(self, v: "Vector"):
-        support = sum(len(p.terms) for p in v)
+        support = sum(len(p.packed) for p in v)
         if support > self.limits.max_support:
             raise ResourceLimitExceeded(
                 f"support size {support} exceeds cap {self.limits.max_support}"
@@ -108,19 +108,37 @@ def v_is_zero(v: Vector) -> bool:
 
 def v_leading(v: Vector):
     """Leading module term (pos, exps, coeff) under position-over-term, or None."""
+    lead = _lead(v)
+    if lead is None:
+        return None
+    pos, m, coeff = lead
+    return pos, v[pos].ring.decode(m), coeff
+
+
+def _lead(v: Vector):
+    """Leading module term (pos, packed monomial, coeff), or None."""
     for pos, p in enumerate(v):
-        if not p.is_zero():
-            exps, coeff = p.leading_term()
-            return pos, exps, coeff
+        if p.packed:
+            m, coeff = p.packed[0]
+            return pos, m, coeff
     return None
 
 
-def v_sub(v: Vector, w: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(v, w))
+def _lm(p: Polynomial) -> int:
+    """Packed leading monomial of a nonzero polynomial."""
+    return p.packed[0][0]
 
 
-def v_mul_term(v: Vector, exps, coeff) -> Vector:
-    return tuple(p.mul_term(exps, coeff) for p in v)
+def v_add_mul(v: Vector, w: Vector, u: int, coeff) -> Vector:
+    """v + coeff * X^u * w for a packed monomial u.
+
+    Vectors are sparse, so zero components of w pass through without a call.
+    """
+    return tuple([a.add_mul(b, u, coeff) if b.packed else a for a, b in zip(v, w)])
+
+
+def v_mul_packed(v: Vector, u: int, coeff) -> Vector:
+    return tuple([p.mul_packed(u, coeff) if p.packed else p for p in v])
 
 
 def v_scale(v: Vector, coeff) -> Vector:
@@ -158,35 +176,37 @@ class _Engine:
         self.shifts = shifts
         self.meter = limits.start()
         self.basis: list[Vector] = []
-        self.leads: list[tuple] = []  # (pos, exps); basis elements are monic
+        self.leads: list[tuple] = []  # (pos, packed); basis elements are monic
         self.coords: list[Vector] = []  # expressions in the original inputs
         self.by_pos: dict[int, list[int]] = {}
-        self.pairs: list[tuple] = []  # ([shifted degree,] order key, pos, i, j)
+        self.pairs: list[tuple] = []  # ([shifted degree,] packed lcm, pos, i, j)
         self.syzygies: list[Vector] = []
         self.n_inputs = 0
 
     # -- reduction ----------------------------------------------------------
 
-    def _find_reducer(self, pos: int, exps) -> Optional[int]:
+    def _find_reducer(self, pos: int, m: int) -> Optional[int]:
+        divides = self.ring.divides
         for idx in self.by_pos.get(pos, ()):  # first match: deterministic
-            if monomial_divides(self.leads[idx][1], exps):
+            if divides(self.leads[idx][1], m):
                 return idx
         return None
 
     def top_reduce(self, v: Vector, coord: Optional[Vector]):
         """Cancel leading terms until none is reducible; returns (v, coord)."""
         while True:
-            lead = v_leading(v)
+            lead = _lead(v)
             if lead is None:
                 return v, coord
-            pos, exps, coeff = lead
-            idx = self._find_reducer(pos, exps)
+            pos, m, coeff = lead
+            idx = self._find_reducer(pos, m)
             if idx is None:
                 return v, coord
-            u = monomial_div(exps, self.leads[idx][1])
-            v = v_sub(v, v_mul_term(self.basis[idx], u, coeff))
+            u = m - self.leads[idx][1]
+            k = self.ring.field.neg(coeff)
+            v = v_add_mul(v, self.basis[idx], u, k)
             if coord is not None:
-                coord = v_sub(coord, v_mul_term(self.coords[idx], u, coeff))
+                coord = v_add_mul(coord, self.coords[idx], u, k)
 
     def normal_form(self, v: Vector) -> Vector:
         """Full normal form: every remaining term is irreducible."""
@@ -194,29 +214,30 @@ class _Engine:
         remainder = [ring.zero] * self.rank
         work = v
         while True:
-            lead = v_leading(work)
+            lead = _lead(work)
             if lead is None:
                 break
-            pos, exps, coeff = lead
-            idx = self._find_reducer(pos, exps)
+            pos, m, coeff = lead
+            idx = self._find_reducer(pos, m)
             if idx is not None:
-                u = monomial_div(exps, self.leads[idx][1])
-                work = v_sub(work, v_mul_term(self.basis[idx], u, coeff))
-            else:
-                head = ring.monomial(exps, 1).scale(coeff)
-                remainder[pos] = remainder[pos] + head
+                u = m - self.leads[idx][1]
+                k = ring.field.neg(coeff)
+                work = v_add_mul(work, self.basis[idx], u, k)
+            else:  # move the lead term to the remainder
+                remainder[pos] = remainder[pos].add_mul(ring.one, m, coeff)
                 w = list(work)
-                w[pos] = w[pos] - head
+                w[pos] = w[pos].add_mul(ring.one, m, ring.field.neg(coeff))
                 work = tuple(w)
         return tuple(remainder)
 
     # -- basis growth ---------------------------------------------------------
 
     def add_element(self, v: Vector, coord: Optional[Vector]):
-        lead = v_leading(v)
+        lead = _lead(v)
         assert lead is not None
-        pos, exps, coeff = lead
-        inv = self.ring.field.inv(coeff)
+        pos, m, coeff = lead
+        ring = self.ring
+        inv = ring.field.inv(coeff)
         v = v_scale(v, inv)
         if coord is not None:
             coord = v_scale(coord, inv)
@@ -225,23 +246,23 @@ class _Engine:
         # syzygy extraction every same-position pair must be reduced
         use_coprime = self.rank == 1 and not self.want_syz
         for other in self.by_pos.get(pos, ()):
-            oexps = self.leads[other][1]
-            if use_coprime and all(a == 0 or b == 0 for a, b in zip(oexps, exps)):
+            om = self.leads[other][1]
+            lcm = ring.lcm(om, m)
+            if use_coprime and lcm == om + m:  # coprime leads
                 continue
-            heapq.heappush(self.pairs, self._pair_key_for(pos, oexps, exps, other, new))
+            heapq.heappush(self.pairs, self._pair_key(pos, lcm, other, new))
         self.basis.append(v)
-        self.leads.append((pos, exps))
+        self.leads.append((pos, m))
         self.coords.append(coord)
         self.by_pos.setdefault(pos, []).append(new)
         self.meter.check_basis(len(self.basis))
         self.meter.check_support(v)
 
-    def _pair_key_for(self, pos, e1, e2, i, j):
-        lcm = monomial_lcm(e1, e2)
-        key = (self.ring.order.key(lcm), pos, i, j)
+    def _pair_key(self, pos, lcm, i, j):
+        key = (lcm, pos, i, j)
         if self.shifts is None:
             return key
-        return (weighted_degree_of(lcm, self.ring.weights) + self.shifts[pos],) + key
+        return (self.ring.packed_degree(lcm) + self.shifts[pos],) + key
 
     def run(self, vectors: Sequence[Vector]):
         self.n_inputs = len(vectors)
@@ -266,21 +287,15 @@ class _Engine:
         while self.pairs:
             if stop is not None and self.pairs[0][0] > stop:
                 return
-            *_, i, j = heapq.heappop(self.pairs)
+            *_, lcm, _, i, j = heapq.heappop(self.pairs)
             self.meter.tick_pair()
-            e_i = self.leads[i][1]
-            e_j = self.leads[j][1]
-            lcm = monomial_lcm(e_i, e_j)
-            one = self.ring.field.of(1)
-            s = v_sub(
-                v_mul_term(self.basis[i], monomial_div(lcm, e_i), one),
-                v_mul_term(self.basis[j], monomial_div(lcm, e_j), one),
-            )
+            u_i = lcm - self.leads[i][1]
+            u_j = lcm - self.leads[j][1]
+            s = v_add_mul(v_mul_packed(self.basis[i], u_i, 1), self.basis[j], u_j, -1)
             coord = None
             if self.want_syz:
-                coord = v_sub(
-                    v_mul_term(self.coords[i], monomial_div(lcm, e_i), one),
-                    v_mul_term(self.coords[j], monomial_div(lcm, e_j), one),
+                coord = v_add_mul(
+                    v_mul_packed(self.coords[i], u_i, 1), self.coords[j], u_j, -1
                 )
             s, coord = self.top_reduce(s, coord)
             if v_is_zero(s):
@@ -318,8 +333,8 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
         deg = v_degree(v, shifts)
         if deg is None:
             raise ValueError("minimal generators need homogeneous vectors")
-        lead = v_leading(v)
-        return (deg, lead[0], ring.order.key(lead[1]))
+        pos, m, _ = _lead(v)
+        return (deg, pos, m)
 
     eng = _Engine(ring, rank, want_syzygies=False, limits=limits, shifts=shifts)
     kept: list[Vector] = []
@@ -403,11 +418,11 @@ def groebner(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS) -> lis
 def _interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
     # minimalize: drop any element whose leading monomial is divisible by
     # another's, preferring to keep smaller leading terms
-    basis = sorted(basis, key=lambda p: ring.order.key(p.leading_monomial()))
+    basis = sorted(basis, key=_lm)
     kept: list[Polynomial] = []
     for p in basis:
-        lm = p.leading_monomial()
-        if any(monomial_divides(q.leading_monomial(), lm) for q in kept):
+        lm = _lm(p)
+        if any(ring.divides(_lm(q), lm) for q in kept):
             continue
         kept.append(p)
     # tail-reduce each against the others
@@ -415,7 +430,7 @@ def _interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
     for i, p in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
         reduced.append(reduce_poly(p, others).monic())
-    reduced.sort(key=lambda p: ring.order.key(p.leading_monomial()))
+    reduced.sort(key=_lm)
     return reduced
 
 

@@ -1,11 +1,38 @@
 """Exact coefficient fields and sparse multivariate polynomials with a weighted grading.
 
-A monomial is an exponent tuple (one non-negative int per variable).  A
-polynomial stores its terms as a tuple of (exponents, coefficient) pairs,
-sorted strictly decreasing under the ring's monomial order, with no zero
-coefficients and no duplicate monomials.  All values are immutable; every
-operation returns a new normalized polynomial, so sharing across threads is
-safe.
+At the API boundary a monomial X^e is its exponent tuple e (one non-negative
+int per variable).  Inside a polynomial it is one packed int: a row of
+fields of equal width, each holding a non-negative linear form of e below a
+guard bit.  The fields are
+
+  - the linear forms of the monomial order (`order.forms()`), most
+    significant first, so comparing packed ints compares monomials in the
+    ring's order;
+  - then each exponent and the weighted degree, unless a form already holds
+    them.
+
+The packing is linear: packed(1) = 0, the packed product of two monomials is
+the sum of their ints and a quotient is the difference.  X^a divides X^b
+exactly when b - a borrows from no field, that is when it leaves every guard
+bit clear, because the exponents are fields and every other form has
+non-negative coefficients.  The coefficients of every form are bounded by the
+positive ring weights, so no field exceeds the weighted degree, and a
+monomial fits when its weighted degree is below `degree_cap`, which grows with
+the largest weight.  Creating a monomial outside that range, from a tuple or
+as a product, raises MonomialOutOfRange; no field ever wraps into its
+neighbour.
+
+A polynomial stores its terms in `packed`, a tuple of (packed int,
+coefficient) pairs sorted strictly decreasing, so decreasing under the ring's
+order, with no zero coefficients and no duplicate monomials.  Sums,
+differences and `add_mul` (p + c * X^u * q) merge two such tuples in one
+pass.  `terms`, `leading_term`, `leading_monomial`, `from_dict`, `monomial`
+and `mul_term` speak exponent tuples and decode or encode at the boundary;
+`add_mul`, `mul_packed` and the ring's `divides`/`lcm`/`packed_degree` are
+what the Buchberger engine runs on.
+`order.key` and `monomial_divides/div/lcm` are the tuple-based references.
+All values are immutable; every operation returns a new normalized
+polynomial, so sharing across threads is safe.
 
 Coefficients are exact: reduced rationals (gmpy2.mpq when available,
 fractions.Fraction otherwise) or residues in [0, p) for a prime field.
@@ -15,6 +42,7 @@ coefficients cannot overflow.
 
 from __future__ import annotations
 
+from operator import mul as _mul
 from typing import Sequence
 
 try:  # optional speedup; mpq is API-compatible with Fraction for our usage
@@ -136,6 +164,10 @@ class PrimeField:
 QQ = Rationals()
 
 
+class MonomialOutOfRange(OverflowError):
+    """A monomial's weighted degree does not fit its ring's packed fields."""
+
+
 def weighted_degree_of(exps: Sequence[int], weights: Sequence[int]) -> int:
     return sum(e * w for e, w in zip(exps, weights))
 
@@ -158,6 +190,19 @@ class WeightedGrevlex:
             sum(exps),
             tuple(-e for e in reversed(exps)),
         )
+
+    def forms(self) -> list[tuple]:
+        """Linear forms whose lexicographic comparison is this order.
+
+        Weighted degree, total degree, then the prefix sums e_0 + ... + e_{k-1}
+        for k = n-1 down to 1: with the total degree tied, a larger prefix
+        sum means a smaller last exponent, which is what the reverse-lex part
+        of key() prefers; the last exponent compared, e_0, is then fixed.
+        """
+        n = len(self.weights)
+        return [self.weights, (1,) * n] + [
+            (1,) * k + (0,) * (n - k) for k in range(n - 1, 0, -1)
+        ]
 
     def __repr__(self):
         return f"WeightedGrevlex{self.weights}"
@@ -190,6 +235,15 @@ class EliminationOrder:
             self.tail.key(exps[self.head :]),
         )
 
+    def forms(self) -> list[tuple]:
+        """The head block's grevlex forms (unit weights, so its weighted and
+        total degree coincide), then the tail's, each padded with zeros."""
+        head = WeightedGrevlex((1,) * self.head).forms()[1:]
+        pad = (0,) * len(self.tail.weights)
+        return [f + pad for f in head] + [
+            (0,) * self.head + f for f in self.tail.forms()
+        ]
+
     def __repr__(self):
         return f"EliminationOrder(head={self.head}, tail={self.tail.weights})"
 
@@ -205,37 +259,108 @@ class EliminationOrder:
 
 
 class PolyRing:
-    """A polynomial ring with named variables, weights, field and order."""
+    """A polynomial ring with named variables, weights, field and order.
+
+    The ring also fixes the packing of its monomials (see the module
+    docstring): `guard` holds every field's guard bit, and a monomial fits
+    when its weighted degree is below `degree_cap`.
+    """
 
     def __init__(self, names: Sequence[str], weights: Sequence[int], field=QQ, order=None):
         if len(names) != len(weights):
             raise ValueError("one weight per variable required")
         self.names = tuple(names)
         self.weights = tuple(int(w) for w in weights)
+        if any(w < 1 for w in self.weights):
+            raise ValueError("weights must be positive")
         self.field = field
         self.order = order if order is not None else WeightedGrevlex(self.weights)
         self.nvars = len(self.names)
+        self._init_packing()
         self.zero = Polynomial(self, ())
-        one = field.of(1)
-        self.one = Polynomial(self, (((0,) * self.nvars, one),))
+        self.one = Polynomial(self, ((0, field.of(1)),))
+
+    def _init_packing(self):
+        n = self.nvars
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows = []
+        for row in [tuple(f) for f in self.order.forms()] + units + [self.weights]:
+            if len(row) != n:
+                raise ValueError(f"{self.order!r} does not order {n} variables")
+            if any(c < 0 or c > w for c, w in zip(row, self.weights)):
+                raise ValueError(f"{self.order!r} needs a form outside 0..weight")
+            if row not in rows:
+                rows.append(row)
+        # the weighted degree bounds every field, so a degree below
+        # degree_cap keeps every field below its guard bit.  The degrees of
+        # a curve's resolution grow like the square of its largest weight
+        # (the b = 1 generators reach about m0^2 / n), with 16 bits spare.
+        bits = 2 * max(self.weights, default=1).bit_length() + 16
+        width = bits + 1
+        shift = {row: width * (len(rows) - 1 - k) for k, row in enumerate(rows)}
+        self.degree_cap = 1 << bits
+        self.guard = sum(1 << (s + bits) for s in shift.values())
+        self._mask = (1 << bits) - 1
+        self._cols = tuple(sum(row[i] << s for row, s in shift.items()) for i in range(n))
+        self._exp_shifts = tuple(shift[u] for u in units)
+        self._degree_shift = shift[self.weights]
+
+    # -- packed monomials ---------------------------------------------------
+
+    def encode(self, exps: Sequence[int]) -> int:
+        """Packed int of X^exps; MonomialOutOfRange if its degree does not fit."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {len(exps)}")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        self.check_degree(sum(map(_mul, exps, self.weights)))
+        return sum(map(_mul, exps, self._cols))
+
+    def decode(self, m: int) -> tuple:
+        """Exponent tuple of a packed monomial."""
+        mask = self._mask
+        return tuple([(m >> s) & mask for s in self._exp_shifts])
+
+    def check_degree(self, degree: int):
+        if degree >= self.degree_cap:
+            raise MonomialOutOfRange(
+                f"weighted degree {degree} does not fit the packed monomials of "
+                f"{self!r} (cap {self.degree_cap})"
+            )
+
+    def packed_degree(self, m: int) -> int:
+        """Weighted degree of a packed monomial."""
+        return (m >> self._degree_shift) & self._mask
+
+    def divides(self, a: int, b: int) -> bool:
+        """True iff packed X^a divides packed X^b: b - a borrows from no field."""
+        return not (b - a) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.encode(map(max, self.decode(a), self.decode(b)))
+
+    # -- polynomials from exponent tuples -------------------------------------
 
     def var(self, i: int, power: int = 1) -> Polynomial:
         exps = [0] * self.nvars
         exps[i] = power
-        return self.monomial(tuple(exps))
+        return self.monomial(exps)
 
     def monomial(self, exps: Sequence[int], coeff=1) -> Polynomial:
         c = self.field.of(coeff)
         if c == 0:
             return self.zero
-        return Polynomial(self, ((tuple(exps), c),))
+        return Polynomial(self, ((self.encode(exps), c),))
 
     def constant(self, value) -> Polynomial:
         return self.monomial((0,) * self.nvars, value)
 
     def from_dict(self, data: dict) -> Polynomial:
-        terms = [(m, c) for m, c in data.items() if c != 0]
-        terms.sort(key=lambda t: self.order.key(t[0]), reverse=True)
+        """Polynomial from {exponent tuple: coefficient}; zeros are dropped."""
+        encode = self.encode
+        terms = [(encode(m), c) for m, c in data.items() if c != 0]
+        terms.sort(reverse=True)
         return Polynomial(self, tuple(terms))
 
     def __eq__(self, other):
@@ -254,31 +379,83 @@ class PolyRing:
         return f"PolyRing({','.join(self.names)}; weights={self.weights}; {self.field})"
 
 
+def _add_mul(a: tuple, q: tuple, u: int, k, field) -> tuple:
+    """Packed terms of a + k * X^u * q, by one pass over both sorted tuples.
+
+    Adding u keeps q's terms sorted, so the product is merged as it is formed.
+    Both tuples are nonempty.
+    """
+    add, mul = field.add, field.mul
+    out = []
+    push = out.append
+    i = j = 0
+    na, nq = len(a), len(q)
+    ma, ca = a[0]
+    mq, cq = q[0]
+    mb = mq + u
+    while True:
+        if ma > mb:
+            push((ma, ca))
+            i += 1
+            if i == na:
+                break
+            ma, ca = a[i]
+            continue
+        if mb > ma:
+            push((mb, mul(cq, k)))
+        else:
+            c = add(ca, mul(cq, k))
+            if c:
+                push((ma, c))
+            i += 1
+            if i == na:
+                j += 1
+                break
+            ma, ca = a[i]
+        j += 1
+        if j == nq:
+            break
+        mq, cq = q[j]
+        mb = mq + u
+    out.extend(a[i:])
+    if j < nq:
+        out.extend([(m + u, mul(c, k)) for m, c in q[j:]])
+    return tuple(out)
+
+
 class Polynomial:
-    """Immutable sparse polynomial; terms sorted decreasing under the ring order."""
+    """Immutable sparse polynomial; packed terms sorted decreasing."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "packed", "_hash", "_top")
 
-    def __init__(self, ring: PolyRing, terms: tuple):
+    def __init__(self, ring: PolyRing, packed: tuple):
         self.ring = ring
-        self.terms = terms
+        self.packed = packed
         self._hash = None
+        self._top = None  # largest weighted degree of a term, once asked for
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def terms(self) -> tuple:
+        """(exponent tuple, coefficient) pairs, decreasing under the ring order."""
+        decode = self.ring.decode
+        return tuple([(decode(m), c) for m, c in self.packed])
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(self.terms[0][0]))
+        return not self.packed or (len(self.packed) == 1 and self.packed[0][0] == 0)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.packed) == 1
 
     def leading_term(self):
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
+        m, c = self.packed[0]
+        return self.ring.decode(m), c
 
     def leading_monomial(self):
         return self.leading_term()[0]
@@ -291,74 +468,75 @@ class Polynomial:
 
         Raises ValueError on the zero polynomial (degree undefined).
         """
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no degree")
-        w = self.ring.weights
-        degs = {weighted_degree_of(m, w) for m, _ in self.terms}
+        degree = self.ring.packed_degree
+        degs = {degree(m) for m, _ in self.packed}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     @property
     def is_homogeneous(self) -> bool:
-        return not self.terms or self.weighted_degree() is not None
+        return not self.packed or self.weighted_degree() is not None
+
+    def _top_degree(self) -> int:
+        if self._top is None:
+            degree = self.ring.packed_degree
+            self._top = max(degree(m) for m, _ in self.packed)
+        return self._top
 
     # -- arithmetic --------------------------------------------------------
 
     def _compatible(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._compatible(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        field = self.ring.field
-        data = dict(self.terms)
-        for m, c in other.terms:
-            if m in data:
-                s = field.add(data[m], c)
-                if s == 0:
-                    del data[m]
-                else:
-                    data[m] = s
-            else:
-                data[m] = c
-        return self.ring.from_dict(data)
+        return self.add_mul(other, 0, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return self.add_mul(other, 0, -1)
+
+    def add_mul(self, q: "Polynomial", u: int, coeff) -> "Polynomial":
+        """self + coeff * X^u * q for a packed monomial u, in one merge pass.
+
+        MonomialOutOfRange if a product would not fit.
+        """
+        self._compatible(q)
+        if not q.packed or not coeff:
+            return self
+        if not self.packed:
+            return q.mul_packed(u, coeff)
+        ring = self.ring
+        ring.check_degree(q._top_degree() + ring.packed_degree(u))
+        return Polynomial(ring, _add_mul(self.packed, q.packed, u, coeff, ring.field))
 
     def __neg__(self):
         neg = self.ring.field.neg
-        return Polynomial(self.ring, tuple((m, neg(c)) for m, c in self.terms))
+        return Polynomial(self.ring, tuple([(m, neg(c)) for m, c in self.packed]))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._compatible(other)
-            if not self.terms or not other.terms:
+            if not self.packed or not other.packed:
                 return self.ring.zero
-            field = self.ring.field
+            ring = self.ring
+            ring.check_degree(self._top_degree() + other._top_degree())
+            field = ring.field
             data = {}
-            for ma, ca in self.terms:
-                for mb, cb in other.terms:
-                    m = tuple(x + y for x, y in zip(ma, mb))
+            for ma, ca in self.packed:
+                for mb, cb in other.packed:
+                    m = ma + mb
                     prod = field.mul(ca, cb)
-                    if m in data:
-                        s = field.add(data[m], prod)
-                        if s == 0:
-                            del data[m]
-                        else:
-                            data[m] = s
-                    else:
-                        data[m] = prod
-            return self.ring.from_dict(data)
+                    data[m] = field.add(data[m], prod) if m in data else prod
+            terms = [(m, c) for m, c in data.items() if c != 0]
+            terms.sort(reverse=True)
+            return Polynomial(ring, tuple(terms))
         # scalar multiplication
         c = self.ring.field.of(other)
         return self.scale(c)
@@ -370,20 +548,26 @@ class Polynomial:
         if coeff == 0:
             return self.ring.zero
         mul = self.ring.field.mul
-        return Polynomial(self.ring, tuple((m, mul(c, coeff)) for m, c in self.terms))
+        return Polynomial(self.ring, tuple([(m, mul(c, coeff)) for m, c in self.packed]))
 
     def mul_term(self, exps, coeff) -> "Polynomial":
         """Multiply by coeff * X^exps; preserves sortedness, so no re-sort."""
-        if coeff == 0:
+        return self.mul_packed(self.ring.encode(exps), coeff)
+
+    def mul_packed(self, u: int, coeff) -> "Polynomial":
+        """Multiply by coeff * X^u for a packed monomial u.
+
+        Adding u keeps the terms sorted; MonomialOutOfRange if a product
+        would not fit.
+        """
+        if not coeff or not self.packed:
             return self.ring.zero
-        mul = self.ring.field.mul
-        return Polynomial(
-            self.ring,
-            tuple(
-                (tuple(a + b for a, b in zip(m, exps)), mul(c, coeff))
-                for m, c in self.terms
-            ),
-        )
+        ring = self.ring
+        ring.check_degree(self._top_degree() + ring.packed_degree(u))
+        if coeff == 1:
+            return Polynomial(ring, tuple([(m + u, c) for m, c in self.packed]))
+        mul = ring.field.mul
+        return Polynomial(ring, tuple([(m + u, mul(c, coeff)) for m, c in self.packed]))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -419,11 +603,13 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (
+            self.ring is other.ring or self.ring == other.ring
+        ) and self.packed == other.packed
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, self.terms))
+            self._hash = hash((self.ring, self.packed))
         return self._hash
 
     def _term_str(self, exps, coeff) -> str:
@@ -442,7 +628,7 @@ class Polynomial:
         return f"{coeff}*{body}"
 
     def __str__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
         for i, (m, c) in enumerate(self.terms):

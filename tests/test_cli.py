@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from arithcurve import shift_table_b1, validate_sequence
 from arithcurve.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -133,6 +134,21 @@ class TestResolve:
         assert [len(r["shifts"]) for r in obj["betti"]] == [1, 10, 20, 15, 4]
 
 
+    def test_huge_first_term_construction(self, capsys):
+        """Exponents near 2.5e19 and degrees near 2.5e39: the packed monomial
+        fields are sized from the ring's weights, not fixed at 64 bits."""
+        m0 = 10**20 + 1
+        code, out, _ = run_cli(capsys, "resolve", str(m0), "1", "4", "--json")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert obj["betti"] == shift_table_b1(validate_sequence(m0, 1, 4)).to_json_obj()
+
+
+# every cell of this grid runs engine passes with fewer than 64 S-pairs
+TIMED_OUT_SCAN = ("scan", "--n", "4", "--a", "1..2", "--d", "1..1",
+                  "--cell-timeout", "1e-9")
+
+
 class TestScan:
     def test_uniform_b1_grid(self, capsys):
         code, out, _ = run_cli(
@@ -198,6 +214,24 @@ class TestScan:
         code, timed, _ = run_cli(capsys, *args, "--cell-timeout", "60")
         assert code == EXIT_OK
         assert timed == plain
+
+    def test_deadline_checked_on_first_pair(self, capsys):
+        code, out, _ = run_cli(capsys, *TIMED_OUT_SCAN, "--json")
+        assert code == EXIT_RESOURCE
+        cells = json.loads(out)["cells"]
+        assert len(cells) == 8
+        assert all(c["status"] == "resource-limit" for c in cells)
+
+    def test_text_summary_names_limited_cells(self, capsys):
+        code, out, _ = run_cli(capsys, *TIMED_OUT_SCAN)
+        assert code == EXIT_RESOURCE
+        for b in range(1, 5):
+            assert f"b={b}: no completed cells (2 resource-limit)" in out
+        assert "no valid cells" not in out
+        code, out, _ = run_cli(capsys, "scan", "--n", "4", "--b", "2",
+                               "--a", "1..1", "--d", "2..3")
+        assert code == EXIT_OK
+        assert "b=2: no valid cells" in out
 
     def test_parallel_matches_serial(self, capsys):
         args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..2", "--json")

@@ -8,11 +8,16 @@ from hypothesis import given, settings, strategies as st
 from arithcurve.ring import (
     QQ,
     EliminationOrder,
+    MonomialOutOfRange,
     PolyRing,
     PrimeField,
     WeightedGrevlex,
     curve_ring,
     elimination_ring,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    weighted_degree_of,
 )
 from arithcurve.ring import _MR_EXACT_BOUND, _is_prime
 
@@ -207,3 +212,75 @@ def test_elimination_order_is_multiplicative():
     uw = tuple(a + b for a, b in zip(u, w))
     vw = tuple(a + b for a, b in zip(v, w))
     assert order.key(uw) > order.key(vw)
+
+
+# -- packed monomials ------------------------------------------------------------
+
+PACKED_RINGS = {"curve": curve_ring(W), "elimination": elimination_ring(W)}
+
+
+def packed_exps(ring):
+    """Small exponents, and exponents whose degree reaches toward half the
+    packed range, so that a product of two still fits."""
+    top = ring.degree_cap // 2 // sum(ring.weights)
+    small = st.tuples(*[st.integers(0, 4) for _ in ring.weights])
+    large = st.tuples(*[st.integers(0, top) for _ in ring.weights])
+    return st.one_of(small, large)
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_RINGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packing_agrees_with_tuple_references(name, data):
+    ring = PACKED_RINGS[name]
+    u, v, w = (data.draw(packed_exps(ring)) for _ in range(3))
+    pu, pv = ring.encode(u), ring.encode(v)
+    uv = tuple(a + b for a, b in zip(u, v))
+    assert ring.decode(pu) == u
+    assert (pu > pv) == (ring.order.key(u) > ring.order.key(v))
+    assert (pu == pv) == (u == v)
+    assert pu + pv - ring.encode((0,) * ring.nvars) == ring.encode(uv)
+    assert ring.divides(pu, pv) == monomial_divides(u, v)
+    assert ring.divides(pu, pu + pv)
+    if monomial_divides(u, v):
+        assert pv - pu == ring.encode(monomial_div(v, u))
+    assert ring.lcm(pu, pv) == ring.encode(monomial_lcm(u, v))
+    assert ring.packed_degree(pu) == weighted_degree_of(u, ring.weights)
+    # a product by mul_term keeps the packed terms sorted like the order keys
+    p = ring.monomial(u, 2) + ring.monomial(v, 3)
+    keys = [ring.order.key(m) for m, _ in p.mul_term(w, 1).terms]
+    assert keys == sorted(keys, reverse=True)
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_RINGS))
+def test_monomial_past_the_packed_range_raises(name):
+    ring = PACKED_RINGS[name]
+    last, w = ring.nvars - 1, ring.weights[-1]
+    fits = (ring.degree_cap - 1) // w
+    assert ring.decode(ring.encode((0,) * last + (fits,))) == (0,) * last + (fits,)
+    with pytest.raises(MonomialOutOfRange):
+        ring.encode((0,) * last + (fits + 1,))
+    with pytest.raises(MonomialOutOfRange):
+        ring.var(last, fits + 1)
+    half = ring.var(last, fits // 2 + 1)
+    with pytest.raises(MonomialOutOfRange):
+        half * half
+    with pytest.raises(MonomialOutOfRange):
+        half.mul_term((0,) * last + (fits // 2 + 1,), 1)
+
+
+def test_range_check_covers_terms_below_the_lead():
+    """Under the elimination order t leads X4^k although X4^k has the larger
+    degree; multiplying must still check the degree of X4^k."""
+    ring = PACKED_RINGS["elimination"]
+    last, w = ring.nvars - 1, ring.weights[-1]
+    k = (ring.degree_cap - 1) // w
+    p = ring.var(0) + ring.var(last, k)
+    assert p.leading_monomial() == (1,) + (0,) * last
+    with pytest.raises(MonomialOutOfRange):
+        p.mul_term((0,) * last + (1,), 1)
+
+
+def test_weights_must_be_positive():
+    with pytest.raises(ValueError):
+        PolyRing(("x", "y"), (1, 0))
