@@ -27,13 +27,10 @@ from .curve import (
 from .complexes import (
     ComplexError,
     ComplexReport,
-    ConeLabel,
     GradedComplex,
-    GradedFreeModule,
     InhomogeneousColumns,
     InhomogeneousMultiplier,
     NonMonomialEntry,
-    WedgeLabel,
     WrongCase,
     mapping_cone,
     minor_complex,
@@ -67,7 +64,6 @@ from .groebner import (
 )
 from .oracle import (
     ExactnessReport,
-    betti_table_of,
     colon_check,
     colon_ideal,
     ideal_contains,

@@ -61,9 +61,12 @@ def parse_field(text: str):
 def parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+        lo, hi = int(lo), int(hi)
+    else:
+        lo = hi = int(text)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: LO exceeds HI")
+    return lo, hi
 
 
 def _is_positive(value, kinds) -> bool:
@@ -134,7 +137,7 @@ class RunReport:
         return cls(
             sequence=obj["sequence"],
             method=obj["method"],
-            betti=BettiTable.from_json_obj(obj["betti"], obj["method"]),
+            betti=BettiTable.from_json_obj(obj["betti"]),
             checks=obj["checks"],
             timing_ms=obj.get("timing_ms"),
         )
@@ -183,28 +186,23 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
     t0 = time.perf_counter()
     if method == "b1-en":
         complex_ = resolution_b1(seq, field)
-        betti = BettiTable.from_complex(complex_, "b1")
     elif method == "bn-cone":
         complex_ = resolution_bn(seq, field)
-        betti = BettiTable.from_complex(complex_, "bn")
-    elif method == "gor4-closedform":
+    elif method == "oracle":
+        complex_ = minimal_resolution(list(seq.generators(field).all), limits=limits)
+    if complex_ is None:  # gor4-closedform
         betti = shifts_gor4(seq.a, seq.d)
     else:
-        complex_ = minimal_resolution(list(seq.generators(field).all), limits=limits)
-        betti = BettiTable.from_complex(complex_, "oracle")
+        betti = BettiTable.from_complex(complex_)
     timing["construct"] = (time.perf_counter() - t0) * 1000.0
 
     if verify:
         t0 = time.perf_counter()
         if complex_ is not None:
             rep = verify_complex(complex_)
-            checks["dd_zero"] = {"pass": rep.dd_zero,
-                                 "witness": list(rep.witness.get("dd_zero", []))}
-            checks["homogeneous"] = {"pass": rep.homogeneous,
-                                     "witness": list(rep.witness.get("homogeneous", []))}
-            checks["minimal"] = {"pass": rep.minimal,
-                                 "witness": list(rep.witness.get("minimal", []))}
-        if method in ("b1-en", "bn-cone"):
+            for name in ("dd_zero", "homogeneous", "minimal"):
+                checks[name] = {"pass": getattr(rep, name),
+                                "witness": list(rep.witness.get(name, []))}
             gens = list(seq.generators(field).all)
             exact = verify_exactness(complex_, gens, limits=limits)
             checks["exactness"] = {
@@ -213,8 +211,7 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
             }
         if method != "oracle":
             oracle_table = BettiTable.from_complex(
-                minimal_resolution(list(seq.generators(field).all), limits=limits),
-                "oracle",
+                minimal_resolution(list(seq.generators(field).all), limits=limits)
             )
             checks["oracle_betti_match"] = {
                 "pass": oracle_table.betti() == betti.betti(),
@@ -358,10 +355,18 @@ def _scan_cell(payload: tuple) -> dict:
 
 def cmd_scan(args) -> int:
     n = args.n
-    b_values = [args.b] if args.b else list(range(1, n + 1))
-    if args.a_range is None or args.d_range is None:
-        print("scan needs --a LO..HI and --d LO..HI", file=sys.stderr)
+    problems = [msg for bad, msg in (
+        (n < 2, f"--n must be at least 2, got {n}"),
+        (args.b is not None and not 1 <= args.b <= n,
+         f"--b must lie in 1..{n}, got {args.b}"),
+        (args.jobs < 1, f"--jobs must be at least 1, got {args.jobs}"),
+        (args.a_range is None or args.d_range is None,
+         "scan needs --a LO..HI and --d LO..HI"),
+    ) if bad]
+    if problems:
+        print(problems[0], file=sys.stderr)
         return EXIT_INVALID
+    b_values = [args.b] if args.b is not None else list(range(1, n + 1))
     a_lo, a_hi = args.a_range
     d_lo, d_hi = args.d_range
     limits = args.limits

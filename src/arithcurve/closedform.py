@@ -31,15 +31,14 @@ class BettiTable:
     """Per-homological-step multiset of graded shifts (stored sorted)."""
 
     rows: dict[int, tuple[int, ...]]
-    case_tag: str = "oracle"
 
     @classmethod
-    def from_rows(cls, rows: dict, case_tag: str) -> "BettiTable":
-        return cls(rows={s: tuple(sorted(v)) for s, v in rows.items()}, case_tag=case_tag)
+    def from_rows(cls, rows: dict) -> "BettiTable":
+        return cls(rows={s: tuple(sorted(v)) for s, v in rows.items()})
 
     @classmethod
-    def from_complex(cls, complex_, case_tag: str) -> "BettiTable":
-        return cls.from_rows(complex_.shift_rows(), case_tag)
+    def from_complex(cls, complex_) -> "BettiTable":
+        return cls(rows=complex_.shift_rows())
 
     @property
     def length(self) -> int:
@@ -70,8 +69,8 @@ class BettiTable:
         ]
 
     @classmethod
-    def from_json_obj(cls, obj: list, case_tag: str = "oracle") -> "BettiTable":
-        return cls.from_rows({row["step"]: tuple(row["shifts"]) for row in obj}, case_tag)
+    def from_json_obj(cls, obj: list) -> "BettiTable":
+        return cls.from_rows({row["step"]: row["shifts"] for row in obj})
 
 
 def betti_b1(n: int) -> tuple[int, ...]:
@@ -116,7 +115,7 @@ def shift_table_b1(seq: ArithmeticSequence) -> BettiTable:
     """Graded shifts of the b = 1 resolution, from the basis-degree formula."""
     if seq.b != 1:
         raise WrongCase(f"b = {seq.b}, need b = 1")
-    return BettiTable.from_rows(_minor_complex_rows(_tops_b(seq), seq.d), "b1")
+    return BettiTable.from_rows(_minor_complex_rows(_tops_b(seq), seq.d))
 
 
 def shift_table_bn(seq: ArithmeticSequence) -> BettiTable:
@@ -130,7 +129,7 @@ def shift_table_bn(seq: ArithmeticSequence) -> BettiTable:
         shifts = list(inner.get(s, []))
         shifts.extend(x + bump for x in inner.get(s - 1, []))
         rows[s] = shifts
-    return BettiTable.from_rows(rows, "bn")
+    return BettiTable.from_rows(rows)
 
 
 def shifts_gor4(a: int, d: int) -> BettiTable:
@@ -160,9 +159,7 @@ def shifts_gor4(a: int, d: int) -> BettiTable:
     step3 += [q * (q + 2 * d + 5) + 5 * d]
 
     step4 = [q * (q + 2 * d + 9) + 9 * d]
-    return BettiTable.from_rows(
-        {0: [0], 1: step1, 2: step2, 3: step3, 4: step4}, "gor4"
-    )
+    return BettiTable.from_rows({0: [0], 1: step1, 2: step2, 3: step3, 4: step4})
 
 
 def gor4_symmetry_point(a: int, d: int) -> int:
@@ -235,7 +232,7 @@ def alt_shift_table_b1(seq: ArithmeticSequence, aligned: bool = True) -> BettiTa
         ]
         block1 += [(a + 1 + d) * m0 + k * d for k in range(n)]
         rows[1] = block1
-    return BettiTable.from_rows(rows, "b1-alt")
+    return BettiTable.from_rows(rows)
 
 
 def alt_shift_table_bn(seq: ArithmeticSequence, aligned: bool = True) -> BettiTable:
@@ -261,7 +258,7 @@ def alt_shift_table_bn(seq: ArithmeticSequence, aligned: bool = True) -> BettiTa
                     (a + n + d) * m0 + sum(r) * d - k * d for k in range(1, n - 1)
                 )
             rows[n - 1] = block
-    return BettiTable.from_rows(rows, "bn-alt")
+    return BettiTable.from_rows(rows)
 
 
 def compare_shift_tables(t1: BettiTable, t2: BettiTable) -> list[tuple]:

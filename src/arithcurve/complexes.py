@@ -5,17 +5,19 @@ Basis bookkeeping for the minor complex of a 2 x m matrix M whose columns all
 satisfy deg(bottom) - deg(top) = c:
 
   step 0      R, one generator of shift 0
-  step s >= 1 labels (cols, v0, v1): cols a strictly increasing (s+1)-subset
-              of [1, m] (1-based), v0 + v1 = s - 1; rank s * C(m, s+1);
+  step s >= 1 basis elements (cols, v1), standing for the wedge of the
+              columns in cols tensor lambda0^v0 lambda1^v1 with
+              v0 = s - 1 - v1: cols a strictly increasing (s+1)-subset of
+              the column indices 0..m-1; rank s * C(m, s+1);
               shift = sum of top-entry degrees over cols + (v1 + 1) * c
 
-The differential removes one column from the wedge with sign (-1)^(j+1) on
-the j-th wedge position: a v0-decrement multiplies by the top entry of the
-removed column, a v1-decrement by the bottom entry.  Step 1 sends the pair
-(c1, c2) to the 2x2 minor of those columns.
+The differential removes one column from the wedge with sign (-1)^j on the
+j-th wedge position (counted from 0): a v0-decrement multiplies by the top
+entry of the removed column, a v1-decrement by the bottom entry.  Step 1
+sends the pair (c1, c2) to the 2x2 minor of those columns.
 
-Labels are ordered (columns lexicographic, then v1 ascending) so every matrix
-is reproducible bit-for-bit.
+Basis elements are ordered (columns lexicographic, then v1 ascending) so
+every matrix is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -49,60 +51,22 @@ class WrongCase(ValueError):
     """The requested construction does not apply to this sequence."""
 
 
-@dataclass(frozen=True)
-class WedgeLabel:
-    """Basis label (e_{c1} ^ ... ^ e_{c_{s+1}}) tensor lambda0^v0 lambda1^v1."""
-
-    columns: tuple[int, ...]  # 1-based, strictly increasing
-    v0: int
-    v1: int
-
-    def __str__(self):
-        cols = "^".join(f"e{c}" for c in self.columns)
-        return f"({cols})*l0^{self.v0}*l1^{self.v1}"
-
-
-@dataclass(frozen=True)
-class ConeLabel:
-    """Cone basis element: shifted-source copy or target copy of an inner label."""
-
-    part: str  # "source" | "target"
-    inner: object  # WedgeLabel, or None for a rank-1 step-0 generator
-
-    def __str__(self):
-        return f"{self.part}:{self.inner}"
-
-
-@dataclass(frozen=True)
-class GradedFreeModule:
-    rank: int
-    shifts: tuple[int, ...]
-    labels: tuple
-
-    def __post_init__(self):
-        if not (len(self.shifts) == len(self.labels) == self.rank):
-            raise ValueError("rank, shifts and labels must agree")
-
-
 class GradedComplex:
-    """Complex of graded free modules; maps[s-1] sends step s to step s-1."""
+    """Complex of graded free modules: steps[s] holds the generator shifts of
+    step s, and maps[s-1] sends step s to step s-1."""
 
-    def __init__(self, modules, maps, name: str = ""):
-        self.modules = tuple(modules)
+    def __init__(self, steps, maps):
+        self.steps = tuple(tuple(shifts) for shifts in steps)
         self.maps = tuple(maps)
-        self.name = name
-        if len(self.maps) != len(self.modules) - 1:
+        if len(self.maps) != len(self.steps) - 1:
             raise ValueError("need one differential per pair of adjacent steps")
         for s, mat in enumerate(self.maps, start=1):
-            if mat.rows != self.modules[s - 1].rank or mat.cols != self.modules[s].rank:
+            if mat.rows != len(self.steps[s - 1]) or mat.cols != len(self.steps[s]):
                 raise ValueError(f"differential {s} has the wrong shape")
 
     @property
     def length(self) -> int:
-        return len(self.modules) - 1
-
-    def module(self, s: int) -> GradedFreeModule:
-        return self.modules[s]
+        return len(self.steps) - 1
 
     def differential(self, s: int) -> PolyMatrix:
         if not 1 <= s <= self.length:
@@ -110,16 +74,16 @@ class GradedComplex:
         return self.maps[s - 1]
 
     def betti(self) -> tuple[int, ...]:
-        return tuple(m.rank for m in self.modules)
+        return tuple(len(shifts) for shifts in self.steps)
 
     def shifts(self, s: int) -> tuple[int, ...]:
-        return self.modules[s].shifts
+        return self.steps[s]
 
     def shift_rows(self) -> dict[int, tuple[int, ...]]:
-        return {s: tuple(sorted(m.shifts)) for s, m in enumerate(self.modules)}
+        return {s: tuple(sorted(shifts)) for s, shifts in enumerate(self.steps)}
 
     def __repr__(self):
-        return f"<GradedComplex {self.name or 'C'}: ranks {self.betti()}>"
+        return f"<GradedComplex: ranks {self.betti()}>"
 
 
 def _monomial_degree(p: Polynomial) -> int:
@@ -149,81 +113,45 @@ def minor_complex(M: PolyMatrix) -> GradedComplex:
         )
     c_diff = diffs.pop()
 
-    def labels_at(s: int) -> list[WedgeLabel]:
-        return [
-            WedgeLabel(columns=cols, v0=s - 1 - v1, v1=v1)
-            for cols in combinations(range(1, m + 1), s + 1)
-            for v1 in range(s)
-        ]
+    # the basis of step s >= 1 as (cols, v1); v0 = s - 1 - v1
+    bases = [[]] + [  # step 0 is R itself
+        [(cols, v1) for cols in combinations(range(m), s + 1) for v1 in range(s)]
+        for s in range(1, m)
+    ]
+    steps = [(0,)] + [
+        tuple(sum(top_deg[c] for c in cols) + (v1 + 1) * c_diff for cols, v1 in basis)
+        for basis in bases[1:]
+    ]
 
-    def shift_of(label: WedgeLabel) -> int:
-        return sum(top_deg[c - 1] for c in label.columns) + (label.v1 + 1) * c_diff
-
-    modules = [GradedFreeModule(rank=1, shifts=(0,), labels=(None,))]
-    all_labels = [None]
-    for s in range(1, m):
-        labels = labels_at(s)
-        modules.append(
-            GradedFreeModule(
-                rank=len(labels),
-                shifts=tuple(shift_of(l) for l in labels),
-                labels=tuple(labels),
-            )
-        )
-        all_labels.append(labels)
-
-    maps = []
     # step 1: the pair (c1, c2) goes to the corresponding 2x2 minor
-    maps.append(
-        PolyMatrix(
-            ring,
-            1,
-            len(all_labels[1]),
-            [M.minor2(l.columns[0] - 1, l.columns[1] - 1) for l in all_labels[1]],
-        )
-    )
+    maps = [PolyMatrix(ring, 1, len(bases[1]),
+                       [M.minor2(*cols) for cols, _ in bases[1]])]
     for s in range(2, m):
-        source = all_labels[s]
-        target_index = {lbl: i for i, lbl in enumerate(all_labels[s - 1])}
-        entries = [ring.zero] * (len(all_labels[s - 1]) * len(source))
-        width = len(source)
-        for j, lbl in enumerate(source):
-            cols, v0, v1 = lbl.columns, lbl.v0, lbl.v1
+        target_index = {key: i for i, key in enumerate(bases[s - 1])}
+        width = len(bases[s])
+        entries = [ring.zero] * (len(target_index) * width)
+        for j, (cols, v1) in enumerate(bases[s]):
+            v0 = s - 1 - v1
             for pos, c in enumerate(cols):
-                sign = 1 if pos % 2 == 0 else -1
                 rest = cols[:pos] + cols[pos + 1 :]
-                if v0 >= 1:
-                    tgt = WedgeLabel(columns=rest, v0=v0 - 1, v1=v1)
-                    i = target_index[tgt]
-                    term = M.entry(0, c - 1)
-                    entries[i * width + j] = entries[i * width + j] + (
-                        term if sign > 0 else -term
-                    )
-                if v1 >= 1:
-                    tgt = WedgeLabel(columns=rest, v0=v0, v1=v1 - 1)
-                    i = target_index[tgt]
-                    term = M.entry(1, c - 1)
-                    entries[i * width + j] = entries[i * width + j] + (
-                        term if sign > 0 else -term
-                    )
-        maps.append(PolyMatrix(ring, len(all_labels[s - 1]), width, entries))
-    return GradedComplex(modules, maps, name=f"minor-complex({M.rows}x{M.cols})")
+                for row, tgt_v1, live in ((0, v1, v0 >= 1), (1, v1 - 1, v1 >= 1)):
+                    if live:
+                        term = M.entry(row, c)
+                        i = target_index[rest, tgt_v1]
+                        entries[i * width + j] = term if pos % 2 == 0 else -term
+        maps.append(PolyMatrix(ring, len(target_index), width, entries))
+    return GradedComplex(steps, maps)
 
 
-def mapping_cone(source: GradedComplex, target: GradedComplex,
-                 multiplier: Polynomial) -> GradedComplex:
-    """Cone of multiplication by `multiplier` from `source` into `target`.
+def mapping_cone(E: GradedComplex, multiplier: Polynomial) -> GradedComplex:
+    """Cone of multiplication by `multiplier` on the complex E.
 
-    Step s is (shifted source step s-1) + (target step s); the differential is
-    [[-d_src, 0], [multiplier * I, d_tgt]] in that block order, which squares
+    Step s is (shifted E step s-1) + (E step s); the differential is
+    [[-d_E, 0], [multiplier * I, d_E]] in that block order, which squares
     to zero because multiplication by a ring element commutes with the
-    differentials.  The source block's shifts are raised by deg(multiplier).
+    differentials.  The shifted block's shifts are raised by deg(multiplier).
     """
-    if source.length != target.length or source.maps != target.maps:
-        raise ComplexError(
-            "multiplication is only a chain map from a complex to itself"
-        )
-    ring = target.maps[0].ring if target.maps else multiplier.ring
+    ring = E.maps[0].ring if E.maps else multiplier.ring
     if multiplier.is_zero():
         bump = 0
     else:
@@ -231,50 +159,36 @@ def mapping_cone(source: GradedComplex, target: GradedComplex,
         if bump is None:
             raise InhomogeneousMultiplier(f"{multiplier} is not homogeneous")
 
-    L = target.length + 1  # cone has one extra step
-    modules = []
-    for s in range(L + 1):
-        shifts: list[int] = []
-        labels: list = []
-        if 0 <= s - 1 <= source.length:
-            src = source.module(s - 1)
-            shifts.extend(x + bump for x in src.shifts)
-            labels.extend(ConeLabel("source", l) for l in src.labels)
-        if s <= target.length:
-            tgt = target.module(s)
-            shifts.extend(tgt.shifts)
-            labels.extend(ConeLabel("target", l) for l in tgt.labels)
-        modules.append(
-            GradedFreeModule(rank=len(shifts), shifts=tuple(shifts), labels=tuple(labels))
-        )
+    def part(s: int) -> tuple[int, ...]:
+        return E.steps[s] if 0 <= s <= E.length else ()
+
+    L = E.length + 1  # cone has one extra step
+    steps = [tuple(x + bump for x in part(s - 1)) + part(s) for s in range(L + 1)]
 
     maps = []
     for s in range(1, L + 1):
-        rows, cols = modules[s - 1].rank, modules[s].rank
+        rows, cols = len(steps[s - 1]), len(steps[s])
         entries = [ring.zero] * (rows * cols)
-        src_rows = source.module(s - 2).rank if 0 <= s - 2 <= source.length else 0
-        src_cols = source.module(s - 1).rank if 0 <= s - 1 <= source.length else 0
-        # -d_src block (top left)
-        if s - 1 >= 1 and s - 1 <= source.length:
-            d = source.differential(s - 1)
-            for i in range(d.rows):
-                for j in range(d.cols):
-                    e = d.entry(i, j)
-                    if not e.is_zero():
-                        entries[i * cols + j] = -e
-        # multiplier * identity block (below the source columns)
+        src_rows, src_cols = len(part(s - 2)), len(part(s - 1))
+        # -d_E block (top left)
+        if 1 <= s - 1 <= E.length:
+            d = E.differential(s - 1)
+            for k, e in enumerate(d.entries):
+                if not e.is_zero():
+                    i, j = divmod(k, d.cols)
+                    entries[i * cols + j] = -e
+        # multiplier * identity block (below the shifted columns)
         for j in range(src_cols):
             entries[(src_rows + j) * cols + j] = multiplier
-        # d_tgt block (bottom right)
-        if s <= target.length:
-            d = target.differential(s)
-            for i in range(d.rows):
-                for j in range(d.cols):
-                    e = d.entry(i, j)
-                    if not e.is_zero():
-                        entries[(src_rows + i) * cols + (src_cols + j)] = e
+        # d_E block (bottom right)
+        if s <= E.length:
+            d = E.differential(s)
+            for k, e in enumerate(d.entries):
+                if not e.is_zero():
+                    i, j = divmod(k, d.cols)
+                    entries[(src_rows + i) * cols + (src_cols + j)] = e
         maps.append(PolyMatrix(ring, rows, cols, entries))
-    return GradedComplex(modules, maps, name="cone")
+    return GradedComplex(steps, maps)
 
 
 def resolution_b1(seq: ArithmeticSequence, field=QQ) -> GradedComplex:
@@ -282,9 +196,8 @@ def resolution_b1(seq: ArithmeticSequence, field=QQ) -> GradedComplex:
     the power-column matrix (which then contains all consecutive pairs)."""
     if seq.b != 1:
         raise WrongCase(f"b = {seq.b}, construction requires b = 1")
-    C = minor_complex(seq.matrix_b(field))
-    C.name = f"b1-resolution{seq}"
-    return C
+    return minor_complex(seq.matrix_b(field))
+
 
 def resolution_bn(seq: ArithmeticSequence, field=QQ) -> GradedComplex:
     """Minimal graded free resolution when m0 = 0 mod n: cone over the minor
@@ -292,10 +205,7 @@ def resolution_bn(seq: ArithmeticSequence, field=QQ) -> GradedComplex:
     if seq.b != seq.n:
         raise WrongCase(f"b = {seq.b}, construction requires b = n = {seq.n}")
     E = minor_complex(seq.matrix_a(field))
-    psi = seq.generators(field).powers[0]
-    C = mapping_cone(E, E, psi)
-    C.name = f"bn-resolution{seq}"
-    return C
+    return mapping_cone(E, seq.generators(field).powers[0])
 
 
 def minor_complex_rank(m: int, s: int) -> int:
@@ -317,57 +227,37 @@ class ComplexReport:
         return self.dd_zero and self.homogeneous and self.minimal
 
 
+def _first_entry(mats, accept):
+    """First (step, row, col) of a nonzero entry e with accept(step, row, col, e)
+    over (step, matrix) pairs in order, or None."""
+    for s, d in mats:
+        for k, e in enumerate(d.entries):
+            if not e.is_zero():
+                i, j = divmod(k, d.cols)
+                if accept(s, i, j, e):
+                    return (s, i, j)
+    return None
+
+
 def verify_complex(C: GradedComplex) -> ComplexReport:
     """Check d.d = 0, graded homogeneity of every entry, and minimality.
 
     Each failing check records its first witness as (step, row, col).
     """
-    witness: dict = {}
-    dd_zero = True
-    for s in range(2, C.length + 1):
-        prod = C.differential(s - 1).mul(C.differential(s))
-        if not prod.is_zero():
-            dd_zero = False
-            for i in range(prod.rows):
-                for j in range(prod.cols):
-                    if not prod.entry(i, j).is_zero():
-                        witness["dd_zero"] = (s, i, j)
-                        break
-                if "dd_zero" in witness:
-                    break
-            break
-
-    homogeneous = True
-    for s in range(1, C.length + 1):
-        d = C.differential(s)
-        src = C.module(s).shifts
-        tgt = C.module(s - 1).shifts
-        for i in range(d.rows):
-            for j in range(d.cols):
-                e = d.entry(i, j)
-                if e.is_zero():
-                    continue
-                deg = e.weighted_degree()
-                if deg is None or deg != src[j] - tgt[i]:
-                    homogeneous = False
-                    witness.setdefault("homogeneous", (s, i, j))
-        if not homogeneous:
-            break
-
-    minimal = True
-    for s in range(1, C.length + 1):
-        d = C.differential(s)
-        for i in range(d.rows):
-            for j in range(d.cols):
-                e = d.entry(i, j)
-                if not e.is_zero() and e.is_constant():
-                    minimal = False
-                    witness.setdefault("minimal", (s, i, j))
-                    break
-            if not minimal:
-                break
-        if not minimal:
-            break
-
-    return ComplexReport(dd_zero=dd_zero, homogeneous=homogeneous,
-                         minimal=minimal, witness=witness)
+    diffs = [(s, C.differential(s)) for s in range(1, C.length + 1)]
+    products = ((s, C.differential(s - 1).mul(C.differential(s)))
+                for s in range(2, C.length + 1))
+    found = {
+        "dd_zero": _first_entry(products, lambda s, i, j, e: True),
+        "homogeneous": _first_entry(
+            diffs,
+            lambda s, i, j, e: e.weighted_degree() != C.steps[s][j] - C.steps[s - 1][i],
+        ),
+        "minimal": _first_entry(diffs, lambda s, i, j, e: e.is_constant()),
+    }
+    return ComplexReport(
+        dd_zero=found["dd_zero"] is None,
+        homogeneous=found["homogeneous"] is None,
+        minimal=found["minimal"] is None,
+        witness={name: w for name, w in found.items() if w is not None},
+    )

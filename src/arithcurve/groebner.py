@@ -214,33 +214,36 @@ class _Engine:
         remainder = [ring.zero] * self.rank
         work = v
         while True:
+            work, _ = self.top_reduce(work, None)
             lead = _lead(work)
             if lead is None:
-                break
+                return tuple(remainder)
+            # move the irreducible lead term to the remainder
             pos, m, coeff = lead
-            idx = self._find_reducer(pos, m)
-            if idx is not None:
-                u = m - self.leads[idx][1]
-                k = ring.field.neg(coeff)
-                work = v_add_mul(work, self.basis[idx], u, k)
-            else:  # move the lead term to the remainder
-                remainder[pos] = remainder[pos].add_mul(ring.one, m, coeff)
-                w = list(work)
-                w[pos] = w[pos].add_mul(ring.one, m, ring.field.neg(coeff))
-                work = tuple(w)
-        return tuple(remainder)
+            remainder[pos] = remainder[pos].add_mul(ring.one, m, coeff)
+            w = list(work)
+            w[pos] = w[pos].add_mul(ring.one, m, ring.field.neg(coeff))
+            work = tuple(w)
 
     # -- basis growth ---------------------------------------------------------
 
-    def add_element(self, v: Vector, coord: Optional[Vector]):
-        lead = _lead(v)
-        assert lead is not None
-        pos, m, coeff = lead
-        ring = self.ring
-        inv = ring.field.inv(coeff)
+    def _insert(self, v: Vector, coord: Optional[Vector]):
+        """Store v, made monic, as a basis element; forms no pairs."""
+        pos, m, coeff = _lead(v)
+        inv = self.ring.field.inv(coeff)
         v = v_scale(v, inv)
         if coord is not None:
             coord = v_scale(coord, inv)
+        self.by_pos.setdefault(pos, []).append(len(self.basis))
+        self.basis.append(v)
+        self.leads.append((pos, m))
+        self.coords.append(coord)
+        self.meter.check_basis(len(self.basis))
+        self.meter.check_support(v)
+
+    def add_element(self, v: Vector, coord: Optional[Vector]):
+        pos, m, _ = _lead(v)
+        ring = self.ring
         new = len(self.basis)
         # skip the coprime-lead pair only in plain rank-1 runs: for modules or
         # syzygy extraction every same-position pair must be reduced
@@ -251,12 +254,7 @@ class _Engine:
             if use_coprime and lcm == om + m:  # coprime leads
                 continue
             heapq.heappush(self.pairs, self._pair_key(pos, lcm, other, new))
-        self.basis.append(v)
-        self.leads.append((pos, m))
-        self.coords.append(coord)
-        self.by_pos.setdefault(pos, []).append(new)
-        self.meter.check_basis(len(self.basis))
-        self.meter.check_support(v)
+        self._insert(v, coord)
 
     def _pair_key(self, pos, lcm, i, j):
         key = (lcm, pos, i, j)
@@ -348,43 +346,25 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     return kept
 
 
-def _as_vectors(polys: Sequence[Polynomial]) -> list[Vector]:
-    return [(p,) for p in polys]
-
-
-def _module_run(vectors: Sequence[Vector], ring: PolyRing, rank: int,
-                want_syzygies: bool, limits: Limits) -> _Engine:
-    eng = _Engine(ring, rank, want_syzygies, limits)
-    eng.run(list(vectors))
-    return eng
-
-
 def module_groebner_basis(vectors: Sequence[Vector], ring: PolyRing,
                           limits: Limits = DEFAULT_LIMITS) -> list[Vector]:
     """Groebner basis (not interreduced) of the module the vectors generate."""
     if not vectors:
         return []
-    rank = len(vectors[0])
-    eng = _module_run(vectors, ring, rank, want_syzygies=False, limits=limits)
-    return list(eng.basis)
+    eng = _Engine(ring, len(vectors[0]), want_syzygies=False, limits=limits)
+    return list(eng.run(vectors).basis)
 
 
 def module_reducer(basis: Sequence[Vector], ring: PolyRing, rank: int) -> "_Engine":
     """Reusable reducer over a fixed (Groebner) basis; no completion is run."""
     eng = _Engine(ring, rank, want_syzygies=False, limits=DEFAULT_LIMITS)
     for b in basis:
-        eng.add_element(b, None)
-    eng.pairs.clear()
+        eng._insert(b, None)
     return eng
 
 
-def module_normal_form(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> Vector:
-    """Full normal form of v against a module Groebner basis."""
-    return module_reducer(basis, ring, len(v)).normal_form(v)
-
-
 def module_member(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> bool:
-    return v_is_zero(module_normal_form(v, basis, ring))
+    return v_is_zero(module_reducer(basis, ring, len(v)).normal_form(v))
 
 
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
@@ -392,9 +372,8 @@ def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
     """Generators of the syzygy module of the given vectors (in R^len(vectors))."""
     if not vectors:
         return []
-    rank = len(vectors[0])
-    eng = _module_run(vectors, ring, rank, want_syzygies=True, limits=limits)
-    return list(eng.syzygies)
+    eng = _Engine(ring, len(vectors[0]), want_syzygies=True, limits=limits)
+    return list(eng.run(vectors).syzygies)
 
 
 # -- ideal layer ---------------------------------------------------------------
@@ -410,9 +389,8 @@ def groebner(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS) -> lis
     if not nonzero:
         return []
     ring = nonzero[0].ring
-    eng = _module_run(_as_vectors(nonzero), ring, 1, want_syzygies=False, limits=limits)
-    basis = [v[0] for v in eng.basis]
-    return _interreduce(basis, ring)
+    eng = _Engine(ring, 1, want_syzygies=False, limits=limits)
+    return _interreduce([v[0] for v in eng.run([(g,) for g in nonzero]).basis], ring)
 
 
 def _interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
@@ -425,22 +403,22 @@ def _interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
         if any(ring.divides(_lm(q), lm) for q in kept):
             continue
         kept.append(p)
-    # tail-reduce each against the others
-    reduced: list[Polynomial] = []
-    for i, p in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        reduced.append(reduce_poly(p, others).monic())
-    reduced.sort(key=_lm)
-    return reduced
+    # tail-reduce each against all of them: every term met while reducing
+    # the tail of p lies below lead(p), so p itself is never a reducer
+    reducer = module_reducer([(p,) for p in kept], ring, 1)
+    return [
+        reducer.normal_form((Polynomial(ring, p.packed[1:]),))[0]
+        .add_mul(ring.one, *p.packed[0]).monic()
+        for p in kept
+    ]
 
 
 def reduce_poly(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full normal form of p modulo a list of polynomials."""
     if p.is_zero() or not basis:
         return p
-    ring = p.ring
-    nf = module_normal_form((p,), _as_vectors([b for b in basis if not b.is_zero()]), ring)
-    return nf[0]
+    reducer = module_reducer([(b,) for b in basis if not b.is_zero()], p.ring, 1)
+    return reducer.normal_form((p,))[0]
 
 
 def ideal_member(p: Polynomial, gb: Sequence[Polynomial]) -> bool:

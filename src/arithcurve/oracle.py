@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
-from .closedform import BettiTable
-from .complexes import GradedComplex, GradedFreeModule
+from .complexes import GradedComplex
 from .curve import ArithmeticSequence
 from .matrices import PolyMatrix
 from .ring import (
@@ -133,8 +132,7 @@ def _matrix_columns(mat: PolyMatrix) -> list[tuple]:
 
 
 def minimal_resolution(gens: Sequence[Polynomial],
-                       limits: Limits = DEFAULT_LIMITS,
-                       case_tag: str = "oracle") -> GradedComplex:
+                       limits: Limits = DEFAULT_LIMITS) -> GradedComplex:
     """Minimal graded free resolution of R/(gens) by iterated syzygies.
 
     The generators are first minimalized; at every step the syzygies are
@@ -181,21 +179,7 @@ def minimal_resolution(gens: Sequence[Polynomial],
             [col[i] for i in range(cur.cols) for col in syz],
         ))
         shifts.append(tuple(v_degree(col, tgt_shifts) for col in syz))
-
-    modules = [
-        GradedFreeModule(
-            rank=len(sh),
-            shifts=sh,
-            labels=tuple(f"s{step}.{i}" for i in range(len(sh))),
-        )
-        for step, sh in enumerate(shifts)
-    ]
-    return GradedComplex(modules, mats, name=case_tag)
-
-
-def betti_table_of(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS,
-                   case_tag: str = "oracle") -> BettiTable:
-    return BettiTable.from_complex(minimal_resolution(gens, limits=limits), case_tag)
+    return GradedComplex(shifts, mats)
 
 
 # -- exactness ---------------------------------------------------------------
@@ -227,7 +211,7 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     (b) for each s < length, the syzygies of d_s lie in the image of d_{s+1};
     (c) the last differential has no nonzero syzygies (injectivity).
     """
-    if C.module(0).rank != 1:
+    if len(C.steps[0]) != 1:
         raise ValueError("step 0 must have rank 1")
     ring = C.differential(1).ring
     report = ExactnessReport(

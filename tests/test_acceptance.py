@@ -64,7 +64,7 @@ def oracle_tables():
         if key not in cache:
             seq = validate_sequence(*key)
             complex_ = minimal_resolution(list(seq.generators().all))
-            cache[key] = BettiTable.from_complex(complex_, "oracle")
+            cache[key] = BettiTable.from_complex(complex_)
         return cache[key]
 
     return get
@@ -118,7 +118,7 @@ def _check_resolution(seq, complex_, expected_betti, oracle_tables):
     exact = verify_exactness(complex_, list(seq.generators().all))
     assert exact.all_ok, exact.first_failure()
     oracle = oracle_tables(seq.m0, seq.d, seq.n)
-    built = BettiTable.from_complex(complex_, "built")
+    built = BettiTable.from_complex(complex_)
     assert oracle.same_shifts(built)
 
 

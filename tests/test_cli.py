@@ -1,5 +1,6 @@
 """CLI surface: commands, JSON schema, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,29 @@ class TestResolve:
         assert code == EXIT_VERIFY
         assert "verification failed" in err
 
+    def test_oracle_verify_checks_exactness(self, capsys):
+        code, out, _ = run_cli(capsys, "resolve", "7", "2", "4", "--verify", "--json")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert obj["method"] == "oracle"
+        assert obj["checks"]["exactness"] == {"pass": True, "witness": []}
+
+    def test_oracle_exactness_failure_exit_code(self, capsys, monkeypatch):
+        import arithcurve.cli as cli_mod
+
+        class FakeExactness:
+            all_ok = False
+
+            def first_failure(self):
+                return "exactness at step 2"
+
+        monkeypatch.setattr(cli_mod, "verify_exactness",
+                            lambda C, gens, limits: FakeExactness())
+        code, out, err = run_cli(capsys, "resolve", "7", "2", "4", "--verify")
+        assert code == EXIT_VERIFY
+        assert "check exactness: FAIL ['exactness at step 2']" in out
+        assert "verification failed" in err
+
     def test_prime_field_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "resolve", "5", "1", "4", "--field", "fp:32003", "--json"
@@ -233,6 +257,24 @@ class TestScan:
         assert code == EXIT_OK
         assert "b=2: no valid cells" in out
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("--n", "1", "--a", "1..1", "--d", "1..1"), "--n"),
+        (("--n", "4", "--b", "7", "--a", "1..1", "--d", "1..1"), "--b"),
+        (("--n", "4", "--b", "0", "--a", "1..1", "--d", "1..1"), "--b"),
+        (("--n", "4", "--a", "2..1", "--d", "1..1"), "--a"),
+        (("--n", "4", "--a", "1..1", "--d", "3..1"), "--d"),
+        (("--n", "4", "--a", "1..1", "--d", "1..1", "--jobs", "0"), "--jobs"),
+    ])
+    def test_invalid_scan_input_rejected(self, capsys, argv, flag):
+        try:
+            code = main(["scan", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert flag in captured.err
+        assert captured.out == ""
+
     def test_parallel_matches_serial(self, capsys):
         args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..2", "--json")
         _, serial, _ = run_cli(capsys, *args)
@@ -282,3 +324,32 @@ class TestConfig:
             main(["resolve", "5", "1", "4", "--field", f"fp:{2**89 - 1}"])
         assert exc.value.code == EXIT_INVALID
         assert "too large" in capsys.readouterr().err
+
+
+# sha256 of stdout: Betti tables, checks and emitted matrices stay
+# byte-identical across refactors
+GOLDEN = [
+    (("resolve", "5", "1", "4", "--verify", "--json", "--emit-matrices"),
+     "b4eb30fe665e645877b314d5a8c80eb998d613dc365413bd48d8fa1a40896102"),
+    (("resolve", "8", "1", "4", "--verify", "--json", "--emit-matrices"),
+     "c86a613039c3dd0dd92c63f3fa76ad7661dd053dc57a9ddefc78948106b74b67"),
+    (("resolve", "6", "1", "4", "--verify", "--json", "--emit-matrices"),
+     "59c59bd5187db17765a8159392b17a6d3e397013feffd26fb6da47d768f99cbc"),
+    (("resolve", "16", "3", "4", "--verify", "--json", "--emit-matrices"),
+     "f508137b7f1d63351b08fb441f6618e234f3204f95d015a1c54fba294066a433"),
+    (("resolve", "7", "1", "4", "--json", "--emit-matrices"),
+     "4efae63003f6cf84cb1045c3f4a45b018d02eac4e86443339318287cd816d061"),
+    (("resolve", "7", "2", "4", "--json", "--emit-matrices"),
+     "e7cb03191ff7968c5a0b7e1ee5ce6a40c815d1d6f81a76544e3737f054a8a5ab"),
+    (("scan", "--n", "4", "--a", "1..2", "--d", "1..3", "--json"),
+     "585cd71fb2610cfd28541eb7e8525d22646ed96458b879a362406d65261c58e9"),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v)
+                             if isinstance(v, tuple) else v[:12])
+    def test_stdout_byte_identical(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

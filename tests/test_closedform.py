@@ -117,14 +117,14 @@ class TestShiftTables:
         for m0, d, n in [(5, 1, 4), (9, 2, 4), (7, 1, 3)]:
             seq = validate_sequence(m0, d, n)
             table = shift_table_b1(seq)
-            built = BettiTable.from_complex(resolution_b1(seq), "b1")
+            built = BettiTable.from_complex(resolution_b1(seq))
             assert table.same_shifts(built)
 
     def test_bn_table_matches_construction(self):
         for m0, d, n in [(8, 1, 4), (6, 1, 3), (16, 3, 4), (4, 1, 2)]:
             seq = validate_sequence(m0, d, n)
             table = shift_table_bn(seq)
-            built = BettiTable.from_complex(resolution_bn(seq), "bn")
+            built = BettiTable.from_complex(resolution_bn(seq))
             assert table.same_shifts(built)
 
     def test_b1_514_step1_frozen(self):
@@ -176,12 +176,12 @@ class TestBettiTableType:
     def test_json_round_trip(self):
         t = shifts_gor4(2, 3)
         obj = t.to_json_obj()
-        back = BettiTable.from_json_obj(obj, "gor4")
+        back = BettiTable.from_json_obj(obj)
         assert back.same_shifts(t)
         assert back.betti() == t.betti()
 
     def test_compare_tables_reports_differences(self):
-        t1 = BettiTable.from_rows({0: [0], 1: [3, 4]}, "x")
-        t2 = BettiTable.from_rows({0: [0], 1: [3, 5]}, "y")
+        t1 = BettiTable.from_rows({0: [0], 1: [3, 4]})
+        t2 = BettiTable.from_rows({0: [0], 1: [3, 5]})
         assert compare_shift_tables(t1, t2) == [(1, (4,), (5,))]
         assert compare_shift_tables(t1, t1) == []

@@ -95,9 +95,9 @@ class TestMappingCone:
         E = minor_complex(seq.matrix_a())
         C = resolution_bn(seq)
         for s in range(C.length + 1):
-            src = E.module(s - 1).rank if 1 <= s <= E.length + 1 else 0
-            tgt = E.module(s).rank if s <= E.length else 0
-            assert C.module(s).rank == src + tgt
+            src = len(E.shifts(s - 1)) if 1 <= s <= E.length + 1 else 0
+            tgt = len(E.shifts(s)) if s <= E.length else 0
+            assert len(C.shifts(s)) == src + tgt
 
     def test_betti_vector_n4(self):
         assert resolution_bn(validate_sequence(8, 1, 4)).betti() == (1, 7, 14, 11, 3)
@@ -132,7 +132,7 @@ class TestMappingCone:
     def test_zero_multiplier_gives_direct_sum(self):
         seq = validate_sequence(4, 1, 2)
         E = minor_complex(seq.matrix_a())  # length 1
-        C = mapping_cone(E, E, E.differential(1).ring.zero)
+        C = mapping_cone(E, E.differential(1).ring.zero)
         assert C.betti() == (1, 2, 1)
         d1 = C.differential(1)
         assert d1.entry(0, 0).is_zero()  # zero cross-block
@@ -144,7 +144,7 @@ class TestMappingCone:
         E = minor_complex(seq.matrix_a())
         R = seq.ring()
         with pytest.raises(InhomogeneousMultiplier):
-            mapping_cone(E, E, R.var(0) + R.var(1))
+            mapping_cone(E, R.var(0) + R.var(1))
 
     def test_wrong_case_errors(self):
         with pytest.raises(WrongCase):
@@ -163,7 +163,7 @@ class TestVerifier:
         broken = list(d1.entries)
         broken[0] = d1.ring.one
         tweaked = GradedComplex(
-            C.modules, [d1.with_entries(broken)] + list(C.maps[1:])
+            C.steps, [d1.with_entries(broken)] + list(C.maps[1:])
         )
         rep = verify_complex(tweaked)
         assert not rep.minimal
@@ -177,7 +177,7 @@ class TestVerifier:
         idx = next(i for i, e in enumerate(broken) if not e.is_zero())
         broken[idx] = -broken[idx]
         tweaked = GradedComplex(
-            C.modules, [C.maps[0], d2.with_entries(broken)] + list(C.maps[2:])
+            C.steps, [C.maps[0], d2.with_entries(broken)] + list(C.maps[2:])
         )
         rep = verify_complex(tweaked)
         assert not rep.dd_zero
@@ -191,6 +191,24 @@ class TestVerifier:
         idx = next(i for i, e in enumerate(broken) if not e.is_zero())
         broken[idx] = broken[idx] + d2.ring.var(0) ** 7
         tweaked = GradedComplex(
-            C.modules, [C.maps[0], d2.with_entries(broken)] + list(C.maps[2:])
+            C.steps, [C.maps[0], d2.with_entries(broken)] + list(C.maps[2:])
         )
         assert not verify_complex(tweaked).homogeneous
+
+    def test_first_witness_of_each_failing_check(self):
+        C = resolution_b1(validate_sequence(5, 1, 4))
+        d1, d2 = C.differential(1), C.differential(2)
+        broken1 = list(d1.entries)
+        broken1[3] = d1.ring.one
+        broken2 = list(d2.entries)
+        idx = [i for i, e in enumerate(broken2) if not e.is_zero()][5]
+        broken2[idx] = -broken2[idx]
+        tweaked = GradedComplex(
+            C.steps,
+            [d1.with_entries(broken1), d2.with_entries(broken2)] + list(C.maps[2:]),
+        )
+        rep = verify_complex(tweaked)
+        assert (rep.dd_zero, rep.homogeneous, rep.minimal) == (False, False, False)
+        assert rep.witness == {
+            "dd_zero": (2, 0, 4), "homogeneous": (1, 0, 3), "minimal": (1, 0, 3),
+        }

@@ -169,18 +169,18 @@ class TestMinimalResolution:
         seq = validate_sequence(5, 1, 4)
         C = minimal_resolution(list(seq.generators().all))
         assert C.betti() == betti_b1(4)
-        assert BettiTable.from_complex(C, "oracle").same_shifts(shift_table_b1(seq))
+        assert BettiTable.from_complex(C).same_shifts(shift_table_b1(seq))
 
     def test_bn_agrees_with_construction(self):
         seq = validate_sequence(6, 1, 3)
         C = minimal_resolution(list(seq.generators().all))
         assert C.betti() == betti_bn(3)
-        assert BettiTable.from_complex(C, "oracle").same_shifts(shift_table_bn(seq))
+        assert BettiTable.from_complex(C).same_shifts(shift_table_bn(seq))
 
     def test_gor4_table(self):
         seq = validate_sequence(6, 1, 4)
         C = minimal_resolution(list(seq.generators().all))
-        assert BettiTable.from_complex(C, "oracle").same_shifts(
+        assert BettiTable.from_complex(C).same_shifts(
             shifts_gor4(seq.a, seq.d)
         )
 
@@ -203,8 +203,8 @@ class TestMinimalResolution:
         seq = validate_sequence(6, 1, 4)
         over_q = minimal_resolution(list(seq.generators().all))
         over_p = minimal_resolution(list(seq.generators(PrimeField(32003)).all))
-        assert BettiTable.from_complex(over_q, "q").same_shifts(
-            BettiTable.from_complex(over_p, "p")
+        assert BettiTable.from_complex(over_q).same_shifts(
+            BettiTable.from_complex(over_p)
         )
 
     def test_n3_grid_betti_by_residue_class(self):
@@ -298,7 +298,7 @@ class TestVerifyExactness:
     def test_truncated_complex_fails_at_cut(self):
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
-        truncated = GradedComplex(C.modules[:-1], C.maps[:-1])
+        truncated = GradedComplex(C.steps[:-1], C.maps[:-1])
         rep = verify_exactness(truncated, list(seq.generators().all))
         assert not rep.all_ok
         assert rep.steps[truncated.length] is False
