@@ -43,18 +43,6 @@ class FirstTermTooSmall(SequenceError):
     """m0 <= n, so the quotient of m0 by n vanishes and minimality fails."""
 
 
-def _representable(target: int, parts: tuple[int, ...]) -> bool:
-    """Exact reachability of `target` as a non-negative combination of `parts`."""
-    reachable = bytearray(target + 1)
-    reachable[0] = 1
-    for v in range(1, target + 1):
-        for p in parts:
-            if p <= v and reachable[v - p]:
-                reachable[v] = 1
-                break
-    return bool(reachable[target])
-
-
 @dataclass(frozen=True)
 class ArithmeticSequence:
     """Validated sequence with the derived decomposition m0 = a*n + b."""
@@ -93,12 +81,20 @@ class ArithmeticSequence:
         return _cached_ring(self.terms, field)
 
     def semigroup_contains(self, x: int) -> bool:
-        """Exact membership of x in the semigroup generated by the terms."""
+        """Exact membership of x in the semigroup generated by the terms.
+
+        A sum of k terms is k*m0 + j*d with 0 <= j <= k*n, and every such
+        number is one, so x lies in S iff some k has k*m0 <= x <= k*(m0 + n*d)
+        and k*m0 = x (mod d).  The upper bound holds for every k from
+        ceil(x / (m0 + n*d)) on, so only the least such k in the right
+        residue class (gcd(m0, d) = 1) needs the lower bound.
+        """
         if x < 0:
             return False
-        if x == 0:
-            return True
-        return _representable(x, self.terms)
+        m0, d = self.m0, self.d
+        k = -(-x // (m0 + self.n * d))
+        k += (x * pow(m0, -1, d) - k) % d
+        return k * m0 <= x
 
     def phi_image(self, p: Polynomial) -> dict[int, object]:
         """Image of p under X_i -> t^{m_i}, as {t-exponent: coefficient}."""

@@ -8,10 +8,22 @@ nonzero component.  Ideals are handled as rank-1 modules.
 Syzygy extraction keeps, for every basis element, its expression in the
 original input vectors.  An S-pair that reduces to zero then yields that
 expression as a syzygy of the inputs; because the inputs themselves stay in
-the working basis, these transcripts generate the full syzygy module.  No
-pair criteria are applied while syzygies are requested (every same-position
-pair is reduced); for plain rank-1 basis runs the coprime-lead criterion is
-used to skip pairs.
+the working basis, these transcripts generate the full syzygy module.
+
+Pair criteria depend on whether the run extracts syzygies:
+
+  - Syzygy runs (`syzygy_generators`, so the oracle resolution and the colon
+    ideal) apply none and reduce every same-position pair.  A dropped pair
+    would drop its transcript too; the raw syzygy list would change, and
+    with it what greedy pruning keeps and the matrices the oracle emits.
+  - Every other run (`groebner`, `module_groebner_basis` and the pruning
+    runs of `minimal_module_generators`) applies the Gebauer-Moeller update
+    (Gebauer & Moeller, "On an installation of Buchberger's algorithm",
+    JSC 1988): the B, M and F criteria at every rank, and the product
+    criterion (coprime leads) at rank 1 only, where it holds.  These runs
+    return a Groebner basis or a membership answer, which no choice of
+    pairs can change: the reduced basis is unique, membership does not
+    depend on the basis used, and pruning keeps input candidates.
 
 Minimal-generator pruning completes its basis degree by degree: before a
 candidate of degree D is tested, only the pairs of shifted degree <= D are
@@ -19,7 +31,9 @@ reduced.  For homogeneous input under non-negative weights every S-pair is
 homogeneous of its lcm's shifted degree and a reduction never raises the
 degree, so after those pairs the basis is a Groebner basis up to degree D and
 top reduction decides membership of the candidate exactly (La Scala &
-Stillman's degree-by-degree strategy, applied to pruning only).
+Stillman's degree-by-degree strategy, applied to pruning only).  The pair
+criteria keep this exact: the pairs that justify dropping a pair have lcms
+dividing its lcm, so none has a higher shifted degree.
 
 The engine works on packed monomials (see `ring`): leading monomials are
 packed ints, a reducer is found by the guard-bit divisibility test, the
@@ -29,7 +43,8 @@ keyed by its packed lcm, which sorts exactly like the lcm's order key.
 All computations are deterministic: fixed insertion order, pairs processed in
 increasing (packed lcm, position, i, j) - prefixed by the lcm's shifted
 degree in pruning runs - and reducers chosen first-in-basis.  Resource limits
-are explicit errors, never silent truncation.
+are explicit errors, never silent truncation; the S-pair budget counts only
+the pairs that are reduced, not those a criterion drops.
 """
 
 from __future__ import annotations
@@ -180,6 +195,7 @@ class _Engine:
         self.coords: list[Vector] = []  # expressions in the original inputs
         self.by_pos: dict[int, list[int]] = {}
         self.pairs: list[tuple] = []  # ([shifted degree,] packed lcm, pos, i, j)
+        self.dead: set[tuple[int, int]] = set()  # queued (i, j) the B criterion drops
         self.syzygies: list[Vector] = []
         self.n_inputs = 0
 
@@ -245,16 +261,51 @@ class _Engine:
         pos, m, _ = _lead(v)
         ring = self.ring
         new = len(self.basis)
-        # skip the coprime-lead pair only in plain rank-1 runs: for modules or
-        # syzygy extraction every same-position pair must be reduced
-        use_coprime = self.rank == 1 and not self.want_syz
-        for other in self.by_pos.get(pos, ()):
-            om = self.leads[other][1]
-            lcm = ring.lcm(om, m)
-            if use_coprime and lcm == om + m:  # coprime leads
-                continue
-            heapq.heappush(self.pairs, self._pair_key(pos, lcm, other, new))
+        lcms = {k: ring.lcm(self.leads[k][1], m) for k in self.by_pos.get(pos, ())}
+        # a syzygy run applies no criterion and reduces every same-position
+        # pair, since a dropped pair would take its transcript out of the raw
+        # syzygies that pruning reads; every other run returns only a basis,
+        # so it applies the Gebauer-Moeller criteria
+        if self.want_syz:
+            for k, lcm in lcms.items():
+                heapq.heappush(self.pairs, self._pair_key(pos, lcm, k, new))
+        else:
+            self._gebauer_moller(pos, m, new, lcms)
         self._insert(v, coord)
+
+    def _gebauer_moller(self, pos: int, m: int, new: int, lcms: dict):
+        """Queue the pairs of a new element h (lead m, index `new`) that the
+        Gebauer-Moeller criteria keep; `lcms` maps each same-position basis
+        index k to lcm(lead k, m).
+
+        B: a queued pair (i, j) whose lcm L is a multiple of m, with lcm(i, h)
+        and lcm(j, h) both proper divisors of L, is marked dead.  M: a new
+        pair whose lcm is a proper multiple of another new pair's lcm is
+        dropped.  F: one pair is kept per remaining lcm, the one with the
+        smallest k.  Product criterion (rank 1 only: it does not hold for
+        vectors): an lcm class with one coprime pair is dropped whole.
+        """
+        ring = self.ring
+        for key in self.pairs:
+            lcm, p, i, j = key[-4:]
+            if (p == pos and ring.divides(m, lcm)
+                    and lcms[i] != lcm and lcms[j] != lcm):
+                self.dead.add((i, j))
+        classes: dict[int, int] = {}  # lcm -> smallest k; -1 if a pair is coprime
+        for k, lcm in lcms.items():
+            if self.rank == 1 and lcm == self.leads[k][1] + m:
+                classes[lcm] = -1
+            else:
+                classes.setdefault(lcm, k)
+        # a proper divisor sorts first, and a multiple of a dropped lcm is a
+        # multiple of the kept lcm that dropped it
+        minimal: list[int] = []
+        for lcm in sorted(classes):
+            if any(ring.divides(low, lcm) for low in minimal):
+                continue
+            minimal.append(lcm)
+            if classes[lcm] >= 0:
+                heapq.heappush(self.pairs, self._pair_key(pos, lcm, classes[lcm], new))
 
     def _pair_key(self, pos, lcm, i, j):
         key = (lcm, pos, i, j)
@@ -286,6 +337,9 @@ class _Engine:
             if stop is not None and self.pairs[0][0] > stop:
                 return
             *_, lcm, _, i, j = heapq.heappop(self.pairs)
+            if (i, j) in self.dead:
+                self.dead.remove((i, j))
+                continue
             self.meter.tick_pair()
             u_i = lcm - self.leads[i][1]
             u_j = lcm - self.leads[j][1]

@@ -10,7 +10,24 @@ from arithcurve import (
     expected_generator_count,
     validate_sequence,
 )
-from arithcurve.curve import _representable
+
+
+def _reachable(limit: int, parts: tuple[int, ...]) -> bytearray:
+    """Table whose entry v is 1 iff v <= limit is a non-negative combination
+    of `parts`: the O(limit * len(parts)) reference for membership."""
+    reachable = bytearray(limit + 1)
+    reachable[0] = 1
+    for v in range(1, limit + 1):
+        for p in parts:
+            if p <= v and reachable[v - p]:
+                reachable[v] = 1
+                break
+    return reachable
+
+
+def _representable(target: int, parts: tuple[int, ...]) -> bool:
+    """Exact reachability of `target` as a non-negative combination of `parts`."""
+    return bool(_reachable(target, parts)[target])
 
 
 class TestValidation:
@@ -102,6 +119,32 @@ class TestSemigroup:
 
     def test_negative_not_member(self):
         assert not validate_sequence(5, 1, 4).semigroup_contains(-3)
+
+    def test_membership_matches_reachability(self):
+        """The closed form agrees with the DP on every x up to m0*(m0 + d)
+        for n <= 6, m0 < 30, d <= 7.  The last m0 values of each table are
+        members, so the range holds every gap."""
+        count = gaps = 0
+        for n in range(2, 7):
+            for m0 in range(n + 1, 30):
+                for d in range(1, 8):
+                    if math.gcd(m0, d) != 1:
+                        continue
+                    seq = validate_sequence(m0, d, n)
+                    table = _reachable(m0 * (m0 + d), seq.terms)
+                    assert all(table[-m0:])
+                    for x, member in enumerate(table):
+                        assert seq.semigroup_contains(x) == bool(member), (seq, x)
+                    count += len(table)
+                    gaps += table.count(0)
+        assert (count, gaps) == (242_415, 45_022)
+
+    def test_huge_membership_answers_at_once(self):
+        seq = validate_sequence(10**12 + 1, 3, 4)
+        assert seq.semigroup_contains(10**30 + 7)
+        assert seq.semigroup_contains(2 * seq.m0 + 3 * seq.d)
+        assert not seq.semigroup_contains(2 * seq.m0 + 9 * seq.d)
+        assert not seq.semigroup_contains(seq.m0 - 1)
 
 
 class TestMatrices:

@@ -19,9 +19,11 @@ from arithcurve import (
 )
 from arithcurve.groebner import (
     minimal_module_generators,
+    v_add_mul,
     v_degree,
     v_is_zero,
     v_leading,
+    v_mul_packed,
 )
 from arithcurve.ring import PrimeField, curve_ring
 
@@ -200,22 +202,94 @@ def test_random_syzygies_annihilate(gens):
         assert total.is_zero()
 
 
+# -- a criteria-free Buchberger reference ----------------------------------------
+
+
+def lead_term(v):
+    """(position, packed monomial, coefficient) of v's leading term, or None."""
+    for pos, p in enumerate(v):
+        if p.packed:
+            return (pos,) + p.packed[0]
+    return None
+
+
+def plain_top_reduce(v, basis, ring):
+    """Cancel v's leading term by the first basis element whose lead divides
+    it, until the lead is irreducible or v is zero."""
+    while (lead := lead_term(v)) is not None:
+        pos, m, coeff = lead
+        for b in basis:
+            b_pos, b_m, b_coeff = lead_term(b)
+            if b_pos == pos and ring.divides(b_m, m):
+                k = ring.field.neg(ring.field.mul(coeff, ring.field.inv(b_coeff)))
+                v = v_add_mul(v, b, m - b_m, k)
+                break
+        else:
+            return v
+    return v
+
+
+def s_vector(f, g, ring):
+    """S-vector of two vectors whose leading terms share a position."""
+    (_, m_f, c_f), (_, m_g, c_g) = lead_term(f), lead_term(g)
+    lcm = ring.lcm(m_f, m_g)
+    field = ring.field
+    return v_add_mul(v_mul_packed(f, lcm - m_f, field.inv(c_f)),
+                     g, lcm - m_g, field.neg(field.inv(c_g)))
+
+
+def same_position_pairs(basis):
+    return [(f, g) for f, g in itertools.combinations(basis, 2)
+            if lead_term(f)[0] == lead_term(g)[0]]
+
+
+class PlainBuchberger:
+    """Buchberger's algorithm with no pair criteria: every same-position pair
+    of the basis is reduced, so the reference shares no criterion with the
+    engine under test."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.basis = []
+        self.pairs = []
+
+    def add(self, v):
+        """Add a generator and complete the basis again."""
+        self._insert(v)
+        while self.pairs:
+            i, j = self.pairs.pop()
+            s = s_vector(self.basis[i], self.basis[j], self.ring)
+            s = plain_top_reduce(s, self.basis, self.ring)
+            if not v_is_zero(s):
+                self._insert(s)
+
+    def _insert(self, v):
+        pos = lead_term(v)[0]
+        new = len(self.basis)
+        self.pairs += [(k, new) for k, b in enumerate(self.basis) if lead_term(b)[0] == pos]
+        self.basis.append(v)
+
+    def contains(self, v):
+        return v_is_zero(plain_top_reduce(v, self.basis, self.ring))
+
+
 # -- degree-truncated pruning against full completion ---------------------------
 
 
 def reference_prune(vectors, ring, shifts=None):
     """Greedy pruning that decides each candidate against a Groebner basis of
-    the kept vectors completed from scratch, with no degree truncation."""
+    the kept vectors, completed by `PlainBuchberger` with no pair criteria and
+    no degree truncation."""
 
     def key(v):
         pos, exps, _ = v_leading(v)
         return (v_degree(v, shifts), pos, ring.order.key(exps))
 
-    kept, gb = [], []
+    kept, gb = [], PlainBuchberger(ring)
     for v in sorted((v for v in vectors if not v_is_zero(v)), key=key):
-        if not module_member(v, gb, ring):
+        if not gb.contains(v):
             kept.append(v)
-            gb = module_groebner_basis(kept, ring)
+            gb.add(v)
     return kept
 
 
@@ -286,3 +360,28 @@ def test_truncated_pruning_on_mixed_shifts(data):
     assert minimal_module_generators(vectors, R3, shifts=shifts) == reference_prune(
         vectors, R3, shifts
     )
+
+
+# -- the pair criteria of basis runs ---------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_candidates())
+def test_module_basis_satisfies_buchberger_criterion(data):
+    """Every same-position S-vector of a rank-2 basis reduces to zero against
+    it, so no criterion dropped a pair it needed (the product criterion
+    does not hold for vectors)."""
+    vectors, _ = data
+    gb = module_groebner_basis(vectors, R3)
+    for f, g in same_position_pairs(gb):
+        assert v_is_zero(plain_top_reduce(s_vector(f, g, R3), gb, R3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys())
+def test_rank_one_basis_satisfies_buchberger_criterion(gens):
+    """The rank-1 companion, on inhomogeneous input and before
+    interreduction."""
+    gb = module_groebner_basis([(g,) for g in gens], R3)
+    for f, g in same_position_pairs(gb):
+        assert v_is_zero(plain_top_reduce(s_vector(f, g, R3), gb, R3))

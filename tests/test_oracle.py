@@ -1,11 +1,16 @@
 """Oracle ground truth: toric ideals, ideal identities, colon ideals,
 minimal resolutions, and exactness verification."""
 
+import hashlib
+import math
+
 import pytest
 
 from arithcurve import (
     BettiTable,
     GradedComplex,
+    Limits,
+    ResourceLimitExceeded,
     betti_b1,
     betti_bn,
     colon_check,
@@ -61,6 +66,32 @@ class TestToricIdeal:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             toric_ideal_of_weights((0, 3))
+
+    def test_bases_pinned_over_grid(self):
+        """sha256 of str() of every basis over fp:32003 on the n in {3, 4, 5},
+        a in {1, 2}, d in {1, 2, 3} grid (51 valid cells, every b), recorded
+        before the elimination run applied the Gebauer-Moeller criteria."""
+        h = hashlib.sha256()
+        for n in (3, 4, 5):
+            for a in (1, 2):
+                for d in (1, 2, 3):
+                    for b in range(1, n + 1):
+                        if math.gcd(a * n + b, d) != 1:
+                            continue
+                        seq = validate_sequence(a * n + b, d, n)
+                        h.update(str(toric_ideal(seq, field=PrimeField(32003))).encode())
+        assert h.hexdigest() == (
+            "9a019efc8a7c9b731b05a364c83b73b84d59b7d770329cfd8c6652dea10238c3")
+
+    def test_elimination_fits_spair_budget(self):
+        """The elimination run of 16 3 4 reduces exactly 563 S-pairs, and the
+        pairs the criteria drop are not counted; without the criteria it
+        reduced 8,250, so a budget of 1,000 stopped it."""
+        seq = validate_sequence(16, 3, 4)
+        assert toric_ideal(seq, limits=Limits(max_spairs=1000))
+        assert toric_ideal(seq, limits=Limits(max_spairs=563))
+        with pytest.raises(ResourceLimitExceeded):
+            toric_ideal(seq, limits=Limits(max_spairs=562))
 
 
 class TestIdealEqual:
