@@ -16,9 +16,10 @@ homogeneous binomials (weights deg X_i = m_i):
   powers      X_{b+j-2}*X_n^a - X_{j-2}*X_0^{a+d}  for 2 <= j <= n+2-b
 
 which are exactly the 2x2 minors of the consecutive-pair matrix (matrix_a)
-and the first-column 2x2 minors of the power-column matrix (matrix_b).
-Indexing is stable: quadratics in lexicographic (i, j) order, powers by
-ascending j, `all` = quadratics followed by powers.
+and the first-column 2x2 minors of the power-column matrix (matrix_b);
+`generators()` computes them as those minors.  Indexing is stable:
+quadratics in lexicographic (i, j) order, powers by ascending j, `all` =
+quadratics followed by powers.
 """
 
 from __future__ import annotations
@@ -132,18 +133,12 @@ class ArithmeticSequence:
 
     def generators(self, field=QQ) -> "GeneratorSet":
         """Minimal binomial generating set of the curve ideal."""
-        R = self.ring(field)
-        n, a, b, d = self.n, self.a, self.b, self.d
-        quadratics = tuple(
-            R.var(i) * R.var(j + 1) - R.var(j) * R.var(i + 1)
-            for i in range(n)
-            for j in range(i + 1, n)
+        B = self.matrix_b(field)
+        return GeneratorSet(
+            sequence=self,
+            quadratics=tuple(self.matrix_a(field).all_minors2()),
+            powers=tuple(B.minor2(0, c) for c in range(1, B.cols)),
         )
-        powers = tuple(
-            R.var(b + j - 2) * R.var(n, a) - R.var(j - 2) * R.var(0, a + d)
-            for j in range(2, n + 2 - b + 1)
-        )
-        return GeneratorSet(sequence=self, quadratics=quadratics, powers=powers)
 
     def __str__(self):
         return f"({self.m0}, {self.d}, {self.n})"

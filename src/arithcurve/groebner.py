@@ -35,6 +35,12 @@ Stillman's degree-by-degree strategy, applied to pruning only).  The pair
 criteria keep this exact: the pairs that justify dropping a pair have lcms
 dividing its lcm, so none has a higher shifted degree.
 
+Membership is decided by top reduction against a Groebner basis: a vector
+lies in the module exactly when cancelling leading terms sends it to zero.
+`ideal_member`, `module_member`, pruning and `verify_exactness` all decide
+it so.  The full normal form, which also reduces the terms below the lead,
+serves only `_interreduce` and `reduce_poly`.
+
 The engine works on packed monomials (see `ring`): leading monomials are
 packed ints, a reducer is found by the guard-bit divisibility test, the
 multiplier of a reduction is a difference of packed ints, and an S-pair is
@@ -197,7 +203,6 @@ class _Engine:
         self.pairs: list[tuple] = []  # ([shifted degree,] packed lcm, pos, i, j)
         self.dead: set[tuple[int, int]] = set()  # queued (i, j) the B criterion drops
         self.syzygies: list[Vector] = []
-        self.n_inputs = 0
 
     # -- reduction ----------------------------------------------------------
 
@@ -225,20 +230,25 @@ class _Engine:
                 coord = v_add_mul(coord, self.coords[idx], u, k)
 
     def normal_form(self, v: Vector) -> Vector:
-        """Full normal form: every remaining term is irreducible."""
+        """Full normal form: every remaining term is irreducible.
+
+        Zero exactly when the first top reduction gives zero.  The
+        irreducible leads of each position leave in strictly decreasing
+        order, so appending them keeps the remainder sorted.
+        """
         ring = self.ring
-        remainder = [ring.zero] * self.rank
+        remainder = [[] for _ in range(self.rank)]
         work = v
         while True:
             work, _ = self.top_reduce(work, None)
             lead = _lead(work)
             if lead is None:
-                return tuple(remainder)
+                return tuple(Polynomial(ring, tuple(r)) for r in remainder)
             # move the irreducible lead term to the remainder
             pos, m, coeff = lead
-            remainder[pos] = remainder[pos].add_mul(ring.one, m, coeff)
+            remainder[pos].append((m, coeff))
             w = list(work)
-            w[pos] = w[pos].add_mul(ring.one, m, ring.field.neg(coeff))
+            w[pos] = Polynomial(ring, work[pos].packed[1:])
             work = tuple(w)
 
     # -- basis growth ---------------------------------------------------------
@@ -314,8 +324,7 @@ class _Engine:
         return (self.ring.packed_degree(lcm) + self.shifts[pos],) + key
 
     def run(self, vectors: Sequence[Vector]):
-        self.n_inputs = len(vectors)
-        unit = [self.ring.zero] * self.n_inputs
+        unit = [self.ring.zero] * len(vectors)
         for i, v in enumerate(vectors):
             coord = None
             if self.want_syz:
@@ -418,7 +427,9 @@ def module_reducer(basis: Sequence[Vector], ring: PolyRing, rank: int) -> "_Engi
 
 
 def module_member(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> bool:
-    return v_is_zero(module_reducer(basis, ring, len(v)).normal_form(v))
+    """True iff top reduction by the basis sends v to zero; this decides
+    membership when the basis is a Groebner basis."""
+    return v_is_zero(module_reducer(basis, ring, len(v)).top_reduce(v, None)[0])
 
 
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
@@ -476,4 +487,5 @@ def reduce_poly(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 def ideal_member(p: Polynomial, gb: Sequence[Polynomial]) -> bool:
-    return reduce_poly(p, gb).is_zero()
+    """True iff top reduction by gb sends p to zero, as `module_member`."""
+    return module_member((p,), [(g,) for g in gb if not g.is_zero()], p.ring)

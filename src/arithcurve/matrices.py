@@ -65,9 +65,6 @@ class PolyMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self.mul(other)
-
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         """Exact product; iterates only over nonzero entries."""
         if self.cols != other.rows:

@@ -6,7 +6,7 @@ ones is a genuine two-route check.
 
   toric_ideal          kernel of X_i -> t^{m_i} by eliminating t with a block
                        order (t carries weight 1, keeping the run graded)
-  ideal_equal          two-sided membership via reduced bases
+  ideal_equal          ideal_contains in both directions
   colon_check          (I : f) from the first coordinates of the syzygies of
                        [f, g_1, ..., g_k], compared back to I
   minimal_generators   graded greedy minimalization of a homogeneous set
@@ -61,11 +61,10 @@ def toric_ideal_of_weights(weights: Sequence[int], field=QQ,
     gens = [ext.var(i + 1) - ext.var(0, w) for i, w in enumerate(weights)]
     gb = groebner(gens, limits=limits)
     target = curve_ring(weights, field=field)
-    kept = [g for g in gb if g.leading_monomial()[0] == 0]
-    projected = [drop_first_variable(g, target) for g in kept]
-    # already a basis of the elimination ideal; re-reduce in the target ring
-    # for a canonical, order-sorted result
-    return groebner(projected, limits=limits)
+    # t-free monomials compare under the block order as they do in the
+    # target ring, so the t-free part is already reduced, monic and sorted
+    return [drop_first_variable(g, target) for g in gb
+            if g.leading_monomial()[0] == 0]
 
 
 def toric_ideal(seq: ArithmeticSequence, field=QQ,
@@ -84,11 +83,8 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
 def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],
                 limits: Limits = DEFAULT_LIMITS) -> bool:
     """Two-sided membership check between the generated ideals."""
-    gb_a = groebner(list(gens_a), limits=limits)
-    gb_b = groebner(list(gens_b), limits=limits)
-    return all(ideal_member(p, gb_a) for p in gens_b) and all(
-        ideal_member(p, gb_b) for p in gens_a
-    )
+    return (ideal_contains(gens_a, gens_b, limits=limits)
+            and ideal_contains(gens_b, gens_a, limits=limits))
 
 
 def colon_ideal(gens: Sequence[Polynomial], f: Polynomial,

@@ -26,29 +26,26 @@ A polynomial stores its terms in `packed`, a tuple of (packed int,
 coefficient) pairs sorted strictly decreasing, so decreasing under the ring's
 order, with no zero coefficients and no duplicate monomials.  Sums,
 differences and `add_mul` (p + c * X^u * q) merge two such tuples in one
-pass.  `terms`, `leading_term`, `leading_monomial`, `from_dict`, `monomial`
-and `mul_term` speak exponent tuples and decode or encode at the boundary;
+pass; a product runs one `add_mul` per term of its shorter factor.  `terms`,
+`leading_term`, `leading_monomial`, `from_dict`, `monomial` and `mul_term`
+speak exponent tuples and decode or encode at the boundary;
 `add_mul`, `mul_packed` and the ring's `divides`/`lcm`/`packed_degree` are
 what the Buchberger engine runs on.
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
 
-Coefficients are exact: reduced rationals (gmpy2.mpq when available,
-fractions.Fraction otherwise) or residues in [0, p) for a prime field.
+Coefficients are exact: reduced rationals (fractions.Fraction) or residues
+in [0, p) for a prime field.
 Integers are arbitrary precision throughout, so weighted degrees and
 coefficients cannot overflow.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul as _mul
 from typing import Sequence
-
-try:  # optional speedup; mpq is API-compatible with Fraction for our usage
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _rational
 
 
 class Rationals:
@@ -59,7 +56,7 @@ class Rationals:
     def of(self, value):
         if isinstance(value, float):
             raise TypeError("rational field does not accept floats")
-        return _rational(value)
+        return Fraction(value)
 
     def add(self, a, b):
         return a + b
@@ -73,7 +70,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / _rational(a)
+        return 1 / Fraction(a)
 
     def __repr__(self):
         return "QQ"
@@ -314,6 +311,11 @@ class PolyRing:
             raise ValueError(f"expected {self.nvars} exponents, got {len(exps)}")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
+        return self._pack(exps)
+
+    def _pack(self, exps: Sequence[int]) -> int:
+        """Packed int of valid exponents; MonomialOutOfRange if the degree
+        does not fit."""
         self.check_degree(sum(map(_mul, exps, self.weights)))
         return sum(map(_mul, exps, self._cols))
 
@@ -338,7 +340,7 @@ class PolyRing:
         return not (b - a) & self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        return self.encode(map(max, self.decode(a), self.decode(b)))
+        return self._pack(tuple(map(max, self.decode(a), self.decode(b))))
 
     # -- polynomials from exponent tuples -------------------------------------
 
@@ -523,20 +525,12 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._compatible(other)
-            if not self.packed or not other.packed:
-                return self.ring.zero
-            ring = self.ring
-            ring.check_degree(self._top_degree() + other._top_degree())
-            field = ring.field
-            data = {}
-            for ma, ca in self.packed:
-                for mb, cb in other.packed:
-                    m = ma + mb
-                    prod = field.mul(ca, cb)
-                    data[m] = field.add(data[m], prod) if m in data else prod
-            terms = [(m, c) for m, c in data.items() if c != 0]
-            terms.sort(reverse=True)
-            return Polynomial(ring, tuple(terms))
+            short, long = ((self, other) if len(self.packed) <= len(other.packed)
+                           else (other, self))
+            product = self.ring.zero
+            for m, c in short.packed:
+                product = product.add_mul(long, m, c)
+            return product
         # scalar multiplication
         c = self.ring.field.of(other)
         return self.scale(c)

@@ -343,6 +343,12 @@ GOLDEN = [
      "e7cb03191ff7968c5a0b7e1ee5ce6a40c815d1d6f81a76544e3737f054a8a5ab"),
     (("scan", "--n", "4", "--a", "1..2", "--d", "1..3", "--json"),
      "585cd71fb2610cfd28541eb7e8525d22646ed96458b879a362406d65261c58e9"),
+    (("gens", "5", "1", "4", "--json"),
+     "0ed33d195e9a5be29bba18b80b6a306fbda2c39acc80faae35d7b765d7622a34"),
+    (("gens", "6", "1", "4", "--json"),
+     "a2d07137d66e34314733eb9330e8f9cb0cbd77a529d6f3e017a46b3f0f50e177"),
+    (("gens", "9", "2", "5", "--json", "--field", "fp:32003"),
+     "36a8b59c513cf9a08ba5b36ad01ad7b2a19d293c9b3c6f72c97fe5b7e0ad91b8"),
 ]
 
 

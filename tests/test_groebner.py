@@ -191,6 +191,17 @@ def test_ideal_membership_closure(gens):
         assert ideal_member(gens[0] * R3.var(1) + gens[-1], gb)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys())
+def test_ideal_member_agrees_with_normal_form_on_any_list(basis, polys):
+    """ideal_member decides by top reduction; on any list, a Groebner basis
+    or not, that reaches zero exactly when the full normal form is zero."""
+    if basis:
+        polys = polys + [basis[0] * R3.var(1), basis[0] * basis[-1] + basis[-1]]
+    for p in polys + [R3.zero]:
+        assert ideal_member(p, basis) == reduce_poly(p, basis).is_zero()
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_polys())
 def test_random_syzygies_annihilate(gens):

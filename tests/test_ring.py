@@ -9,6 +9,7 @@ from arithcurve.ring import (
     QQ,
     EliminationOrder,
     MonomialOutOfRange,
+    Polynomial,
     PolyRing,
     PrimeField,
     WeightedGrevlex,
@@ -149,7 +150,7 @@ SMALL_W = (3, 4, 5, 7)
 
 
 def poly_strategy(ring):
-    exps = st.tuples(*[st.integers(0, 4) for _ in range(NVARS)])
+    exps = st.tuples(*[st.integers(0, 4) for _ in range(ring.nvars)])
     term = st.tuples(exps, st.integers(-5, 5))
     return st.lists(term, max_size=5).map(
         lambda ts: ring.from_dict(
@@ -178,6 +179,46 @@ def test_multiplication_commutes(p, q):
 def test_multiplication_associates_and_distributes(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+def reference_product(p, q):
+    """Every pair of terms multiplied, summed per monomial, then sorted."""
+    field = p.ring.field
+    data = {}
+    for ma, ca in p.packed:
+        for mb, cb in q.packed:
+            m = ma + mb
+            prod = field.mul(ca, cb)
+            data[m] = field.add(data[m], prod) if m in data else prod
+    terms = sorted(((m, c) for m, c in data.items() if c != 0), reverse=True)
+    return Polynomial(p.ring, tuple(terms))
+
+
+@pytest.mark.parametrize("ring", [RQ, elimination_ring(SMALL_W)],
+                         ids=["curve", "elimination"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_matches_reference(ring, data):
+    p, q = data.draw(poly_strategy(ring)), data.draw(poly_strategy(ring))
+    assert (p * q).packed == reference_product(p, q).packed
+
+
+CROSS_RING_OPS = {
+    "add": lambda p, q: p + q,
+    "sub": lambda p, q: p - q,
+    "mul": lambda p, q: p * q,
+    "add_mul": lambda p, q: p.add_mul(q, 0, 1),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CROSS_RING_OPS))
+def test_operations_across_rings_raise(op):
+    other = PolyRing(RQ.names, RQ.weights, field=PrimeField(32003))
+    for p in (RQ.var(0) + RQ.var(1), RQ.zero):
+        for q in (other.var(2), other.zero):
+            for a, b in ((p, q), (q, p)):
+                with pytest.raises(ValueError):
+                    CROSS_RING_OPS[op](a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,6 +308,10 @@ def test_monomial_past_the_packed_range_raises(name):
         half * half
     with pytest.raises(MonomialOutOfRange):
         half.mul_term((0,) * last + (fits // 2 + 1,), 1)
+    # each fits, but their lcm has about twice the degree
+    near = (0,) * (last - 1) + ((ring.degree_cap - 1) // ring.weights[last - 1], 0)
+    with pytest.raises(MonomialOutOfRange):
+        ring.lcm(ring.encode(near), ring.encode((0,) * last + (fits,)))
 
 
 def test_range_check_covers_terms_below_the_lead():
