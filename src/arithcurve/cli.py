@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .closedform import (
@@ -154,26 +154,24 @@ def sequence_info(seq: ArithmeticSequence) -> dict:
     }
 
 
+# --method value -> (method, whether it applies to a sequence, what it
+# requires); auto takes the first row that applies
+METHODS = {
+    "en": ("b1-en", lambda seq: seq.b == 1, "b = 1, got b = {b}"),
+    "cone": ("bn-cone", lambda seq: seq.b == seq.n, "b = n, got b = {b}, n = {n}"),
+    "closedform": ("gor4-closedform", lambda seq: seq.b == 2 and seq.n == 4,
+                   "b = 2 and n = 4, got b = {b}, n = {n}"),
+    "oracle": ("oracle", lambda seq: True, ""),
+}
+
+
 def pick_method(seq: ArithmeticSequence, requested: str) -> str:
     if requested == "auto":
-        if seq.b == 1:
-            return "b1-en"
-        if seq.b == seq.n:
-            return "bn-cone"
-        if seq.b == 2 and seq.n == 4:
-            return "gor4-closedform"
-        return "oracle"
-    mapping = {"en": "b1-en", "cone": "bn-cone", "closedform": "gor4-closedform",
-               "oracle": "oracle"}
-    method = mapping[requested]
-    if method == "b1-en" and seq.b != 1:
-        raise WrongCase(f"method en requires b = 1, got b = {seq.b}")
-    if method == "bn-cone" and seq.b != seq.n:
-        raise WrongCase(f"method cone requires b = n, got b = {seq.b}, n = {seq.n}")
-    if method == "gor4-closedform" and not (seq.b == 2 and seq.n == 4):
-        raise WrongCase(
-            f"method closedform requires b = 2 and n = 4, got b = {seq.b}, n = {seq.n}"
-        )
+        return next(method for method, applies, _ in METHODS.values() if applies(seq))
+    method, applies, requirement = METHODS[requested]
+    if not applies(seq):
+        raise WrongCase(f"method {requested} requires "
+                        + requirement.format(b=seq.b, n=seq.n))
     return method
 
 
@@ -183,13 +181,14 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
     checks: dict[str, dict] = {}
     complex_: Optional[GradedComplex] = None
 
+    gens = list(seq.generators(field).all) if verify or method == "oracle" else []
     t0 = time.perf_counter()
     if method == "b1-en":
         complex_ = resolution_b1(seq, field)
     elif method == "bn-cone":
         complex_ = resolution_bn(seq, field)
     elif method == "oracle":
-        complex_ = minimal_resolution(list(seq.generators(field).all), limits=limits)
+        complex_ = minimal_resolution(gens, limits=limits)
     if complex_ is None:  # gor4-closedform
         betti = shifts_gor4(seq.a, seq.d)
     else:
@@ -203,7 +202,6 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
             for name in ("dd_zero", "homogeneous", "minimal"):
                 checks[name] = {"pass": getattr(rep, name),
                                 "witness": list(rep.witness.get(name, []))}
-            gens = list(seq.generators(field).all)
             exact = verify_exactness(complex_, gens, limits=limits)
             checks["exactness"] = {
                 "pass": exact.all_ok,
@@ -211,7 +209,7 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
             }
         if method != "oracle":
             oracle_table = BettiTable.from_complex(
-                minimal_resolution(list(seq.generators(field).all), limits=limits)
+                minimal_resolution(gens, limits=limits)
             )
             checks["oracle_betti_match"] = {
                 "pass": oracle_table.betti() == betti.betti(),
@@ -331,9 +329,7 @@ def cmd_resolve(args) -> int:
 
 def _scan_cell(payload: tuple) -> dict:
     """One (b, a, d) cell; module-level so process pools can pickle it."""
-    n, b, a, d, prime, limits_data = payload
-    field = QQ if prime is None else PrimeField(prime)
-    limits = Limits(**limits_data)
+    n, b, a, d, field, limits = payload
     m0 = a * n + b
     cell = {"b": b, "a": a, "d": d, "m0": m0}
     try:
@@ -372,10 +368,8 @@ def cmd_scan(args) -> int:
     limits = args.limits
     if args.cell_timeout is not None:
         limits = replace(limits, deadline_s=args.cell_timeout)
-    prime = None if args.field is QQ else args.field.p
-    limits_data = asdict(limits)
     payloads = [
-        (n, b, a, d, prime, limits_data)
+        (n, b, a, d, args.field, limits)
         for b in b_values
         for a in range(a_lo, a_hi + 1)
         for d in range(d_lo, d_hi + 1)
@@ -409,7 +403,7 @@ def cmd_scan(args) -> int:
                 }
         summaries.append(summary)
 
-    obj = {"n": n, "field": "q" if prime is None else f"fp:{prime}",
+    obj = {"n": n, "field": "q" if args.field is QQ else f"fp:{args.field.p}",
            "cells": cells, "summary": summaries}
     if args.json:
         print(json.dumps(obj, indent=2))
@@ -464,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
             else "resolve with every check enabled",
         )
         add_seq_args(p_res)
-        p_res.add_argument("--method", choices=["auto", "en", "cone", "closedform",
-                                                "oracle"], default="auto")
+        p_res.add_argument("--method", choices=["auto", *METHODS], default="auto")
         p_res.add_argument("--json", action="store_true")
         p_res.add_argument("--field", type=parse_field, default=QQ)
         p_res.add_argument("--emit-matrices", action="store_true")

@@ -47,9 +47,6 @@ class BettiTable:
     def betti(self) -> tuple[int, ...]:
         return tuple(len(self.rows[s]) for s in range(self.length + 1))
 
-    def alternating_sum(self) -> int:
-        return sum((-1) ** s * len(v) for s, v in self.rows.items())
-
     def is_palindromic(self, total: int) -> bool:
         """True iff rows[L-s] = {total - x : x in rows[s]} for every s."""
         L = self.length

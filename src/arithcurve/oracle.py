@@ -10,12 +10,14 @@ ones is a genuine two-route check.
   colon_check          (I : f) from the first coordinates of the syzygies of
                        [f, g_1, ..., g_k], compared back to I
   minimal_generators   graded greedy minimalization of a homogeneous set
-  minimal_resolution   iterated syzygies, pruned to minimal kernel generators
-                       at every step, so each differential is minimal and the
-                       ranks are the Betti numbers
-  verify_exactness     image of d_1 generates the target ideal, every syzygy
-                       of d_s lies in the image of d_{s+1}, and the last map
-                       is injective
+  minimal_resolution   one loop: prune the candidates to minimal generators,
+                       keep them as the next differential, take their
+                       syzygies as the next candidates; the generators are
+                       the first candidates, so each differential is minimal
+                       and the ranks are the Betti numbers
+  verify_exactness     image of d_1 generates the target ideal, and every
+                       syzygy of d_s lies in the image of d_{s+1}, which is
+                       the zero module past the last map
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ def toric_ideal_of_weights(weights: Sequence[int], field=QQ,
     Takes raw weights so the engine can be self-tested on tiny inputs that are
     not valid curve sequences.
     """
-    if any(w < 1 for w in weights):
-        raise ValueError("weights must be positive")
     ext = elimination_ring(weights, field=field)
     gens = [ext.var(i + 1) - ext.var(0, w) for i, w in enumerate(weights)]
     gb = groebner(gens, limits=limits)
@@ -131,9 +131,11 @@ def minimal_resolution(gens: Sequence[Polynomial],
                        limits: Limits = DEFAULT_LIMITS) -> GradedComplex:
     """Minimal graded free resolution of R/(gens) by iterated syzygies.
 
-    The generators are first minimalized; at every step the syzygies are
-    pruned to a minimal generating set of the kernel (graded Nakayama), so
-    each differential is minimal and the ranks are the Betti numbers.
+    Every step is one pass of the same loop: the candidates are pruned to a
+    minimal generating set (graded Nakayama), the kept ones become the
+    columns of the next differential, and their syzygies are the next
+    candidates.  Step 0 starts from the generators as 1-vectors over R(0),
+    so each differential is minimal and the ranks are the Betti numbers.
 
     No entry of a differential is a nonzero constant.  Suppose a syzygy of
     the columns of d_s had a nonzero constant in position i.  The relation
@@ -152,30 +154,26 @@ def minimal_resolution(gens: Sequence[Polynomial],
         if g.is_constant():
             raise ValueError("a constant generator gives the unit ideal")
 
-    gens = minimal_generators(gens, limits=limits)
-    mats: list[PolyMatrix] = [PolyMatrix(ring, 1, len(gens), list(gens))]
-    shifts: list[tuple[int, ...]] = [(0,), tuple(g.weighted_degree() for g in gens)]
-
+    # the candidates for the next differential's columns, pruned in place so
+    # that no step's raw syzygies outlive its pruning
+    cols = [(g,) for g in gens]
+    steps: list[tuple[int, ...]] = [(0,)]
+    mats: list[PolyMatrix] = []
     max_steps = ring.nvars + 2
     while True:
+        cols = minimal_module_generators(cols, ring, shifts=steps[-1], limits=limits)
+        if not cols:
+            break
+        rows = len(steps[-1])
+        mats.append(PolyMatrix(ring, rows, len(cols),
+                               [col[i] for i in range(rows) for col in cols]))
+        steps.append(tuple(v_degree(col, steps[-1]) for col in cols))
         if len(mats) > max_steps:
             raise ResourceLimitExceeded(
                 f"resolution did not terminate within {max_steps} steps"
             )
-        cur = mats[-1]
-        tgt_shifts = shifts[-1]
-        syz = syzygy_generators(_matrix_columns(cur), ring, limits=limits)
-        syz = minimal_module_generators(syz, ring, shifts=tgt_shifts, limits=limits)
-        if not syz:
-            break
-        mats.append(PolyMatrix(
-            ring,
-            cur.cols,
-            len(syz),
-            [col[i] for i in range(cur.cols) for col in syz],
-        ))
-        shifts.append(tuple(v_degree(col, tgt_shifts) for col in syz))
-    return GradedComplex(shifts, mats)
+        cols = syzygy_generators(cols, ring, limits=limits)
+    return GradedComplex(steps, mats)
 
 
 # -- exactness ---------------------------------------------------------------
@@ -205,7 +203,8 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
 
     (a) the entries of d_1 generate the same ideal as `gens`;
     (b) for each s < length, the syzygies of d_s lie in the image of d_{s+1};
-    (c) the last differential has no nonzero syzygies (injectivity).
+    (c) the last differential has no nonzero syzygies (injectivity): this is
+        (b) at s = length, with the zero module as the image.
     """
     if len(C.steps[0]) != 1:
         raise ValueError("step 0 must have rank 1")
@@ -218,13 +217,10 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
         cols = _matrix_columns(C.differential(s))
         syz = [v for v in syzygy_generators(cols, ring, limits=limits)
                if not v_is_zero(v)]
-        if s == C.length:
-            report.steps[s] = not syz
-        else:
-            image = _matrix_columns(C.differential(s + 1))
-            gb = module_groebner_basis(image, ring, limits=limits)
-            reducer = module_reducer(gb, ring, len(cols))
-            report.steps[s] = all(
-                v_is_zero(reducer.top_reduce(v, None)[0]) for v in syz
-            )
+        image = _matrix_columns(C.differential(s + 1)) if s < C.length else []
+        gb = module_groebner_basis(image, ring, limits=limits)
+        reducer = module_reducer(gb, ring, len(cols))
+        report.steps[s] = all(
+            v_is_zero(reducer.top_reduce(v, None)[0]) for v in syz
+        )
     return report

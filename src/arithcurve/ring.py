@@ -340,7 +340,8 @@ class PolyRing:
         return not (b - a) & self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        return self._pack(tuple(map(max, self.decode(a), self.decode(b))))
+        mask = self._mask
+        return self._pack([max((a >> s) & mask, (b >> s) & mask) for s in self._exp_shifts])
 
     # -- polynomials from exponent tuples -------------------------------------
 

@@ -1,7 +1,11 @@
 """CLI surface: commands, JSON schema, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +16,11 @@ from arithcurve.cli import (
     EXIT_RESOURCE,
     EXIT_VERIFY,
     RunReport,
+    build_parser,
     main,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -84,10 +91,19 @@ class TestResolve:
         _, second, _ = run_cli(capsys, "resolve", "5", "1", "4", "--verify", "--json")
         assert first == second
 
-    def test_forced_method_mismatch(self, capsys):
-        code, _, err = run_cli(capsys, "resolve", "5", "1", "4", "--method", "cone")
+    @pytest.mark.parametrize("argv,line", [
+        (("8", "1", "4", "--method", "en"),
+         "invalid method: method en requires b = 1, got b = 4"),
+        (("5", "1", "4", "--method", "cone"),
+         "invalid method: method cone requires b = n, got b = 1, n = 4"),
+        (("7", "1", "4", "--method", "closedform"),
+         "invalid method: method closedform requires b = 2 and n = 4, "
+         "got b = 3, n = 4"),
+    ], ids=["en", "cone", "closedform"])
+    def test_forced_method_mismatch(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, "resolve", *argv)
         assert code == EXIT_INVALID
-        assert "cone" in err
+        assert (out, err) == ("", line + "\n")
 
     def test_report_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "resolve", "8", "1", "4", "--verify", "--json")
@@ -341,7 +357,16 @@ GOLDEN = [
      "4efae63003f6cf84cb1045c3f4a45b018d02eac4e86443339318287cd816d061"),
     (("resolve", "7", "2", "4", "--json", "--emit-matrices"),
      "e7cb03191ff7968c5a0b7e1ee5ce6a40c815d1d6f81a76544e3737f054a8a5ab"),
+    (("resolve", "7", "2", "4", "--method", "oracle", "--verify", "--json",
+      "--emit-matrices"),
+     "95ec0f20b9a9b0f6d1e30be0c7c1077ed3b8a3106c856e1640331e1f3337165b"),
+    (("resolve", "11", "1", "5", "--method", "oracle", "--verify",
+      "--field", "fp:32003", "--json"),
+     "9e04046752b84a3914be41ea107cb178b28c1b8f0342ddd5eb3c4bd825e21cae"),
     (("scan", "--n", "4", "--a", "1..2", "--d", "1..3", "--json"),
+     "585cd71fb2610cfd28541eb7e8525d22646ed96458b879a362406d65261c58e9"),
+    # the same digest through pickled cells in worker processes
+    (("scan", "--n", "4", "--a", "1..2", "--d", "1..3", "--json", "--jobs", "2"),
      "585cd71fb2610cfd28541eb7e8525d22646ed96458b879a362406d65261c58e9"),
     (("gens", "5", "1", "4", "--json"),
      "0ed33d195e9a5be29bba18b80b6a306fbda2c39acc80faae35d7b765d7622a34"),
@@ -359,3 +384,24 @@ class TestGolden:
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestReadme:
+    """The README's CLI examples and flag list follow the parser."""
+
+    def test_cli_examples_parse(self):
+        block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+        lines = [line.split("#", 1)[0] for line in block.splitlines()
+                 if line.startswith("arithcurve ")]
+        assert lines
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+
+    def test_method_list_matches_parser(self):
+        listed = re.search(r"`--method ([a-z|]+)`", README.read_text()).group(1)
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("resolve", "verify"):
+            method = sub.choices[command]._option_string_actions["--method"]
+            assert listed.split("|") == list(method.choices)
