@@ -5,6 +5,17 @@ The module order is position-over-term: position 0 dominates, ties broken by
 the ring's monomial order, so the leading term of a vector lives in its first
 nonzero component.  Ideals are handled as rank-1 modules.
 
+Inside the engine a vector is flat: one tuple of (key, coefficient) terms
+sorted strictly decreasing, the packed monomial m at position pos keyed as
+m - pos * U, where U (`PolyRing.position_unit`) lies one bit above the
+packed fields and their guard bits.  Decreasing key order is then
+position-over-term, a vector's flat terms are its components' packed terms
+concatenated in position order, and at rank 1 they are the polynomial's own
+packed terms.  A reduction step v <- v + k * X^u * b is one merge
+(`ring._add_mul`) for v and one for its transcript, whatever the rank.
+Tuples of polynomials are converted to and from the flat form only at the
+public functions.
+
 Syzygy extraction keeps, for every basis element, its expression in the
 original input vectors.  An S-pair that reduces to zero then yields that
 expression as a syzygy of the inputs; because the inputs themselves stay in
@@ -41,10 +52,15 @@ lies in the module exactly when cancelling leading terms sends it to zero.
 it so.  The full normal form, which also reduces the terms below the lead,
 serves only `_interreduce` and `reduce_poly`.
 
-The engine works on packed monomials (see `ring`): leading monomials are
-packed ints, a reducer is found by the guard-bit divisibility test, the
-multiplier of a reduction is a difference of packed ints, and an S-pair is
-keyed by its packed lcm, which sorts exactly like the lcm's order key.
+The engine works on packed monomials (see `ring`).  The low bits of a key
+are its packed monomial, so the guard-bit divisibility test, the multiplier
+of a reduction (a difference of keys at one position), the degree field and
+`lcm` read keys unchanged; reducers are looked up among the basis elements
+that lead at the same position.  An S-pair is keyed by its position-free
+packed lcm, which sorts exactly like the lcm's order key.  Each stored basis
+element and transcript carries the degree of its highest-degree term, so a
+product that would leave the packed range raises MonomialOutOfRange before
+it is merged, even when that term lies below the lead.
 
 All computations are deterministic: fixed insertion order, pairs processed in
 increasing (packed lcm, position, i, j) - prefixed by the lcm's shifted
@@ -58,9 +74,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .ring import Polynomial, PolyRing
+from .ring import Polynomial, PolyRing, _add_mul
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -107,11 +124,10 @@ class _Meter:
         if size > self.limits.max_basis:
             raise ResourceLimitExceeded(f"basis size cap {self.limits.max_basis} hit")
 
-    def check_support(self, v: "Vector"):
-        support = sum(len(p.packed) for p in v)
-        if support > self.limits.max_support:
+    def check_support(self, v: tuple):
+        if len(v) > self.limits.max_support:
             raise ResourceLimitExceeded(
-                f"support size {support} exceeds cap {self.limits.max_support}"
+                f"support size {len(v)} exceeds cap {self.limits.max_support}"
             )
 
 
@@ -125,45 +141,6 @@ Vector = tuple  # tuple[Polynomial, ...]
 
 def v_is_zero(v: Vector) -> bool:
     return all(p.is_zero() for p in v)
-
-
-def v_leading(v: Vector):
-    """Leading module term (pos, exps, coeff) under position-over-term, or None."""
-    lead = _lead(v)
-    if lead is None:
-        return None
-    pos, m, coeff = lead
-    return pos, v[pos].ring.decode(m), coeff
-
-
-def _lead(v: Vector):
-    """Leading module term (pos, packed monomial, coeff), or None."""
-    for pos, p in enumerate(v):
-        if p.packed:
-            m, coeff = p.packed[0]
-            return pos, m, coeff
-    return None
-
-
-def _lm(p: Polynomial) -> int:
-    """Packed leading monomial of a nonzero polynomial."""
-    return p.packed[0][0]
-
-
-def v_add_mul(v: Vector, w: Vector, u: int, coeff) -> Vector:
-    """v + coeff * X^u * w for a packed monomial u.
-
-    Vectors are sparse, so zero components of w pass through without a call.
-    """
-    return tuple([a.add_mul(b, u, coeff) if b.packed else a for a, b in zip(v, w)])
-
-
-def v_mul_packed(v: Vector, u: int, coeff) -> Vector:
-    return tuple([p.mul_packed(u, coeff) if p.packed else p for p in v])
-
-
-def v_scale(v: Vector, coeff) -> Vector:
-    return tuple(p.scale(coeff) for p in v)
 
 
 def v_degree(v: Vector, shifts: Optional[Sequence[int]] = None):
@@ -181,97 +158,142 @@ def v_degree(v: Vector, shifts: Optional[Sequence[int]] = None):
     return degs.pop()
 
 
+def to_flat(v: Vector, unit: int) -> tuple:
+    """The engine's form of a vector: its components' packed terms in
+    position order, the monomial m at position pos keyed as m - pos * unit."""
+    return tuple([(m - pos * unit, c) for pos, p in enumerate(v) for m, c in p.packed])
+
+
+def from_flat(flat: tuple, ring: PolyRing, rank: int) -> Vector:
+    """The vector of rank `rank` whose flat terms are `flat`."""
+    comps = [[] for _ in range(rank)]
+    for key, c in flat:
+        pos, m = _split(key, ring.position_unit)
+        comps[pos].append((m, c))
+    return tuple([Polynomial(ring, tuple(terms)) for terms in comps])
+
+
+def _split(key: int, unit: int) -> tuple[int, int]:
+    """(position, packed monomial) of a flat key."""
+    pos = -(key // unit)
+    return pos, key + pos * unit
+
+
+def _top(flat: tuple, ring: PolyRing) -> int:
+    """Largest weighted degree of a term of a nonempty flat vector."""
+    degree = ring.packed_degree
+    return max([degree(key) for key, _ in flat])
+
+
 class _Engine:
     """One Buchberger run over vectors of a fixed rank.
 
-    With `shifts` (one per position) the pairs are keyed first by the
-    shifted degree of their lcm, so `_main_loop(stop)` can complete the
-    basis degree by degree.
+    Vectors are flat (see `to_flat`); each basis element and transcript is
+    stored with the degree of its highest-degree term, so every product is
+    range-checked before it is merged.  With `shifts` (one per position) the
+    pairs are keyed first by the shifted degree of their lcm, so
+    `_main_loop(stop)` can complete the basis degree by degree.
     """
 
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
                  limits: Limits, shifts: Optional[Sequence[int]] = None):
         self.ring = ring
+        self.unit = ring.position_unit
         self.rank = rank
         self.want_syz = want_syzygies
         self.shifts = shifts
         self.meter = limits.start()
-        self.basis: list[Vector] = []
-        self.leads: list[tuple] = []  # (pos, packed); basis elements are monic
-        self.coords: list[Vector] = []  # expressions in the original inputs
+        self.basis: list[tuple] = []  # (flat vector, top degree); monic
+        self.coords: list[tuple] = []  # the same for the expressions in the inputs
+        self.leads: list[int] = []  # flat key of each basis element's lead
         self.by_pos: dict[int, list[int]] = {}
         self.pairs: list[tuple] = []  # ([shifted degree,] packed lcm, pos, i, j)
         self.dead: set[tuple[int, int]] = set()  # queued (i, j) the B criterion drops
-        self.syzygies: list[Vector] = []
+        self.syzygies: list[tuple] = []
 
     # -- reduction ----------------------------------------------------------
 
-    def _find_reducer(self, pos: int, m: int) -> Optional[int]:
-        divides = self.ring.divides
+    def _add_mul(self, v: tuple, w: tuple, u: int, k) -> tuple:
+        """v + k * X^u * w for a stored (flat vector, top degree) w;
+        MonomialOutOfRange if a product would not fit."""
+        ring = self.ring
+        w, top = w
+        ring.check_degree(top + ring.packed_degree(u))
+        if not v:
+            mul = ring.field.mul
+            return tuple([(m + u, mul(c, k)) for m, c in w])
+        return _add_mul(v, w, u, k, ring.field)
+
+    def _find_reducer(self, key: int) -> Optional[int]:
+        divides, leads = self.ring.divides, self.leads
+        pos, _ = _split(key, self.unit)
         for idx in self.by_pos.get(pos, ()):  # first match: deterministic
-            if divides(self.leads[idx][1], m):
+            if divides(leads[idx], key):
                 return idx
         return None
 
-    def top_reduce(self, v: Vector, coord: Optional[Vector]):
-        """Cancel leading terms until none is reducible; returns (v, coord)."""
-        while True:
-            lead = _lead(v)
-            if lead is None:
-                return v, coord
-            pos, m, coeff = lead
-            idx = self._find_reducer(pos, m)
+    def _top_reduce(self, v: tuple, coord: Optional[tuple]):
+        """Cancel leading terms of a flat v until none is reducible;
+        returns (v, coord)."""
+        neg = self.ring.field.neg
+        while v:
+            key, coeff = v[0]
+            idx = self._find_reducer(key)
             if idx is None:
-                return v, coord
-            u = m - self.leads[idx][1]
-            k = self.ring.field.neg(coeff)
-            v = v_add_mul(v, self.basis[idx], u, k)
+                break
+            u = key - self.leads[idx]
+            k = neg(coeff)
+            v = self._add_mul(v, self.basis[idx], u, k)
             if coord is not None:
-                coord = v_add_mul(coord, self.coords[idx], u, k)
+                coord = self._add_mul(coord, self.coords[idx], u, k)
+        return v, coord
 
-    def normal_form(self, v: Vector) -> Vector:
-        """Full normal form: every remaining term is irreducible.
+    def top_reduce(self, v: Vector, coord: None):
+        """`_top_reduce` on a tuple of polynomials, for a reducer that keeps
+        no transcripts (coord is None); returns (v, None)."""
+        flat, _ = self._top_reduce(to_flat(v, self.unit), None)
+        return from_flat(flat, self.ring, len(v)), None
+
+    def normal_form(self, v: tuple) -> tuple:
+        """Full normal form of a flat v: every remaining term is irreducible.
 
         Zero exactly when the first top reduction gives zero.  The
-        irreducible leads of each position leave in strictly decreasing
-        order, so appending them keeps the remainder sorted.
+        irreducible leads leave in strictly decreasing key order, so
+        appending them keeps the remainder sorted.
         """
-        ring = self.ring
-        remainder = [[] for _ in range(self.rank)]
-        work = v
+        remainder = []
         while True:
-            work, _ = self.top_reduce(work, None)
-            lead = _lead(work)
-            if lead is None:
-                return tuple(Polynomial(ring, tuple(r)) for r in remainder)
-            # move the irreducible lead term to the remainder
-            pos, m, coeff = lead
-            remainder[pos].append((m, coeff))
-            w = list(work)
-            w[pos] = Polynomial(ring, work[pos].packed[1:])
-            work = tuple(w)
+            v, _ = self._top_reduce(v, None)
+            if not v:
+                return tuple(remainder)
+            remainder.append(v[0])
+            v = v[1:]
 
     # -- basis growth ---------------------------------------------------------
 
-    def _insert(self, v: Vector, coord: Optional[Vector]):
-        """Store v, made monic, as a basis element; forms no pairs."""
-        pos, m, coeff = _lead(v)
-        inv = self.ring.field.inv(coeff)
-        v = v_scale(v, inv)
+    def _insert(self, v: tuple, coord: Optional[tuple]):
+        """Store a flat v, made monic, as a basis element; forms no pairs."""
+        ring = self.ring
+        key, coeff = v[0]
+        inv = ring.field.inv(coeff)
+        mul = ring.field.mul
+        v = tuple([(m, mul(c, inv)) for m, c in v])
         if coord is not None:
-            coord = v_scale(coord, inv)
-        self.by_pos.setdefault(pos, []).append(len(self.basis))
-        self.basis.append(v)
-        self.leads.append((pos, m))
+            coord = tuple([(m, mul(c, inv)) for m, c in coord])
+            coord = (coord, _top(coord, ring))
+        self.by_pos.setdefault(_split(key, self.unit)[0], []).append(len(self.basis))
+        self.basis.append((v, _top(v, ring)))
+        self.leads.append(key)
         self.coords.append(coord)
         self.meter.check_basis(len(self.basis))
         self.meter.check_support(v)
 
-    def add_element(self, v: Vector, coord: Optional[Vector]):
-        pos, m, _ = _lead(v)
+    def add_element(self, v: tuple, coord: Optional[tuple]):
+        key = v[0][0]
+        pos, m = _split(key, self.unit)
         ring = self.ring
         new = len(self.basis)
-        lcms = {k: ring.lcm(self.leads[k][1], m) for k in self.by_pos.get(pos, ())}
+        lcms = {k: ring.lcm(self.leads[k], key) for k in self.by_pos.get(pos, ())}
         # a syzygy run applies no criterion and reduces every same-position
         # pair, since a dropped pair would take its transcript out of the raw
         # syzygies that pruning reads; every other run returns only a basis,
@@ -303,7 +325,8 @@ class _Engine:
                 self.dead.add((i, j))
         classes: dict[int, int] = {}  # lcm -> smallest k; -1 if a pair is coprime
         for k, lcm in lcms.items():
-            if self.rank == 1 and lcm == self.leads[k][1] + m:
+            # at rank 1 a lead's flat key is its packed monomial
+            if self.rank == 1 and lcm == self.leads[k] + m:
                 classes[lcm] = -1
             else:
                 classes.setdefault(lcm, k)
@@ -323,15 +346,11 @@ class _Engine:
             return key
         return (self.ring.packed_degree(lcm) + self.shifts[pos],) + key
 
-    def run(self, vectors: Sequence[Vector]):
-        unit = [self.ring.zero] * len(vectors)
-        for i, v in enumerate(vectors):
-            coord = None
-            if self.want_syz:
-                e = list(unit)
-                e[i] = self.ring.one
-                coord = tuple(e)
-            if v_is_zero(v):
+    def run(self, flats: Sequence[tuple]):
+        one = self.ring.field.of(1)
+        for i, v in enumerate(flats):
+            coord = ((-i * self.unit, one),) if self.want_syz else None
+            if not v:
                 if self.want_syz:
                     self.syzygies.append(coord)
                 continue
@@ -345,22 +364,23 @@ class _Engine:
         while self.pairs:
             if stop is not None and self.pairs[0][0] > stop:
                 return
-            *_, lcm, _, i, j = heapq.heappop(self.pairs)
+            *_, lcm, pos, i, j = heapq.heappop(self.pairs)
             if (i, j) in self.dead:
                 self.dead.remove((i, j))
                 continue
             self.meter.tick_pair()
-            u_i = lcm - self.leads[i][1]
-            u_j = lcm - self.leads[j][1]
-            s = v_add_mul(v_mul_packed(self.basis[i], u_i, 1), self.basis[j], u_j, -1)
+            at = lcm - pos * self.unit  # the lcm's key at position pos
+            u_i = at - self.leads[i]
+            u_j = at - self.leads[j]
+            s = self._add_mul((), self.basis[i], u_i, 1)
+            s = self._add_mul(s, self.basis[j], u_j, -1)
             coord = None
             if self.want_syz:
-                coord = v_add_mul(
-                    v_mul_packed(self.coords[i], u_i, 1), self.coords[j], u_j, -1
-                )
-            s, coord = self.top_reduce(s, coord)
-            if v_is_zero(s):
-                if self.want_syz and coord is not None and not v_is_zero(coord):
+                coord = self._add_mul((), self.coords[i], u_i, 1)
+                coord = self._add_mul(coord, self.coords[j], u_j, -1)
+            s, coord = self._top_reduce(s, coord)
+            if not s:
+                if coord:
                     self.syzygies.append(coord)
             else:
                 self.add_element(s, coord)
@@ -389,20 +409,22 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
         return []
     rank = len(nonzero[0])
     shifts = tuple(shifts) if shifts else (0,) * rank
+    unit = ring.position_unit
 
-    def sort_key(v: Vector):
+    def candidate(v: Vector):
+        """((degree, position, packed lead), flat v, v)"""
         deg = v_degree(v, shifts)
         if deg is None:
             raise ValueError("minimal generators need homogeneous vectors")
-        pos, m, _ = _lead(v)
-        return (deg, pos, m)
+        flat = to_flat(v, unit)
+        return (deg, *_split(flat[0][0], unit)), flat, v
 
     eng = _Engine(ring, rank, want_syzygies=False, limits=limits, shifts=shifts)
     kept: list[Vector] = []
-    for v in sorted(nonzero, key=sort_key):
-        eng._main_loop(stop=v_degree(v, shifts))
-        reduced, _ = eng.top_reduce(v, None)
-        if v_is_zero(reduced):
+    for (deg, _, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
+        eng._main_loop(stop=deg)
+        reduced, _ = eng._top_reduce(flat, None)
+        if not reduced:
             continue
         kept.append(v)
         eng.add_element(reduced, None)
@@ -414,15 +436,17 @@ def module_groebner_basis(vectors: Sequence[Vector], ring: PolyRing,
     """Groebner basis (not interreduced) of the module the vectors generate."""
     if not vectors:
         return []
-    eng = _Engine(ring, len(vectors[0]), want_syzygies=False, limits=limits)
-    return list(eng.run(vectors).basis)
+    rank = len(vectors[0])
+    eng = _Engine(ring, rank, want_syzygies=False, limits=limits)
+    eng.run([to_flat(v, eng.unit) for v in vectors])
+    return [from_flat(v, ring, rank) for v, _ in eng.basis]
 
 
 def module_reducer(basis: Sequence[Vector], ring: PolyRing, rank: int) -> "_Engine":
     """Reusable reducer over a fixed (Groebner) basis; no completion is run."""
     eng = _Engine(ring, rank, want_syzygies=False, limits=DEFAULT_LIMITS)
     for b in basis:
-        eng._insert(b, None)
+        eng._insert(to_flat(b, eng.unit), None)
     return eng
 
 
@@ -438,7 +462,8 @@ def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
     if not vectors:
         return []
     eng = _Engine(ring, len(vectors[0]), want_syzygies=True, limits=limits)
-    return list(eng.run(vectors).syzygies)
+    eng.run([to_flat(v, eng.unit) for v in vectors])
+    return [from_flat(s, ring, len(vectors)) for s in eng.syzygies]
 
 
 # -- ideal layer ---------------------------------------------------------------
@@ -455,7 +480,14 @@ def groebner(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS) -> lis
         return []
     ring = nonzero[0].ring
     eng = _Engine(ring, 1, want_syzygies=False, limits=limits)
-    return _interreduce([v[0] for v in eng.run([(g,) for g in nonzero]).basis], ring)
+    # at rank 1 a polynomial's packed terms are its flat vector
+    eng.run([g.packed for g in nonzero])
+    return _interreduce([Polynomial(ring, v) for v, _ in eng.basis], ring)
+
+
+def _lm(p: Polynomial) -> int:
+    """Packed leading monomial of a nonzero polynomial."""
+    return p.packed[0][0]
 
 
 def _interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
@@ -472,7 +504,7 @@ def _interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
     # the tail of p lies below lead(p), so p itself is never a reducer
     reducer = module_reducer([(p,) for p in kept], ring, 1)
     return [
-        reducer.normal_form((Polynomial(ring, p.packed[1:]),))[0]
+        Polynomial(ring, reducer.normal_form(p.packed[1:]))
         .add_mul(ring.one, *p.packed[0]).monic()
         for p in kept
     ]
@@ -483,7 +515,7 @@ def reduce_poly(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     if p.is_zero() or not basis:
         return p
     reducer = module_reducer([(b,) for b in basis if not b.is_zero()], p.ring, 1)
-    return reducer.normal_form((p,))[0]
+    return Polynomial(p.ring, reducer.normal_form(p.packed))
 
 
 def ideal_member(p: Polynomial, gb: Sequence[Polynomial]) -> bool:

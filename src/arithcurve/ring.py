@@ -29,8 +29,9 @@ differences and `add_mul` (p + c * X^u * q) merge two such tuples in one
 pass; a product runs one `add_mul` per term of its shorter factor.  `terms`,
 `leading_term`, `leading_monomial`, `from_dict`, `monomial` and `mul_term`
 speak exponent tuples and decode or encode at the boundary;
-`add_mul`, `mul_packed` and the ring's `divides`/`lcm`/`packed_degree` are
-what the Buchberger engine runs on.
+the Buchberger engine runs on the merge `_add_mul` itself, with the ring's
+`check_degree`, `divides`, `lcm`, `packed_degree` and `position_unit` (the
+engine keys a term of a module vector by its packed monomial and position).
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
@@ -297,6 +298,9 @@ class PolyRing:
         shift = {row: width * (len(rows) - 1 - k) for k, row in enumerate(rows)}
         self.degree_cap = 1 << bits
         self.guard = sum(1 << (s + bits) for s in shift.values())
+        # one bit above the top field's guard bit: the engine keys a term of
+        # module position pos as m - pos * position_unit
+        self.position_unit = 1 << (width * len(rows))
         self._mask = (1 << bits) - 1
         self._cols = tuple(sum(row[i] << s for row, s in shift.items()) for i in range(n))
         self._exp_shifts = tuple(shift[u] for u in units)

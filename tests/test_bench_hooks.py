@@ -51,3 +51,31 @@ def test_profiled_ring_functions_exist():
             code = owner.__dict__[attr].__code__
             assert code.co_filename == ring.__file__, f"{owner.__name__}.{attr}"
             assert (code.co_filename, code.co_firstlineno, code.co_name) in counters[counter]
+
+
+def test_verify_exactness_reduces_through_module_reducer(monkeypatch):
+    """`groebner.reduce_s` times the membership tests of verify_exactness by
+    wrapping `top_reduce` on each object `oracle.module_reducer` returns, so
+    those tests must go through that attribute."""
+    from arithcurve import oracle, resolution_b1, validate_sequence
+
+    calls = 0
+    make_reducer = oracle.module_reducer
+
+    def module_reducer(*args, **kwargs):
+        reducer = make_reducer(*args, **kwargs)
+        top_reduce = reducer.top_reduce
+
+        def counted(*a, **kw):
+            nonlocal calls
+            calls += 1
+            return top_reduce(*a, **kw)
+
+        reducer.top_reduce = counted
+        return reducer
+
+    monkeypatch.setattr(oracle, "module_reducer", module_reducer)
+    seq = validate_sequence(5, 1, 4)
+    report = oracle.verify_exactness(resolution_b1(seq), list(seq.generators().all))
+    assert report.all_ok
+    assert calls >= 1

@@ -363,6 +363,13 @@ GOLDEN = [
     (("resolve", "11", "1", "5", "--method", "oracle", "--verify",
       "--field", "fp:32003", "--json"),
      "9e04046752b84a3914be41ea107cb178b28c1b8f0342ddd5eb3c4bd825e21cae"),
+    # oracle matrices at n = 5, and over QQ outside b = 3
+    (("resolve", "11", "1", "5", "--method", "oracle", "--field", "fp:32003",
+      "--json", "--emit-matrices"),
+     "03bd85fad7568fbe83330996f4224ab5a5320cbea7f6eeb84839e8a5e8f2cdc9"),
+    (("resolve", "9", "2", "4", "--method", "oracle", "--verify", "--json",
+      "--emit-matrices"),
+     "c8a171fc274341d00aecc73e2341ad39a202d709e8c154c4d42fc18201f30649"),
     (("scan", "--n", "4", "--a", "1..2", "--d", "1..3", "--json"),
      "585cd71fb2610cfd28541eb7e8525d22646ed96458b879a362406d65261c58e9"),
     # the same digest through pickled cells in worker processes

@@ -18,14 +18,20 @@ from arithcurve import (
     validate_sequence,
 )
 from arithcurve.groebner import (
+    Vector,
+    from_flat,
     minimal_module_generators,
-    v_add_mul,
+    to_flat,
     v_degree,
     v_is_zero,
-    v_leading,
-    v_mul_packed,
 )
-from arithcurve.ring import PrimeField, curve_ring
+from arithcurve.ring import (
+    MonomialOutOfRange,
+    PolyRing,
+    PrimeField,
+    curve_ring,
+    elimination_ring,
+)
 
 
 @pytest.fixture
@@ -70,6 +76,21 @@ class TestGroebner:
         seq = validate_sequence(5, 1, 4)
         with pytest.raises(ResourceLimitExceeded):
             groebner(list(seq.generators().all), limits=Limits(max_spairs=2))
+
+    def test_range_check_covers_terms_below_the_lead(self):
+        """Under the elimination order t leads X4^k although X4^k has the
+        larger degree; the S-pair with t*X0 multiplies X4^k by X0, which
+        must not fit.  In the rank-2 case X0*X4^k would lead the S-vector
+        alone in its position, so no later lcm would catch it."""
+        ring = elimination_ring((5, 6, 7, 8, 9))
+        t, x0, z = ring.var(0), ring.var(1), ring.zero
+        x4k = ring.var(ring.nvars - 1, (ring.degree_cap - 1) // ring.weights[-1])
+        with pytest.raises(MonomialOutOfRange):
+            groebner([t + x4k, t * x0])
+        with pytest.raises(MonomialOutOfRange):
+            syzygy_generators([(t + x4k,), (t * x0,)], ring)
+        with pytest.raises(MonomialOutOfRange):
+            syzygy_generators([(t, x4k), (t * x0, z)], ring)
 
     def test_deadline_enforced(self):
         seq = validate_sequence(13, 1, 6)
@@ -126,6 +147,11 @@ class TestModules:
         assert minimal_module_generators([(z,)], R) == []
         assert minimal_module_generators([(x0,)], R) == [(x0,)]
 
+    def test_minimal_module_generators_need_homogeneous_input(self, R):
+        x0, x1 = R.var(0), R.var(1)
+        with pytest.raises(ValueError):
+            minimal_module_generators([(x0, R.zero), (x0 + x1 * x1, R.zero)], R)
+
     def test_leading_term_position_priority(self, R):
         v = (R.zero, R.var(3), R.var(0))
         pos, exps, _ = v_leading(v)
@@ -143,6 +169,38 @@ class TestFields:
 
 
 # -- randomized self-checks ------------------------------------------------------
+
+RQ = PolyRing(tuple(f"X{i}" for i in range(4)), (3, 4, 5, 7))
+
+
+def vectors_of(ring):
+    """Vectors of rank 1 to 5 over `ring`, often with zero components."""
+    exps = st.tuples(*[st.integers(0, 4)] * ring.nvars)
+    poly = st.dictionaries(exps, st.integers(-5, 5), max_size=3).map(
+        lambda d: ring.from_dict({m: ring.field.of(c) for m, c in d.items()})
+    )
+    component = poly | st.just(ring.zero)
+    return st.integers(1, 5).flatmap(lambda r: st.tuples(*[component] * r))
+
+
+@pytest.mark.parametrize("ring", [RQ, elimination_ring((3, 4, 5, 7))],
+                         ids=["curve", "elimination"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_layout(ring, data):
+    """The engine's flat form of a vector round-trips, is sorted strictly
+    decreasing, and its first term is the position-over-term lead."""
+    v = data.draw(vectors_of(ring))
+    flat = to_flat(v, ring.position_unit)
+    assert from_flat(flat, ring, len(v)) == v
+    keys = [key for key, _ in flat]
+    assert keys == sorted(set(keys), reverse=True)
+    if not flat:
+        assert v_leading(v) is None
+        return
+    key, coeff = flat[0]
+    assert (-(key // ring.position_unit), ring.decode(key), coeff) == v_leading(v)
+
 
 R3 = curve_ring((2, 3, 5))
 
@@ -214,6 +272,35 @@ def test_random_syzygies_annihilate(gens):
 
 
 # -- a criteria-free Buchberger reference ----------------------------------------
+
+def v_leading(v: Vector):
+    """Leading module term (pos, exps, coeff) under position-over-term, or None."""
+    lead = _lead(v)
+    if lead is None:
+        return None
+    pos, m, coeff = lead
+    return pos, v[pos].ring.decode(m), coeff
+
+
+def _lead(v: Vector):
+    """Leading module term (pos, packed monomial, coeff), or None."""
+    for pos, p in enumerate(v):
+        if p.packed:
+            m, coeff = p.packed[0]
+            return pos, m, coeff
+    return None
+
+
+def v_add_mul(v: Vector, w: Vector, u: int, coeff) -> Vector:
+    """v + coeff * X^u * w for a packed monomial u.
+
+    Vectors are sparse, so zero components of w pass through without a call.
+    """
+    return tuple([a.add_mul(b, u, coeff) if b.packed else a for a, b in zip(v, w)])
+
+
+def v_mul_packed(v: Vector, u: int, coeff) -> Vector:
+    return tuple([p.mul_packed(u, coeff) if p.packed else p for p in v])
 
 
 def lead_term(v):
