@@ -36,15 +36,15 @@ Pair criteria depend on whether the run extracts syzygies:
     pairs can change: the reduced basis is unique, membership does not
     depend on the basis used, and pruning keeps input candidates.
 
-Minimal-generator pruning completes its basis degree by degree: before a
-candidate of degree D is tested, only the pairs of shifted degree <= D are
-reduced.  For homogeneous input under non-negative weights every S-pair is
-homogeneous of its lcm's shifted degree and a reduction never raises the
-degree, so after those pairs the basis is a Groebner basis up to degree D and
-top reduction decides membership of the candidate exactly (La Scala &
-Stillman's degree-by-degree strategy, applied to pruning only).  The pair
-criteria keep this exact: the pairs that justify dropping a pair have lcms
-dividing its lcm, so none has a higher shifted degree.
+Every run takes its pairs by sugar first (Giovini et al., ISSAC 1991): a
+pair's is its lcm's shifted degree (shifts are zero unless the run gives
+some) plus the larger excess of its elements' sugar over their leads'
+shifted degree.  Without the inherited sugar of `_Engine.add_element` an
+inhomogeneous elimination run can take minutes, not a second.  On
+homogeneous input every excess is zero.  A curve ring packs the weighted
+degree as a monomial's top field, so there this is the packed-lcm order
+itself; only the elimination order, which packs the t-degree first, is
+reordered.  Pruning relies on the degree order (minimal_module_generators).
 
 Membership is decided by top reduction against a Groebner basis: a vector
 lies in the module exactly when cancelling leading terms sends it to zero.
@@ -56,17 +56,18 @@ The engine works on packed monomials (see `ring`).  The low bits of a key
 are its packed monomial, so the guard-bit divisibility test, the multiplier
 of a reduction (a difference of keys at one position), the degree field and
 `lcm` read keys unchanged; reducers are looked up among the basis elements
-that lead at the same position.  An S-pair is keyed by its position-free
-packed lcm, which sorts exactly like the lcm's order key.  Each stored basis
-element and transcript carries the degree of its highest-degree term, so a
-product that would leave the packed range raises MonomialOutOfRange before
-it is merged, even when that term lies below the lead.
+that lead at the same position.  After its sugar, an S-pair is keyed by its
+position-free packed lcm, which sorts exactly like the lcm's order key.
+Each stored basis element and transcript carries the degree of its
+highest-degree term, so a product that would leave the packed range raises
+MonomialOutOfRange before it is merged, even when that term lies below the
+lead.
 
 All computations are deterministic: fixed insertion order, pairs processed in
-increasing (packed lcm, position, i, j) - prefixed by the lcm's shifted
-degree in pruning runs - and reducers chosen first-in-basis.  Resource limits
-are explicit errors, never silent truncation; the S-pair budget counts only
-the pairs that are reduced, not those a criterion drops.
+increasing (sugar, packed lcm, position, i, j) and reducers chosen
+first-in-basis.  Resource limits are explicit errors, never silent
+truncation; the S-pair budget counts only the pairs that are reduced, not
+those a criterion drops.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class Limits:
 
     max_spairs: int = 2_000_000
     max_basis: int = 100_000
-    max_support: int = 1_000_000  # largest allowed term count per basis element
+    max_support: int = 1_000_000  # term cap per basis element or transcript
     deadline_s: Optional[float] = None  # wall-clock budget for this computation
 
     def start(self) -> "_Meter":
@@ -120,14 +121,12 @@ class _Meter:
                 f"deadline of {self.limits.deadline_s}s exceeded"
             )
 
-    def check_basis(self, size: int):
+    def check_growth(self, size: int, support: int):
         if size > self.limits.max_basis:
             raise ResourceLimitExceeded(f"basis size cap {self.limits.max_basis} hit")
-
-    def check_support(self, v: tuple):
-        if len(v) > self.limits.max_support:
+        if support > self.limits.max_support:
             raise ResourceLimitExceeded(
-                f"support size {len(v)} exceeds cap {self.limits.max_support}"
+                f"support size {support} exceeds cap {self.limits.max_support}"
             )
 
 
@@ -190,9 +189,7 @@ class _Engine:
 
     Vectors are flat (see `to_flat`); each basis element and transcript is
     stored with the degree of its highest-degree term, so every product is
-    range-checked before it is merged.  With `shifts` (one per position) the
-    pairs are keyed first by the shifted degree of their lcm, so
-    `_main_loop(stop)` can complete the basis degree by degree.
+    range-checked before it is merged.  `shifts`, one per position, default 0.
     """
 
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
@@ -201,13 +198,14 @@ class _Engine:
         self.unit = ring.position_unit
         self.rank = rank
         self.want_syz = want_syzygies
-        self.shifts = shifts
+        self.shifts = tuple(shifts) if shifts else (0,) * rank
         self.meter = limits.start()
         self.basis: list[tuple] = []  # (flat vector, top degree); monic
         self.coords: list[tuple] = []  # the same for the expressions in the inputs
         self.leads: list[int] = []  # flat key of each basis element's lead
         self.by_pos: dict[int, list[int]] = {}
-        self.pairs: list[tuple] = []  # ([shifted degree,] packed lcm, pos, i, j)
+        self.excess: list[int] = []  # sugar less the lead's unshifted degree
+        self.pairs: list[tuple] = []  # (sugar, packed lcm, pos, i, j)
         self.dead: set[tuple[int, int]] = set()  # queued (i, j) the B criterion drops
         self.syzygies: list[tuple] = []
 
@@ -285,25 +283,30 @@ class _Engine:
         self.basis.append((v, _top(v, ring)))
         self.leads.append(key)
         self.coords.append(coord)
-        self.meter.check_basis(len(self.basis))
-        self.meter.check_support(v)
 
-    def add_element(self, v: tuple, coord: Optional[tuple]):
+    def add_element(self, v: tuple, coord: Optional[tuple], pair=None):
+        """Queue the pairs of a flat v and store it.  v keeps the sugar of
+        the pair it was reduced from (`pair`: position, sugar) while it leads
+        at that position, as a run's inputs may be homogeneous under shifts
+        it is not given; else its sugar is its top shifted degree there."""
         key = v[0][0]
         pos, m = _split(key, self.unit)
         ring = self.ring
         new = len(self.basis)
+        degree = ring.packed_degree
+        if pair is not None and pair[0] == pos:
+            sugar = pair[1]
+        else:  # the terms at the lead's position have keys >= key - m
+            sugar = max([degree(k) for k, _ in v if k >= key - m]) + self.shifts[pos]
+        self.excess.append(sugar - degree(key))
         lcms = {k: ring.lcm(self.leads[k], key) for k in self.by_pos.get(pos, ())}
-        # a syzygy run applies no criterion and reduces every same-position
-        # pair, since a dropped pair would take its transcript out of the raw
-        # syzygies that pruning reads; every other run returns only a basis,
-        # so it applies the Gebauer-Moeller criteria
-        if self.want_syz:
+        if self.want_syz:  # no pair criteria: see the module docstring
             for k, lcm in lcms.items():
                 heapq.heappush(self.pairs, self._pair_key(pos, lcm, k, new))
         else:
             self._gebauer_moller(pos, m, new, lcms)
         self._insert(v, coord)
+        self.meter.check_growth(len(self.basis), max(len(v), len(coord or ())))
 
     def _gebauer_moller(self, pos: int, m: int, new: int, lcms: dict):
         """Queue the pairs of a new element h (lead m, index `new`) that the
@@ -319,7 +322,7 @@ class _Engine:
         """
         ring = self.ring
         for key in self.pairs:
-            lcm, p, i, j = key[-4:]
+            _, lcm, p, i, j = key
             if (p == pos and ring.divides(m, lcm)
                     and lcms[i] != lcm and lcms[j] != lcm):
                 self.dead.add((i, j))
@@ -341,10 +344,8 @@ class _Engine:
                 heapq.heappush(self.pairs, self._pair_key(pos, lcm, classes[lcm], new))
 
     def _pair_key(self, pos, lcm, i, j):
-        key = (lcm, pos, i, j)
-        if self.shifts is None:
-            return key
-        return (self.ring.packed_degree(lcm) + self.shifts[pos],) + key
+        sugar = self.ring.packed_degree(lcm) + max(self.excess[i], self.excess[j])
+        return (sugar, lcm, pos, i, j)
 
     def run(self, flats: Sequence[tuple]):
         one = self.ring.field.of(1)
@@ -359,12 +360,12 @@ class _Engine:
         return self
 
     def _main_loop(self, stop: Optional[int] = None):
-        """Reduce pairs in key order; with `stop`, leave those of shifted
-        degree above it in the queue."""
+        """Reduce pairs in key order; with `stop`, leave those of sugar
+        above it in the queue."""
         while self.pairs:
             if stop is not None and self.pairs[0][0] > stop:
                 return
-            *_, lcm, pos, i, j = heapq.heappop(self.pairs)
+            sugar, lcm, pos, i, j = heapq.heappop(self.pairs)
             if (i, j) in self.dead:
                 self.dead.remove((i, j))
                 continue
@@ -383,7 +384,7 @@ class _Engine:
                 if coord:
                     self.syzygies.append(coord)
             else:
-                self.add_element(s, coord)
+                self.add_element(s, coord, (pos, sugar))
 
 
 def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
@@ -401,25 +402,24 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     degree of its lcm, and reducing a degree-D vector uses only basis
     elements of degree <= D.  Once every pair of degree <= D is reduced, the
     basis is a Groebner basis up to degree D, so a degree-D candidate lies
-    in the kept module exactly when top reduction sends it to zero.  Pairs
-    above the last candidate's degree are never processed.
+    in the kept module exactly when top reduction sends it to zero (La Scala
+    & Stillman's degree-by-degree strategy).  The pair criteria keep this
+    exact: the pairs that justify dropping a pair have lcms dividing its lcm.
     """
     nonzero = [v for v in vectors if not v_is_zero(v)]
     if not nonzero:
         return []
-    rank = len(nonzero[0])
-    shifts = tuple(shifts) if shifts else (0,) * rank
-    unit = ring.position_unit
+    eng = _Engine(ring, len(nonzero[0]), want_syzygies=False, limits=limits,
+                  shifts=shifts)
 
     def candidate(v: Vector):
         """((degree, position, packed lead), flat v, v)"""
-        deg = v_degree(v, shifts)
+        deg = v_degree(v, eng.shifts)
         if deg is None:
             raise ValueError("minimal generators need homogeneous vectors")
-        flat = to_flat(v, unit)
-        return (deg, *_split(flat[0][0], unit)), flat, v
+        flat = to_flat(v, eng.unit)
+        return (deg, *_split(flat[0][0], eng.unit)), flat, v
 
-    eng = _Engine(ring, rank, want_syzygies=False, limits=limits, shifts=shifts)
     kept: list[Vector] = []
     for (deg, _, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
         eng._main_loop(stop=deg)

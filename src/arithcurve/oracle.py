@@ -5,7 +5,7 @@ complex construction - so agreement between this module and the constructive
 ones is a genuine two-route check.
 
   toric_ideal          kernel of X_i -> t^{m_i} by eliminating t with a block
-                       order (t carries weight 1, keeping the run graded)
+                       order (t has weight 1, so pairs go degree by degree)
   ideal_equal          ideal_contains in both directions
   colon_check          (I : f) from the first coordinates of the syzygies of
                        [f, g_1, ..., g_k], compared back to I

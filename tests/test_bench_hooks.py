@@ -79,3 +79,20 @@ def test_verify_exactness_reduces_through_module_reducer(monkeypatch):
     report = oracle.verify_exactness(resolution_b1(seq), list(seq.generators().all))
     assert report.all_ok
     assert calls >= 1
+
+
+def test_traced_resolve_counts_engine_work(capsys):
+    """`bench/run.py --trace 1` reads its counters from the arguments and
+    results of the calls it wraps; an engine refactor that changes their
+    types would leave them at zero."""
+    from arithcurve import cli
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.operation("resolve", 0):
+        assert cli.main(["resolve", "5", "1", "4", "--verify", "--json"]) == 0
+    capsys.readouterr()
+    _, counts = tracer.metrics()
+    for counter in ("groebner.prune.candidates", "groebner.syzygy.raw",
+                    "groebner.spairs"):
+        assert counts[counter] > 0, counter
