@@ -180,50 +180,56 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
     timing: dict[str, float] = {}
     checks: dict[str, dict] = {}
     complex_: Optional[GradedComplex] = None
-
-    gens = list(seq.generators(field).all) if verify or method == "oracle" else []
-    t0 = time.perf_counter()
-    if method == "b1-en":
-        complex_ = resolution_b1(seq, field)
-    elif method == "bn-cone":
-        complex_ = resolution_bn(seq, field)
-    elif method == "oracle":
-        complex_ = minimal_resolution(gens, limits=limits)
-    if complex_ is None:  # gor4-closedform
-        betti = shifts_gor4(seq.a, seq.d)
-    else:
-        betti = BettiTable.from_complex(complex_)
-    timing["construct"] = (time.perf_counter() - t0) * 1000.0
-
-    if verify:
+    phase = "construct"
+    try:
+        gens = list(seq.generators(field).all) if verify or method == "oracle" else []
         t0 = time.perf_counter()
-        if complex_ is not None:
-            rep = verify_complex(complex_)
-            for name in ("dd_zero", "homogeneous", "minimal"):
-                checks[name] = {"pass": getattr(rep, name),
-                                "witness": list(rep.witness.get(name, []))}
-            exact = verify_exactness(complex_, gens, limits=limits)
-            checks["exactness"] = {
-                "pass": exact.all_ok,
-                "witness": [] if exact.all_ok else [exact.first_failure()],
-            }
-        if method != "oracle":
-            oracle_table = BettiTable.from_complex(
-                minimal_resolution(gens, limits=limits)
-            )
-            checks["oracle_betti_match"] = {
-                "pass": oracle_table.betti() == betti.betti(),
-                "witness": [list(oracle_table.betti()), list(betti.betti())],
-            }
-            checks["oracle_shift_match"] = {
-                "pass": oracle_table.same_shifts(betti),
-                "witness": [],
-            }
-        if method == "gor4-closedform":
-            total = gor4_symmetry_point(seq.a, seq.d)
-            checks["palindromic"] = {"pass": betti.is_palindromic(total),
-                                     "witness": [total]}
-        timing["verify"] = (time.perf_counter() - t0) * 1000.0
+        if method == "b1-en":
+            complex_ = resolution_b1(seq, field)
+        elif method == "bn-cone":
+            complex_ = resolution_bn(seq, field)
+        elif method == "oracle":
+            complex_ = minimal_resolution(gens, limits=limits)
+        if complex_ is None:  # gor4-closedform
+            betti = shifts_gor4(seq.a, seq.d)
+        else:
+            betti = BettiTable.from_complex(complex_)
+        timing["construct"] = (time.perf_counter() - t0) * 1000.0
+
+        if verify:
+            phase = "verify"
+            t0 = time.perf_counter()
+            if complex_ is not None:
+                rep = verify_complex(complex_)
+                for name in ("dd_zero", "homogeneous", "minimal"):
+                    checks[name] = {"pass": getattr(rep, name),
+                                    "witness": list(rep.witness.get(name, []))}
+                exact = verify_exactness(complex_, gens, limits=limits)
+                checks["exactness"] = {
+                    "pass": exact.all_ok,
+                    "witness": [] if exact.all_ok else [exact.first_failure()],
+                }
+            if method != "oracle":
+                oracle_table = BettiTable.from_complex(
+                    minimal_resolution(gens, limits=limits)
+                )
+                checks["oracle_betti_match"] = {
+                    "pass": oracle_table.betti() == betti.betti(),
+                    "witness": [list(oracle_table.betti()), list(betti.betti())],
+                }
+                checks["oracle_shift_match"] = {
+                    "pass": oracle_table.same_shifts(betti),
+                    "witness": [],
+                }
+            if method == "gor4-closedform":
+                total = gor4_symmetry_point(seq.a, seq.d)
+                checks["palindromic"] = {"pass": betti.is_palindromic(total),
+                                         "witness": [total]}
+            timing["verify"] = (time.perf_counter() - t0) * 1000.0
+    except MemoryError:
+        # a construction stores each differential densely, so a large n can
+        # exhaust memory before any cap applies; report it like a cap
+        raise ResourceLimitExceeded(f"out of memory in {phase}") from None
 
     report = RunReport(
         sequence=sequence_info(seq),

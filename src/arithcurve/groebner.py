@@ -110,11 +110,10 @@ class _Meter:
             raise ResourceLimitExceeded(
                 f"S-pair budget {self.limits.max_spairs} exhausted"
             )
-        # the clock is read on the first pair of a run and every 64th after
-        # it, so short runs are checked too
+        # the clock is read on every pair when a deadline is set, so a run
+        # whose pairs are individually slow stops at the first pair past it
         if (
             self.limits.deadline_s is not None
-            and self.spairs % 64 == 1
             and time.monotonic() - self.t0 > self.limits.deadline_s
         ):
             raise ResourceLimitExceeded(

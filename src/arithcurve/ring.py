@@ -36,8 +36,9 @@ engine keys a term of a module vector by its packed monomial and position).
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
 
-Coefficients are exact: reduced rationals (fractions.Fraction) or residues
-in [0, p) for a prime field.
+Coefficients are exact: rationals (an int when integral, otherwise a reduced
+fractions.Fraction; `Rationals.of` always returns a Fraction) or residues in
+[0, p) for a prime field.
 Integers are arbitrary precision throughout, so weighted degrees and
 coefficients cannot overflow.
 """
@@ -49,8 +50,25 @@ from operator import mul as _mul
 from typing import Sequence
 
 
+def _integral(r):
+    """r as an int when it is a Fraction with denominator 1, else r itself."""
+    if r.__class__ is Fraction and r.denominator == 1:
+        return r.numerator
+    return r
+
+
 class Rationals:
-    """The field of exact rationals (values reduced, positive denominator)."""
+    """The field of exact rationals.
+
+    An integral value is an int and any other value a reduced Fraction with
+    positive denominator; `add`, `mul` and `inv` return that form.  The two
+    are interchangeable: n == Fraction(n), with equal hash and str, so a
+    polynomial compares, hashes and prints alike whichever form its
+    coefficients take.  `of` returns a Fraction, so user arithmetic on it
+    (`QQ.of(1) / QQ.of(7)`) stays exact; the first engine operation turns an
+    integral input into an int, which keeps the binomial curve ideals off the
+    slower Fraction arithmetic.
+    """
 
     char = 0
 
@@ -60,10 +78,10 @@ class Rationals:
         return Fraction(value)
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -71,7 +89,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
 
     def __repr__(self):
         return "QQ"

@@ -165,6 +165,20 @@ class TestResolve:
         assert "check exactness: FAIL ['exactness at step 2']" in out
         assert "verification failed" in err
 
+    @pytest.mark.parametrize("target, phase", [
+        ("resolution_b1", "construct"), ("verify_exactness", "verify"),
+    ])
+    def test_out_of_memory_exit_code(self, capsys, monkeypatch, target, phase):
+        import arithcurve.cli as cli_mod
+
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, target, exhaust)
+        code, out, err = run_cli(capsys, "resolve", "5", "1", "4", "--verify")
+        assert code == EXIT_RESOURCE
+        assert (out, err) == ("", f"resource limit: out of memory in {phase}\n")
+
     def test_prime_field_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "resolve", "5", "1", "4", "--field", "fp:32003", "--json"

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,19 @@ class TestGroebner:
         assert syzygy_generators(vectors, R3, limits=Limits(max_support=4))
         with pytest.raises(ResourceLimitExceeded):
             syzygy_generators(vectors, R3, limits=Limits(max_support=3))
+
+    def test_deadline_read_on_every_pair(self, monkeypatch):
+        """A run whose pairs are individually slow stops at the first pair
+        past its deadline."""
+        engine = importlib.import_module("arithcurve.groebner")  # not the function
+        now = [0.0]
+        clock = types.SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(engine, "time", clock)
+        meter = engine._Meter(Limits(deadline_s=1.0))
+        meter.tick_pair()
+        now[0] = 2.0
+        with pytest.raises(ResourceLimitExceeded, match="deadline of 1.0s exceeded"):
+            meter.tick_pair()
 
     def test_reducer_over_fixed_basis_meters_nothing(self, R, monkeypatch):
         """A reducer never grows its basis, so the default caps do not

@@ -1,10 +1,12 @@
 """Polynomial kernel: exact arithmetic, weighted degrees, monomial orders."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithcurve import groebner, validate_sequence
 from arithcurve.ring import (
     QQ,
     EliminationOrder,
@@ -141,6 +143,32 @@ def test_prime_field_rejects_bad_denominator():
 def test_rationals_reduced_positive_denominator():
     c = QQ.of(4) / QQ.of(-6)
     assert c.numerator == -2 and c.denominator == 3
+
+
+def test_rationals_of_returns_fraction():
+    assert type(QQ.of(3)) is Fraction
+
+
+rationals = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals)
+def test_rationals_int_exactly_when_integral(a, b):
+    results = [(QQ.add(a, b), Fraction(a) + b), (QQ.mul(a, b), Fraction(a) * b)]
+    if b != 0:
+        results.append((QQ.inv(b), 1 / Fraction(b)))
+    for got, want in results:
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+def test_curve_basis_over_qq_has_int_coefficients():
+    """Integral coefficients leave the engine as ints, never as Fractions
+    with denominator 1, which would take the slower Fraction arithmetic."""
+    gb = groebner(validate_sequence(5, 1, 4).generators(QQ).all)
+    assert gb
+    assert all(type(c) is int for p in gb for _, c in p.packed)
 
 
 # -- property tests ------------------------------------------------------------
