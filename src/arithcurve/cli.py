@@ -6,16 +6,17 @@ Commands
   verify M0 D N    alias for resolve --verify
   scan             Betti vectors over an (a, d) grid, uniformity per class b
 
-Exit codes: 0 success, 2 invalid input, 3 verification failure,
-4 resource limit.  JSON goes to stdout, diagnostics to stderr.  Identical
-invocations produce byte-identical JSON; wall-clock timings are only included
-under --timing for that reason.
+Exit codes: 0 success, 1 stdout closed early, 2 invalid input,
+3 verification failure, 4 resource limit.  JSON goes to stdout, diagnostics
+to stderr.  Identical invocations produce byte-identical JSON; wall-clock
+timings are only included under --timing for that reason.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +41,7 @@ from .oracle import minimal_resolution, verify_exactness
 from .ring import QQ, PrimeField
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_INVALID = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
@@ -227,8 +229,8 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
                                          "witness": [total]}
             timing["verify"] = (time.perf_counter() - t0) * 1000.0
     except MemoryError:
-        # a construction stores each differential densely, so a large n can
-        # exhaust memory before any cap applies; report it like a cap
+        # step s of the b = 1 construction has s * C(n + 1, s + 1) columns, so
+        # a large n can exhaust memory before any cap applies; report it like a cap
         raise ResourceLimitExceeded(f"out of memory in {phase}") from None
 
     report = RunReport(
@@ -321,11 +323,11 @@ def cmd_resolve(args) -> int:
             for phase, ms in report.timing_ms.items():
                 print(f"timing {phase}: {ms} ms")
         if args.emit_matrices and complex_ is not None:
-            for entry in emit_matrices_obj(complex_):
-                print(f"differential {entry['step']} ({entry['rows']}x{entry['cols']}):")
-                for i in range(entry["rows"]):
-                    row = entry["entries"][i * entry["cols"]:(i + 1) * entry["cols"]]
-                    print("  [" + ", ".join(row) + "]")
+            for s in range(1, complex_.length + 1):
+                d = complex_.differential(s)
+                print(f"differential {s} ({d.rows}x{d.cols}):")
+                for i in range(d.rows):
+                    print("  [" + ", ".join(map(str, d.row(i))) + "]")
 
     if args.verify and not all(c["pass"] for c in report.checks.values()):
         print("verification failed", file=sys.stderr)
@@ -508,6 +510,13 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:  # safety net for uncaught limits
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # stdout was closed early (say, piped into head); point it at devnull
+        # so that the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

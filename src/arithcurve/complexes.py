@@ -125,11 +125,10 @@ def minor_complex(M: PolyMatrix) -> GradedComplex:
 
     # step 1: the pair (c1, c2) goes to the corresponding 2x2 minor
     maps = [PolyMatrix(ring, 1, len(bases[1]),
-                       [M.minor2(*cols) for cols, _ in bases[1]])]
+                       {(0, j): M.minor2(*cols) for j, (cols, _) in enumerate(bases[1])})]
     for s in range(2, m):
         target_index = {key: i for i, key in enumerate(bases[s - 1])}
-        width = len(bases[s])
-        entries = [ring.zero] * (len(target_index) * width)
+        entries = {}
         for j, (cols, v1) in enumerate(bases[s]):
             v0 = s - 1 - v1
             for pos, c in enumerate(cols):
@@ -137,9 +136,9 @@ def minor_complex(M: PolyMatrix) -> GradedComplex:
                 for row, tgt_v1, live in ((0, v1, v0 >= 1), (1, v1 - 1, v1 >= 1)):
                     if live:
                         term = M.entry(row, c)
-                        i = target_index[rest, tgt_v1]
-                        entries[i * width + j] = term if pos % 2 == 0 else -term
-        maps.append(PolyMatrix(ring, len(target_index), width, entries))
+                        entries[target_index[rest, tgt_v1], j] = (
+                            term if pos % 2 == 0 else -term)
+        maps.append(PolyMatrix(ring, len(target_index), len(bases[s]), entries))
     return GradedComplex(steps, maps)
 
 
@@ -167,27 +166,18 @@ def mapping_cone(E: GradedComplex, multiplier: Polynomial) -> GradedComplex:
 
     maps = []
     for s in range(1, L + 1):
-        rows, cols = len(steps[s - 1]), len(steps[s])
-        entries = [ring.zero] * (rows * cols)
         src_rows, src_cols = len(part(s - 2)), len(part(s - 1))
+        # multiplier * identity block (below the shifted columns)
+        entries = {(src_rows + j, j): multiplier for j in range(src_cols)}
         # -d_E block (top left)
         if 1 <= s - 1 <= E.length:
-            d = E.differential(s - 1)
-            for k, e in enumerate(d.entries):
-                if not e.is_zero():
-                    i, j = divmod(k, d.cols)
-                    entries[i * cols + j] = -e
-        # multiplier * identity block (below the shifted columns)
-        for j in range(src_cols):
-            entries[(src_rows + j) * cols + j] = multiplier
+            entries.update(((i, j), -e)
+                           for (i, j), e in E.differential(s - 1).nonzero.items())
         # d_E block (bottom right)
         if s <= E.length:
-            d = E.differential(s)
-            for k, e in enumerate(d.entries):
-                if not e.is_zero():
-                    i, j = divmod(k, d.cols)
-                    entries[(src_rows + i) * cols + (src_cols + j)] = e
-        maps.append(PolyMatrix(ring, rows, cols, entries))
+            entries.update(((src_rows + i, src_cols + j), e)
+                           for (i, j), e in E.differential(s).nonzero.items())
+        maps.append(PolyMatrix(ring, len(steps[s - 1]), len(steps[s]), entries))
     return GradedComplex(steps, maps)
 
 
@@ -229,13 +219,11 @@ class ComplexReport:
 
 def _first_entry(mats, accept):
     """First (step, row, col) of a nonzero entry e with accept(step, row, col, e)
-    over (step, matrix) pairs in order, or None."""
+    over (step, matrix) pairs in order, each matrix row-major, or None."""
     for s, d in mats:
-        for k, e in enumerate(d.entries):
-            if not e.is_zero():
-                i, j = divmod(k, d.cols)
-                if accept(s, i, j, e):
-                    return (s, i, j)
+        for (i, j), e in d.nonzero.items():
+            if accept(s, i, j, e):
+                return (s, i, j)
     return None
 
 

@@ -1,94 +1,91 @@
-"""Dense matrices of polynomials: products, 2x2 minors, block assembly."""
+"""Sparse matrices of polynomials: products, 2x2 minors, block assembly.
+
+A matrix stores only its nonzero entries, keyed by (row, col) in row-major
+order; `entries` is the dense row-major view for output."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .ring import Polynomial, PolyRing
 
 
 class PolyMatrix:
-    """Immutable rows x cols matrix stored row-major."""
+    """Immutable rows x cols matrix.  `nonzero` maps (row, col) to each
+    nonzero entry, its keys in row-major order; callers must not modify it."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "nonzero")
 
-    def __init__(self, ring: PolyRing, rows: int, cols: int, entries: Sequence[Polynomial]):
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
+    def __init__(self, ring: PolyRing, rows: int, cols: int,
+                 entries: Mapping[tuple[int, int], Polynomial]):
+        for i, j in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i},{j}) out of range for {rows}x{cols}")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
+        self.nonzero = {key: e for key, e in sorted(entries.items()) if not e.is_zero()}
 
     @classmethod
     def from_rows(cls, ring: PolyRing, rows: Sequence[Sequence[Polynomial]]) -> "PolyMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(ring, nrows, ncols, flat)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        return cls(ring, len(rows), ncols,
+                   {(i, j): e for i, r in enumerate(rows) for j, e in enumerate(r)})
 
     @classmethod
     def build(cls, ring: PolyRing, rows: int, cols: int,
               fill: Callable[[int, int], Polynomial]) -> "PolyMatrix":
-        return cls(ring, rows, cols, [fill(i, j) for i in range(rows) for j in range(cols)])
+        return cls(ring, rows, cols,
+                   {(i, j): fill(i, j) for i in range(rows) for j in range(cols)})
 
     @classmethod
     def identity(cls, ring: PolyRing, n: int) -> "PolyMatrix":
-        return cls.build(ring, n, n, lambda i, j: ring.one if i == j else ring.zero)
+        return cls(ring, n, n, {(i, i): ring.one for i in range(n)})
+
+    @property
+    def entries(self) -> tuple:
+        """Every entry, zeros included, in row-major order."""
+        flat = [self.ring.zero] * (self.rows * self.cols)
+        for (i, j), e in self.nonzero.items():
+            flat[i * self.cols + j] = e
+        return tuple(flat)
 
     def entry(self, i: int, j: int) -> Polynomial:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
+        return self.nonzero.get((i, j), self.ring.zero)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
+        get, zero = self.nonzero.get, self.ring.zero
+        return tuple(get((i, j), zero) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
             and other.rows == self.rows
             and other.cols == self.cols
-            and other.entries == self.entries
+            and other.nonzero == self.nonzero
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Exact product; iterates only over nonzero entries."""
+        """Exact product over the nonzero entries of both factors."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ring = self.ring
-        acc = [ring.zero] * (self.rows * other.cols)
-        left_by_col = [[] for _ in range(self.cols)]
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                e = self.entries[base + k]
-                if not e.is_zero():
-                    left_by_col[k].append((i, e))
-        for k in range(self.cols):
-            if not left_by_col[k]:
-                continue
-            rbase = k * other.cols
-            for j in range(other.cols):
-                f = other.entries[rbase + j]
-                if f.is_zero():
-                    continue
-                for i, e in left_by_col[k]:
-                    acc[i * other.cols + j] = acc[i * other.cols + j] + e * f
-        return PolyMatrix(ring, self.rows, other.cols, acc)
+        right_by_row = {}
+        for (k, j), f in other.nonzero.items():
+            right_by_row.setdefault(k, []).append((j, f))
+        acc, zero = {}, self.ring.zero
+        for (i, k), e in self.nonzero.items():
+            for j, f in right_by_row.get(k, ()):
+                acc[i, j] = acc.get((i, j), zero) + e * f
+        return PolyMatrix(self.ring, self.rows, other.cols, acc)
 
     def minor2(self, c1: int, c2: int) -> Polynomial:
         """2x2 minor from columns c1 < c2 of a 2-row matrix."""
@@ -107,7 +104,11 @@ class PolyMatrix:
         ]
 
     def with_entries(self, entries: Sequence[Polynomial]) -> "PolyMatrix":
-        return PolyMatrix(self.ring, self.rows, self.cols, entries)
+        """The same shape filled from a dense row-major sequence."""
+        if len(entries) != self.rows * self.cols:
+            raise ValueError("entry count does not match shape")
+        return PolyMatrix(self.ring, self.rows, self.cols,
+                          {divmod(k, self.cols): e for k, e in enumerate(entries)})
 
     def __str__(self):
         rows = []

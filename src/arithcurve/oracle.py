@@ -164,9 +164,9 @@ def minimal_resolution(gens: Sequence[Polynomial],
         cols = minimal_module_generators(cols, ring, shifts=steps[-1], limits=limits)
         if not cols:
             break
-        rows = len(steps[-1])
-        mats.append(PolyMatrix(ring, rows, len(cols),
-                               [col[i] for i in range(rows) for col in cols]))
+        mats.append(PolyMatrix(ring, len(steps[-1]), len(cols),
+                               {(i, j): p for j, col in enumerate(cols)
+                                for i, p in enumerate(col)}))
         steps.append(tuple(v_degree(col, steps[-1]) for col in cols))
         if len(mats) > max_steps:
             raise ResourceLimitExceeded(

@@ -3,14 +3,18 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from arithcurve import shift_table_b1, validate_sequence
 from arithcurve.cli import (
+    EXIT_CLOSED_STDOUT,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -20,7 +24,8 @@ from arithcurve.cli import (
     main,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -395,7 +400,52 @@ GOLDEN = [
      "a2d07137d66e34314733eb9330e8f9cb0cbd77a529d6f3e017a46b3f0f50e177"),
     (("gens", "9", "2", "5", "--json", "--field", "fp:32003"),
      "36a8b59c513cf9a08ba5b36ad01ad7b2a19d293c9b3c6f72c97fe5b7e0ad91b8"),
+    # text-mode matrices, printed row by row: minor complex, mapping cone,
+    # oracle
+    (("resolve", "5", "1", "4", "--verify", "--emit-matrices"),
+     "6d3897df049bc7eb958d4f38aa2de87c5f38b1cc99b2a08a415830f3826ee8d2"),
+    (("resolve", "8", "1", "4", "--emit-matrices"),
+     "a9373a93b8401c8290d243b1f0eb2dcf98afa0a741ec9e3503c0607c734ae352"),
+    (("resolve", "7", "2", "4", "--emit-matrices"),
+     "ca57cd6240d0661d6192785665a4e9257f82fc80f5ed4287431a96f01768d5c4"),
 ]
+
+
+def child_python(*args, **kwargs):
+    """A fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen([sys.executable, *args], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            **kwargs)
+
+
+class TestProcess:
+    """Behaviour that only shows in a process of its own."""
+
+    def test_closed_stdout_exits_quietly(self):
+        # about 1.7 MB of matrices, far more than a pipe buffer holds
+        with child_python("-m", "arithcurve.cli", "resolve", "9", "1", "8",
+                          "--emit-matrices") as child:
+            assert child.stdout.readline().startswith("sequence (9, 1, 8)")
+            child.stdout.close()
+            err = child.stderr.read()
+        assert child.returncode == EXIT_CLOSED_STDOUT == 1
+        assert err == ""
+
+    def test_b1_construction_at_n11_fits_in_512_mib(self):
+        script = (
+            "import resource, sys\n"
+            "limit = 512 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS,"
+            " (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from arithcurve.cli import main\n"
+            "sys.exit(main(['resolve', '12', '1', '11', '--json']))\n"
+        )
+        with child_python("-c", script) as child:
+            out, err = child.communicate()
+        assert (child.returncode, err) == (EXIT_OK, "")
+        expected = shift_table_b1(validate_sequence(12, 1, 11)).to_json_obj()
+        assert json.loads(out)["betti"] == expected
 
 
 class TestGolden:

@@ -212,3 +212,24 @@ class TestVerifier:
         assert rep.witness == {
             "dd_zero": (2, 0, 4), "homogeneous": (1, 0, 3), "minimal": (1, 0, 3),
         }
+
+    def test_cone_witnesses_in_row_major_order(self):
+        """Witnesses run row by row across the cone's blocks of d_2 =
+        [[-d_E, 0], [multiplier * I, d_E]]: (1, 6) and (1, 7) in the d_E
+        block come before (2, 1) on the multiplier diagonal."""
+        C = resolution_bn(validate_sequence(8, 1, 4))
+        d1, d2 = C.differential(1), C.differential(2)
+        R = d2.ring
+        multiplier = R.var(4) ** 2 - R.var(0) ** 3
+        assert (d2.rows, d2.cols) == (7, 14)
+        assert d2.entry(2, 1) == multiplier and d2.entry(1, 7) == R.var(3)
+        broken = list(d2.entries)
+        broken[2 * d2.cols + 1] = R.one
+        broken[1 * d2.cols + 7] = R.one
+        broken[1 * d2.cols + 6] = broken[1 * d2.cols + 6] + R.var(0) ** 5
+        tweaked = GradedComplex(
+            C.steps, [d1, d2.with_entries(broken)] + list(C.maps[2:])
+        )
+        assert verify_complex(tweaked).witness == {
+            "dd_zero": (2, 0, 1), "homogeneous": (2, 1, 6), "minimal": (2, 1, 7),
+        }

@@ -89,3 +89,64 @@ def test_minors_homogeneous_when_column_step_constant(cols, step):
     )
     for minor in M.all_minors2():
         assert minor.is_zero() or minor.weighted_degree() is not None
+
+
+R2 = curve_ring((1, 1))
+# monomial entries, most of them zero
+sparse_entry = st.builds(
+    lambda c, a, b: R2.monomial((a, b), c),
+    st.sampled_from([0, 0, 0, 1, -1, 2]), st.integers(0, 2), st.integers(0, 2),
+)
+
+
+def dense_rows(rows, cols):
+    row = st.lists(sparse_entry, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_sparse_storage_and_product(data, r, k, c):
+    a_rows = data.draw(dense_rows(r, k))
+    b_rows = data.draw(dense_rows(k, c))
+    A = PolyMatrix.from_rows(R2, a_rows)
+    B = PolyMatrix.from_rows(R2, b_rows)
+
+    # the dense input comes back through every accessor
+    assert A.entries == tuple(e for row in a_rows for e in row)
+    assert A.with_entries(A.entries) == A
+    for i in range(r):
+        assert A.row(i) == tuple(a_rows[i])
+        for j in range(k):
+            assert A.entry(i, j) == a_rows[i][j]
+    for j in range(k):
+        assert A.column(j) == tuple(row[j] for row in a_rows)
+    # only the nonzero inputs are stored, in row-major order
+    assert list(A.nonzero.items()) == [
+        ((i, j), e) for i, row in enumerate(a_rows) for j, e in enumerate(row)
+        if not e.is_zero()
+    ]
+
+    naive = [[sum((A.entry(i, m) * B.entry(m, j) for m in range(k)), R2.zero)
+              for j in range(c)] for i in range(r)]
+    prod = A.mul(B)
+    assert (prod.rows, prod.cols) == (r, c)
+    assert prod.entries == tuple(e for row in naive for e in row)
+    assert set(prod.nonzero) == {
+        (i, j) for i in range(r) for j in range(c) if not naive[i][j].is_zero()
+    }
+
+    # [A | A] times [B ; -B] cancels to zero and stores nothing
+    doubled = PolyMatrix.from_rows(R2, [row + row for row in a_rows])
+    opposed = PolyMatrix.from_rows(R2, b_rows + [[-e for e in row] for row in b_rows])
+    cancelled = doubled.mul(opposed)
+    assert (cancelled.rows, cancelled.cols) == (r, c)
+    assert not cancelled.nonzero
+
+
+def test_constructor_rejects_bad_keys_and_counts():
+    R = curve_ring((1, 1))
+    with pytest.raises(IndexError):
+        PolyMatrix(R, 2, 2, {(2, 0): R.one})
+    with pytest.raises(ValueError):
+        PolyMatrix.identity(R, 2).with_entries([R.one] * 3)
