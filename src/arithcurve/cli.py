@@ -7,8 +7,10 @@ Commands
   scan             Betti vectors over an (a, d) grid, uniformity per class b
 
 Exit codes: 0 success, 1 stdout closed early, 2 invalid input,
-3 verification failure, 4 resource limit.  JSON goes to stdout, diagnostics
-to stderr.  Identical invocations produce byte-identical JSON; wall-clock
+3 verification failure, 4 resource limit.  Commands raise an invalid
+sequence or a resource limit, and `main` turns either into its one stderr
+line and exit code.  JSON goes to stdout as it is encoded, diagnostics to
+stderr.  Identical invocations produce byte-identical JSON; wall-clock
 timings are only included under --timing for that reason.
 """
 
@@ -20,7 +22,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
+from itertools import islice
 from typing import Optional
 
 from .closedform import (
@@ -117,32 +120,16 @@ def load_limits(path: str) -> Limits:
     return Limits(**data)
 
 
-@dataclass
-class RunReport:
-    sequence: dict
-    method: str
-    betti: BettiTable
-    checks: dict
-    timing_ms: Optional[dict]
+def write_json(obj) -> None:
+    """obj as indented JSON and a newline, written as it is encoded.
 
-    def to_json_obj(self, include_timing: bool = False) -> dict:
-        return {
-            "sequence": self.sequence,
-            "method": self.method,
-            "betti": self.betti.to_json_obj(),
-            "checks": self.checks,
-            "timing_ms": self.timing_ms if include_timing else None,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RunReport":
-        return cls(
-            sequence=obj["sequence"],
-            method=obj["method"],
-            betti=BettiTable.from_json_obj(obj["betti"]),
-            checks=obj["checks"],
-            timing_ms=obj.get("timing_ms"),
-        )
+    Chunks go out joined in batches: the whole text of a large report would
+    not fit in memory, and one write per chunk (per matrix entry) is slow.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := list(islice(chunks, 1 << 16)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def sequence_info(seq: ArithmeticSequence) -> dict:
@@ -178,7 +165,8 @@ def pick_method(seq: ArithmeticSequence, requested: str) -> str:
 
 
 def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
-                 limits: Limits) -> tuple[RunReport, Optional[GradedComplex]]:
+                 limits: Limits) -> tuple[dict, Optional[GradedComplex]]:
+    """The JSON report of one run and the complex it built, if any."""
     timing: dict[str, float] = {}
     checks: dict[str, dict] = {}
     complex_: Optional[GradedComplex] = None
@@ -233,13 +221,13 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
         # a large n can exhaust memory before any cap applies; report it like a cap
         raise ResourceLimitExceeded(f"out of memory in {phase}") from None
 
-    report = RunReport(
-        sequence=sequence_info(seq),
-        method=method,
-        betti=betti,
-        checks=checks,
-        timing_ms={k: round(v, 3) for k, v in timing.items()},
-    )
+    report = {
+        "sequence": sequence_info(seq),
+        "method": method,
+        "betti": betti.to_json_obj(),
+        "checks": checks,
+        "timing_ms": {k: round(v, 3) for k, v in timing.items()},
+    }
     return report, complex_
 
 
@@ -251,7 +239,7 @@ def emit_matrices_obj(complex_: GradedComplex) -> list:
             "step": s,
             "rows": d.rows,
             "cols": d.cols,
-            "entries": [str(e) for e in d.entries],
+            "entries": [str(e) for row in d.dense_rows() for e in row],
         })
     return out
 
@@ -260,11 +248,7 @@ def emit_matrices_obj(complex_: GradedComplex) -> list:
 
 
 def cmd_gens(args) -> int:
-    try:
-        seq = ArithmeticSequence.validate(args.m0, args.d, args.n)
-    except (SequenceError, ValueError) as exc:
-        print(f"invalid sequence: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    seq = ArithmeticSequence.validate(args.m0, args.d, args.n)
     gens = seq.generators(args.field)
     labels = gens.labels()
     polys = gens.all
@@ -277,7 +261,7 @@ def cmd_gens(args) -> int:
                 for lbl, p in zip(labels, polys)
             ],
         }
-        print(json.dumps(obj, indent=2))
+        write_json(obj)
     else:
         print(f"sequence {seq}: a={seq.a} b={seq.b}, terms {list(seq.terms)}")
         print(f"{len(polys)} minimal generators:")
@@ -287,49 +271,43 @@ def cmd_gens(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    try:
-        seq = ArithmeticSequence.validate(args.m0, args.d, args.n)
-    except (SequenceError, ValueError) as exc:
-        print(f"invalid sequence: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    seq = ArithmeticSequence.validate(args.m0, args.d, args.n)
     try:
         method = pick_method(seq, args.method)
     except WrongCase as exc:
         print(f"invalid method: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        report, complex_ = build_report(seq, method, args.field, args.verify,
-                                        args.limits)
-    except ResourceLimitExceeded as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    report, complex_ = build_report(seq, method, args.field, args.verify,
+                                    args.limits)
+    if not args.timing:
+        report["timing_ms"] = None
 
     if args.json:
-        obj = report.to_json_obj(include_timing=args.timing)
         if args.emit_matrices and complex_ is not None:
-            obj["matrices"] = emit_matrices_obj(complex_)
-        print(json.dumps(obj, indent=2))
+            report["matrices"] = emit_matrices_obj(complex_)
+        write_json(report)
     else:
         print(f"sequence {seq}: a={seq.a} b={seq.b}, terms {list(seq.terms)}")
         print(f"method: {method}")
-        print(f"betti:  {' '.join(str(x) for x in report.betti.betti())}")
-        for s in range(1, report.betti.length + 1):
-            shifts = " ".join(str(x) for x in report.betti.rows[s])
-            print(f"  step {s} shifts: {shifts}")
-        for name, res in report.checks.items():
+        betti = report["betti"]  # one row per step, from step 0
+        print(f"betti:  {' '.join(str(len(row['shifts'])) for row in betti)}")
+        for row in betti[1:]:
+            shifts = " ".join(str(x) for x in row["shifts"])
+            print(f"  step {row['step']} shifts: {shifts}")
+        for name, res in report["checks"].items():
             mark = "PASS" if res["pass"] else f"FAIL {res['witness']}"
             print(f"check {name}: {mark}")
         if args.timing:
-            for phase, ms in report.timing_ms.items():
+            for phase, ms in report["timing_ms"].items():
                 print(f"timing {phase}: {ms} ms")
         if args.emit_matrices and complex_ is not None:
             for s in range(1, complex_.length + 1):
                 d = complex_.differential(s)
                 print(f"differential {s} ({d.rows}x{d.cols}):")
-                for i in range(d.rows):
-                    print("  [" + ", ".join(map(str, d.row(i))) + "]")
+                for row in d.dense_rows():
+                    print("  [" + ", ".join(map(str, row)) + "]")
 
-    if args.verify and not all(c["pass"] for c in report.checks.values()):
+    if args.verify and not all(c["pass"] for c in report["checks"].values()):
         print("verification failed", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
@@ -342,7 +320,7 @@ def _scan_cell(payload: tuple) -> dict:
     cell = {"b": b, "a": a, "d": d, "m0": m0}
     try:
         seq = ArithmeticSequence.validate(m0, d, n)
-    except (SequenceError, ValueError) as exc:
+    except SequenceError as exc:
         cell["status"] = "invalid"
         cell["reason"] = str(exc)
         return cell
@@ -414,7 +392,7 @@ def cmd_scan(args) -> int:
     obj = {"n": n, "field": "q" if args.field is QQ else f"fp:{args.field.p}",
            "cells": cells, "summary": summaries}
     if args.json:
-        print(json.dumps(obj, indent=2))
+        write_json(obj)
     else:
         print(f"scan n={n}, field {obj['field']}")
         for c in cells:
@@ -507,7 +485,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitExceeded as exc:  # safety net for uncaught limits
+    except SequenceError as exc:
+        print(f"invalid sequence: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ResourceLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:

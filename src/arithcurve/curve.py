@@ -58,11 +58,11 @@ class ArithmeticSequence:
     @classmethod
     def validate(cls, m0: int, d: int, n: int) -> "ArithmeticSequence":
         if m0 < 1:
-            raise ValueError("m0 must be a positive integer")
+            raise SequenceError("m0 must be a positive integer")
         if d < 0:
-            raise ValueError("common difference d must be non-negative")
+            raise SequenceError("common difference d must be non-negative")
         if n < 2:
-            raise ValueError("n must be at least 2")
+            raise SequenceError("n must be at least 2")
         terms = tuple(m0 + i * d for i in range(n + 1))
         g = math.gcd(*terms)
         if g != 1:

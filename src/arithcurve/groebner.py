@@ -245,11 +245,11 @@ class _Engine:
                 coord = self._add_mul(coord, self.coords[idx], u, k)
         return v, coord
 
-    def top_reduce(self, v: Vector, coord: None):
+    def top_reduce(self, v: Vector) -> tuple:
         """`_top_reduce` on a tuple of polynomials, for a reducer that keeps
-        no transcripts (coord is None); returns (v, None)."""
+        no transcripts; returns the flat remainder, empty when v reduces to 0."""
         flat, _ = self._top_reduce(to_flat(v, self.unit), None)
-        return from_flat(flat, self.ring, len(v)), None
+        return flat
 
     def normal_form(self, v: tuple) -> tuple:
         """Full normal form of a flat v: every remaining term is irreducible.
@@ -452,7 +452,7 @@ def module_reducer(basis: Sequence[Vector], ring: PolyRing, rank: int) -> "_Engi
 def module_member(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> bool:
     """True iff top reduction by the basis sends v to zero; this decides
     membership when the basis is a Groebner basis."""
-    return v_is_zero(module_reducer(basis, ring, len(v)).top_reduce(v, None)[0])
+    return not module_reducer(basis, ring, len(v)).top_reduce(v)
 
 
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,

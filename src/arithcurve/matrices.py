@@ -1,11 +1,12 @@
 """Sparse matrices of polynomials: products, 2x2 minors, block assembly.
 
 A matrix stores only its nonzero entries, keyed by (row, col) in row-major
-order; `entries` is the dense row-major view for output."""
+order.  `dense_rows()` is the row reader for output: it yields each row,
+zeros included, from one pass over those keys; `entries` flattens it."""
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .ring import Polynomial, PolyRing
 
@@ -47,21 +48,25 @@ class PolyMatrix:
     @property
     def entries(self) -> tuple:
         """Every entry, zeros included, in row-major order."""
-        flat = [self.ring.zero] * (self.rows * self.cols)
-        for (i, j), e in self.nonzero.items():
-            flat[i * self.cols + j] = e
-        return tuple(flat)
+        return tuple(e for row in self.dense_rows() for e in row)
+
+    def dense_rows(self) -> Iterator[list]:
+        """Each row in order as a list, zeros included."""
+        zero = self.ring.zero
+        nonzero = iter(self.nonzero.items())
+        end = ((self.rows, 0), zero)  # past the last row
+        (k, j), e = next(nonzero, end)
+        for i in range(self.rows):
+            row = [zero] * self.cols
+            while k == i:
+                row[j] = e
+                (k, j), e = next(nonzero, end)
+            yield row
 
     def entry(self, i: int, j: int) -> Polynomial:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) out of range for {self.rows}x{self.cols}")
         return self.nonzero.get((i, j), self.ring.zero)
-
-    def row(self, i: int) -> tuple:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
-        get, zero = self.nonzero.get, self.ring.zero
-        return tuple(get((i, j), zero) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
         return tuple(self.entry(i, j) for i in range(self.rows))
@@ -111,9 +116,7 @@ class PolyMatrix:
                           {divmod(k, self.cols): e for k, e in enumerate(entries)})
 
     def __str__(self):
-        rows = []
-        for i in range(self.rows):
-            rows.append("[" + ", ".join(str(e) for e in self.row(i)) + "]")
+        rows = ["[" + ", ".join(map(str, row)) + "]" for row in self.dense_rows()]
         return "[" + ",\n ".join(rows) + "]"
 
     def __repr__(self):

@@ -19,7 +19,6 @@ from arithcurve.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY,
-    RunReport,
     build_parser,
     main,
 )
@@ -110,11 +109,22 @@ class TestResolve:
         assert code == EXIT_INVALID
         assert (out, err) == ("", line + "\n")
 
-    def test_report_round_trip(self, capsys):
-        _, out, _ = run_cli(capsys, "resolve", "8", "1", "4", "--verify", "--json")
-        obj = json.loads(out)
-        report = RunReport.from_json_obj(obj)
-        assert report.to_json_obj() == obj
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_timing_only_under_flag(self, capsys, verify):
+        argv = ("resolve", "5", "1", "4", *(("--verify",) if verify else ()))
+        phases = ["construct", "verify"] if verify else ["construct"]
+        _, out, _ = run_cli(capsys, *argv, "--json", "--timing")
+        timing = json.loads(out)["timing_ms"]
+        assert list(timing) == phases
+        assert all(isinstance(ms, float) and ms >= 0 for ms in timing.values())
+        _, out, _ = run_cli(capsys, *argv, "--json")
+        assert json.loads(out)["timing_ms"] is None
+        _, out, _ = run_cli(capsys, *argv, "--timing")
+        printed = [line.split(":")[0] for line in out.splitlines()
+                   if line.startswith("timing ")]
+        assert printed == [f"timing {phase}" for phase in phases]
+        _, out, _ = run_cli(capsys, *argv)
+        assert "timing" not in out
 
     def test_emit_matrices(self, capsys):
         code, out, _ = run_cli(
@@ -408,6 +418,22 @@ GOLDEN = [
      "a9373a93b8401c8290d243b1f0eb2dcf98afa0a741ec9e3503c0607c734ae352"),
     (("resolve", "7", "2", "4", "--emit-matrices"),
      "ca57cd6240d0661d6192785665a4e9257f82fc80f5ed4287431a96f01768d5c4"),
+    # text output of each command
+    (("gens", "5", "1", "4"),
+     "0c007782eaac46f13cad3e6176c24caa515a60e1cfc81fe1033f38892c35975b"),
+    (("scan", "--n", "4", "--a", "1..2", "--d", "1..3"),
+     "f070c39a00d3394ddf7dd854321a6bd1e034550de67f55a118432f0356e82bf2"),
+    (("resolve", "8", "1", "4", "--verify"),
+     "5a2fd4c8d924f6ec18e4fb980d0a1296306090179089fdb89ba69645004ac33d"),
+]
+
+# (argv, the one line on stderr) of inputs that fail validation: exit 2
+INVALID_SEQUENCES = [
+    (("gens", "4", "2", "2"), "invalid sequence: gcd(4, 6, 8) = 2 != 1"),
+    (("resolve", "0", "1", "4"), "invalid sequence: m0 must be a positive integer"),
+    (("resolve", "5", "-1", "4"),
+     "invalid sequence: common difference d must be non-negative"),
+    (("resolve", "5", "1", "1", "--json"), "invalid sequence: n must be at least 2"),
 ]
 
 
@@ -447,6 +473,27 @@ class TestProcess:
         expected = shift_table_b1(validate_sequence(12, 1, 11)).to_json_obj()
         assert json.loads(out)["betti"] == expected
 
+    def test_json_matrices_at_n9_fit_in_256_mib(self):
+        """JSON is written as it is encoded, not joined into one string
+        first; the dense entry lists of `10 1 9` hold about 2.9 M slots."""
+        argv = ["resolve", "10", "1", "9", "--json", "--emit-matrices"]
+        script = (
+            "import resource, sys\n"
+            "limit = 256 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS,"
+            " (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from arithcurve.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        with child_python("-c", script) as child:
+            out, err = child.communicate()
+        assert (child.returncode, err) == (EXIT_OK, "")
+        with child_python("-m", "arithcurve.cli", *argv) as child:
+            unlimited, _ = child.communicate()
+        assert child.returncode == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == hashlib.sha256(unlimited.encode()).hexdigest()
+
 
 class TestGolden:
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v)
@@ -455,6 +502,11 @@ class TestGolden:
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,line", INVALID_SEQUENCES,
+                             ids=[" ".join(argv) for argv, _ in INVALID_SEQUENCES])
+    def test_invalid_sequence_exit(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (EXIT_INVALID, "", line + "\n")
 
 
 class TestReadme:
@@ -468,6 +520,12 @@ class TestReadme:
         parser = build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+    def test_library_sketch_runs(self):
+        block = README.read_text().split("## Library sketch", 1)[1].split("```")[1]
+        code = block.removeprefix("python\n")
+        assert code != block
+        exec(compile(code, "README.md", "exec"), {})
 
     def test_method_list_matches_parser(self):
         listed = re.search(r"`--method ([a-z|]+)`", README.read_text()).group(1)

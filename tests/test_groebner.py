@@ -311,6 +311,7 @@ def test_ideal_member_agrees_with_normal_form_on_any_list(basis, polys):
 @given(small_polys())
 def test_random_syzygies_annihilate(gens):
     syz = syzygy_generators([(g,) for g in gens], R3)
+    assert not any(v_is_zero(s) for s in syz)
     for s in syz:
         total = R3.zero
         for coeff, g in zip(s, gens):

@@ -115,8 +115,8 @@ def test_sparse_storage_and_product(data, r, k, c):
     # the dense input comes back through every accessor
     assert A.entries == tuple(e for row in a_rows for e in row)
     assert A.with_entries(A.entries) == A
+    assert list(A.dense_rows()) == [list(row) for row in a_rows]
     for i in range(r):
-        assert A.row(i) == tuple(a_rows[i])
         for j in range(k):
             assert A.entry(i, j) == a_rows[i][j]
     for j in range(k):
