@@ -360,8 +360,11 @@ def cmd_scan(args) -> int:
         for a in range(a_lo, a_hi + 1)
         for d in range(d_lo, d_hi + 1)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at the first submit, so it asks
+    # for no more than there are cells or cores
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_scan_cell, payloads))
     else:
         cells = [_scan_cell(p) for p in payloads]

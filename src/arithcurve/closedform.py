@@ -38,7 +38,7 @@ class BettiTable:
 
     @classmethod
     def from_complex(cls, complex_) -> "BettiTable":
-        return cls(rows=complex_.shift_rows())
+        return cls.from_rows(dict(enumerate(complex_.steps)))
 
     @property
     def length(self) -> int:

@@ -76,12 +76,6 @@ class GradedComplex:
     def betti(self) -> tuple[int, ...]:
         return tuple(len(shifts) for shifts in self.steps)
 
-    def shifts(self, s: int) -> tuple[int, ...]:
-        return self.steps[s]
-
-    def shift_rows(self) -> dict[int, tuple[int, ...]]:
-        return {s: tuple(sorted(shifts)) for s, shifts in enumerate(self.steps)}
-
     def __repr__(self):
         return f"<GradedComplex: ranks {self.betti()}>"
 

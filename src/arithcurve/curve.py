@@ -63,9 +63,11 @@ class ArithmeticSequence:
             raise SequenceError("common difference d must be non-negative")
         if n < 2:
             raise SequenceError("n must be at least 2")
-        terms = tuple(m0 + i * d for i in range(n + 1))
-        g = math.gcd(*terms)
+        # the gcd of the terms m0 + i*d is gcd(m0, d), so both checks are
+        # O(1); the n + 1 terms are built only for the message or the result
+        g = math.gcd(m0, d)
         if g != 1:
+            terms = tuple(m0 + i * d for i in range(n + 1))
             raise GcdNotOne(f"gcd{terms} = {g} != 1")
         b = m0 % n or n
         a = (m0 - b) // n
@@ -74,6 +76,7 @@ class ArithmeticSequence:
                 f"m0 = {m0} <= n = {n}: writing m0 = a*n + b with b in [1,n] "
                 f"gives a = 0, and the terms cannot generate minimally"
             )
+        terms = tuple(m0 + i * d for i in range(n + 1))
         return cls(m0=m0, d=d, n=n, a=a, b=b, terms=terms)
 
     # -- ring and parametrization -----------------------------------------

@@ -11,8 +11,9 @@ m - pos * U, where U (`PolyRing.position_unit`) lies one bit above the
 packed fields and their guard bits.  Decreasing key order is then
 position-over-term, a vector's flat terms are its components' packed terms
 concatenated in position order, and at rank 1 they are the polynomial's own
-packed terms.  A reduction step v <- v + k * X^u * b is one merge
-(`ring._add_mul`) for v and one for its transcript, whatever the rank.
+packed terms.  A reduction step v <- v + k * X^u * b is one call of the
+ring's kernel `ring._add_mul` for v and one for its transcript, whatever the
+rank; the engine forms no product anywhere else.
 Tuples of polynomials are converted to and from the flat form only at the
 public functions.
 
@@ -59,7 +60,8 @@ of a reduction (a difference of keys at one position), the degree field and
 that lead at the same position.  After its sugar, an S-pair is keyed by its
 position-free packed lcm, which sorts exactly like the lcm's order key.
 Each stored basis element and transcript carries the degree of its
-highest-degree term, so a product that would leave the packed range raises
+highest-degree term (`PolyRing.top_degree`), which the kernel range-checks
+every product against: one that would leave the packed range raises
 MonomialOutOfRange before it is merged, even when that term lies below the
 lead.
 
@@ -177,18 +179,12 @@ def _split(key: int, unit: int) -> tuple[int, int]:
     return pos, key + pos * unit
 
 
-def _top(flat: tuple, ring: PolyRing) -> int:
-    """Largest weighted degree of a term of a nonempty flat vector."""
-    degree = ring.packed_degree
-    return max([degree(key) for key, _ in flat])
-
-
 class _Engine:
     """One Buchberger run over vectors of a fixed rank.
 
     Vectors are flat (see `to_flat`); each basis element and transcript is
-    stored with the degree of its highest-degree term, so every product is
-    range-checked before it is merged.  `shifts`, one per position, default 0.
+    stored as (flat terms, top degree), the leading arguments of the ring's
+    kernel `_add_mul`.  `shifts`, one per position, default 0.
     """
 
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
@@ -210,17 +206,6 @@ class _Engine:
 
     # -- reduction ----------------------------------------------------------
 
-    def _add_mul(self, v: tuple, w: tuple, u: int, k) -> tuple:
-        """v + k * X^u * w for a stored (flat vector, top degree) w;
-        MonomialOutOfRange if a product would not fit."""
-        ring = self.ring
-        w, top = w
-        ring.check_degree(top + ring.packed_degree(u))
-        if not v:
-            mul = ring.field.mul
-            return tuple([(m + u, mul(c, k)) for m, c in w])
-        return _add_mul(v, w, u, k, ring.field)
-
     def _find_reducer(self, key: int) -> Optional[int]:
         divides, leads = self.ring.divides, self.leads
         pos, _ = _split(key, self.unit)
@@ -232,7 +217,8 @@ class _Engine:
     def _top_reduce(self, v: tuple, coord: Optional[tuple]):
         """Cancel leading terms of a flat v until none is reducible;
         returns (v, coord)."""
-        neg = self.ring.field.neg
+        ring = self.ring
+        neg = ring.field.neg
         while v:
             key, coeff = v[0]
             idx = self._find_reducer(key)
@@ -240,9 +226,9 @@ class _Engine:
                 break
             u = key - self.leads[idx]
             k = neg(coeff)
-            v = self._add_mul(v, self.basis[idx], u, k)
+            v = _add_mul(v, *self.basis[idx], u, k, ring)
             if coord is not None:
-                coord = self._add_mul(coord, self.coords[idx], u, k)
+                coord = _add_mul(coord, *self.coords[idx], u, k, ring)
         return v, coord
 
     def top_reduce(self, v: Vector) -> tuple:
@@ -277,9 +263,9 @@ class _Engine:
         v = tuple([(m, mul(c, inv)) for m, c in v])
         if coord is not None:
             coord = tuple([(m, mul(c, inv)) for m, c in coord])
-            coord = (coord, _top(coord, ring))
+            coord = (coord, ring.top_degree(coord))
         self.by_pos.setdefault(_split(key, self.unit)[0], []).append(len(self.basis))
-        self.basis.append((v, _top(v, ring)))
+        self.basis.append((v, ring.top_degree(v)))
         self.leads.append(key)
         self.coords.append(coord)
 
@@ -361,6 +347,7 @@ class _Engine:
     def _main_loop(self, stop: Optional[int] = None):
         """Reduce pairs in key order; with `stop`, leave those of sugar
         above it in the queue."""
+        ring = self.ring
         while self.pairs:
             if stop is not None and self.pairs[0][0] > stop:
                 return
@@ -372,12 +359,12 @@ class _Engine:
             at = lcm - pos * self.unit  # the lcm's key at position pos
             u_i = at - self.leads[i]
             u_j = at - self.leads[j]
-            s = self._add_mul((), self.basis[i], u_i, 1)
-            s = self._add_mul(s, self.basis[j], u_j, -1)
+            s = _add_mul((), *self.basis[i], u_i, 1, ring)
+            s = _add_mul(s, *self.basis[j], u_j, -1, ring)
             coord = None
             if self.want_syz:
-                coord = self._add_mul((), self.coords[i], u_i, 1)
-                coord = self._add_mul(coord, self.coords[j], u_j, -1)
+                coord = _add_mul((), *self.coords[i], u_i, 1, ring)
+                coord = _add_mul(coord, *self.coords[j], u_j, -1, ring)
             s, coord = self._top_reduce(s, coord)
             if not s:
                 if coord:

@@ -1,12 +1,13 @@
 """Sparse matrices of polynomials: products, 2x2 minors, block assembly.
 
 A matrix stores only its nonzero entries, keyed by (row, col) in row-major
-order.  `dense_rows()` is the row reader for output: it yields each row,
-zeros included, from one pass over those keys; `entries` flattens it."""
+order; the constructor takes them so and `from_rows` takes dense rows.
+`dense_rows()` is the row reader for output: it yields each row, zeros
+included, from one pass over those keys."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .ring import Polynomial, PolyRing
 
@@ -34,21 +35,6 @@ class PolyMatrix:
             raise ValueError("ragged rows")
         return cls(ring, len(rows), ncols,
                    {(i, j): e for i, r in enumerate(rows) for j, e in enumerate(r)})
-
-    @classmethod
-    def build(cls, ring: PolyRing, rows: int, cols: int,
-              fill: Callable[[int, int], Polynomial]) -> "PolyMatrix":
-        return cls(ring, rows, cols,
-                   {(i, j): fill(i, j) for i in range(rows) for j in range(cols)})
-
-    @classmethod
-    def identity(cls, ring: PolyRing, n: int) -> "PolyMatrix":
-        return cls(ring, n, n, {(i, i): ring.one for i in range(n)})
-
-    @property
-    def entries(self) -> tuple:
-        """Every entry, zeros included, in row-major order."""
-        return tuple(e for row in self.dense_rows() for e in row)
 
     def dense_rows(self) -> Iterator[list]:
         """Each row in order as a list, zeros included."""
@@ -107,13 +93,6 @@ class PolyMatrix:
             for c1 in range(self.cols)
             for c2 in range(c1 + 1, self.cols)
         ]
-
-    def with_entries(self, entries: Sequence[Polynomial]) -> "PolyMatrix":
-        """The same shape filled from a dense row-major sequence."""
-        if len(entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-        return PolyMatrix(self.ring, self.rows, self.cols,
-                          {divmod(k, self.cols): e for k, e in enumerate(entries)})
 
     def __str__(self):
         rows = ["[" + ", ".join(map(str, row)) + "]" for row in self.dense_rows()]

@@ -24,14 +24,16 @@ neighbour.
 
 A polynomial stores its terms in `packed`, a tuple of (packed int,
 coefficient) pairs sorted strictly decreasing, so decreasing under the ring's
-order, with no zero coefficients and no duplicate monomials.  Sums,
-differences and `add_mul` (p + c * X^u * q) merge two such tuples in one
-pass; a product runs one `add_mul` per term of its shorter factor.  `terms`,
-`leading_term`, `leading_monomial`, `from_dict`, `monomial` and `mul_term`
-speak exponent tuples and decode or encode at the boundary;
-the Buchberger engine runs on the merge `_add_mul` itself, with the ring's
-`check_degree`, `divides`, `lcm`, `packed_degree` and `position_unit` (the
-engine keys a term of a module vector by its packed monomial and position).
+order, with no zero coefficients and no duplicate monomials.  One kernel,
+`_add_mul` (a + k * X^u * q), forms every product: it range-checks X^u
+against q's top degree (`PolyRing.top_degree`, the one such scan) and then
+merges the two tuples in one pass.  Sums, differences, `add_mul`,
+`mul_term`, products (one `add_mul` per term of the shorter factor) and the
+Buchberger engine all call it.  `terms`, `leading_term`, `leading_monomial`,
+`from_dict`, `monomial` and `mul_term` speak exponent tuples and decode or
+encode at the boundary; the engine works on packed terms with the ring's
+`divides`, `lcm`, `packed_degree` and `position_unit` (it keys a term of a
+module vector by its packed monomial and position).
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
@@ -361,6 +363,13 @@ class PolyRing:
         """True iff packed X^a divides packed X^b: b - a borrows from no field."""
         return not (b - a) & self.guard
 
+    def top_degree(self, terms: tuple) -> int:
+        """Largest weighted degree of nonempty packed terms; the flat terms
+        of a module vector qualify too, as a position leaves the degree
+        field unchanged."""
+        degree = self.packed_degree
+        return max([degree(m) for m, _ in terms])
+
     def lcm(self, a: int, b: int) -> int:
         mask = self._mask
         return self._pack([max((a >> s) & mask, (b >> s) & mask) for s in self._exp_shifts])
@@ -404,13 +413,21 @@ class PolyRing:
         return f"PolyRing({','.join(self.names)}; weights={self.weights}; {self.field})"
 
 
-def _add_mul(a: tuple, q: tuple, u: int, k, field) -> tuple:
-    """Packed terms of a + k * X^u * q, by one pass over both sorted tuples.
+def _add_mul(a: tuple, q: tuple, top: int, u: int, k, ring: PolyRing) -> tuple:
+    """Packed terms of a + k * X^u * q, where `top` is `ring.top_degree(q)`.
 
-    Adding u keeps q's terms sorted, so the product is merged as it is formed.
-    Both tuples are nonempty.
+    The one place a product is formed: MonomialOutOfRange if X^u times q's
+    highest-degree term would not fit, checked before anything is merged.
+    An empty a gives the shifted, scaled copy of q (no multiplications when
+    k == 1); otherwise adding u keeps q's terms sorted, so the product is
+    merged as it is formed, in one pass over both tuples.  q is nonempty.
     """
-    add, mul = field.add, field.mul
+    ring.check_degree(top + ring.packed_degree(u))
+    add, mul = ring.field.add, ring.field.mul
+    if not a:
+        if k == 1:
+            return tuple([(m + u, c) for m, c in q])
+        return tuple([(m + u, mul(c, k)) for m, c in q])
     out = []
     push = out.append
     i = j = 0
@@ -507,8 +524,7 @@ class Polynomial:
 
     def _top_degree(self) -> int:
         if self._top is None:
-            degree = self.ring.packed_degree
-            self._top = max(degree(m) for m, _ in self.packed)
+            self._top = self.ring.top_degree(self.packed)
         return self._top
 
     # -- arithmetic --------------------------------------------------------
@@ -535,11 +551,9 @@ class Polynomial:
         self._compatible(q)
         if not q.packed or not coeff:
             return self
-        if not self.packed:
-            return q.mul_packed(u, coeff)
         ring = self.ring
-        ring.check_degree(q._top_degree() + ring.packed_degree(u))
-        return Polynomial(ring, _add_mul(self.packed, q.packed, u, coeff, ring.field))
+        return Polynomial(ring, _add_mul(self.packed, q.packed, q._top_degree(),
+                                         u, coeff, ring))
 
     def __neg__(self):
         neg = self.ring.field.neg
@@ -569,22 +583,7 @@ class Polynomial:
 
     def mul_term(self, exps, coeff) -> "Polynomial":
         """Multiply by coeff * X^exps; preserves sortedness, so no re-sort."""
-        return self.mul_packed(self.ring.encode(exps), coeff)
-
-    def mul_packed(self, u: int, coeff) -> "Polynomial":
-        """Multiply by coeff * X^u for a packed monomial u.
-
-        Adding u keeps the terms sorted; MonomialOutOfRange if a product
-        would not fit.
-        """
-        if not coeff or not self.packed:
-            return self.ring.zero
-        ring = self.ring
-        ring.check_degree(self._top_degree() + ring.packed_degree(u))
-        if coeff == 1:
-            return Polynomial(ring, tuple([(m + u, c) for m, c in self.packed]))
-        mul = ring.field.mul
-        return Polynomial(ring, tuple([(m + u, mul(c, coeff)) for m, c in self.packed]))
+        return self.ring.zero.add_mul(self, self.ring.encode(exps), coeff)
 
     def __pow__(self, k: int):
         if k < 0:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from arithcurve import shift_table_b1, validate_sequence
+from arithcurve import cli, shift_table_b1, validate_sequence
 from arithcurve.cli import (
     EXIT_CLOSED_STDOUT,
     EXIT_INVALID,
@@ -326,6 +326,35 @@ class TestScan:
         _, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
         assert serial == parallel
 
+    def test_jobs_capped_by_cells_and_cores(self, capsys, monkeypatch):
+        """--jobs N asks the pool for min(N, cells, cores) workers and runs
+        serially when that is 1.  The pool is a fake that records its size
+        and maps in this process, so no worker is ever started."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..2", "--json")
+        _, serial, _ = run_cli(capsys, *args)  # 4 cells
+        for cores, jobs, expected in ((8, "1000", [4]), (3, "1000", [3]), (8, "2", [2]),
+                                      (1, "1000", []), (None, "1000", [])):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+            sizes.clear()
+            code, out, _ = run_cli(capsys, *args, "--jobs", jobs)
+            assert (code, out, sizes) == (EXIT_OK, serial, expected)
+
 
 # (config, text the error message must contain)
 BAD_CONFIGS = [
@@ -493,6 +522,25 @@ class TestProcess:
         assert child.returncode == EXIT_OK
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == hashlib.sha256(unlimited.encode()).hexdigest()
+
+    def test_first_term_check_precedes_the_terms_in_256_mib(self):
+        """m0 <= n is rejected before the n + 1 terms are built: with
+        n = 10^8 the terms alone would need several GB."""
+        script = (
+            "import resource, sys\n"
+            "limit = 256 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS,"
+            " (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from arithcurve.cli import main\n"
+            "sys.exit(main(['gens', '5', '1', '100000000']))\n"
+        )
+        with child_python("-c", script) as child:
+            out, err = child.communicate()
+        assert (child.returncode, out) == (EXIT_INVALID, "")
+        assert err == (
+            "invalid sequence: m0 = 5 <= n = 100000000: writing m0 = a*n + b "
+            "with b in [1,n] gives a = 0, and the terms cannot generate minimally\n"
+        )
 
 
 class TestGolden:

@@ -28,6 +28,11 @@ def consecutive_matrix(m):
     )
 
 
+def edited(d, changes):
+    """The differential d with the entries at the keys of `changes` replaced."""
+    return PolyMatrix(d.ring, d.rows, d.cols, {**d.nonzero, **changes})
+
+
 class TestMinorComplex:
     def test_ranks_formula_up_to_seven_columns(self):
         for m in range(2, 8):
@@ -49,7 +54,7 @@ class TestMinorComplex:
         assert C.betti() == (1, 1)
         minor = A.minor2(0, 1)
         assert C.differential(1).entry(0, 0) == minor
-        assert C.shifts(1) == (minor.weighted_degree(),)
+        assert C.steps[1] == (minor.weighted_degree(),)
 
     def test_all_verifications_pass(self):
         for m0, d, n in [(5, 1, 4), (9, 2, 4), (7, 1, 3)]:
@@ -86,7 +91,7 @@ class TestMinorComplex:
         for m0, d, n in [(5, 1, 4), (9, 2, 4), (7, 1, 3)]:
             seq = validate_sequence(m0, d, n)
             C = resolution_b1(seq)
-            assert sorted(C.shifts(1)) == sorted(seq.generators().degrees())
+            assert sorted(C.steps[1]) == sorted(seq.generators().degrees())
 
 
 class TestMappingCone:
@@ -95,9 +100,9 @@ class TestMappingCone:
         E = minor_complex(seq.matrix_a())
         C = resolution_bn(seq)
         for s in range(C.length + 1):
-            src = len(E.shifts(s - 1)) if 1 <= s <= E.length + 1 else 0
-            tgt = len(E.shifts(s)) if s <= E.length else 0
-            assert len(C.shifts(s)) == src + tgt
+            src = len(E.steps[s - 1]) if 1 <= s <= E.length + 1 else 0
+            tgt = len(E.steps[s]) if s <= E.length else 0
+            assert len(C.steps[s]) == src + tgt
 
     def test_betti_vector_n4(self):
         assert resolution_bn(validate_sequence(8, 1, 4)).betti() == (1, 7, 14, 11, 3)
@@ -113,7 +118,7 @@ class TestMappingCone:
         seq = validate_sequence(8, 1, 4)
         C = resolution_bn(seq)
         assert (seq.a + seq.d + 1) * seq.m0 == 24
-        assert 24 in C.shifts(1)
+        assert 24 in C.steps[1]
 
     def test_step1_shifts(self):
         seq = validate_sequence(8, 1, 4)
@@ -122,7 +127,7 @@ class TestMappingCone:
             [p.weighted_degree() for p in seq.generators().quadratics]
             + [(seq.a + seq.d + 1) * seq.m0]
         )
-        assert sorted(C.shifts(1)) == expected
+        assert sorted(C.steps[1]) == expected
 
     def test_verifications_pass(self):
         for m0, d, n in [(8, 1, 4), (6, 1, 3), (16, 3, 4), (4, 1, 2)]:
@@ -160,10 +165,8 @@ class TestVerifier:
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         d1 = C.differential(1)
-        broken = list(d1.entries)
-        broken[0] = d1.ring.one
         tweaked = GradedComplex(
-            C.steps, [d1.with_entries(broken)] + list(C.maps[1:])
+            C.steps, [edited(d1, {(0, 0): d1.ring.one})] + list(C.maps[1:])
         )
         rep = verify_complex(tweaked)
         assert not rep.minimal
@@ -173,11 +176,9 @@ class TestVerifier:
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         d2 = C.differential(2)
-        broken = list(d2.entries)
-        idx = next(i for i, e in enumerate(broken) if not e.is_zero())
-        broken[idx] = -broken[idx]
+        key = next(iter(d2.nonzero))
         tweaked = GradedComplex(
-            C.steps, [C.maps[0], d2.with_entries(broken)] + list(C.maps[2:])
+            C.steps, [C.maps[0], edited(d2, {key: -d2.nonzero[key]})] + list(C.maps[2:])
         )
         rep = verify_complex(tweaked)
         assert not rep.dd_zero
@@ -187,25 +188,19 @@ class TestVerifier:
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         d2 = C.differential(2)
-        broken = list(d2.entries)
-        idx = next(i for i, e in enumerate(broken) if not e.is_zero())
-        broken[idx] = broken[idx] + d2.ring.var(0) ** 7
-        tweaked = GradedComplex(
-            C.steps, [C.maps[0], d2.with_entries(broken)] + list(C.maps[2:])
-        )
+        key = next(iter(d2.nonzero))
+        broken = edited(d2, {key: d2.nonzero[key] + d2.ring.var(0) ** 7})
+        tweaked = GradedComplex(C.steps, [C.maps[0], broken] + list(C.maps[2:]))
         assert not verify_complex(tweaked).homogeneous
 
     def test_first_witness_of_each_failing_check(self):
         C = resolution_b1(validate_sequence(5, 1, 4))
         d1, d2 = C.differential(1), C.differential(2)
-        broken1 = list(d1.entries)
-        broken1[3] = d1.ring.one
-        broken2 = list(d2.entries)
-        idx = [i for i, e in enumerate(broken2) if not e.is_zero()][5]
-        broken2[idx] = -broken2[idx]
+        key = list(d2.nonzero)[5]
         tweaked = GradedComplex(
             C.steps,
-            [d1.with_entries(broken1), d2.with_entries(broken2)] + list(C.maps[2:]),
+            [edited(d1, {(0, 3): d1.ring.one}), edited(d2, {key: -d2.nonzero[key]})]
+            + list(C.maps[2:]),
         )
         rep = verify_complex(tweaked)
         assert (rep.dd_zero, rep.homogeneous, rep.minimal) == (False, False, False)
@@ -223,13 +218,9 @@ class TestVerifier:
         multiplier = R.var(4) ** 2 - R.var(0) ** 3
         assert (d2.rows, d2.cols) == (7, 14)
         assert d2.entry(2, 1) == multiplier and d2.entry(1, 7) == R.var(3)
-        broken = list(d2.entries)
-        broken[2 * d2.cols + 1] = R.one
-        broken[1 * d2.cols + 7] = R.one
-        broken[1 * d2.cols + 6] = broken[1 * d2.cols + 6] + R.var(0) ** 5
-        tweaked = GradedComplex(
-            C.steps, [d1, d2.with_entries(broken)] + list(C.maps[2:])
-        )
+        broken = edited(d2, {(2, 1): R.one, (1, 7): R.one,
+                             (1, 6): d2.entry(1, 6) + R.var(0) ** 5})
+        tweaked = GradedComplex(C.steps, [d1, broken] + list(C.maps[2:]))
         assert verify_complex(tweaked).witness == {
             "dd_zero": (2, 0, 1), "homogeneous": (2, 1, 6), "minimal": (2, 1, 7),
         }

@@ -348,7 +348,7 @@ def v_add_mul(v: Vector, w: Vector, u: int, coeff) -> Vector:
 
 
 def v_mul_packed(v: Vector, u: int, coeff) -> Vector:
-    return tuple([p.mul_packed(u, coeff) if p.packed else p for p in v])
+    return v_add_mul(tuple([p.ring.zero for p in v]), v, u, coeff)
 
 
 def lead_term(v):
@@ -455,7 +455,7 @@ def test_truncated_pruning_matches_full_completion(m0, d, n):
     for s in range(1, C.length + 1):
         mat = C.differential(s)
         raw = syzygy_generators([mat.column(j) for j in range(mat.cols)], ring)
-        shifts = C.shifts(s)
+        shifts = C.steps[s]
         assert minimal_module_generators(raw, ring, shifts=shifts) == reference_prune(
             raw, ring, shifts
         ), (s, len(raw))

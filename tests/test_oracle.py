@@ -31,7 +31,7 @@ from arithcurve import (
     verify_complex,
     verify_exactness,
 )
-from arithcurve.ring import PrimeField, curve_ring
+from arithcurve.ring import QQ, PrimeField, curve_ring
 
 
 class TestToricIdeal:
@@ -180,7 +180,34 @@ class TestMinimalGenerators:
             assert len(minimal_generators(gens)) == len(gens)
 
 
+class KeepMeters(Limits):
+    """Default limits that keep the meter of every engine run they start."""
+
+    def __init__(self):
+        super().__init__()
+        self.meters = []
+
+    def start(self):
+        meter = super().start()
+        self.meters.append(meter)
+        return meter
+
+
 class TestMinimalResolution:
+    @pytest.mark.parametrize("m0,d,n,field,spairs", [
+        (7, 2, 4, QQ, [1, 28, 13, 54, 5, 8, 0, 0]),
+        (11, 1, 5, PrimeField(32003), [20, 105, 75, 617, 82, 320, 29, 53, 2, 2]),
+    ])
+    def test_spairs_per_engine_run_pinned(self, m0, d, n, field, spairs):
+        """S-pairs reduced by each engine run of the resolution, in order
+        (pruning, then syzygies, step by step), as recorded before the
+        engine's merges moved into the ring kernel.  A change that reorders
+        syzygy or pruning pairs shows here even when the output does not."""
+        limits = KeepMeters()
+        minimal_resolution(list(validate_sequence(m0, d, n).generators(field).all),
+                           limits=limits)
+        assert [meter.spairs for meter in limits.meters] == spairs
+
     def test_codim3_gorenstein_shape(self):
         seq = validate_sequence(8, 1, 3)
         C = minimal_resolution(list(seq.generators().all))
@@ -195,7 +222,7 @@ class TestMinimalResolution:
         assert verify_complex(C).minimal
         for s in range(1, C.length + 1):
             assert not any(e.is_constant() and not e.is_zero()
-                           for e in C.differential(s).entries)
+                           for e in C.differential(s).nonzero.values())
 
     def test_b1_agrees_with_construction(self):
         seq = validate_sequence(5, 1, 4)
