@@ -494,6 +494,9 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except BrokenPipeError:
         # stdout was closed early (say, piped into head); point it at devnull
         # so that the interpreter's final flush does not raise again

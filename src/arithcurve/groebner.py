@@ -12,15 +12,18 @@ packed fields and their guard bits.  Decreasing key order is then
 position-over-term, a vector's flat terms are its components' packed terms
 concatenated in position order, and at rank 1 they are the polynomial's own
 packed terms.  A reduction step v <- v + k * X^u * b is one call of the
-ring's kernel `ring._add_mul` for v and one for its transcript, whatever the
-rank; the engine forms no product anywhere else.
+ring's kernel `ring._add_mul`, whatever the rank; the engine forms no
+product anywhere else.
 Tuples of polynomials are converted to and from the flat form only at the
 public functions.
 
-Syzygy extraction keeps, for every basis element, its expression in the
-original input vectors.  An S-pair that reduces to zero then yields that
-expression as a syzygy of the inputs; because the inputs themselves stay in
-the working basis, these transcripts generate the full syzygy module.
+Syzygy extraction works in the augmented module [F | I]: a syzygy run on
+vectors of rank r gives input i a term 1 at position r + i, below every
+term of F, so the merges that reduce a vector carry its expression in the
+inputs, its transcript, along.  An S-vector that reduces to transcript
+terms alone (a zero input is one at once) is a syzygy of the inputs;
+because the inputs stay in the working basis, these generate the full
+syzygy module.
 
 Pair criteria depend on whether the run extracts syzygies:
 
@@ -59,7 +62,7 @@ of a reduction (a difference of keys at one position), the degree field and
 `lcm` read keys unchanged; reducers are looked up among the basis elements
 that lead at the same position.  After its sugar, an S-pair is keyed by its
 position-free packed lcm, which sorts exactly like the lcm's order key.
-Each stored basis element and transcript carries the degree of its
+Each stored basis element, transcript included, carries the degree of its
 highest-degree term (`PolyRing.top_degree`), which the kernel range-checks
 every product against: one that would leave the packed range raises
 MonomialOutOfRange before it is merged, even when that term lies below the
@@ -93,7 +96,7 @@ class Limits:
 
     max_spairs: int = 2_000_000
     max_basis: int = 100_000
-    max_support: int = 1_000_000  # term cap per basis element or transcript
+    max_support: int = 1_000_000  # term cap per basis element and per transcript
     deadline_s: Optional[float] = None  # wall-clock budget for this computation
 
     def start(self) -> "_Meter":
@@ -182,9 +185,10 @@ def _split(key: int, unit: int) -> tuple[int, int]:
 class _Engine:
     """One Buchberger run over vectors of a fixed rank.
 
-    Vectors are flat (see `to_flat`); each basis element and transcript is
-    stored as (flat terms, top degree), the leading arguments of the ring's
-    kernel `_add_mul`.  `shifts`, one per position, default 0.
+    Vectors are flat (see `to_flat`); each basis element is stored as
+    (flat terms, top degree), the leading arguments of the ring's kernel
+    `_add_mul`; in a syzygy run its terms keyed below `floor` are its
+    transcript.  `shifts`, one per position, default 0.
     """
 
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
@@ -195,14 +199,14 @@ class _Engine:
         self.want_syz = want_syzygies
         self.shifts = tuple(shifts) if shifts else (0,) * rank
         self.meter = limits.start()
+        self.floor = (1 - rank) * self.unit  # the least key at a position < rank
         self.basis: list[tuple] = []  # (flat vector, top degree); monic
-        self.coords: list[tuple] = []  # the same for the expressions in the inputs
         self.leads: list[int] = []  # flat key of each basis element's lead
         self.by_pos: dict[int, list[int]] = {}
         self.excess: list[int] = []  # sugar less the lead's unshifted degree
         self.pairs: list[tuple] = []  # (sugar, packed lcm, pos, i, j)
         self.dead: set[tuple[int, int]] = set()  # queued (i, j) the B criterion drops
-        self.syzygies: list[tuple] = []
+        self.syzygies: list[tuple] = []  # flat transcripts, below `floor`
 
     # -- reduction ----------------------------------------------------------
 
@@ -214,9 +218,8 @@ class _Engine:
                 return idx
         return None
 
-    def _top_reduce(self, v: tuple, coord: Optional[tuple]):
-        """Cancel leading terms of a flat v until none is reducible;
-        returns (v, coord)."""
+    def _top_reduce(self, v: tuple) -> tuple:
+        """Cancel leading terms of a flat v until none is reducible."""
         ring = self.ring
         neg = ring.field.neg
         while v:
@@ -224,18 +227,13 @@ class _Engine:
             idx = self._find_reducer(key)
             if idx is None:
                 break
-            u = key - self.leads[idx]
-            k = neg(coeff)
-            v = _add_mul(v, *self.basis[idx], u, k, ring)
-            if coord is not None:
-                coord = _add_mul(coord, *self.coords[idx], u, k, ring)
-        return v, coord
+            v = _add_mul(v, *self.basis[idx], key - self.leads[idx], neg(coeff), ring)
+        return v
 
     def top_reduce(self, v: Vector) -> tuple:
-        """`_top_reduce` on a tuple of polynomials, for a reducer that keeps
-        no transcripts; returns the flat remainder, empty when v reduces to 0."""
-        flat, _ = self._top_reduce(to_flat(v, self.unit), None)
-        return flat
+        """`_top_reduce` on a tuple of polynomials; returns the flat
+        remainder, empty when v reduces to 0."""
+        return self._top_reduce(to_flat(v, self.unit))
 
     def normal_form(self, v: tuple) -> tuple:
         """Full normal form of a flat v: every remaining term is irreducible.
@@ -246,7 +244,7 @@ class _Engine:
         """
         remainder = []
         while True:
-            v, _ = self._top_reduce(v, None)
+            v = self._top_reduce(v)
             if not v:
                 return tuple(remainder)
             remainder.append(v[0])
@@ -254,27 +252,27 @@ class _Engine:
 
     # -- basis growth ---------------------------------------------------------
 
-    def _insert(self, v: tuple, coord: Optional[tuple]):
+    def _insert(self, v: tuple):
         """Store a flat v, made monic, as a basis element; forms no pairs."""
         ring = self.ring
         key, coeff = v[0]
         inv = ring.field.inv(coeff)
         mul = ring.field.mul
         v = tuple([(m, mul(c, inv)) for m, c in v])
-        if coord is not None:
-            coord = tuple([(m, mul(c, inv)) for m, c in coord])
-            coord = (coord, ring.top_degree(coord))
         self.by_pos.setdefault(_split(key, self.unit)[0], []).append(len(self.basis))
         self.basis.append((v, ring.top_degree(v)))
         self.leads.append(key)
-        self.coords.append(coord)
 
-    def add_element(self, v: tuple, coord: Optional[tuple], pair=None):
-        """Queue the pairs of a flat v and store it.  v keeps the sugar of
-        the pair it was reduced from (`pair`: position, sugar) while it leads
-        at that position, as a run's inputs may be homogeneous under shifts
-        it is not given; else its sugar is its top shifted degree there."""
+    def add_element(self, v: tuple, pair=None):
+        """Queue the pairs of a nonzero flat v and store it, or keep it as a
+        syzygy when it leads in its transcript.  v keeps the sugar of the
+        pair it was reduced from (`pair`: position, sugar) while it leads at
+        that position, as a run's inputs may be homogeneous under shifts it
+        is not given; else its sugar is its top shifted degree there."""
         key = v[0][0]
+        if key < self.floor:
+            self.syzygies.append(v)
+            return
         pos, m = _split(key, self.unit)
         ring = self.ring
         new = len(self.basis)
@@ -290,8 +288,10 @@ class _Engine:
                 heapq.heappush(self.pairs, self._pair_key(pos, lcm, k, new))
         else:
             self._gebauer_moller(pos, m, new, lcms)
-        self._insert(v, coord)
-        self.meter.check_growth(len(self.basis), max(len(v), len(coord or ())))
+        self._insert(v)
+        # the support cap counts the vector and its transcript apart
+        head = len([k for k, _ in v if k >= self.floor])
+        self.meter.check_growth(len(self.basis), max(head, len(v) - head))
 
     def _gebauer_moller(self, pos: int, m: int, new: int, lcms: dict):
         """Queue the pairs of a new element h (lead m, index `new`) that the
@@ -333,14 +333,13 @@ class _Engine:
         return (sugar, lcm, pos, i, j)
 
     def run(self, flats: Sequence[tuple]):
-        one = self.ring.field.of(1)
-        for i, v in enumerate(flats):
-            coord = ((-i * self.unit, one),) if self.want_syz else None
-            if not v:
-                if self.want_syz:
-                    self.syzygies.append(coord)
-                continue
-            self.add_element(v, coord)
+        if self.want_syz:  # input i gains its transcript, 1 at position rank + i
+            one = self.ring.field.of(1)
+            flats = [v + ((-(self.rank + i) * self.unit, one),)
+                     for i, v in enumerate(flats)]
+        for v in flats:
+            if v:
+                self.add_element(v)
         self._main_loop()
         return self
 
@@ -360,17 +359,9 @@ class _Engine:
             u_i = at - self.leads[i]
             u_j = at - self.leads[j]
             s = _add_mul((), *self.basis[i], u_i, 1, ring)
-            s = _add_mul(s, *self.basis[j], u_j, -1, ring)
-            coord = None
-            if self.want_syz:
-                coord = _add_mul((), *self.coords[i], u_i, 1, ring)
-                coord = _add_mul(coord, *self.coords[j], u_j, -1, ring)
-            s, coord = self._top_reduce(s, coord)
-            if not s:
-                if coord:
-                    self.syzygies.append(coord)
-            else:
-                self.add_element(s, coord, (pos, sugar))
+            s = self._top_reduce(_add_mul(s, *self.basis[j], u_j, -1, ring))
+            if s:
+                self.add_element(s, (pos, sugar))
 
 
 def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
@@ -409,11 +400,11 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     kept: list[Vector] = []
     for (deg, _, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
         eng._main_loop(stop=deg)
-        reduced, _ = eng._top_reduce(flat, None)
+        reduced = eng._top_reduce(flat)
         if not reduced:
             continue
         kept.append(v)
-        eng.add_element(reduced, None)
+        eng.add_element(reduced)
     return kept
 
 
@@ -432,7 +423,7 @@ def module_reducer(basis: Sequence[Vector], ring: PolyRing, rank: int) -> "_Engi
     """Reusable reducer over a fixed (Groebner) basis; no completion is run."""
     eng = _Engine(ring, rank, want_syzygies=False, limits=DEFAULT_LIMITS)
     for b in basis:
-        eng._insert(to_flat(b, eng.unit), None)
+        eng._insert(to_flat(b, eng.unit))
     return eng
 
 
@@ -447,9 +438,10 @@ def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
     """Generators of the syzygy module of the given vectors (in R^len(vectors))."""
     if not vectors:
         return []
-    eng = _Engine(ring, len(vectors[0]), want_syzygies=True, limits=limits)
+    rank = len(vectors[0])
+    eng = _Engine(ring, rank, want_syzygies=True, limits=limits)
     eng.run([to_flat(v, eng.unit) for v in vectors])
-    return [from_flat(s, ring, len(vectors)) for s in eng.syzygies]
+    return [from_flat(s, ring, rank + len(vectors))[rank:] for s in eng.syzygies]
 
 
 # -- ideal layer ---------------------------------------------------------------

@@ -76,7 +76,10 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
                    limits: Limits = DEFAULT_LIMITS) -> bool:
     """True iff every element of `polys` lies in the ideal of `gens`."""
     gb = groebner(list(gens), limits=limits)
-    return all(ideal_member(p, gb) for p in polys)
+    if not polys:
+        return True
+    reducer = module_reducer([(g,) for g in gb], polys[0].ring, 1)
+    return not any(reducer.top_reduce((p,)) for p in polys)
 
 
 def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],

@@ -542,6 +542,26 @@ class TestProcess:
             "with b in [1,n] gives a = 0, and the terms cannot generate minimally\n"
         )
 
+    @pytest.mark.parametrize("argv", [["gens", "100000001", "1", "100000000"],
+                                      ["gens", "2", "2", "100000000"]],
+                             ids=["valid", "gcd"])
+    def test_out_of_memory_exits_as_a_limit_in_256_mib(self, argv):
+        """The n + 1 terms of a valid sequence, and of a gcd failure, whose
+        message lists them, do not fit: one line and the resource exit, not
+        a traceback."""
+        script = (
+            "import resource, sys\n"
+            "limit = 256 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS,"
+            " (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from arithcurve.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        with child_python("-c", script) as child:
+            out, err = child.communicate()
+        assert (child.returncode, out, err) == (
+            EXIT_RESOURCE, "", "resource limit: out of memory\n")
+
 
 class TestGolden:
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v)
