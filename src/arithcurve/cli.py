@@ -7,9 +7,9 @@ Commands
   scan             Betti vectors over an (a, d) grid, uniformity per class b
 
 Exit codes: 0 success, 1 stdout closed early, 2 invalid input,
-3 verification failure, 4 resource limit.  Commands raise an invalid
-sequence or a resource limit, and `main` turns either into its one stderr
-line and exit code.  JSON goes to stdout as it is encoded, diagnostics to
+3 verification failure, 4 resource limit.  The parser rejects bad options;
+commands raise an invalid sequence or method or a resource limit, and
+`main` turns each into its one stderr line and exit code.  JSON goes to stdout as it is encoded, diagnostics to
 stderr.  Identical invocations produce byte-identical JSON; wall-clock
 timings are only included under --timing for that reason.
 """
@@ -22,7 +22,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from collections import Counter
+from dataclasses import asdict, fields, replace
 from itertools import islice
 from typing import Optional
 
@@ -72,6 +73,19 @@ def parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}: LO exceeds HI")
     return lo, hi
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # argparse would call it an "invalid parse value"
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _is_positive(value, kinds) -> bool:
@@ -132,15 +146,10 @@ def write_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def sequence_info(seq: ArithmeticSequence) -> dict:
-    return {
-        "m0": seq.m0,
-        "d": seq.d,
-        "n": seq.n,
-        "a": seq.a,
-        "b": seq.b,
-        "terms": list(seq.terms),
-    }
+def sequence_line(info: dict) -> str:
+    """The text header of a sequence's JSON object (`asdict` of it)."""
+    return (f"sequence ({info['m0']}, {info['d']}, {info['n']}): "
+            f"a={info['a']} b={info['b']}, terms {list(info['terms'])}")
 
 
 # --method value -> (method, whether it applies to a sequence, what it
@@ -222,7 +231,7 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
         raise ResourceLimitExceeded(f"out of memory in {phase}") from None
 
     report = {
-        "sequence": sequence_info(seq),
+        "sequence": asdict(seq),
         "method": method,
         "betti": betti.to_json_obj(),
         "checks": checks,
@@ -250,33 +259,27 @@ def emit_matrices_obj(complex_: GradedComplex) -> list:
 def cmd_gens(args) -> int:
     seq = ArithmeticSequence.validate(args.m0, args.d, args.n)
     gens = seq.generators(args.field)
-    labels = gens.labels()
-    polys = gens.all
+    obj = {
+        "sequence": asdict(seq),
+        "count": len(gens.all),
+        "generators": [
+            {"label": lbl, "degree": p.weighted_degree(), "poly": str(p)}
+            for lbl, p in zip(gens.labels(), gens.all)
+        ],
+    }
     if args.json:
-        obj = {
-            "sequence": sequence_info(seq),
-            "count": len(polys),
-            "generators": [
-                {"label": lbl, "degree": p.weighted_degree(), "poly": str(p)}
-                for lbl, p in zip(labels, polys)
-            ],
-        }
         write_json(obj)
     else:
-        print(f"sequence {seq}: a={seq.a} b={seq.b}, terms {list(seq.terms)}")
-        print(f"{len(polys)} minimal generators:")
-        for lbl, p in zip(labels, polys):
-            print(f"  {lbl:10s} deg {p.weighted_degree():4d}  {p}")
+        print(sequence_line(obj["sequence"]))
+        print(f"{obj['count']} minimal generators:")
+        for g in obj["generators"]:
+            print(f"  {g['label']:10s} deg {g['degree']:4d}  {g['poly']}")
     return EXIT_OK
 
 
 def cmd_resolve(args) -> int:
     seq = ArithmeticSequence.validate(args.m0, args.d, args.n)
-    try:
-        method = pick_method(seq, args.method)
-    except WrongCase as exc:
-        print(f"invalid method: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    method = pick_method(seq, args.method)
     report, complex_ = build_report(seq, method, args.field, args.verify,
                                     args.limits)
     if not args.timing:
@@ -287,8 +290,8 @@ def cmd_resolve(args) -> int:
             report["matrices"] = emit_matrices_obj(complex_)
         write_json(report)
     else:
-        print(f"sequence {seq}: a={seq.a} b={seq.b}, terms {list(seq.terms)}")
-        print(f"method: {method}")
+        print(sequence_line(report["sequence"]))
+        print(f"method: {report['method']}")
         betti = report["betti"]  # one row per step, from step 0
         print(f"betti:  {' '.join(str(len(row['shifts'])) for row in betti)}")
         for row in betti[1:]:
@@ -337,16 +340,9 @@ def _scan_cell(payload: tuple) -> dict:
 
 def cmd_scan(args) -> int:
     n = args.n
-    problems = [msg for bad, msg in (
-        (n < 2, f"--n must be at least 2, got {n}"),
-        (args.b is not None and not 1 <= args.b <= n,
-         f"--b must lie in 1..{n}, got {args.b}"),
-        (args.jobs < 1, f"--jobs must be at least 1, got {args.jobs}"),
-        (args.a_range is None or args.d_range is None,
-         "scan needs --a LO..HI and --d LO..HI"),
-    ) if bad]
-    if problems:
-        print(problems[0], file=sys.stderr)
+    # the one usage check the parser cannot make: its range depends on --n
+    if args.b is not None and not 1 <= args.b <= n:
+        print(f"--b must lie in 1..{n}, got {args.b}", file=sys.stderr)
         return EXIT_INVALID
     b_values = [args.b] if args.b is not None else list(range(1, n + 1))
     a_lo, a_hi = args.a_range
@@ -373,11 +369,9 @@ def cmd_scan(args) -> int:
     summaries = []
     for b in b_values:
         ok = [c for c in cells if c["b"] == b and c["status"] == "ok"]
-        summary = {"b": b, "cells_ok": len(ok),
-                   "cells_invalid": sum(1 for c in cells
-                                        if c["b"] == b and c["status"] == "invalid"),
-                   "cells_limited": sum(1 for c in cells
-                                        if c["b"] == b and c["status"] == "resource-limit")}
+        status = Counter(c["status"] for c in cells if c["b"] == b)
+        summary = {"b": b, "cells_ok": len(ok), "cells_invalid": status["invalid"],
+                   "cells_limited": status["resource-limit"]}
         if ok:
             first = ok[0]["betti"]
             clash = next((c for c in ok if c["betti"] != first), None)
@@ -399,12 +393,9 @@ def cmd_scan(args) -> int:
     else:
         print(f"scan n={n}, field {obj['field']}")
         for c in cells:
-            if c["status"] == "ok":
-                print(f"  b={c['b']} a={c['a']} d={c['d']} m0={c['m0']}: "
-                      f"betti {c['betti']}")
-            else:
-                print(f"  b={c['b']} a={c['a']} d={c['d']} m0={c['m0']}: "
-                      f"{c['status']} ({c['reason']})")
+            outcome = (f"betti {c['betti']}" if c["status"] == "ok"
+                       else f"{c['status']} ({c['reason']})")
+            print(f"  b={c['b']} a={c['a']} d={c['d']} m0={c['m0']}: {outcome}")
         for s in summaries:
             if "uniform" not in s and s["cells_limited"]:
                 print(f"b={s['b']}: no completed cells "
@@ -433,6 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("d", type=int, help="common difference")
         p.add_argument("n", type=int, help="number of steps (n+1 terms)")
 
+    def add_config_arg(p):
+        p.add_argument("--config", dest="limits", type=load_limits,
+                       default=Limits(), metavar="FILE",
+                       help="JSON file overriding resource caps")
+
     p_gens = sub.add_parser("gens", help="list the minimal generators")
     add_seq_args(p_gens)
     p_gens.add_argument("--json", action="store_true")
@@ -453,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_res.add_argument("--emit-matrices", action="store_true")
         p_res.add_argument("--timing", action="store_true",
                            help="include wall-clock timings (breaks byte-stability)")
-        p_res.add_argument("--config", dest="limits", type=load_limits,
-                           default=Limits(), metavar="FILE",
-                           help="JSON file overriding resource caps")
+        add_config_arg(p_res)
         if force_verify:
             p_res.set_defaults(verify=True)
         else:
@@ -463,23 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
         p_res.set_defaults(func=cmd_resolve)
 
     p_scan = sub.add_parser("scan", help="Betti vectors over an (a, d) grid")
-    p_scan.add_argument("--n", type=int, required=True)
+    p_scan.add_argument("--n", type=_int_at_least(2), required=True)
     p_scan.add_argument("--b", type=int, default=None,
                         help="restrict to one residue class (default: all)")
-    p_scan.add_argument("--a", dest="a_range", type=parse_range, default=None,
+    p_scan.add_argument("--a", dest="a_range", type=parse_range, required=True,
                         metavar="LO..HI")
-    p_scan.add_argument("--d", dest="d_range", type=parse_range, default=None,
+    p_scan.add_argument("--d", dest="d_range", type=parse_range, required=True,
                         metavar="LO..HI")
     p_scan.add_argument("--json", action="store_true")
     p_scan.add_argument("--field", type=parse_field,
                         default=PrimeField(SCAN_DEFAULT_PRIME))
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_scan.add_argument("--cell-timeout", type=_parse_cell_timeout, default=None,
                         help="wall-clock budget in seconds (positive) for each "
                              "engine run of a cell")
-    p_scan.add_argument("--config", dest="limits", type=load_limits,
-                        default=Limits(), metavar="FILE",
-                        help="JSON file overriding resource caps")
+    add_config_arg(p_scan)
     p_scan.set_defaults(func=cmd_scan)
     return parser
 
@@ -490,6 +482,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SequenceError as exc:
         print(f"invalid sequence: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except WrongCase as exc:
+        print(f"invalid method: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ResourceLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

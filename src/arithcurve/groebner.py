@@ -457,10 +457,8 @@ def groebner(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS) -> lis
     if not nonzero:
         return []
     ring = nonzero[0].ring
-    eng = _Engine(ring, 1, want_syzygies=False, limits=limits)
-    # at rank 1 a polynomial's packed terms are its flat vector
-    eng.run([g.packed for g in nonzero])
-    return _interreduce([Polynomial(ring, v) for v, _ in eng.basis], ring)
+    basis = module_groebner_basis([(g,) for g in nonzero], ring, limits=limits)
+    return _interreduce([v for v, in basis], ring)
 
 
 def _lm(p: Polynomial) -> int:

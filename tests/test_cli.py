@@ -309,6 +309,9 @@ class TestScan:
         (("--n", "4", "--a", "2..1", "--d", "1..1"), "--a"),
         (("--n", "4", "--a", "1..1", "--d", "3..1"), "--d"),
         (("--n", "4", "--a", "1..1", "--d", "1..1", "--jobs", "0"), "--jobs"),
+        (("--n", "x", "--a", "1..1", "--d", "1..1"), "--n"),
+        (("--n", "4", "--a", "1..1", "--d", "1..1", "--jobs", "x"), "--jobs"),
+        (("--n", "4", "--a", "1..1"), "--d"),
     ])
     def test_invalid_scan_input_rejected(self, capsys, argv, flag):
         try:
