@@ -65,11 +65,13 @@ def parse_field(text: str):
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    """An argparse type: LO..HI, or N for N..N, as the pair (LO, HI)."""
+    bounds = text.split("..", 1) if ".." in text else (text, text)
+    try:
+        lo, hi = map(int, bounds)
+    except ValueError:  # argparse would call it an "invalid parse_range value"
+        raise argparse.ArgumentTypeError(
+            f"invalid range {text!r}: a bound is not an integer") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}: LO exceeds HI")
     return lo, hi

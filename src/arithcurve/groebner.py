@@ -11,9 +11,11 @@ m - pos * U, where U (`PolyRing.position_unit`) lies one bit above the
 packed fields and their guard bits.  Decreasing key order is then
 position-over-term, a vector's flat terms are its components' packed terms
 concatenated in position order, and at rank 1 they are the polynomial's own
-packed terms.  A reduction step v <- v + k * X^u * b is one call of the
-ring's kernel `ring._add_mul`, whatever the rank; the engine forms no
-product anywhere else.
+packed terms.  A vector being reduced lives in one map {key: coefficient}
+from its S-pair to its remainder: forming the S-pair is two calls of the
+ring's kernel `ring._add_into`, each reduction step v <- v + k * X^u * b is
+one more, whatever the rank, and the map is sorted into flat terms once at
+the end.  The engine forms no product anywhere else.
 Tuples of polynomials are converted to and from the flat form only at the
 public functions.
 
@@ -25,20 +27,27 @@ terms alone (a zero input is one at once) is a syzygy of the inputs;
 because the inputs stay in the working basis, these generate the full
 syzygy module.
 
-Pair criteria depend on whether the run extracts syzygies:
+Pair criteria (Gebauer & Moeller, "On an installation of Buchberger's
+algorithm", JSC 1988) depend on the run:
 
-  - Syzygy runs (`syzygy_generators`, so the oracle resolution and the colon
-    ideal) apply none and reduce every same-position pair.  A dropped pair
+  - `syzygy_generators` (so the oracle resolution and the colon ideal)
+    applies none and reduces every same-position pair.  A dropped pair
     would drop its transcript too; the raw syzygy list would change, and
     with it what greedy pruning keeps and the matrices the oracle emits.
+  - `syzygies_and_basis` (the exactness check) applies the B, M and F
+    criteria but never the product criterion.  These drop only pairs whose
+    syzygy of leading terms the kept pairs generate, so the transcripts
+    still generate the syzygy module (Moeller, Mora & Traverso, "Groebner
+    bases computation using syzygies", ISSAC 1992); the syzygy list is
+    shorter than `syzygy_generators`' but generates the same module.  The
+    product criterion would lose the Koszul syzygy of a coprime pair.
   - Every other run (`groebner`, `module_groebner_basis` and the pruning
-    runs of `minimal_module_generators`) applies the Gebauer-Moeller update
-    (Gebauer & Moeller, "On an installation of Buchberger's algorithm",
-    JSC 1988): the B, M and F criteria at every rank, and the product
-    criterion (coprime leads) at rank 1 only, where it holds.  These runs
-    return a Groebner basis or a membership answer, which no choice of
-    pairs can change: the reduced basis is unique, membership does not
-    depend on the basis used, and pruning keeps input candidates.
+    runs of `minimal_module_generators`) applies the B, M and F criteria
+    at every rank, and the product criterion (coprime leads) at rank 1
+    only, where it holds.  These runs return a Groebner basis or a
+    membership answer, which no choice of pairs can change: the reduced
+    basis is unique, membership does not depend on the basis used, and
+    pruning keeps input candidates.
 
 Every run takes its pairs by sugar first (Giovini et al., ISSAC 1991): a
 pair's is its lcm's shifted degree (shifts are zero unless the run gives
@@ -83,7 +92,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .ring import Polynomial, PolyRing, _add_mul
+from .ring import Polynomial, PolyRing, _add_into
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -187,16 +196,21 @@ class _Engine:
 
     Vectors are flat (see `to_flat`); each basis element is stored as
     (flat terms, top degree), the leading arguments of the ring's kernel
-    `_add_mul`; in a syzygy run its terms keyed below `floor` are its
-    transcript.  `shifts`, one per position, default 0.
+    `_add_into`; in a syzygy run its terms keyed below `floor` are its
+    transcript.  A vector being reduced is a map {key: coefficient}, sorted
+    into flat terms once it is done.  `shifts`, one per position, default
+    0.  `all_pairs` reduces every same-position pair (see the module
+    docstring).
     """
 
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
-                 limits: Limits, shifts: Optional[Sequence[int]] = None):
+                 limits: Limits, shifts: Optional[Sequence[int]] = None,
+                 all_pairs: bool = False):
         self.ring = ring
         self.unit = ring.position_unit
         self.rank = rank
         self.want_syz = want_syzygies
+        self.all_pairs = all_pairs
         self.shifts = tuple(shifts) if shifts else (0,) * rank
         self.meter = limits.start()
         self.floor = (1 - rank) * self.unit  # the least key at a position < rank
@@ -218,17 +232,26 @@ class _Engine:
                 return idx
         return None
 
-    def _top_reduce(self, v: tuple) -> tuple:
-        """Cancel leading terms of a flat v until none is reducible."""
+    def _reduce(self, acc: dict) -> tuple:
+        """Cancel the leading terms of a map {key: coefficient} in place
+        until none is reducible; the flat remainder, empty for 0."""
         ring = self.ring
         neg = ring.field.neg
-        while v:
-            key, coeff = v[0]
+        basis, leads = self.basis, self.leads
+        while acc:
+            key = max(acc)
             idx = self._find_reducer(key)
             if idx is None:
-                break
-            v = _add_mul(v, *self.basis[idx], key - self.leads[idx], neg(coeff), ring)
-        return v
+                return tuple(sorted(acc.items(), reverse=True))
+            _add_into(acc, *basis[idx], key - leads[idx], neg(acc[key]), ring)
+        return ()
+
+    def _top_reduce(self, v: tuple) -> tuple:
+        """Cancel leading terms of a flat v until none is reducible; v itself
+        when its lead is not."""
+        if not v or self._find_reducer(v[0][0]) is None:
+            return v
+        return self._reduce(dict(v))
 
     def top_reduce(self, v: Vector) -> tuple:
         """`_top_reduce` on a tuple of polynomials; returns the flat
@@ -283,7 +306,7 @@ class _Engine:
             sugar = max([degree(k) for k, _ in v if k >= key - m]) + self.shifts[pos]
         self.excess.append(sugar - degree(key))
         lcms = {k: ring.lcm(self.leads[k], key) for k in self.by_pos.get(pos, ())}
-        if self.want_syz:  # no pair criteria: see the module docstring
+        if self.all_pairs:  # no pair criteria: see the module docstring
             for k, lcm in lcms.items():
                 heapq.heappush(self.pairs, self._pair_key(pos, lcm, k, new))
         else:
@@ -303,9 +326,12 @@ class _Engine:
         pair whose lcm is a proper multiple of another new pair's lcm is
         dropped.  F: one pair is kept per remaining lcm, the one with the
         smallest k.  Product criterion (rank 1 only: it does not hold for
-        vectors): an lcm class with one coprime pair is dropped whole.
+        vectors; and never in a syzygy run, which would lose the Koszul
+        syzygy of a coprime pair): an lcm class with one coprime pair is
+        dropped whole.
         """
         ring = self.ring
+        product = self.rank == 1 and not self.want_syz
         for key in self.pairs:
             _, lcm, p, i, j = key
             if (p == pos and ring.divides(m, lcm)
@@ -314,7 +340,7 @@ class _Engine:
         classes: dict[int, int] = {}  # lcm -> smallest k; -1 if a pair is coprime
         for k, lcm in lcms.items():
             # at rank 1 a lead's flat key is its packed monomial
-            if self.rank == 1 and lcm == self.leads[k] + m:
+            if product and lcm == self.leads[k] + m:
                 classes[lcm] = -1
             else:
                 classes.setdefault(lcm, k)
@@ -358,8 +384,10 @@ class _Engine:
             at = lcm - pos * self.unit  # the lcm's key at position pos
             u_i = at - self.leads[i]
             u_j = at - self.leads[j]
-            s = _add_mul((), *self.basis[i], u_i, 1, ring)
-            s = self._top_reduce(_add_mul(s, *self.basis[j], u_j, -1, ring))
+            acc = {}
+            _add_into(acc, *self.basis[i], u_i, 1, ring)
+            _add_into(acc, *self.basis[j], u_j, -1, ring)
+            s = self._reduce(acc)
             if s:
                 self.add_element(s, (pos, sugar))
 
@@ -433,15 +461,41 @@ def module_member(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> bool:
     return not module_reducer(basis, ring, len(v)).top_reduce(v)
 
 
+def _syzygy_run(vectors: Sequence[Vector], ring: PolyRing, limits: Limits,
+                all_pairs: bool) -> tuple[list[Vector], "_Engine"]:
+    """(syzygies, engine) of one syzygy run over nonempty `vectors`."""
+    rank = len(vectors[0])
+    eng = _Engine(ring, rank, want_syzygies=True, limits=limits,
+                  all_pairs=all_pairs)
+    eng.run([to_flat(v, eng.unit) for v in vectors])
+    return [from_flat(s, ring, rank + len(vectors))[rank:] for s in eng.syzygies], eng
+
+
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
                       limits: Limits = DEFAULT_LIMITS) -> list[Vector]:
-    """Generators of the syzygy module of the given vectors (in R^len(vectors))."""
+    """Generators of the syzygy module of the given vectors (in R^len(vectors)),
+    one per same-position pair that reduces to zero (and per zero input)."""
     if not vectors:
         return []
-    rank = len(vectors[0])
-    eng = _Engine(ring, rank, want_syzygies=True, limits=limits)
-    eng.run([to_flat(v, eng.unit) for v in vectors])
-    return [from_flat(s, ring, rank + len(vectors))[rank:] for s in eng.syzygies]
+    return _syzygy_run(vectors, ring, limits, all_pairs=True)[0]
+
+
+def syzygies_and_basis(vectors: Sequence[Vector], ring: PolyRing,
+                       limits: Limits = DEFAULT_LIMITS
+                       ) -> tuple[list[Vector], list[Vector]]:
+    """(generators of the syzygy module, Groebner basis (not interreduced) of
+    the module the vectors generate) from one run with the pair criteria.
+
+    The syzygies generate the same module as `syzygy_generators`' list, most
+    often with fewer elements; the basis is the stored vectors with their
+    transcripts stripped.
+    """
+    if not vectors:
+        return [], []
+    syz, eng = _syzygy_run(vectors, ring, limits, all_pairs=False)
+    floor = eng.floor
+    return syz, [from_flat([t for t in v if t[0] >= floor], ring, eng.rank)
+                 for v, _ in eng.basis]
 
 
 # -- ideal layer ---------------------------------------------------------------

@@ -75,7 +75,10 @@ class PolyMatrix:
         acc, zero = {}, self.ring.zero
         for (i, k), e in self.nonzero.items():
             for j, f in right_by_row.get(k, ()):
-                acc[i, j] = acc.get((i, j), zero) + e * f
+                p = acc.get((i, j), zero)
+                for m, c in e.packed:
+                    p = p.add_mul(f, m, c)
+                acc[i, j] = p
         return PolyMatrix(self.ring, self.rows, other.cols, acc)
 
     def minor2(self, c1: int, c2: int) -> Polynomial:

@@ -25,11 +25,14 @@ neighbour.
 A polynomial stores its terms in `packed`, a tuple of (packed int,
 coefficient) pairs sorted strictly decreasing, so decreasing under the ring's
 order, with no zero coefficients and no duplicate monomials.  One kernel,
-`_add_mul` (a + k * X^u * q), forms every product: it range-checks X^u
+`_add_into` (acc += k * X^u * q), forms every product: it range-checks X^u
 against q's top degree (`PolyRing.top_degree`, the one such scan) and then
-merges the two tuples in one pass.  Sums, differences, `add_mul`,
-`mul_term`, products (one `add_mul` per term of the shorter factor) and the
-Buchberger engine all call it.  `terms`, `leading_term`, `leading_monomial`,
+adds q's terms one by one into acc, a map {packed monomial: coefficient},
+deleting a coefficient that cancels.  `add_mul` copies a polynomial's terms
+into a map, adds into it and sorts the map once; sums, differences,
+`mul_term` and products (one `add_mul` per term of the shorter factor) go
+through it, and the Buchberger engine keeps each vector it reduces in one
+such map from start to finish.  `terms`, `leading_term`, `leading_monomial`,
 `from_dict`, `monomial` and `mul_term` speak exponent tuples and decode or
 encode at the boundary; the engine works on packed terms with the ring's
 `divides`, `lcm`, `packed_degree` and `position_unit` (it keys a term of a
@@ -80,10 +83,12 @@ class Rationals:
         return Fraction(value)
 
     def add(self, a, b):
-        return _integral(a + b)
+        r = a + b
+        return r if r.__class__ is int else _integral(r)
 
     def mul(self, a, b):
-        return _integral(a * b)
+        r = a * b
+        return r if r.__class__ is int else _integral(r)
 
     def neg(self, a):
         return -a
@@ -413,56 +418,28 @@ class PolyRing:
         return f"PolyRing({','.join(self.names)}; weights={self.weights}; {self.field})"
 
 
-def _add_mul(a: tuple, q: tuple, top: int, u: int, k, ring: PolyRing) -> tuple:
-    """Packed terms of a + k * X^u * q, where `top` is `ring.top_degree(q)`.
+def _add_into(acc: dict, q: tuple, top: int, u: int, k, ring: PolyRing):
+    """Add k * X^u * q into acc, a map {packed term: coefficient} with no
+    zero coefficient; `top` is `ring.top_degree(q)` and q is nonempty.
 
     The one place a product is formed: MonomialOutOfRange if X^u times q's
-    highest-degree term would not fit, checked before anything is merged.
-    An empty a gives the shifted, scaled copy of q (no multiplications when
-    k == 1); otherwise adding u keeps q's terms sorted, so the product is
-    merged as it is formed, in one pass over both tuples.  q is nonempty.
+    highest-degree term would not fit, checked before anything is added.
+    A coefficient that cancels is deleted, so acc stays free of zeros.
     """
     ring.check_degree(top + ring.packed_degree(u))
     add, mul = ring.field.add, ring.field.mul
-    if not a:
-        if k == 1:
-            return tuple([(m + u, c) for m, c in q])
-        return tuple([(m + u, mul(c, k)) for m, c in q])
-    out = []
-    push = out.append
-    i = j = 0
-    na, nq = len(a), len(q)
-    ma, ca = a[0]
-    mq, cq = q[0]
-    mb = mq + u
-    while True:
-        if ma > mb:
-            push((ma, ca))
-            i += 1
-            if i == na:
-                break
-            ma, ca = a[i]
-            continue
-        if mb > ma:
-            push((mb, mul(cq, k)))
+    get = acc.get
+    for m, c in q:
+        m += u
+        old = get(m)
+        if old is None:
+            acc[m] = mul(c, k)
         else:
-            c = add(ca, mul(cq, k))
+            c = add(old, mul(c, k))
             if c:
-                push((ma, c))
-            i += 1
-            if i == na:
-                j += 1
-                break
-            ma, ca = a[i]
-        j += 1
-        if j == nq:
-            break
-        mq, cq = q[j]
-        mb = mq + u
-    out.extend(a[i:])
-    if j < nq:
-        out.extend([(m + u, mul(c, k)) for m, c in q[j:]])
-    return tuple(out)
+                acc[m] = c
+            else:
+                del acc[m]
 
 
 class Polynomial:
@@ -544,7 +521,7 @@ class Polynomial:
         return self.add_mul(other, 0, -1)
 
     def add_mul(self, q: "Polynomial", u: int, coeff) -> "Polynomial":
-        """self + coeff * X^u * q for a packed monomial u, in one merge pass.
+        """self + coeff * X^u * q for a packed monomial u.
 
         MonomialOutOfRange if a product would not fit.
         """
@@ -552,8 +529,9 @@ class Polynomial:
         if not q.packed or not coeff:
             return self
         ring = self.ring
-        return Polynomial(ring, _add_mul(self.packed, q.packed, q._top_degree(),
-                                         u, coeff, ring))
+        acc = dict(self.packed)
+        _add_into(acc, q.packed, q._top_degree(), u, coeff, ring)
+        return Polynomial(ring, tuple(sorted(acc.items(), reverse=True)))
 
     def __neg__(self):
         neg = self.ring.field.neg

@@ -312,6 +312,7 @@ class TestScan:
         (("--n", "x", "--a", "1..1", "--d", "1..1"), "--n"),
         (("--n", "4", "--a", "1..1", "--d", "1..1", "--jobs", "x"), "--jobs"),
         (("--n", "4", "--a", "1..1"), "--d"),
+        (("--n", "4", "--a", "x..2", "--d", "1..1"), "--a"),
     ])
     def test_invalid_scan_input_rejected(self, capsys, argv, flag):
         try:

@@ -18,6 +18,7 @@ from arithcurve import (
     module_member,
     reduce_poly,
     resolution_b1,
+    resolution_bn,
     syzygy_generators,
     validate_sequence,
 )
@@ -25,6 +26,7 @@ from arithcurve.groebner import (
     Vector,
     from_flat,
     minimal_module_generators,
+    syzygies_and_basis,
     to_flat,
     v_degree,
     v_is_zero,
@@ -355,6 +357,34 @@ def test_raw_syzygies_pinned(inputs, count, digest):
     syz = [tuple(map(str, s)) for s in syzygy_generators(vectors, ring)]
     assert len(syz) == count
     assert hashlib.sha256(repr(syz).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: resolution_b1(validate_sequence(5, 1, 4)),
+    lambda: resolution_bn(validate_sequence(8, 1, 4)),
+    lambda: minimal_resolution(
+        list(validate_sequence(7, 2, 4).generators(PrimeField(32003)).all)),
+], ids=["b1-5-1-4", "bn-8-1-4", "oracle-7-2-4-fp"])
+def test_criteria_pruned_run_generates_same_modules(build):
+    """For each differential, the syzygies of the criteria-pruned run and
+    `syzygy_generators`' raw list generate one module, and its basis
+    generates the module of the columns; verify_exactness decides
+    membership by top reduction against that basis."""
+    C = build()
+    ring = C.differential(1).ring
+
+    def inside(vectors, generators):
+        gb = module_groebner_basis(generators, ring)
+        return all(module_member(v, gb, ring) for v in vectors)
+
+    for s in range(1, C.length + 1):
+        mat = C.differential(s)
+        cols = [mat.column(j) for j in range(mat.cols)]
+        syz, basis = syzygies_and_basis(cols, ring)
+        raw = syzygy_generators(cols, ring)
+        assert inside(syz, raw) and inside(raw, syz), s
+        assert inside(basis, cols) and inside(cols, basis), s
+        assert all(module_member(c, basis, ring) for c in cols), s
 
 
 # -- a criteria-free Buchberger reference ----------------------------------------

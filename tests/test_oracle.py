@@ -31,6 +31,7 @@ from arithcurve import (
     verify_complex,
     verify_exactness,
 )
+from arithcurve.matrices import PolyMatrix
 from arithcurve.ring import QQ, PrimeField, curve_ring
 
 
@@ -362,6 +363,31 @@ class TestVerifyExactness:
         assert not rep.all_ok
         assert rep.steps[truncated.length] is False
         assert rep.first_failure() == f"exactness at step {truncated.length}"
+
+    def test_dropped_column_fails_at_middle_step(self):
+        """Without one column of d_2 (its shift and the matching row of
+        d_3 go too), the image of d_2 misses a syzygy of d_1."""
+        seq = validate_sequence(5, 1, 4)
+        C = resolution_b1(seq)
+        d2, d3 = C.differential(2), C.differential(3)
+        drop = 0
+
+        def skip(k):
+            return k - (k > drop)
+
+        cut_d2 = PolyMatrix(d2.ring, d2.rows, d2.cols - 1,
+                            {(i, skip(j)): e for (i, j), e in d2.nonzero.items()
+                             if j != drop})
+        cut_d3 = PolyMatrix(d3.ring, d3.rows - 1, d3.cols,
+                            {(skip(i), j): e for (i, j), e in d3.nonzero.items()
+                             if i != drop})
+        steps = list(C.steps)
+        steps[2] = steps[2][:drop] + steps[2][drop + 1:]
+        cut = GradedComplex(steps, [C.differential(1), cut_d2, cut_d3, *C.maps[3:]])
+        rep = verify_exactness(cut, list(seq.generators().all))
+        assert rep.generates_target
+        assert rep.steps[1] is False
+        assert rep.first_failure() == "exactness at step 1"
 
     def test_wrong_ideal_detected(self):
         seq = validate_sequence(5, 1, 4)
