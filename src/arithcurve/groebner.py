@@ -60,10 +60,14 @@ itself; only the elimination order, which packs the t-degree first, is
 reordered.  Pruning relies on the degree order (minimal_module_generators).
 
 Membership is decided by top reduction against a Groebner basis: a vector
-lies in the module exactly when cancelling leading terms sends it to zero.
-`ideal_member`, `module_member`, pruning and `verify_exactness` all decide
-it so.  The full normal form, which also reduces the terms below the lead,
-serves only `_interreduce` and `reduce_poly`.
+lies in the module exactly when cancelling leading terms sends it to zero,
+whichever Groebner basis of the module is used.  `ideal_member`,
+`module_member`, pruning and the oracle's membership tests all decide it
+so, against the unreduced basis of `module_groebner_basis` or of
+`syzygies_and_basis`.  Only a basis that is itself an output is
+interreduced: `groebner()` is `interreduce` of `module_groebner_basis`.
+The full normal form, which also reduces the terms below the lead, serves
+only `interreduce` and `reduce_poly`.
 
 The engine works on packed monomials (see `ring`).  The low bits of a key
 are its packed monomial, so the guard-bit divisibility test, the multiplier
@@ -89,6 +93,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -156,18 +161,14 @@ def v_is_zero(v: Vector) -> bool:
 
 
 def v_degree(v: Vector, shifts: Optional[Sequence[int]] = None):
-    """Weighted degree of a homogeneous vector (None if inhomogeneous/zero)."""
-    degs = set()
-    for pos, p in enumerate(v):
-        if p.is_zero():
-            continue
-        d = p.weighted_degree()
-        if d is None:
-            return None
-        degs.add(d + (shifts[pos] if shifts else 0))
-    if len(degs) != 1:
+    """Weighted degree of a homogeneous vector (None if inhomogeneous/zero),
+    read from every packed term in one pass."""
+    if not v:
         return None
-    return degs.pop()
+    degree = v[0].ring.packed_degree
+    degs = {degree(m) + shift
+            for p, shift in zip(v, shifts or repeat(0)) for m, _ in p.packed}
+    return degs.pop() if len(degs) == 1 else None
 
 
 def to_flat(v: Vector, unit: int) -> tuple:
@@ -176,13 +177,23 @@ def to_flat(v: Vector, unit: int) -> tuple:
     return tuple([(m - pos * unit, c) for pos, p in enumerate(v) for m, c in p.packed])
 
 
-def from_flat(flat: tuple, ring: PolyRing, rank: int) -> Vector:
-    """The vector of rank `rank` whose flat terms are `flat`."""
-    comps = [[] for _ in range(rank)]
-    for key, c in flat:
-        pos, m = _split(key, ring.position_unit)
-        comps[pos].append((m, c))
-    return tuple([Polynomial(ring, tuple(terms)) for terms in comps])
+def from_flat(flat: tuple, ring: PolyRing, rank: int, start: int = 0) -> Vector:
+    """Components start..rank-1 of the vector of rank `rank` whose flat terms
+    are `flat`, which has none at a position below `start`.  An empty
+    component is `ring.zero` itself."""
+    unit = ring.position_unit
+    comps = [ring.zero] * (rank - start)
+    pos, terms = None, []
+    for key, c in flat:  # positions ascend, each one's terms contiguous
+        p, m = _split(key, unit)
+        if p != pos:
+            if terms:
+                comps[pos - start] = Polynomial(ring, tuple(terms))
+            pos, terms = p, []
+        terms.append((m, c))
+    if terms:
+        comps[pos - start] = Polynomial(ring, tuple(terms))
+    return tuple(comps)
 
 
 def _split(key: int, unit: int) -> tuple[int, int]:
@@ -468,7 +479,7 @@ def _syzygy_run(vectors: Sequence[Vector], ring: PolyRing, limits: Limits,
     eng = _Engine(ring, rank, want_syzygies=True, limits=limits,
                   all_pairs=all_pairs)
     eng.run([to_flat(v, eng.unit) for v in vectors])
-    return [from_flat(s, ring, rank + len(vectors))[rank:] for s in eng.syzygies], eng
+    return [from_flat(s, ring, rank + len(vectors), rank) for s in eng.syzygies], eng
 
 
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
@@ -512,7 +523,7 @@ def groebner(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS) -> lis
         return []
     ring = nonzero[0].ring
     basis = module_groebner_basis([(g,) for g in nonzero], ring, limits=limits)
-    return _interreduce([v for v, in basis], ring)
+    return interreduce([v for v, in basis], ring)
 
 
 def _lm(p: Polynomial) -> int:
@@ -520,7 +531,9 @@ def _lm(p: Polynomial) -> int:
     return p.packed[0][0]
 
 
-def _interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
+def interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
+    """The reduced Groebner basis, sorted by increasing leading term, of the
+    ideal that a Groebner basis of nonzero polynomials generates."""
     # minimalize: drop any element whose leading monomial is divisible by
     # another's, preferring to keep smaller leading terms
     basis = sorted(basis, key=_lm)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Sequence
 
-from .ring import Polynomial, PolyRing
+from .ring import Polynomial, PolyRing, _add_into
 
 
 class PolyMatrix:
@@ -66,20 +66,28 @@ class PolyMatrix:
         )
 
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Exact product over the nonzero entries of both factors."""
+        """Exact product over the nonzero entries of both factors.
+
+        Every term product of an entry is added into one map {packed
+        monomial: coefficient} by the ring's kernel, which is sorted once.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        ring = self.ring
+        if other.ring is not ring and other.ring != ring:
+            raise ValueError("matrices over different rings")
         right_by_row = {}
         for (k, j), f in other.nonzero.items():
-            right_by_row.setdefault(k, []).append((j, f))
-        acc, zero = {}, self.ring.zero
+            right_by_row.setdefault(k, []).append((j, f.packed, ring.top_degree(f.packed)))
+        acc = {}
         for (i, k), e in self.nonzero.items():
-            for j, f in right_by_row.get(k, ()):
-                p = acc.get((i, j), zero)
+            for j, f, top in right_by_row.get(k, ()):
+                terms = acc.setdefault((i, j), {})
                 for m, c in e.packed:
-                    p = p.add_mul(f, m, c)
-                acc[i, j] = p
-        return PolyMatrix(self.ring, self.rows, other.cols, acc)
+                    _add_into(terms, f, top, m, c, ring)
+        return PolyMatrix(ring, self.rows, other.cols, {
+            key: Polynomial(ring, tuple(sorted(terms.items(), reverse=True)))
+            for key, terms in acc.items()})
 
     def minor2(self, c1: int, c2: int) -> Polynomial:
         """2x2 minor from columns c1 < c2 of a 2-row matrix."""

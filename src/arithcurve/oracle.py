@@ -5,7 +5,11 @@ complex construction - so agreement between this module and the constructive
 ones is a genuine two-route check.
 
   toric_ideal          kernel of X_i -> t^{m_i} by eliminating t with a block
-                       order (t has weight 1, so pairs go degree by degree)
+                       order (t has weight 1, so pairs go degree by degree);
+                       only the t-free elements of the elimination basis
+                       are interreduced
+  ideal_contains       top reduction against an unreduced Groebner basis
+                       of the generators
   ideal_equal          ideal_contains in both directions
   colon_check          (I : f) from the first coordinates of the syzygies of
                        [f, g_1, ..., g_k], compared back to I
@@ -19,7 +23,8 @@ ones is a genuine two-route check.
                        syzygy of d_s lies in the image of d_{s+1}, which is
                        the zero module past the last map; one criteria-pruned
                        engine run per differential gives both its syzygies
-                       and a Groebner basis of its image
+                       and a Groebner basis of its image, and one more run
+                       gives a basis of the target ideal
 """
 
 from __future__ import annotations
@@ -41,10 +46,11 @@ from .groebner import (
     DEFAULT_LIMITS,
     Limits,
     ResourceLimitExceeded,
-    groebner,
+    groebner,  # unused here; the benchmark's tracer patches this name
     ideal_member,
+    interreduce,
     minimal_module_generators,
-    module_groebner_basis,  # unused here; the benchmark traces calls by this name
+    module_groebner_basis,
     module_reducer,
     syzygies_and_basis,
     syzygy_generators,
@@ -60,13 +66,16 @@ def toric_ideal_of_weights(weights: Sequence[int], field=QQ,
     not valid curve sequences.
     """
     ext = elimination_ring(weights, field=field)
-    gens = [ext.var(i + 1) - ext.var(0, w) for i, w in enumerate(weights)]
-    gb = groebner(gens, limits=limits)
+    gens = [(ext.var(i + 1) - ext.var(0, w),) for i, w in enumerate(weights)]
+    # under the block order a lead free of t leaves the whole element free
+    # of it, and the t-free elements of a Groebner basis are one of the
+    # elimination ideal (the elimination theorem)
+    gb = [g for g, in module_groebner_basis(gens, ext, limits=limits)
+          if g.leading_monomial()[0] == 0]
     target = curve_ring(weights, field=field)
     # t-free monomials compare under the block order as they do in the
-    # target ring, so the t-free part is already reduced, monic and sorted
-    return [drop_first_variable(g, target) for g in gb
-            if g.leading_monomial()[0] == 0]
+    # target ring, so the reduced basis comes out monic and sorted
+    return [drop_first_variable(g, target) for g in interreduce(gb, ext)]
 
 
 def toric_ideal(seq: ArithmeticSequence, field=QQ,
@@ -78,10 +87,11 @@ def toric_ideal(seq: ArithmeticSequence, field=QQ,
 def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
                    limits: Limits = DEFAULT_LIMITS) -> bool:
     """True iff every element of `polys` lies in the ideal of `gens`."""
-    gb = groebner(list(gens), limits=limits)
     if not polys:
         return True
-    reducer = module_reducer([(g,) for g in gb], polys[0].ring, 1)
+    ring = polys[0].ring
+    gb = module_groebner_basis([(g,) for g in gens], ring, limits=limits)
+    reducer = module_reducer(gb, ring, 1)
     return not any(reducer.top_reduce((p,)) for p in polys)
 
 
@@ -105,7 +115,8 @@ def colon_ideal(gens: Sequence[Polynomial], f: Polynomial,
 def colon_check(gens: Sequence[Polynomial], f: Polynomial,
                 limits: Limits = DEFAULT_LIMITS) -> bool:
     """Is (I : f) = I?  Requires f not in I; raises ValueError otherwise."""
-    gb = groebner(list(gens), limits=limits)
+    gb = [g for g, in module_groebner_basis([(g,) for g in gens], f.ring,
+                                            limits=limits)]
     if ideal_member(f, gb):
         raise ValueError("multiplier lies in the ideal; colon comparison undefined")
     quotient = colon_ideal(gens, f, limits=limits)
@@ -206,27 +217,32 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
                      limits: Limits = DEFAULT_LIMITS) -> ExactnessReport:
     """Machine check that C resolves R modulo the ideal of `gens`.
 
-    (a) the entries of d_1 generate the same ideal as `gens`;
+    (a) the entries of d_1 generate the same ideal as `gens`: `gens` lie in
+        the image of d_1, decided against the basis of d_1's own run, and
+        the entries lie in the ideal of `gens` (`ideal_contains`);
     (b) for each s < length, the syzygies of d_s lie in the image of d_{s+1};
     (c) the last differential has no nonzero syzygies (injectivity): this is
         (b) at s = length, with the zero module as the image.
 
     One run of `syzygies_and_basis` per differential gives the syzygies of
-    d_s and a Groebner basis of the image of d_s, which step s - 1 reduces
-    by; only the runs of d_s and d_{s+1} are held at a time.  The run drops
-    pairs by the Gebauer-Moeller criteria, so its syzygies are fewer than
-    `syzygy_generators`' but generate the same module.
+    d_s and a Groebner basis of the image of d_s, which (a) (s = 1) or step
+    s - 1 reduces by; only the runs of d_s and d_{s+1} are held at a time.
+    The run drops pairs by the Gebauer-Moeller criteria, so its syzygies
+    are fewer than `syzygy_generators`' but generate the same module.
     """
     if len(C.steps[0]) != 1:
         raise ValueError("step 0 must have rank 1")
-    ring = C.differential(1).ring
+    d1 = C.differential(1)
+    ring = d1.ring
+    syz, image = syzygies_and_basis(_matrix_columns(d1), ring, limits=limits)
+    # d_1 has one row, so its image is the ideal of its entries; the zero
+    # ones add nothing to it
+    image_reducer = module_reducer(image, ring, 1)
     report = ExactnessReport(
-        # d_1 has one row; its zero entries add nothing to the ideal
-        generates_target=ideal_equal(list(C.differential(1).nonzero.values()),
-                                     list(gens), limits=limits)
+        generates_target=(
+            not any(image_reducer.top_reduce((g,)) for g in gens)
+            and ideal_contains(gens, list(d1.nonzero.values()), limits=limits))
     )
-    syz, _ = syzygies_and_basis(_matrix_columns(C.differential(1)), ring,
-                                limits=limits)
     for s in range(1, C.length + 1):
         next_syz, gb = (syzygies_and_basis(_matrix_columns(C.differential(s + 1)),
                                            ring, limits=limits)

@@ -241,9 +241,10 @@ class EliminationOrder:
     """Block order: the first `head` variables dominate everything after them.
 
     Any monomial containing an eliminated variable is larger than every
-    monomial free of them, so the t-free elements of a reduced Groebner basis
-    generate the elimination ideal.  The head block is compared by total
-    degree then reverse lex; the tail by WeightedGrevlex on `tail_weights`.
+    monomial free of them, so the t-free elements of a Groebner basis are a
+    Groebner basis of the elimination ideal.  The head block is compared by
+    total degree then reverse lex; the tail by WeightedGrevlex on
+    `tail_weights`.
     """
 
     def __init__(self, head: int, tail_weights: Sequence[int]):

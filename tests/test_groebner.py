@@ -242,8 +242,15 @@ def test_flat_layout(ring, data):
     """The engine's flat form of a vector round-trips, is sorted strictly
     decreasing, and its first term is the position-over-term lead."""
     v = data.draw(vectors_of(ring))
-    flat = to_flat(v, ring.position_unit)
+    unit = ring.position_unit
+    flat = to_flat(v, unit)
     assert from_flat(flat, ring, len(v)) == v
+    # the trailing components alone, as a syzygy run reads its transcripts
+    for start in range(len(v) + 1):
+        tail = tuple(t for t in flat if -(t[0] // unit) >= start)
+        comps = from_flat(tail, ring, len(v), start)
+        assert comps == v[start:]
+        assert all(p is ring.zero for p in comps if p.is_zero())
     keys = [key for key, _ in flat]
     assert keys == sorted(set(keys), reverse=True)
     if not flat:
@@ -251,6 +258,34 @@ def test_flat_layout(ring, data):
         return
     key, coeff = flat[0]
     assert (-(key // ring.position_unit), ring.decode(key), coeff) == v_leading(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_v_degree_is_the_common_shifted_degree(data):
+    """`v_degree` against the degrees of the components one by one, on
+    random vectors (mostly inhomogeneous) and on their leading terms
+    shifted to one degree."""
+    v = data.draw(vectors_of(RQ))
+    shifts = data.draw(st.lists(st.integers(0, 9), min_size=len(v), max_size=len(v)))
+
+    def reference(v, shifts):
+        degs = set()
+        for p, shift in zip(v, shifts):
+            if not p.is_zero():
+                d = p.weighted_degree()
+                degs.add(None if d is None else d + shift)
+        return degs.pop() if len(degs) == 1 else None
+
+    assert v_degree(v, shifts) == reference(v, shifts)
+    assert v_degree(v) == reference(v, [0] * len(v))
+    leads = tuple(RQ.monomial(*p.leading_term()) if not p.is_zero() else p for p in v)
+    if v_is_zero(leads):
+        assert v_degree(leads, shifts) is None
+        return
+    top = max(p.weighted_degree() for p in leads if not p.is_zero())
+    level = [top - p.weighted_degree() if not p.is_zero() else 0 for p in leads]
+    assert v_degree(leads, level) == top
 
 
 R3 = curve_ring((2, 3, 5))

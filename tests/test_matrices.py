@@ -1,10 +1,13 @@
 """Polynomial matrices: minors, products, homogeneity of minors."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithcurve import PolyMatrix, validate_sequence
-from arithcurve.ring import PolyRing, curve_ring
+from arithcurve.ring import QQ, PolyRing, PrimeField, curve_ring
 
 
 def identity(ring, n):
@@ -153,3 +156,43 @@ def test_constructor_rejects_bad_keys_and_counts():
         PolyMatrix(R, 2, 2, {(2, 0): R.one})
     with pytest.raises(ValueError):
         PolyMatrix.from_rows(R, [[R.one, R.one], [R.one]])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "fp:32003"])
+@pytest.mark.parametrize("seed", range(4))
+def test_product_matches_dense_reference(field, seed):
+    """Seeded sparse matrices with multi-term entries against the product
+    summed slot by slot with `Polynomial.__mul__` and `__add__`.  Column 0
+    of B is B[0][0] and its negation in the last row, beside a copy of A's
+    column 0, so column 0 of the product cancels to zero in every row."""
+    rng = random.Random(seed)
+    R = curve_ring((2, 3, 5), field=field)
+
+    def entry():
+        if rng.random() < 0.4:
+            return R.zero
+        return R.from_dict({
+            tuple(rng.randrange(3) for _ in range(3)):
+                field.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4))})
+
+    r, k, c = rng.randint(2, 5), rng.randint(2, 5), rng.randint(2, 5)
+    a_rows = [[entry() for _ in range(k)] for _ in range(r)]
+    a_rows = [row + [row[0]] for row in a_rows]
+    a_rows[0][0] = a_rows[0][k] = R.var(1) + R.var(0)
+    b_rows = [[entry() for _ in range(c)] for _ in range(k)]
+    b_rows[0][0] = R.var(2) - R.var(0, 2)
+    for row in b_rows[1:]:
+        row[0] = R.zero
+    b_rows.append([-b_rows[0][0]] + [entry() for _ in range(c - 1)])
+    A = PolyMatrix.from_rows(R, a_rows)
+    B = PolyMatrix.from_rows(R, b_rows)
+
+    naive = [[sum((a_rows[i][m] * b_rows[m][j] for m in range(k + 1)), R.zero)
+              for j in range(c)] for i in range(r)]
+    prod = A.mul(B)
+    assert (prod.rows, prod.cols) == (r, c)
+    assert list(prod.dense_rows()) == naive
+    assert list(prod.nonzero) == [
+        (i, j) for i in range(r) for j in range(c) if not naive[i][j].is_zero()]
+    assert all(j != 0 for _, j in prod.nonzero)

@@ -32,7 +32,13 @@ from arithcurve import (
     verify_exactness,
 )
 from arithcurve.matrices import PolyMatrix
-from arithcurve.ring import QQ, PrimeField, curve_ring
+from arithcurve.ring import (
+    QQ,
+    PrimeField,
+    curve_ring,
+    drop_first_variable,
+    elimination_ring,
+)
 
 
 class TestToricIdeal:
@@ -63,6 +69,17 @@ class TestToricIdeal:
         seq = validate_sequence(7, 1, 3)
         for g in toric_ideal(seq):
             assert seq.vanishes(g)
+
+    @pytest.mark.parametrize("weights", [(2, 3), (3, 5, 7), (4, 5, 6, 7, 8)])
+    def test_equals_t_free_part_of_reduced_elimination_basis(self, weights):
+        """The t-free elements of an unreduced elimination basis, reduced
+        alone, give the t-free part of the fully reduced basis, in order."""
+        ext = elimination_ring(weights)
+        full = groebner([ext.var(i + 1) - ext.var(0, w) for i, w in enumerate(weights)])
+        target = curve_ring(weights)
+        assert toric_ideal_of_weights(weights) == [
+            drop_first_variable(g, target) for g in full
+            if g.leading_monomial()[0] == 0]
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
@@ -388,6 +405,38 @@ class TestVerifyExactness:
         assert rep.generates_target
         assert rep.steps[1] is False
         assert rep.first_failure() == "exactness at step 1"
+
+    @pytest.mark.parametrize("m0,build,spairs", [
+        (5, resolution_b1, [20, 20, 39, 19, 3]),
+        (8, resolution_bn, [14, 8, 18, 13, 2]),
+    ])
+    def test_spairs_per_engine_run_pinned(self, m0, build, spairs):
+        """S-pairs reduced by each engine run of the check, in order: the
+        syzygies and image basis of d_1, the Groebner basis of the
+        generators, then one run per later differential.  A second basis
+        of d_1's entries (20 and 8 S-pairs) no longer runs first."""
+        seq = validate_sequence(m0, 1, 4)
+        limits = KeepMeters()
+        assert verify_exactness(build(seq), list(seq.generators().all),
+                                limits=limits).all_ok
+        assert [meter.spairs for meter in limits.meters] == spairs
+
+    @pytest.mark.parametrize("change", ["add X0", "drop one"])
+    def test_each_inclusion_of_the_first_image_checked(self, change):
+        """gens + X0 escapes only the image of d_1, the inclusion decided
+        against the basis of d_1's own run; gens less one misses a
+        generator of that image, which `ideal_contains` decides."""
+        seq = validate_sequence(5, 1, 4)
+        C = resolution_b1(seq)
+        gens = list(seq.generators().all)
+        gens = gens + [seq.ring().var(0)] if change == "add X0" else gens[1:]
+        image = list(C.differential(1).nonzero.values())
+        assert ideal_contains(image, gens) is (change == "drop one")
+        assert ideal_contains(gens, image) is (change == "add X0")
+        rep = verify_exactness(C, gens)
+        assert not rep.generates_target
+        assert all(rep.steps.values())
+        assert rep.first_failure() == "image of the first differential"
 
     def test_wrong_ideal_detected(self):
         seq = validate_sequence(5, 1, 4)
