@@ -72,9 +72,11 @@ only `interreduce` and `reduce_poly`.
 The engine works on packed monomials (see `ring`).  The low bits of a key
 are its packed monomial, so the guard-bit divisibility test, the multiplier
 of a reduction (a difference of keys at one position), the degree field and
-`lcm` read keys unchanged; reducers are looked up among the basis elements
-that lead at the same position.  After its sugar, an S-pair is keyed by its
-position-free packed lcm, which sorts exactly like the lcm's order key.
+`decode` read keys unchanged; reducers are looked up among the basis
+elements that lead at the same position.  Each lead is decoded once, when
+its element is added, and a pair's lcm is packed from the two exponent
+tuples.  After its sugar, an S-pair is keyed by its position-free packed
+lcm, which sorts exactly like the lcm's order key.
 Each stored basis element, transcript included, carries the degree of its
 highest-degree term (`PolyRing.top_degree`), which the kernel range-checks
 every product against: one that would leave the packed range raises
@@ -83,9 +85,11 @@ lead.
 
 All computations are deterministic: fixed insertion order, pairs processed in
 increasing (sugar, packed lcm, position, i, j) and reducers chosen
-first-in-basis.  Resource limits are explicit errors, never silent
-truncation; the S-pair budget counts only the pairs that are reduced, not
-those a criterion drops.
+first-in-basis.  `_find_reducer` remembers the reducer it found for a key:
+an element is only ever appended to the basis, so the first element whose
+lead divides a key stays the first.  Resource limits are explicit errors,
+never silent truncation; the S-pair budget counts only the pairs that are
+reduced, not those a criterion drops.
 """
 
 from __future__ import annotations
@@ -227,6 +231,8 @@ class _Engine:
         self.floor = (1 - rank) * self.unit  # the least key at a position < rank
         self.basis: list[tuple] = []  # (flat vector, top degree); monic
         self.leads: list[int] = []  # flat key of each basis element's lead
+        self.lead_exps: list[tuple] = []  # exponents of each lead, kept by add_element
+        self.reducer_of: dict[int, int] = {}  # key -> first reducer found
         self.by_pos: dict[int, list[int]] = {}
         self.excess: list[int] = []  # sugar less the lead's unshifted degree
         self.pairs: list[tuple] = []  # (sugar, packed lcm, pos, i, j)
@@ -236,10 +242,16 @@ class _Engine:
     # -- reduction ----------------------------------------------------------
 
     def _find_reducer(self, key: int) -> Optional[int]:
+        """The first basis element whose lead divides key, or None.  Hits
+        are remembered (see the module docstring); a miss may not stay one."""
+        idx = self.reducer_of.get(key)
+        if idx is not None:
+            return idx
         divides, leads = self.ring.divides, self.leads
         pos, _ = _split(key, self.unit)
         for idx in self.by_pos.get(pos, ()):  # first match: deterministic
             if divides(leads[idx], key):
+                self.reducer_of[key] = idx
                 return idx
         return None
 
@@ -290,9 +302,10 @@ class _Engine:
         """Store a flat v, made monic, as a basis element; forms no pairs."""
         ring = self.ring
         key, coeff = v[0]
-        inv = ring.field.inv(coeff)
-        mul = ring.field.mul
-        v = tuple([(m, mul(c, inv)) for m, c in v])
+        if coeff != 1:
+            inv = ring.field.inv(coeff)
+            mul = ring.field.mul
+            v = tuple([(m, mul(c, inv)) for m, c in v])
         self.by_pos.setdefault(_split(key, self.unit)[0], []).append(len(self.basis))
         self.basis.append((v, ring.top_degree(v)))
         self.leads.append(key)
@@ -316,13 +329,16 @@ class _Engine:
         else:  # the terms at the lead's position have keys >= key - m
             sugar = max([degree(k) for k, _ in v if k >= key - m]) + self.shifts[pos]
         self.excess.append(sugar - degree(key))
-        lcms = {k: ring.lcm(self.leads[k], key) for k in self.by_pos.get(pos, ())}
+        exps, pack, lead_exps = ring.decode(key), ring._pack, self.lead_exps
+        lcms = {k: pack([*map(max, lead_exps[k], exps)])
+                for k in self.by_pos.get(pos, ())}
         if self.all_pairs:  # no pair criteria: see the module docstring
             for k, lcm in lcms.items():
                 heapq.heappush(self.pairs, self._pair_key(pos, lcm, k, new))
         else:
             self._gebauer_moller(pos, m, new, lcms)
         self._insert(v)
+        lead_exps.append(exps)
         # the support cap counts the vector and its transcript apart
         head = len([k for k, _ in v if k >= self.floor])
         self.meter.check_growth(len(self.basis), max(head, len(v) - head))
@@ -421,6 +437,15 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     in the kept module exactly when top reduction sends it to zero (La Scala
     & Stillman's degree-by-degree strategy).  The pair criteria keep this
     exact: the pairs that justify dropping a pair have lcms dividing its lcm.
+
+    A candidate c that is a multiple lambda * X^w * e of an earlier one is
+    dropped without a reduction.  Such an e has the same lead position and
+    the same flat keys relative to the lead, so it is looked for only among
+    the earlier candidates filed under those (the keys by their hash, which
+    costs no memory per term; `_is_multiple` compares them in full).  e was
+    taken first, so it lies in the kept module, and so does c, which top
+    reduction would send to zero.  The pairs up to c's degree are still
+    reduced, so the S-pairs a run reduces do not change.
     """
     nonzero = [v for v in vectors if not v_is_zero(v)]
     if not nonzero:
@@ -436,15 +461,34 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
         flat = to_flat(v, eng.unit)
         return (deg, *_split(flat[0][0], eng.unit)), flat, v
 
+    # (lead position, hash of the keys less the lead's) -> flat candidates
+    shapes: dict[tuple, list[tuple]] = {}
     kept: list[Vector] = []
-    for (deg, _, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
+    for (deg, pos, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
         eng._main_loop(stop=deg)
+        lead = flat[0][0]
+        shape = shapes.setdefault((pos, hash(tuple([k - lead for k, _ in flat]))), [])
+        if any(_is_multiple(flat, e, ring) for e in shape):
+            continue
+        shape.append(flat)
         reduced = eng._top_reduce(flat)
         if not reduced:
             continue
         kept.append(v)
         eng.add_element(reduced)
     return kept
+
+
+def _is_multiple(v: tuple, e: tuple, ring: PolyRing) -> bool:
+    """True iff the flat v is lambda * X^w * e for a scalar lambda and a
+    monomial X^w, given that v and e lead at the same position: e's lead
+    divides v's, each key of v is e's key plus w, and the coefficients are
+    proportional (compared crosswise, so no inverse is taken)."""
+    (lead, lc), (e_lead, e_lc) = v[0], e[0]
+    w, mul = lead - e_lead, ring.field.mul
+    return (len(v) == len(e) and ring.divides(e_lead, lead)
+            and all(k == ek + w and mul(ec, lc) == mul(c, e_lc)
+                    for (k, c), (ek, ec) in zip(v, e)))
 
 
 def module_groebner_basis(vectors: Sequence[Vector], ring: PolyRing,

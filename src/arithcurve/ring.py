@@ -27,16 +27,20 @@ coefficient) pairs sorted strictly decreasing, so decreasing under the ring's
 order, with no zero coefficients and no duplicate monomials.  One kernel,
 `_add_into` (acc += k * X^u * q), forms every product: it range-checks X^u
 against q's top degree (`PolyRing.top_degree`, the one such scan) and then
-adds q's terms one by one into acc, a map {packed monomial: coefficient},
-deleting a coefficient that cancels.  `add_mul` copies a polynomial's terms
-into a map, adds into it and sorts the map once; sums, differences,
-`mul_term` and products (one `add_mul` per term of the shorter factor) go
-through it, and the Buchberger engine keeps each vector it reduces in one
-such map from start to finish.  `terms`, `leading_term`, `leading_monomial`,
-`from_dict`, `monomial` and `mul_term` speak exponent tuples and decode or
-encode at the boundary; the engine works on packed terms with the ring's
-`divides`, `lcm`, `packed_degree` and `position_unit` (it keys a term of a
-module vector by its packed monomial and position).
+hands the loop to the field's `add_into`, which adds q's terms one by one
+into acc, a map {packed monomial: coefficient}, deleting a coefficient that
+cancels.  Each field inlines its own arithmetic there (`% p`, or the int fast
+path and `_integral` of QQ), the same operations `add` and `mul` perform,
+and with k == 1 into an empty map it only copies q's shifted terms.
+`add_mul` copies a polynomial's terms into a map, adds into it and sorts
+the map once; sums, differences, `mul_term` and products (one `add_mul` per
+term of the shorter factor) go through it, and the Buchberger engine keeps
+each vector it reduces in one such map from start to finish.  `terms`,
+`leading_term`, `leading_monomial`, `from_dict`, `monomial` and `mul_term`
+speak exponent tuples and decode or encode at the boundary; the engine works
+on packed terms with the ring's `divides`, `decode`, `_pack`,
+`packed_degree` and `position_unit` (it keys a term of a module vector by
+its packed monomial and position).
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
@@ -66,13 +70,13 @@ class Rationals:
     """The field of exact rationals.
 
     An integral value is an int and any other value a reduced Fraction with
-    positive denominator; `add`, `mul` and `inv` return that form.  The two
-    are interchangeable: n == Fraction(n), with equal hash and str, so a
-    polynomial compares, hashes and prints alike whichever form its
-    coefficients take.  `of` returns a Fraction, so user arithmetic on it
-    (`QQ.of(1) / QQ.of(7)`) stays exact; the first engine operation turns an
-    integral input into an int, which keeps the binomial curve ideals off the
-    slower Fraction arithmetic.
+    positive denominator; `add`, `mul` and `inv` return that form, and
+    `add_into` writes it.  The two are interchangeable: n == Fraction(n),
+    with equal hash and str, so a polynomial compares, hashes and prints
+    alike whichever form its coefficients take.  `of` returns a Fraction, so
+    user arithmetic on it (`QQ.of(1) / QQ.of(7)`) stays exact; every product
+    the kernel forms turns an integral input into an int, which keeps the
+    binomial curve ideals off the slower Fraction arithmetic.
     """
 
     char = 0
@@ -97,6 +101,32 @@ class Rationals:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _integral(1 / Fraction(a))
+
+    def add_into(self, acc: dict, q: tuple, u: int, k):
+        """The loop of `ring._add_into`: acc += k * X^u * q term by term, as
+        `add` and `mul` would, with their int fast path and `_integral`
+        inline so that integral results stay ints."""
+        if k == 1 and not acc:
+            acc.update([(m + u, c if c.__class__ is int else _integral(c))
+                        for m, c in q])
+            return
+        get = acc.get
+        for m, c in q:
+            m += u
+            c = c * k
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            old = get(m)
+            if old is None:
+                acc[m] = c
+                continue
+            c = old + c
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
 
     def __repr__(self):
         return "QQ"
@@ -173,6 +203,26 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, -1, self.p)
+
+    def add_into(self, acc: dict, q: tuple, u: int, k):
+        """The loop of `ring._add_into`: acc += k * X^u * q term by term, as
+        `add` and `mul` would, with `% p` inline."""
+        if k == 1 and not acc:
+            acc.update([(m + u, c) for m, c in q])
+            return
+        p = self.p
+        get = acc.get
+        for m, c in q:
+            m += u
+            old = get(m)
+            if old is None:
+                acc[m] = c * k % p
+                continue
+            c = (old + c * k) % p
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -425,22 +475,11 @@ def _add_into(acc: dict, q: tuple, top: int, u: int, k, ring: PolyRing):
 
     The one place a product is formed: MonomialOutOfRange if X^u times q's
     highest-degree term would not fit, checked before anything is added.
-    A coefficient that cancels is deleted, so acc stays free of zeros.
+    The field's `add_into` then runs the loop; a coefficient that cancels
+    is deleted, so acc stays free of zeros.
     """
     ring.check_degree(top + ring.packed_degree(u))
-    add, mul = ring.field.add, ring.field.mul
-    get = acc.get
-    for m, c in q:
-        m += u
-        old = get(m)
-        if old is None:
-            acc[m] = mul(c, k)
-        else:
-            c = add(old, mul(c, k))
-            if c:
-                acc[m] = c
-            else:
-                del acc[m]
+    ring.field.add_into(acc, q, u, k)
 
 
 class Polynomial:

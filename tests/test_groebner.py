@@ -24,6 +24,7 @@ from arithcurve import (
 )
 from arithcurve.groebner import (
     Vector,
+    _is_multiple,
     from_flat,
     minimal_module_generators,
     syzygies_and_basis,
@@ -609,6 +610,86 @@ def test_truncated_pruning_on_mixed_shifts(data):
     assert minimal_module_generators(vectors, R3, shifts=shifts) == reference_prune(
         vectors, R3, shifts
     )
+
+
+# -- pruning skips multiples of earlier candidates --------------------------------
+
+
+def member_prune(vectors, ring, shifts=None):
+    """Greedy pruning that decides each candidate by `module_member` against a
+    full `module_groebner_basis` of the vectors kept before it."""
+
+    def key(v):
+        pos, exps, _ = v_leading(v)
+        return (v_degree(v, shifts), pos, ring.order.key(exps))
+
+    kept, gb = [], []
+    for v in sorted((v for v in vectors if not v_is_zero(v)), key=key):
+        if not module_member(v, gb, ring):
+            kept.append(v)
+            gb = module_groebner_basis(kept, ring)
+    return kept
+
+
+def _multiples_cases():
+    """(name, candidates) over k[x, y, z], standard grading, rank 2."""
+    ring = curve_ring((1, 1, 1), PrimeField(7))
+    x, y, z = (ring.var(i) for i in range(3))
+    zero = ring.zero
+    e = (x * x - y * y, x * z)
+    f = (x * y + z * z, zero)
+    return ring, [
+        ("scalar multiple first", [(3 * e[0], 3 * e[1]), e, f]),
+        ("monomial multiples", [e, (x * y * e[0], x * y * e[1]), f,
+                                (5 * z * f[0], zero), (x * x * e[0], x * x * e[1])]),
+        ("same offsets, lead does not divide", [(x * x * e[0], x * x * e[1]),
+                                                (x * y * e[0], x * y * e[1])]),
+        ("same offsets, not proportional", [e, (x * (x * x + 2 * y * y), 3 * x * x * z)]),
+        ("same shape at another position", [(zero, e[0]), (e[0], zero),
+                                            (zero, x * e[0]), (x * e[0], zero)]),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _multiples_cases()[1]])
+def test_pruning_of_multiples_matches_member_reference(name):
+    ring, cases = _multiples_cases()
+    vectors = dict(cases)[name]
+    assert minimal_module_generators(vectors, ring) == member_prune(vectors, ring)
+
+
+def test_is_multiple_compares_every_key_and_coefficient():
+    """The hash that files candidates can collide, so `_is_multiple` alone
+    must tell a multiple from a vector of another shape."""
+    ring = curve_ring((1, 1, 1), PrimeField(7))
+    x, y, z = (ring.var(i) for i in range(3))
+    unit = ring.position_unit
+    e = to_flat((x * x - y * y, x * z), unit)
+    cases = {
+        (3 * x * y * (x * x - y * y), 3 * x * y * x * z): True,
+        (x * x - y * y, x * z): True,
+        (x * x - y * y, y * z): False,  # a key moved
+        (x * x - y * y, x * z + y * z): False,  # one more term
+        (x * x - y * y, ring.zero): False,  # one term fewer
+        (x * x - 2 * y * y, x * z): False,  # not proportional
+    }
+    for v, multiple in cases.items():
+        assert _is_multiple(to_flat(v, unit), e, ring) is multiple, v
+
+
+def test_pruning_matches_member_reference_on_raw_syzygies():
+    """Every pruning call of the 11 1 5 resolution over fp:32003: the
+    generators, then each differential's raw syzygies with its shifts."""
+    gens = list(validate_sequence(11, 1, 5).generators(PrimeField(32003)).all)
+    ring = gens[0].ring
+    candidates = [(g,) for g in gens]
+    assert minimal_module_generators(candidates, ring) == member_prune(candidates, ring)
+    C = minimal_resolution(gens)
+    for s in range(1, C.length + 1):
+        mat = C.differential(s)
+        raw = syzygy_generators([mat.column(j) for j in range(mat.cols)], ring)
+        shifts = C.steps[s]
+        assert minimal_module_generators(raw, ring, shifts=shifts) == member_prune(
+            raw, ring, shifts), (s, len(raw))
 
 
 # -- the pair criteria of basis runs ---------------------------------------------

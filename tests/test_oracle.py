@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import arithcurve.oracle
 from arithcurve import (
     BettiTable,
     GradedComplex,
@@ -31,6 +32,7 @@ from arithcurve import (
     verify_complex,
     verify_exactness,
 )
+from arithcurve.groebner import _Engine
 from arithcurve.matrices import PolyMatrix
 from arithcurve.ring import (
     QQ,
@@ -225,6 +227,39 @@ class TestMinimalResolution:
         minimal_resolution(list(validate_sequence(m0, d, n).generators(field).all),
                            limits=limits)
         assert [meter.spairs for meter in limits.meters] == spairs
+
+    @pytest.mark.parametrize("m0,d,n,candidates,reduced,spairs", [
+        (5, 1, 4, [10, 45, 52, 12], [10, 45, 27, 5], [0, 23, 14, 2]),
+        (11, 1, 5, [15, 105, 469, 177, 23], [15, 105, 292, 81, 10],
+         [20, 75, 82, 29, 2]),
+    ])
+    def test_pruning_skips_reductions_not_pairs(self, monkeypatch, m0, d, n,
+                                                candidates, reduced, spairs):
+        """Per pruning run over fp:32003: the candidates, the candidates
+        top-reduced (all of them before pruning skipped the multiples of
+        earlier candidates), and the S-pairs reduced, which did not change
+        with the skip."""
+        prune = arithcurve.oracle.minimal_module_generators
+        top_reduce = _Engine._top_reduce
+        seen, reductions = [], []
+
+        def counting_prune(vectors, *args, **kwargs):
+            seen.append(len(vectors))
+            return prune(vectors, *args, **kwargs)
+
+        def counting_top_reduce(eng, v):
+            reductions.append(eng.meter)
+            return top_reduce(eng, v)
+
+        monkeypatch.setattr(arithcurve.oracle, "minimal_module_generators", counting_prune)
+        monkeypatch.setattr(_Engine, "_top_reduce", counting_top_reduce)
+        limits = KeepMeters()
+        gens = validate_sequence(m0, d, n).generators(PrimeField(32003)).all
+        minimal_resolution(list(gens), limits=limits)
+        runs = limits.meters[::2]  # pruning, then syzygies, step by step
+        assert seen[:len(runs)] == candidates
+        assert [sum(m is run for m in reductions) for run in runs] == reduced
+        assert [run.spairs for run in runs] == spairs
 
     def test_codim3_gorenstein_shape(self):
         seq = validate_sequence(8, 1, 3)

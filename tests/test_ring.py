@@ -22,7 +22,7 @@ from arithcurve.ring import (
     monomial_lcm,
     weighted_degree_of,
 )
-from arithcurve.ring import _MR_EXACT_BOUND, _is_prime
+from arithcurve.ring import _MR_EXACT_BOUND, _add_into, _is_prime
 
 W = (5, 6, 7, 8, 9)
 
@@ -169,6 +169,78 @@ def test_curve_basis_over_qq_has_int_coefficients():
     gb = groebner(validate_sequence(5, 1, 4).generators(QQ).all)
     assert gb
     assert all(type(c) is int for p in gb for _, c in p.packed)
+
+
+# -- the product kernel ----------------------------------------------------------
+
+KERNEL_FIELDS = {"GF(7)": PrimeField(7), "GF(32003)": PrimeField(32003), "QQ": QQ}
+
+
+def kernel_coefficients(field):
+    """Nonzero field elements; over QQ ints and Fractions, integral ones too."""
+    if field.char:
+        return st.integers(1, field.char - 1)
+    return st.one_of(st.integers(-6, 6),
+                     st.fractions(-6, 6, max_denominator=4)).filter(bool)
+
+
+def reference_add_into(acc, q, u, k, field):
+    """acc + k * X^u * q, built term by term with `field.add` and `field.mul`."""
+    out = dict(acc)
+    for m, c in q:
+        m += u
+        out[m] = field.add(out[m], field.mul(c, k)) if m in out else field.mul(c, k)
+        if not out[m]:
+            del out[m]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_add_into_matches_field_operations(name, data):
+    field = KERNEL_FIELDS[name]
+    ring = curve_ring((2, 3, 5), field)
+    draw, coeff = data.draw, kernel_coefficients(field)
+    monomial = st.tuples(*[st.integers(0, 3)] * 3).map(ring.encode)
+    q_terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=6))
+    q = tuple(sorted(q_terms.items(), reverse=True))
+    u = draw(monomial)
+    case = draw(st.sampled_from(["any", "k = 1, empty map", "k = -1", "cancel",
+                                 "integral sums"]))
+    k = {"k = 1, empty map": 1, "k = -1": -1}.get(case) or draw(coeff)
+    if case == "k = 1, empty map":
+        acc = {}
+    elif case == "cancel":  # acc is -k * X^u * q, so the sum is zero
+        acc = reference_add_into({}, q, u, field.neg(k), field)
+    elif case == "integral sums":  # acc + k * X^u * q has small int coefficients
+        acc = {m + u: field.add(field.of(draw(st.integers(-3, 3))),
+                                field.neg(field.mul(c, k))) for m, c in q}
+        acc = {m: c for m, c in acc.items() if c}
+    else:
+        acc = draw(st.dictionaries(
+            st.one_of(monomial, st.sampled_from([m + u for m in q_terms])),
+            coeff.map(lambda c: field.mul(c, 1)), max_size=6))
+    want = reference_add_into(acc, q, u, k, field)
+    _add_into(acc, q, ring.top_degree(q), u, k, ring)
+    assert {m: (c, type(c)) for m, c in acc.items()} == {
+        m: (c, type(c)) for m, c in want.items()}
+    assert all(acc.values())
+    if case == "cancel":
+        assert acc == {}
+    if not field.char:
+        assert not any(type(c) is Fraction and c.denominator == 1 for c in acc.values())
+
+
+def test_add_into_range_checks_before_adding():
+    ring = curve_ring((2, 3, 5), PrimeField(7))
+    big = ring.var(2, (ring.degree_cap - 1) // 5)
+    q = (big + ring.one).packed
+    u = ring.encode((0, 0, 1))
+    acc = {u: 3}  # the product's term X2 would land here
+    with pytest.raises(MonomialOutOfRange):
+        _add_into(acc, q, ring.top_degree(q), u, 1, ring)
+    assert acc == {u: 3}
 
 
 # -- property tests ------------------------------------------------------------
