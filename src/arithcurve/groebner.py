@@ -387,7 +387,7 @@ class _Engine:
 
     def run(self, flats: Sequence[tuple]):
         if self.want_syz:  # input i gains its transcript, 1 at position rank + i
-            one = self.ring.field.of(1)
+            one = self.ring.one.packed[0][1]
             flats = [v + ((-(self.rank + i) * self.unit, one),)
                      for i, v in enumerate(flats)]
         for v in flats:

@@ -46,8 +46,10 @@ All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
 
 Coefficients are exact: rationals (an int when integral, otherwise a reduced
-fractions.Fraction; `Rationals.of` always returns a Fraction) or residues in
-[0, p) for a prime field.
+fractions.Fraction) or residues in [0, p) for a prime field.  Every stored
+coefficient has that form from construction on: `monomial`, `one` and
+`from_dict` take a user value through `PolyRing._coefficient`, and the kernel
+keeps the form in every product, although `Rationals.of` returns a Fraction.
 Integers are arbitrary precision throughout, so weighted degrees and
 coefficients cannot overflow.
 """
@@ -74,9 +76,11 @@ class Rationals:
     `add_into` writes it.  The two are interchangeable: n == Fraction(n),
     with equal hash and str, so a polynomial compares, hashes and prints
     alike whichever form its coefficients take.  `of` returns a Fraction, so
-    user arithmetic on it (`QQ.of(1) / QQ.of(7)`) stays exact; every product
-    the kernel forms turns an integral input into an int, which keeps the
-    binomial curve ideals off the slower Fraction arithmetic.
+    user arithmetic on it (`QQ.of(1) / QQ.of(7)`) stays exact; a polynomial
+    stores an integral value as an int from construction on
+    (`PolyRing._coefficient`), and every product the kernel forms keeps it
+    so, which keeps the binomial curve ideals off the slower Fraction
+    arithmetic altogether.
     """
 
     char = 0
@@ -98,6 +102,9 @@ class Rationals:
         return -a
 
     def inv(self, a):
+        # without a Fraction: the engine inverts every lead coefficient -1
+        if a == 1 or a == -1:
+            return _integral(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _integral(1 / Fraction(a))
@@ -182,6 +189,8 @@ class PrimeField:
         self.char = p
 
     def of(self, value):
+        if isinstance(value, float):
+            raise TypeError(f"{self!r} does not accept floats")
         p = self.p
         if isinstance(value, int):
             return value % p
@@ -352,7 +361,7 @@ class PolyRing:
         self.nvars = len(self.names)
         self._init_packing()
         self.zero = Polynomial(self, ())
-        self.one = Polynomial(self, ((0, field.of(1)),))
+        self.one = Polynomial(self, ((0, self._coefficient(1)),))
 
     def _init_packing(self):
         n = self.nvars
@@ -437,9 +446,14 @@ class PolyRing:
         exps[i] = power
         return self.monomial(exps)
 
+    def _coefficient(self, value):
+        """The stored form of a user value: `field.of(value)`, made an int
+        when it is integral (over GF(p) it already is one)."""
+        return _integral(self.field.of(value))
+
     def monomial(self, exps: Sequence[int], coeff=1) -> Polynomial:
-        c = self.field.of(coeff)
-        if c == 0:
+        c = self._coefficient(coeff)
+        if not c:
             return self.zero
         return Polynomial(self, ((self.encode(exps), c),))
 
@@ -447,9 +461,14 @@ class PolyRing:
         return self.monomial((0,) * self.nvars, value)
 
     def from_dict(self, data: dict) -> Polynomial:
-        """Polynomial from {exponent tuple: coefficient}; zeros are dropped."""
-        encode = self.encode
-        terms = [(encode(m), c) for m, c in data.items() if c != 0]
+        """Polynomial from {exponent tuple: coefficient}; each coefficient
+        is taken to its stored form (`_coefficient`) and the zeros dropped."""
+        encode, coefficient = self.encode, self._coefficient
+        terms = []
+        for m, c in data.items():
+            c = coefficient(c)
+            if c:
+                terms.append((encode(m), c))
         terms.sort(reverse=True)
         return Polynomial(self, tuple(terms))
 
@@ -587,8 +606,7 @@ class Polynomial:
                 product = product.add_mul(long, m, c)
             return product
         # scalar multiplication
-        c = self.ring.field.of(other)
-        return self.scale(c)
+        return self.scale(self.ring._coefficient(other))
 
     __rmul__ = __mul__
 
@@ -613,8 +631,7 @@ class Polynomial:
 
     def monic(self) -> "Polynomial":
         lc = self.leading_coeff()
-        one = self.ring.field.of(1)
-        if lc == one:
+        if lc == 1:
             return self
         return self.scale(self.ring.field.inv(lc))
 
@@ -624,13 +641,7 @@ class Polynomial:
         """Map into a ring with the same variables (possibly new field/order)."""
         if new_ring.nvars != self.ring.nvars:
             raise ValueError("variable count mismatch")
-        of = new_ring.field.of
-        data = {}
-        for m, c in self.terms:
-            v = of(c)
-            if v != 0:
-                data[m] = v
-        return new_ring.from_dict(data)
+        return new_ring.from_dict(dict(self.terms))
 
     # -- equality / hashing / printing --------------------------------------
 
@@ -712,9 +723,8 @@ def elimination_ring(weights: Sequence[int], field=QQ) -> PolyRing:
 def drop_first_variable(p: Polynomial, target: PolyRing) -> Polynomial:
     """Project a polynomial not involving the first variable onto `target`."""
     data = {}
-    of = target.field.of
     for m, c in p.terms:
         if m[0] != 0:
             raise ValueError("polynomial involves the eliminated variable")
-        data[m[1:]] = of(c)
+        data[m[1:]] = c
     return target.from_dict(data)

@@ -1,12 +1,22 @@
 """Polynomial kernel: exact arithmetic, weighted degrees, monomial orders."""
 
+import collections
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithcurve import groebner, validate_sequence
+from arithcurve import (
+    cli,
+    groebner,
+    module_groebner_basis,
+    resolution_b1,
+    resolution_bn,
+    syzygy_generators,
+    validate_sequence,
+)
+from arithcurve.oracle import ideal_equal, minimal_resolution, toric_ideal
 from arithcurve.ring import (
     QQ,
     EliminationOrder,
@@ -134,6 +144,37 @@ def test_primality_bound_named():
         PrimeField(_MR_EXACT_BOUND)
 
 
+@pytest.mark.parametrize("make", [
+    lambda R: R.field.of(0.5),
+    lambda R: R.monomial((1, 0, 0), 0.5),
+    lambda R: R.from_dict({(1, 0, 0): 1, (0, 1, 0): 0.5}),
+], ids=["of", "monomial", "from_dict"])
+def test_prime_field_rejects_floats(make):
+    with pytest.raises(TypeError, match=r"GF\(7\)"):
+        make(curve_ring((1, 1, 1), PrimeField(7)))
+
+
+def test_from_dict_reduces_into_the_prime_field():
+    R = curve_ring((1, 1, 1), PrimeField(7))
+    x0, x1 = R.var(0), R.var(1)
+    p = R.from_dict({(1, 0, 0): 1, (0, 1, 0): -1})
+    assert p == x0 - x1
+    [(g,)] = module_groebner_basis([(p,)], R)
+    assert g == x0 - x1
+    assert all(0 < c < 7 for _, c in g.packed)
+
+
+def test_from_dict_drops_coefficients_that_vanish_in_the_field():
+    R = curve_ring((1, 1, 1), PrimeField(7))
+    assert R.from_dict({(1, 0, 0): 7}).is_zero()
+    assert R.from_dict({(1, 0, 0): 8, (0, 0, 1): 14}) == R.var(0)
+
+
+def test_from_dict_rejects_floats_over_qq():
+    with pytest.raises(TypeError):
+        curve_ring((1, 1)).from_dict({(1, 0): 0.5})
+
+
 def test_prime_field_rejects_bad_denominator():
     F = PrimeField(7)
     with pytest.raises(ZeroDivisionError):
@@ -169,6 +210,73 @@ def test_curve_basis_over_qq_has_int_coefficients():
     gb = groebner(validate_sequence(5, 1, 4).generators(QQ).all)
     assert gb
     assert all(type(c) is int for p in gb for _, c in p.packed)
+
+
+# -- integral QQ coefficients are stored as ints ----------------------------------
+
+
+def integral_fractions(polys) -> list:
+    """The stored coefficients of `polys` that are Fractions with denominator 1."""
+    return [c for p in polys for _, c in p.packed
+            if type(c) is Fraction and c.denominator == 1]
+
+
+def differential_entries(C) -> list:
+    return [e for s in range(1, C.length + 1) for e in C.differential(s).nonzero.values()]
+
+
+def test_integral_coefficients_are_ints_from_construction_on(R):
+    built = [R.var(0), R.one, R.constant(Fraction(4, 2))]
+    assert integral_fractions(built) == []
+    assert built[2].packed == ((0, 2),)
+    for m0, resolve in [(5, resolution_b1), (8, resolution_bn),
+                        (6, lambda seq: minimal_resolution(seq.generators(QQ).all))]:
+        seq = validate_sequence(m0, 1, 4)
+        gens = seq.generators(QQ).all
+        raw = syzygy_generators([(g,) for g in gens], gens[0].ring)
+        for polys in (gens, differential_entries(resolve(seq)), [p for v in raw for p in v]):
+            assert integral_fractions(polys) == [], m0
+    assert integral_fractions(toric_ideal(validate_sequence(9, 2, 4))) == []
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                      "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Counts the calls of Fraction's arithmetic operators, by name."""
+    calls = collections.Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    return calls
+
+
+def test_fraction_counter_sees_non_integral_coefficients(R, fraction_ops):
+    seventh = QQ.of(1) / QQ.of(7)
+    p = R.constant(seventh) * R.var(0)
+    assert p.packed[0][1] == Fraction(1, 7) and type(p.packed[0][1]) is Fraction
+    assert fraction_ops["__truediv__"] == 1
+    assert sum(fraction_ops.values()) > 1  # the product formed one too
+
+
+@pytest.mark.parametrize("seq", ["5 1 4", "9 2 4", "8 1 4", "16 3 4", "6 1 4"])
+def test_resolve_verify_over_qq_does_no_fraction_arithmetic(seq, fraction_ops):
+    assert cli.main(["resolve", *seq.split(), "--verify", "--json"]) == 0
+    assert fraction_ops == {}
+
+
+def test_toric_identity_over_qq_does_no_fraction_arithmetic(fraction_ops):
+    seq = validate_sequence(7, 1, 4)
+    assert ideal_equal(toric_ideal(seq), seq.generators(QQ).all)
+    assert fraction_ops == {}
 
 
 # -- the product kernel ----------------------------------------------------------
