@@ -30,17 +30,13 @@ syzygy module.
 Pair criteria (Gebauer & Moeller, "On an installation of Buchberger's
 algorithm", JSC 1988) depend on the run:
 
-  - `syzygy_generators` (so the oracle resolution and the colon ideal)
-    applies none and reduces every same-position pair.  A dropped pair
-    would drop its transcript too; the raw syzygy list would change, and
-    with it what greedy pruning keeps and the matrices the oracle emits.
-  - `syzygies_and_basis` (the exactness check) applies the B, M and F
-    criteria but never the product criterion.  These drop only pairs whose
-    syzygy of leading terms the kept pairs generate, so the transcripts
-    still generate the syzygy module (Moeller, Mora & Traverso, "Groebner
-    bases computation using syzygies", ISSAC 1992); the syzygy list is
-    shorter than `syzygy_generators`' but generates the same module.  The
-    product criterion would lose the Koszul syzygy of a coprime pair.
+  - A syzygy run (`syzygy_generators`, so the oracle resolution and the
+    colon ideal; `syzygies_and_basis`, so the exactness check) applies the
+    B, M and F criteria but never the product criterion.  These drop only
+    pairs whose syzygy of leading terms the kept pairs generate, so the
+    transcripts still generate the syzygy module (Moeller, Mora &
+    Traverso, "Groebner bases computation using syzygies", ISSAC 1992).
+    The product criterion would lose the Koszul syzygy of a coprime pair.
   - Every other run (`groebner`, `module_groebner_basis` and the pruning
     runs of `minimal_module_generators`) applies the B, M and F criteria
     at every rank, and the product criterion (coprime leads) at rank 1
@@ -214,18 +210,16 @@ class _Engine:
     `_add_into`; in a syzygy run its terms keyed below `floor` are its
     transcript.  A vector being reduced is a map {key: coefficient}, sorted
     into flat terms once it is done.  `shifts`, one per position, default
-    0.  `all_pairs` reduces every same-position pair (see the module
+    0.  Every run queues only the pairs the criteria keep (see the module
     docstring).
     """
 
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
-                 limits: Limits, shifts: Optional[Sequence[int]] = None,
-                 all_pairs: bool = False):
+                 limits: Limits, shifts: Optional[Sequence[int]] = None):
         self.ring = ring
         self.unit = ring.position_unit
         self.rank = rank
         self.want_syz = want_syzygies
-        self.all_pairs = all_pairs
         self.shifts = tuple(shifts) if shifts else (0,) * rank
         self.meter = limits.start()
         self.floor = (1 - rank) * self.unit  # the least key at a position < rank
@@ -332,11 +326,7 @@ class _Engine:
         exps, pack, lead_exps = ring.decode(key), ring._pack, self.lead_exps
         lcms = {k: pack([*map(max, lead_exps[k], exps)])
                 for k in self.by_pos.get(pos, ())}
-        if self.all_pairs:  # no pair criteria: see the module docstring
-            for k, lcm in lcms.items():
-                heapq.heappush(self.pairs, self._pair_key(pos, lcm, k, new))
-        else:
-            self._gebauer_moller(pos, m, new, lcms)
+        self._gebauer_moller(pos, m, new, lcms)
         self._insert(v)
         lead_exps.append(exps)
         # the support cap counts the vector and its transcript apart
@@ -516,12 +506,11 @@ def module_member(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> bool:
     return not module_reducer(basis, ring, len(v)).top_reduce(v)
 
 
-def _syzygy_run(vectors: Sequence[Vector], ring: PolyRing, limits: Limits,
-                all_pairs: bool) -> tuple[list[Vector], "_Engine"]:
+def _syzygy_run(vectors: Sequence[Vector], ring: PolyRing,
+                limits: Limits) -> tuple[list[Vector], "_Engine"]:
     """(syzygies, engine) of one syzygy run over nonempty `vectors`."""
     rank = len(vectors[0])
-    eng = _Engine(ring, rank, want_syzygies=True, limits=limits,
-                  all_pairs=all_pairs)
+    eng = _Engine(ring, rank, want_syzygies=True, limits=limits)
     eng.run([to_flat(v, eng.unit) for v in vectors])
     return [from_flat(s, ring, rank + len(vectors), rank) for s in eng.syzygies], eng
 
@@ -529,25 +518,26 @@ def _syzygy_run(vectors: Sequence[Vector], ring: PolyRing, limits: Limits,
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
                       limits: Limits = DEFAULT_LIMITS) -> list[Vector]:
     """Generators of the syzygy module of the given vectors (in R^len(vectors)),
-    one per same-position pair that reduces to zero (and per zero input)."""
+    one per criteria-kept pair that reduces to zero (and per zero input).
+    Which generators, and how many, depends on the pair criteria; the
+    module they generate does not."""
     if not vectors:
         return []
-    return _syzygy_run(vectors, ring, limits, all_pairs=True)[0]
+    return _syzygy_run(vectors, ring, limits)[0]
 
 
 def syzygies_and_basis(vectors: Sequence[Vector], ring: PolyRing,
                        limits: Limits = DEFAULT_LIMITS
                        ) -> tuple[list[Vector], list[Vector]]:
     """(generators of the syzygy module, Groebner basis (not interreduced) of
-    the module the vectors generate) from one run with the pair criteria.
+    the module the vectors generate) from one syzygy run.
 
-    The syzygies generate the same module as `syzygy_generators`' list, most
-    often with fewer elements; the basis is the stored vectors with their
-    transcripts stripped.
+    The syzygies are `syzygy_generators`' list; the basis is the stored
+    vectors with their transcripts stripped.
     """
     if not vectors:
         return [], []
-    syz, eng = _syzygy_run(vectors, ring, limits, all_pairs=False)
+    syz, eng = _syzygy_run(vectors, ring, limits)
     floor = eng.floor
     return syz, [from_flat([t for t in v if t[0] >= floor], ring, eng.rank)
                  for v, _ in eng.basis]

@@ -21,10 +21,10 @@ ones is a genuine two-route check.
                        and the ranks are the Betti numbers
   verify_exactness     image of d_1 generates the target ideal, and every
                        syzygy of d_s lies in the image of d_{s+1}, which is
-                       the zero module past the last map; one criteria-pruned
-                       engine run per differential gives both its syzygies
-                       and a Groebner basis of its image, and one more run
-                       gives a basis of the target ideal
+                       the zero module past the last map; one syzygy run per
+                       differential gives both its syzygies and a Groebner
+                       basis of its image, and one more run gives a basis of
+                       the target ideal
 """
 
 from __future__ import annotations
@@ -227,8 +227,9 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     One run of `syzygies_and_basis` per differential gives the syzygies of
     d_s and a Groebner basis of the image of d_s, which (a) (s = 1) or step
     s - 1 reduces by; only the runs of d_s and d_{s+1} are held at a time.
-    The run drops pairs by the Gebauer-Moeller criteria, so its syzygies
-    are fewer than `syzygy_generators`' but generate the same module.
+    The run is the syzygy run of `minimal_resolution`, so on the oracle's
+    own complex this check shares its pair criteria with the resolution
+    it checks.
     """
     if len(C.steps[0]) != 1:
         raise ValueError("step 0 must have rank 1")

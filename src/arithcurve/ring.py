@@ -435,10 +435,6 @@ class PolyRing:
         degree = self.packed_degree
         return max([degree(m) for m, _ in terms])
 
-    def lcm(self, a: int, b: int) -> int:
-        mask = self._mask
-        return self._pack([max((a >> s) & mask, (b >> s) & mask) for s in self._exp_shifts])
-
     # -- polynomials from exponent tuples -------------------------------------
 
     def var(self, i: int, power: int = 1) -> Polynomial:

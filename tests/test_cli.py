@@ -416,22 +416,22 @@ GOLDEN = [
     (("resolve", "16", "3", "4", "--verify", "--json", "--emit-matrices"),
      "f508137b7f1d63351b08fb441f6618e234f3204f95d015a1c54fba294066a433"),
     (("resolve", "7", "1", "4", "--json", "--emit-matrices"),
-     "4efae63003f6cf84cb1045c3f4a45b018d02eac4e86443339318287cd816d061"),
+     "31300457ec057520b39ab82a9fde46e54bc251208991d284e34ce54f0bf37a7a"),
     (("resolve", "7", "2", "4", "--json", "--emit-matrices"),
-     "e7cb03191ff7968c5a0b7e1ee5ce6a40c815d1d6f81a76544e3737f054a8a5ab"),
+     "e40294c362de7c8de7fe1e8b962f4e98a9f693563e0469012fe43ddd5f762292"),
     (("resolve", "7", "2", "4", "--method", "oracle", "--verify", "--json",
       "--emit-matrices"),
-     "95ec0f20b9a9b0f6d1e30be0c7c1077ed3b8a3106c856e1640331e1f3337165b"),
+     "89152158257bae77cfc8af859532fdb6b2c2ddeb2cb550c97bfdf808a03a2a96"),
     (("resolve", "11", "1", "5", "--method", "oracle", "--verify",
       "--field", "fp:32003", "--json"),
      "9e04046752b84a3914be41ea107cb178b28c1b8f0342ddd5eb3c4bd825e21cae"),
     # oracle matrices at n = 5, and over QQ outside b = 3
     (("resolve", "11", "1", "5", "--method", "oracle", "--field", "fp:32003",
       "--json", "--emit-matrices"),
-     "03bd85fad7568fbe83330996f4224ab5a5320cbea7f6eeb84839e8a5e8f2cdc9"),
+     "21aff7396a0f6b32d9c836c1c451182098acf924a2c71d4f3649ef81b8012d1d"),
     (("resolve", "9", "2", "4", "--method", "oracle", "--verify", "--json",
       "--emit-matrices"),
-     "c8a171fc274341d00aecc73e2341ad39a202d709e8c154c4d42fc18201f30649"),
+     "2672474c53499641907b92deb3e13d726cd224574879170639a1f78cfd31e047"),
     (("scan", "--n", "4", "--a", "1..2", "--d", "1..3", "--json"),
      "585cd71fb2610cfd28541eb7e8525d22646ed96458b879a362406d65261c58e9"),
     # the same digest through pickled cells in worker processes
@@ -450,7 +450,7 @@ GOLDEN = [
     (("resolve", "8", "1", "4", "--emit-matrices"),
      "a9373a93b8401c8290d243b1f0eb2dcf98afa0a741ec9e3503c0607c734ae352"),
     (("resolve", "7", "2", "4", "--emit-matrices"),
-     "ca57cd6240d0661d6192785665a4e9257f82fc80f5ed4287431a96f01768d5c4"),
+     "c26d0982a20915b5f8c4ae7dec19cf2bf5b5088df153be8aa8298fddc7288cd5"),
     # text output of each command
     (("gens", "5", "1", "4"),
      "0c007782eaac46f13cad3e6176c24caa515a60e1cfc81fe1033f38892c35975b"),

@@ -215,23 +215,23 @@ class KeepMeters(Limits):
 
 class TestMinimalResolution:
     @pytest.mark.parametrize("m0,d,n,field,spairs", [
-        (7, 2, 4, QQ, [1, 28, 13, 54, 5, 8, 0, 0]),
-        (11, 1, 5, PrimeField(32003), [20, 105, 75, 617, 82, 320, 29, 53, 2, 2]),
+        (7, 2, 4, QQ, [1, 15, 12, 38, 4, 6, 0, 0]),
+        (11, 1, 5, PrimeField(32003), [20, 40, 25, 192, 68, 130, 15, 25, 1, 1]),
     ])
     def test_spairs_per_engine_run_pinned(self, m0, d, n, field, spairs):
         """S-pairs reduced by each engine run of the resolution, in order
-        (pruning, then syzygies, step by step), as recorded before the
-        engine's merges moved into the ring kernel.  A change that reorders
-        syzygy or pruning pairs shows here even when the output does not."""
+        (pruning, then syzygies, step by step), as recorded when syzygy
+        runs took up the pair criteria.  A change that reorders syzygy or
+        pruning pairs shows here even when the output does not."""
         limits = KeepMeters()
         minimal_resolution(list(validate_sequence(m0, d, n).generators(field).all),
                            limits=limits)
         assert [meter.spairs for meter in limits.meters] == spairs
 
     @pytest.mark.parametrize("m0,d,n,candidates,reduced,spairs", [
-        (5, 1, 4, [10, 45, 52, 12], [10, 45, 27, 5], [0, 23, 14, 2]),
-        (11, 1, 5, [15, 105, 469, 177, 23], [15, 105, 292, 81, 10],
-         [20, 75, 82, 29, 2]),
+        (5, 1, 4, [10, 20, 20, 6], [10, 20, 20, 5], [0, 0, 9, 1]),
+        (11, 1, 5, [15, 40, 105, 53, 7], [15, 40, 88, 42, 7],
+         [20, 25, 68, 15, 1]),
     ])
     def test_pruning_skips_reductions_not_pairs(self, monkeypatch, m0, d, n,
                                                 candidates, reduced, spairs):
@@ -382,6 +382,33 @@ class TestMinimalResolution:
         assert betti[1] == betti_b1(5) == (1, 15, 40, 45, 24, 5)
         assert betti[5] == betti_bn(5) == (1, 11, 30, 35, 19, 4)
         assert betti[2] == betti[2][::-1] == (1, 14, 35, 35, 14, 1)
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_n6_cell(self, b):
+        """The n = 6 cells with a = 1, d = 1: b = 1 and b = n against the
+        closed forms, the classes between against the n = 6 scan's vectors,
+        recorded before syzygy runs took up the pair criteria."""
+        middle = {2: (1, 20, 64, 90, 64, 20, 1), 3: (1, 19, 58, 75, 44, 11, 2),
+                  4: (1, 18, 52, 60, 39, 17, 3), 5: (1, 17, 46, 65, 54, 23, 4)}
+        seq = validate_sequence(6 + b, 1, 6)
+        C = minimal_resolution(list(seq.generators(PrimeField(32003)).all))
+        table = BettiTable.from_complex(C)
+        if b == 1:
+            assert C.betti() == betti_b1(6)
+            assert table.same_shifts(shift_table_b1(seq))
+        elif b == 6:
+            assert C.betti() == betti_bn(6)
+            assert table.same_shifts(shift_table_bn(seq))
+        else:
+            assert C.betti() == middle[b]
+
+    def test_n6_syzygy_runs_fit_500_spairs(self):
+        """Every engine run of 13 1 6 reduces at most 449 S-pairs; its
+        largest syzygy run reduced 1,876 without the pair criteria."""
+        seq = validate_sequence(13, 1, 6)
+        C = minimal_resolution(list(seq.generators(PrimeField(32003)).all),
+                               limits=Limits(max_spairs=500))
+        assert C.betti() == betti_b1(6)
 
     def test_rejects_inhomogeneous(self):
         R = curve_ring((5, 6, 7))
