@@ -21,9 +21,9 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import asdict, fields, replace
+from functools import partial
 from itertools import islice
 from typing import Optional
 
@@ -136,13 +136,22 @@ def load_limits(path: str) -> Limits:
     return Limits(**data)
 
 
+def _built(value):
+    """The encoder's hook for other objects: a callable stands for what it returns."""
+    if callable(value):
+        return value()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(obj) -> None:
     """obj as indented JSON and a newline, written as it is encoded.
 
     Chunks go out joined in batches: the whole text of a large report would
     not fit in memory, and one write per chunk (per matrix entry) is slow.
+    A zero-argument callable in obj is called when the encoder reaches it,
+    so what it builds is held only while it is written.
     """
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    chunks = json.JSONEncoder(indent=2, default=_built).iterencode(obj)
     while batch := list(islice(chunks, 1 << 16)):
         sys.stdout.write("".join(batch))
     sys.stdout.write("\n")
@@ -243,16 +252,17 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
 
 
 def emit_matrices_obj(complex_: GradedComplex) -> list:
-    out = []
-    for s in range(1, complex_.length + 1):
+    """Per differential, a callable that builds its JSON object, dense entry
+    strings included; `write_json` holds one of them at a time."""
+    def matrix_obj(s: int) -> dict:
         d = complex_.differential(s)
-        out.append({
+        return {
             "step": s,
             "rows": d.rows,
             "cols": d.cols,
-            "entries": [str(e) for row in d.dense_rows() for e in row],
-        })
-    return out
+            "entries": d.dense_strings(),
+        }
+    return [partial(matrix_obj, s) for s in range(1, complex_.length + 1)]
 
 
 # -- commands -----------------------------------------------------------------
@@ -362,6 +372,10 @@ def cmd_scan(args) -> int:
     # for no more than there are cells or cores
     workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which no other
+        # command or serial scan needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_scan_cell, payloads))
     else:

@@ -120,6 +120,9 @@ def minor_complex(M: PolyMatrix) -> GradedComplex:
     # step 1: the pair (c1, c2) goes to the corresponding 2x2 minor
     maps = [PolyMatrix(ring, 1, len(bases[1]),
                        {(0, j): M.minor2(*cols) for j, (cols, _) in enumerate(bases[1])})]
+    # signed[row][c] = (entry, -entry), built once: entries are immutable,
+    # so every differential shares them
+    signed = [[(e, -e) for e in (M.entry(row, c) for c in range(m))] for row in (0, 1)]
     for s in range(2, m):
         target_index = {key: i for i, key in enumerate(bases[s - 1])}
         entries = {}
@@ -129,9 +132,7 @@ def minor_complex(M: PolyMatrix) -> GradedComplex:
                 rest = cols[:pos] + cols[pos + 1 :]
                 for row, tgt_v1, live in ((0, v1, v0 >= 1), (1, v1 - 1, v1 >= 1)):
                     if live:
-                        term = M.entry(row, c)
-                        entries[target_index[rest, tgt_v1], j] = (
-                            term if pos % 2 == 0 else -term)
+                        entries[target_index[rest, tgt_v1], j] = signed[row][c][pos % 2]
         maps.append(PolyMatrix(ring, len(target_index), len(bases[s]), entries))
     return GradedComplex(steps, maps)
 
@@ -165,8 +166,10 @@ def mapping_cone(E: GradedComplex, multiplier: Polynomial) -> GradedComplex:
         entries = {(src_rows + j, j): multiplier for j in range(src_cols)}
         # -d_E block (top left)
         if 1 <= s - 1 <= E.length:
-            entries.update(((i, j), -e)
-                           for (i, j), e in E.differential(s - 1).nonzero.items())
+            inner = E.differential(s - 1).nonzero
+            # each distinct entry is negated once and the result shared
+            negated = {e: -e for e in set(inner.values())}
+            entries.update((key, negated[e]) for key, e in inner.items())
         # d_E block (bottom right)
         if s <= E.length:
             entries.update(((src_rows + i, src_cols + j), e)

@@ -3,7 +3,8 @@
 A matrix stores only its nonzero entries, keyed by (row, col) in row-major
 order; the constructor takes them so and `from_rows` takes dense rows.
 `dense_rows()` is the row reader for output: it yields each row, zeros
-included, from one pass over those keys."""
+included, from one pass over those keys; `dense_strings()` gives the whole
+matrix as one flat list of entry strings."""
 
 from __future__ import annotations
 
@@ -48,6 +49,15 @@ class PolyMatrix:
                 row[j] = e
                 (k, j), e = next(nonzero, end)
             yield row
+
+    def dense_strings(self) -> list[str]:
+        """Every entry as a string, row-major, zeros included.  The list is
+        allocated once at its full length and the zeros share one string."""
+        cols = self.cols
+        out = [str(self.ring.zero)] * (self.rows * cols)
+        for (i, j), e in self.nonzero.items():
+            out[i * cols + j] = str(e)
+        return out
 
     def entry(self, i: int, j: int) -> Polynomial:
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -349,7 +349,7 @@ class TestScan:
             def map(self, fn, payloads):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..2", "--json")
         _, serial, _ = run_cli(capsys, *args)  # 4 cells
         for cores, jobs, expected in ((8, "1000", [4]), (3, "1000", [3]), (8, "2", [2]),
@@ -481,15 +481,37 @@ def child_python(*args, **kwargs):
 class TestProcess:
     """Behaviour that only shows in a process of its own."""
 
-    def test_closed_stdout_exits_quietly(self):
-        # about 1.7 MB of matrices, far more than a pipe buffer holds
+    @pytest.mark.parametrize("flags,first_line", [
+        ((), "sequence (9, 1, 8)"),
+        (("--json",), "{"),
+    ], ids=["text", "json"])
+    def test_closed_stdout_exits_quietly(self, flags, first_line):
+        # megabytes of matrices, far more than a pipe buffer holds: JSON
+        # breaks off inside a streamed differential
         with child_python("-m", "arithcurve.cli", "resolve", "9", "1", "8",
-                          "--emit-matrices") as child:
-            assert child.stdout.readline().startswith("sequence (9, 1, 8)")
+                          "--emit-matrices", *flags) as child:
+            assert child.stdout.readline().startswith(first_line)
             child.stdout.close()
             err = child.stderr.read()
         assert child.returncode == EXIT_CLOSED_STDOUT == 1
         assert err == ""
+
+    def test_serial_commands_load_no_process_pool(self):
+        """Only a scan with 2 or more workers imports the process pool and
+        with it multiprocessing."""
+        script = (
+            "import contextlib, io, sys\n"
+            "from arithcurve.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['resolve', '5', '1', '4', '--verify', '--json']),\n"
+            "             main(['scan', '--n', '4', '--b', '1', '--a', '1', '--d', '1',\n"
+            "                   '--jobs', '1'])]\n"
+            "print(codes, sorted({'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))\n"
+        )
+        with child_python("-c", script) as child:
+            out, err = child.communicate()
+        assert (child.returncode, out, err) == (EXIT_OK, "[0, 0] []\n", "")
 
     def test_b1_construction_at_n11_fits_in_512_mib(self):
         script = (
@@ -506,13 +528,15 @@ class TestProcess:
         expected = shift_table_b1(validate_sequence(12, 1, 11)).to_json_obj()
         assert json.loads(out)["betti"] == expected
 
-    def test_json_matrices_at_n9_fit_in_256_mib(self):
+    def test_json_matrices_at_n9_fit_in_64_mib(self):
         """JSON is written as it is encoded, not joined into one string
-        first; the dense entry lists of `10 1 9` hold about 2.9 M slots."""
+        first, and each differential's entry strings are built only when
+        the encoder reaches them; the dense entry lists of `10 1 9` hold
+        about 2.9 M slots in all."""
         argv = ["resolve", "10", "1", "9", "--json", "--emit-matrices"]
         script = (
             "import resource, sys\n"
-            "limit = 256 << 20\n"
+            "limit = 64 << 20\n"
             "resource.setrlimit(resource.RLIMIT_AS,"
             " (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
             "from arithcurve.cli import main\n"

@@ -160,6 +160,18 @@ class TestMappingCone:
             resolution_bn(validate_sequence(6, 1, 4))
 
 
+@pytest.mark.parametrize("build, m0", [(resolution_b1, 9), (resolution_bn, 16)],
+                         ids=["b1", "bn"])
+def test_constructions_share_their_entries(build, m0):
+    """Entries are immutable, so the constructions build each distinct entry
+    (and its negative) a few times at most, not once per nonzero slot."""
+    C = build(validate_sequence(m0, 1, 8))
+    entries = [e for s in range(1, C.length + 1)
+               for e in C.differential(s).nonzero.values()]
+    assert len(entries) > 1000
+    assert len({id(e) for e in entries}) <= 4 * len(set(entries))
+
+
 class TestVerifier:
     def test_detects_constant_entry(self):
         seq = validate_sequence(5, 1, 4)
