@@ -26,7 +26,6 @@ from .curve import (
 )
 from .complexes import (
     ComplexError,
-    ComplexReport,
     GradedComplex,
     InhomogeneousColumns,
     InhomogeneousMultiplier,
@@ -63,7 +62,6 @@ from .groebner import (
     syzygy_generators,
 )
 from .oracle import (
-    ExactnessReport,
     colon_check,
     colon_ideal,
     ideal_contains,

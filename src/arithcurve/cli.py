@@ -23,7 +23,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, fields, replace
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from typing import Optional
 
@@ -210,15 +210,8 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
             phase = "verify"
             t0 = time.perf_counter()
             if complex_ is not None:
-                rep = verify_complex(complex_)
-                for name in ("dd_zero", "homogeneous", "minimal"):
-                    checks[name] = {"pass": getattr(rep, name),
-                                    "witness": list(rep.witness.get(name, []))}
-                exact = verify_exactness(complex_, gens, limits=limits)
-                checks["exactness"] = {
-                    "pass": exact.all_ok,
-                    "witness": [] if exact.all_ok else [exact.first_failure()],
-                }
+                checks.update(verify_complex(complex_))
+                checks.update(verify_exactness(complex_, gens, limits=limits))
             if method != "oracle":
                 oracle_table = BettiTable.from_complex(
                     minimal_resolution(gens, limits=limits)
@@ -336,18 +329,15 @@ def _scan_cell(payload: tuple) -> dict:
     try:
         seq = ArithmeticSequence.validate(m0, d, n)
     except SequenceError as exc:
-        cell["status"] = "invalid"
-        cell["reason"] = str(exc)
-        return cell
+        return {**cell, "status": "invalid", "reason": str(exc)}
     try:
         complex_ = minimal_resolution(list(seq.generators(field).all), limits=limits)
     except ResourceLimitExceeded as exc:
-        cell["status"] = "resource-limit"
-        cell["reason"] = str(exc)
-        return cell
-    cell["status"] = "ok"
-    cell["betti"] = list(complex_.betti())
-    return cell
+        return {**cell, "status": "resource-limit", "reason": str(exc)}
+    except MemoryError:
+        # one cell's failure, like a cap: the finished cells are still reported
+        return {**cell, "status": "resource-limit", "reason": "out of memory"}
+    return {**cell, "status": "ok", "betti": list(complex_.betti())}
 
 
 def cmd_scan(args) -> int:
@@ -427,7 +417,10 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing mutates none of it, and
+    building it costs several times a parse."""
     parser = argparse.ArgumentParser(
         prog="arithcurve",
         description="Defining ideals and minimal graded free resolutions of "

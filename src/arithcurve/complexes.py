@@ -22,7 +22,6 @@ every matrix is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -202,32 +201,22 @@ def minor_complex_rank(m: int, s: int) -> int:
     return s * comb(m, s + 1)
 
 
-@dataclass
-class ComplexReport:
-    dd_zero: bool
-    homogeneous: bool
-    minimal: bool
-    witness: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return self.dd_zero and self.homogeneous and self.minimal
-
-
-def _first_entry(mats, accept):
-    """First (step, row, col) of a nonzero entry e with accept(step, row, col, e)
-    over (step, matrix) pairs in order, each matrix row-major, or None."""
+def _first_entry(mats, accept) -> list:
+    """[step, row, col] of the first nonzero entry e with accept(step, row,
+    col, e) over (step, matrix) pairs in order, each matrix row-major, or []."""
     for s, d in mats:
         for (i, j), e in d.nonzero.items():
             if accept(s, i, j, e):
-                return (s, i, j)
-    return None
+                return [s, i, j]
+    return []
 
 
-def verify_complex(C: GradedComplex) -> ComplexReport:
+def verify_complex(C: GradedComplex) -> dict:
     """Check d.d = 0, graded homogeneity of every entry, and minimality.
 
-    Each failing check records its first witness as (step, row, col).
+    Returns the check entries that `resolve --verify` prints: {"dd_zero" |
+    "homogeneous" | "minimal": {"pass": bool, "witness": [step, row, col]
+    of the first failing entry, or []}}.
     """
     diffs = [(s, C.differential(s)) for s in range(1, C.length + 1)]
     products = ((s, C.differential(s - 1).mul(C.differential(s)))
@@ -240,9 +229,4 @@ def verify_complex(C: GradedComplex) -> ComplexReport:
         ),
         "minimal": _first_entry(diffs, lambda s, i, j, e: e.is_constant()),
     }
-    return ComplexReport(
-        dd_zero=found["dd_zero"] is None,
-        homogeneous=found["homogeneous"] is None,
-        minimal=found["minimal"] is None,
-        witness={name: w for name, w in found.items() if w is not None},
-    )
+    return {name: {"pass": not w, "witness": w} for name, w in found.items()}

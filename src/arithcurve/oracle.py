@@ -24,12 +24,12 @@ ones is a genuine two-route check.
                        the zero module past the last map; one syzygy run per
                        differential gives both its syzygies and a Groebner
                        basis of its image, and one more run gives a basis of
-                       the target ideal
+                       the target ideal; returns the `exactness` check entry
+                       that `resolve --verify` prints, at the first failure
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 from .complexes import GradedComplex
@@ -195,26 +195,14 @@ def minimal_resolution(gens: Sequence[Polynomial],
 # -- exactness ---------------------------------------------------------------
 
 
-@dataclass
-class ExactnessReport:
-    generates_target: bool
-    steps: dict = dataclass_field(default_factory=dict)  # step -> bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.generates_target and all(self.steps.values())
-
-    def first_failure(self):
-        if not self.generates_target:
-            return "image of the first differential"
-        for s in sorted(self.steps):
-            if not self.steps[s]:
-                return f"exactness at step {s}"
-        return None
+def _exactness(failure=None) -> dict:
+    """The `exactness` check entry, failed at `failure` if one is given."""
+    return {"exactness": {"pass": failure is None,
+                          "witness": [] if failure is None else [failure]}}
 
 
 def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
-                     limits: Limits = DEFAULT_LIMITS) -> ExactnessReport:
+                     limits: Limits = DEFAULT_LIMITS) -> dict:
     """Machine check that C resolves R modulo the ideal of `gens`.
 
     (a) the entries of d_1 generate the same ideal as `gens`: `gens` lie in
@@ -223,6 +211,12 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     (b) for each s < length, the syzygies of d_s lie in the image of d_{s+1};
     (c) the last differential has no nonzero syzygies (injectivity): this is
         (b) at s = length, with the zero module as the image.
+
+    Returns {"exactness": {"pass": bool, "witness": []}} when all hold, and
+    otherwise names the first failure in the witness, "image of the first
+    differential" for (a) or "exactness at step s" for (b) and (c).  The
+    check returns at its first failure, so no engine run is made after the
+    verdict is fixed, and no cap can turn a failure into a resource limit.
 
     One run of `syzygies_and_basis` per differential gives the syzygies of
     d_s and a Groebner basis of the image of d_s, which (a) (s = 1) or step
@@ -239,16 +233,15 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     # d_1 has one row, so its image is the ideal of its entries; the zero
     # ones add nothing to it
     image_reducer = module_reducer(image, ring, 1)
-    report = ExactnessReport(
-        generates_target=(
-            not any(image_reducer.top_reduce((g,)) for g in gens)
-            and ideal_contains(gens, list(d1.nonzero.values()), limits=limits))
-    )
+    if (any(image_reducer.top_reduce((g,)) for g in gens)
+            or not ideal_contains(gens, list(d1.nonzero.values()), limits=limits)):
+        return _exactness("image of the first differential")
     for s in range(1, C.length + 1):
         next_syz, gb = (syzygies_and_basis(_matrix_columns(C.differential(s + 1)),
                                            ring, limits=limits)
                         if s < C.length else ([], []))
         reducer = module_reducer(gb, ring, C.differential(s).cols)
-        report.steps[s] = not any(reducer.top_reduce(v) for v in syz)
+        if any(reducer.top_reduce(v) for v in syz):
+            return _exactness(f"exactness at step {s}")
         syz = next_syz
-    return report
+    return _exactness()

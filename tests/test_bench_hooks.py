@@ -77,7 +77,7 @@ def test_verify_exactness_reduces_through_module_reducer(monkeypatch):
     monkeypatch.setattr(oracle, "module_reducer", module_reducer)
     seq = validate_sequence(5, 1, 4)
     report = oracle.verify_exactness(resolution_b1(seq), list(seq.generators().all))
-    assert report.all_ok
+    assert report["exactness"]["pass"]
     assert calls >= 1
 
 

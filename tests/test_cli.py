@@ -146,15 +146,13 @@ class TestResolve:
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
         import arithcurve.cli as cli_mod
 
-        class FakeReport:
-            dd_zero = True
-            homogeneous = True
-            minimal = False
-            witness = {"minimal": (1, 0, 0)}
-
-        monkeypatch.setattr(cli_mod, "verify_complex", lambda C: FakeReport())
-        code, _, err = run_cli(capsys, "resolve", "5", "1", "4", "--verify")
+        checks = {"dd_zero": {"pass": True, "witness": []},
+                  "homogeneous": {"pass": True, "witness": []},
+                  "minimal": {"pass": False, "witness": [1, 0, 0]}}
+        monkeypatch.setattr(cli_mod, "verify_complex", lambda C: checks)
+        code, out, err = run_cli(capsys, "resolve", "5", "1", "4", "--verify")
         assert code == EXIT_VERIFY
+        assert "check minimal: FAIL [1, 0, 0]" in out
         assert "verification failed" in err
 
     def test_oracle_verify_checks_exactness(self, capsys):
@@ -167,14 +165,8 @@ class TestResolve:
     def test_oracle_exactness_failure_exit_code(self, capsys, monkeypatch):
         import arithcurve.cli as cli_mod
 
-        class FakeExactness:
-            all_ok = False
-
-            def first_failure(self):
-                return "exactness at step 2"
-
-        monkeypatch.setattr(cli_mod, "verify_exactness",
-                            lambda C, gens, limits: FakeExactness())
+        failed = {"exactness": {"pass": False, "witness": ["exactness at step 2"]}}
+        monkeypatch.setattr(cli_mod, "verify_exactness", lambda C, gens, limits: failed)
         code, out, err = run_cli(capsys, "resolve", "7", "2", "4", "--verify")
         assert code == EXIT_VERIFY
         assert "check exactness: FAIL ['exactness at step 2']" in out
@@ -323,6 +315,55 @@ class TestScan:
         assert code == EXIT_INVALID
         assert flag in captured.err
         assert captured.out == ""
+
+    def test_non_uniform_class_reported(self, capsys, monkeypatch):
+        """A cell whose Betti vector differs from the first one's is the
+        counterexample, in JSON and as the text summary line; exit 0."""
+        scan_cell = cli._scan_cell
+
+        def altered(payload):
+            cell = scan_cell(payload)
+            if cell["a"] == 2:
+                cell["betti"][-1] += 1
+            return cell
+
+        monkeypatch.setattr(cli, "_scan_cell", altered)
+        args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..1")
+        code, out, _ = run_cli(capsys, *args, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["summary"] == [{
+            "b": 1, "cells_ok": 2, "cells_invalid": 0, "cells_limited": 0,
+            "uniform": False,
+            "first": {"a": 1, "d": 1, "betti": [1, 6, 8, 3]},
+            "counterexample": {"a": 2, "d": 1, "betti": [1, 6, 8, 4]},
+        }]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            "b=1: NOT uniform: {'a': 1, 'd': 1, 'betti': [1, 6, 8, 3]} "
+            "vs {'a': 2, 'd': 1, 'betti': [1, 6, 8, 4]}")
+
+    def test_out_of_memory_cell_reported(self, capsys, monkeypatch):
+        """A cell that runs out of memory is that cell's resource limit: the
+        finished cells are still printed, and the scan exits with 4."""
+        resolve = cli.minimal_resolution
+
+        def exhaust_at_m0_7(gens, limits):
+            if gens[0].ring.weights[0] == 7:
+                raise MemoryError
+            return resolve(gens, limits=limits)
+
+        monkeypatch.setattr(cli, "minimal_resolution", exhaust_at_m0_7)
+        args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..1")
+        code, out, err = run_cli(capsys, *args, "--json")
+        assert (code, err) == (EXIT_RESOURCE, "")
+        obj = json.loads(out)
+        assert [c["status"] for c in obj["cells"]] == ["ok", "resource-limit"]
+        assert obj["cells"][1]["reason"] == "out of memory"
+        assert obj["summary"][0]["cells_limited"] == 1
+        code, out, _ = run_cli(capsys, *args)
+        assert code == EXIT_RESOURCE
+        assert "b=1 a=2 d=1 m0=7: resource-limit (out of memory)" in out
 
     def test_parallel_matches_serial(self, capsys):
         args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..2", "--json")
@@ -603,6 +644,13 @@ class TestGolden:
                              ids=[" ".join(argv) for argv, _ in INVALID_SEQUENCES])
     def test_invalid_sequence_exit(self, capsys, argv, line):
         assert run_cli(capsys, *argv) == (EXIT_INVALID, "", line + "\n")
+
+
+def test_parser_built_once(capsys):
+    build_parser.cache_clear()
+    run_cli(capsys, "gens", "5", "1", "4")
+    run_cli(capsys, "scan", "--n", "3", "--a", "1..1", "--d", "1..1")
+    assert build_parser.cache_info().misses == 1
 
 
 class TestReadme:

@@ -59,16 +59,14 @@ class TestMinorComplex:
     def test_all_verifications_pass(self):
         for m0, d, n in [(5, 1, 4), (9, 2, 4), (7, 1, 3)]:
             C = resolution_b1(validate_sequence(m0, d, n))
-            rep = verify_complex(C)
-            assert rep.dd_zero and rep.homogeneous and rep.minimal
+            assert all(c["pass"] for c in verify_complex(C).values())
 
     def test_large_case_ranks_and_dd_zero(self):
         # (7, 2, 6): formula gives (1, 21, 70, 105, 84, 35, 6)
         seq = validate_sequence(7, 2, 6)
         C = resolution_b1(seq)
         assert C.betti() == (1, 21, 70, 105, 84, 35, 6)
-        rep = verify_complex(C)
-        assert rep.all_ok
+        assert all(c["pass"] for c in verify_complex(C).values())
 
     def test_non_monomial_entry_rejected(self):
         R = curve_ring((1, 1, 1))
@@ -131,8 +129,8 @@ class TestMappingCone:
 
     def test_verifications_pass(self):
         for m0, d, n in [(8, 1, 4), (6, 1, 3), (16, 3, 4), (4, 1, 2)]:
-            rep = verify_complex(resolution_bn(validate_sequence(m0, d, n)))
-            assert rep.dd_zero and rep.homogeneous and rep.minimal
+            checks = verify_complex(resolution_bn(validate_sequence(m0, d, n)))
+            assert all(c["pass"] for c in checks.values())
 
     def test_zero_multiplier_gives_direct_sum(self):
         seq = validate_sequence(4, 1, 2)
@@ -142,7 +140,7 @@ class TestMappingCone:
         d1 = C.differential(1)
         assert d1.entry(0, 0).is_zero()  # zero cross-block
         rep = verify_complex(C)
-        assert rep.dd_zero and rep.homogeneous
+        assert rep["dd_zero"]["pass"] and rep["homogeneous"]["pass"]
 
     def test_inhomogeneous_multiplier_rejected(self):
         seq = validate_sequence(8, 1, 4)
@@ -180,9 +178,8 @@ class TestVerifier:
         tweaked = GradedComplex(
             C.steps, [edited(d1, {(0, 0): d1.ring.one})] + list(C.maps[1:])
         )
-        rep = verify_complex(tweaked)
-        assert not rep.minimal
-        assert rep.witness["minimal"] == (1, 0, 0)
+        assert verify_complex(tweaked)["minimal"] == {"pass": False,
+                                                      "witness": [1, 0, 0]}
 
     def test_detects_sign_corruption(self):
         seq = validate_sequence(5, 1, 4)
@@ -193,8 +190,8 @@ class TestVerifier:
             C.steps, [C.maps[0], edited(d2, {key: -d2.nonzero[key]})] + list(C.maps[2:])
         )
         rep = verify_complex(tweaked)
-        assert not rep.dd_zero
-        assert rep.witness["dd_zero"][0] == 2
+        assert not rep["dd_zero"]["pass"]
+        assert rep["dd_zero"]["witness"][0] == 2
 
     def test_detects_inhomogeneous_entry(self):
         seq = validate_sequence(5, 1, 4)
@@ -203,7 +200,7 @@ class TestVerifier:
         key = next(iter(d2.nonzero))
         broken = edited(d2, {key: d2.nonzero[key] + d2.ring.var(0) ** 7})
         tweaked = GradedComplex(C.steps, [C.maps[0], broken] + list(C.maps[2:]))
-        assert not verify_complex(tweaked).homogeneous
+        assert not verify_complex(tweaked)["homogeneous"]["pass"]
 
     def test_first_witness_of_each_failing_check(self):
         C = resolution_b1(validate_sequence(5, 1, 4))
@@ -214,10 +211,10 @@ class TestVerifier:
             [edited(d1, {(0, 3): d1.ring.one}), edited(d2, {key: -d2.nonzero[key]})]
             + list(C.maps[2:]),
         )
-        rep = verify_complex(tweaked)
-        assert (rep.dd_zero, rep.homogeneous, rep.minimal) == (False, False, False)
-        assert rep.witness == {
-            "dd_zero": (2, 0, 4), "homogeneous": (1, 0, 3), "minimal": (1, 0, 3),
+        assert verify_complex(tweaked) == {
+            "dd_zero": {"pass": False, "witness": [2, 0, 4]},
+            "homogeneous": {"pass": False, "witness": [1, 0, 3]},
+            "minimal": {"pass": False, "witness": [1, 0, 3]},
         }
 
     def test_cone_witnesses_in_row_major_order(self):
@@ -233,6 +230,6 @@ class TestVerifier:
         broken = edited(d2, {(2, 1): R.one, (1, 7): R.one,
                              (1, 6): d2.entry(1, 6) + R.var(0) ** 5})
         tweaked = GradedComplex(C.steps, [d1, broken] + list(C.maps[2:]))
-        assert verify_complex(tweaked).witness == {
-            "dd_zero": (2, 0, 1), "homogeneous": (2, 1, 6), "minimal": (2, 1, 7),
+        assert {name: c["witness"] for name, c in verify_complex(tweaked).items()} == {
+            "dd_zero": [2, 0, 1], "homogeneous": [2, 1, 6], "minimal": [2, 1, 7],
         }

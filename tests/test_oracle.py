@@ -203,14 +203,22 @@ class TestMinimalGenerators:
 class KeepMeters(Limits):
     """Default limits that keep the meter of every engine run they start."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, **caps):
+        super().__init__(**caps)
         self.meters = []
 
     def start(self):
         meter = super().start()
         self.meters.append(meter)
         return meter
+
+
+EXACT = {"exactness": {"pass": True, "witness": []}}
+
+
+def failed(witness):
+    """The exactness entry of a check whose first failure is `witness`."""
+    return {"exactness": {"pass": False, "witness": [witness]}}
 
 
 class TestMinimalResolution:
@@ -265,14 +273,13 @@ class TestMinimalResolution:
         seq = validate_sequence(8, 1, 3)
         C = minimal_resolution(list(seq.generators().all))
         assert C.betti() == (1, 5, 5, 1)
-        rep = verify_complex(C)
-        assert rep.dd_zero and rep.homogeneous and rep.minimal
+        assert all(c["pass"] for c in verify_complex(C).values())
 
     @pytest.mark.parametrize("m0,d,n", [(5, 1, 4), (6, 1, 4), (7, 1, 4), (8, 1, 4)])
     def test_minimal_without_unit_entries(self, m0, d, n):
         seq = validate_sequence(m0, d, n)
         C = minimal_resolution(list(seq.generators(PrimeField(32003)).all))
-        assert verify_complex(C).minimal
+        assert verify_complex(C)["minimal"]["pass"]
         for s in range(1, C.length + 1):
             assert not any(e.is_constant() and not e.is_zero()
                            for e in C.differential(s).nonzero.values())
@@ -347,7 +354,7 @@ class TestMinimalResolution:
         seq = validate_sequence(8, 1, 3)
         gens = list(seq.generators().all)
         C = minimal_resolution(gens)
-        assert verify_exactness(C, gens).all_ok
+        assert verify_exactness(C, gens) == EXACT
 
     @pytest.mark.parametrize("m0,d,n", [(7, 1, 4), (7, 2, 4), (11, 1, 4), (8, 1, 5)])
     def test_exactness_where_no_construction_exists(self, m0, d, n):
@@ -356,8 +363,8 @@ class TestMinimalResolution:
         seq = validate_sequence(m0, d, n)
         gens = list(seq.generators(PrimeField(32003)).all)
         C = minimal_resolution(gens)
-        assert verify_complex(C).minimal
-        assert verify_exactness(C, gens).all_ok
+        assert verify_complex(C)["minimal"]["pass"]
+        assert verify_exactness(C, gens) == EXACT
 
     def test_n5_grid_betti_by_residue_class(self):
         """The uniformity check one n higher: a, d in {1, 2} gives at least
@@ -425,27 +432,25 @@ class TestVerifyExactness:
     def test_constructed_b1_resolution_exact(self):
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
-        rep = verify_exactness(C, list(seq.generators().all))
-        assert rep.all_ok
-        assert rep.first_failure() is None
+        assert verify_exactness(C, list(seq.generators().all)) == EXACT
 
     def test_constructed_bn_resolution_exact(self):
         seq = validate_sequence(8, 1, 4)
         C = resolution_bn(seq)
-        assert verify_exactness(C, list(seq.generators().all)).all_ok
+        assert verify_exactness(C, list(seq.generators().all)) == EXACT
 
     def test_truncated_complex_fails_at_cut(self):
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         truncated = GradedComplex(C.steps[:-1], C.maps[:-1])
         rep = verify_exactness(truncated, list(seq.generators().all))
-        assert not rep.all_ok
-        assert rep.steps[truncated.length] is False
-        assert rep.first_failure() == f"exactness at step {truncated.length}"
+        assert rep == failed(f"exactness at step {truncated.length}")
 
     def test_dropped_column_fails_at_middle_step(self):
         """Without one column of d_2 (its shift and the matching row of
-        d_3 go too), the image of d_2 misses a syzygy of d_1."""
+        d_3 go too), the image of d_2 misses a syzygy of d_1.  The check
+        stops there: after d_1's run and the generators' basis, only d_2's
+        run is made, not those of d_3 and d_4."""
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         d2, d3 = C.differential(2), C.differential(3)
@@ -463,10 +468,10 @@ class TestVerifyExactness:
         steps = list(C.steps)
         steps[2] = steps[2][:drop] + steps[2][drop + 1:]
         cut = GradedComplex(steps, [C.differential(1), cut_d2, cut_d3, *C.maps[3:]])
-        rep = verify_exactness(cut, list(seq.generators().all))
-        assert rep.generates_target
-        assert rep.steps[1] is False
-        assert rep.first_failure() == "exactness at step 1"
+        limits = KeepMeters()
+        rep = verify_exactness(cut, list(seq.generators().all), limits=limits)
+        assert rep == failed("exactness at step 1")
+        assert len(limits.meters) == 3
 
     @pytest.mark.parametrize("m0,build,spairs", [
         (5, resolution_b1, [20, 20, 39, 19, 3]),
@@ -480,14 +485,15 @@ class TestVerifyExactness:
         seq = validate_sequence(m0, 1, 4)
         limits = KeepMeters()
         assert verify_exactness(build(seq), list(seq.generators().all),
-                                limits=limits).all_ok
+                                limits=limits) == EXACT
         assert [meter.spairs for meter in limits.meters] == spairs
 
     @pytest.mark.parametrize("change", ["add X0", "drop one"])
     def test_each_inclusion_of_the_first_image_checked(self, change):
         """gens + X0 escapes only the image of d_1, the inclusion decided
         against the basis of d_1's own run; gens less one misses a
-        generator of that image, which `ideal_contains` decides."""
+        generator of that image, which `ideal_contains` decides with one
+        more run.  No syzygy run of a later differential follows."""
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         gens = list(seq.generators().all)
@@ -495,14 +501,24 @@ class TestVerifyExactness:
         image = list(C.differential(1).nonzero.values())
         assert ideal_contains(image, gens) is (change == "drop one")
         assert ideal_contains(gens, image) is (change == "add X0")
-        rep = verify_exactness(C, gens)
-        assert not rep.generates_target
-        assert all(rep.steps.values())
-        assert rep.first_failure() == "image of the first differential"
+        limits = KeepMeters()
+        rep = verify_exactness(C, gens, limits=limits)
+        assert rep == failed("image of the first differential")
+        assert len(limits.meters) == (1 if change == "add X0" else 2)
+
+    def test_failure_returns_before_a_cap_applies(self):
+        """gens + X0 fails at d_1, whose run reduces 20 S-pairs; d_2's run
+        would reduce 39, so under a 30-pair cap a check that went on would
+        raise ResourceLimitExceeded instead of reporting the failure."""
+        seq = validate_sequence(5, 1, 4)
+        gens = list(seq.generators().all) + [seq.ring().var(0)]
+        limits = KeepMeters(max_spairs=30)
+        rep = verify_exactness(resolution_b1(seq), gens, limits=limits)
+        assert rep == failed("image of the first differential")
+        assert [meter.spairs for meter in limits.meters] == [20]
 
     def test_wrong_ideal_detected(self):
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         wrong = [seq.ring().var(0)]
-        rep = verify_exactness(C, wrong)
-        assert not rep.generates_target
+        assert verify_exactness(C, wrong) == failed("image of the first differential")
