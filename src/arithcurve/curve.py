@@ -40,6 +40,12 @@ class GcdNotOne(SequenceError):
     pass
 
 
+# a gcd failure's message lists at most this many terms; a longer sequence
+# is shown by its first two terms and its last, so that the message costs
+# O(1) however large n is
+_LISTED_TERMS = 16
+
+
 class FirstTermTooSmall(SequenceError):
     """m0 <= n, so the quotient of m0 by n vanishes and minimality fails."""
 
@@ -64,11 +70,14 @@ class ArithmeticSequence:
         if n < 2:
             raise SequenceError("n must be at least 2")
         # the gcd of the terms m0 + i*d is gcd(m0, d), so both checks are
-        # O(1); the n + 1 terms are built only for the message or the result
+        # O(1); the n + 1 terms are built only for the result
         g = math.gcd(m0, d)
         if g != 1:
-            terms = tuple(m0 + i * d for i in range(n + 1))
-            raise GcdNotOne(f"gcd{terms} = {g} != 1")
+            if n < _LISTED_TERMS:
+                shown = ", ".join(str(m0 + i * d) for i in range(n + 1))
+            else:
+                shown = f"{m0}, {m0 + d}, ..., {m0 + n * d}"
+            raise GcdNotOne(f"gcd({shown}) = {g} != 1")
         b = m0 % n or n
         a = (m0 - b) // n
         if a < 1:

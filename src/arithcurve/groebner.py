@@ -12,10 +12,11 @@ packed fields and their guard bits.  Decreasing key order is then
 position-over-term, a vector's flat terms are its components' packed terms
 concatenated in position order, and at rank 1 they are the polynomial's own
 packed terms.  A vector being reduced lives in one map {key: coefficient}
-from its S-pair to its remainder: forming the S-pair is two calls of the
-ring's kernel `ring._add_into`, each reduction step v <- v + k * X^u * b is
-one more, whatever the rank, and the map is sorted into flat terms once at
-the end.  The engine forms no product anywhere else.
+from its S-pair to its remainder: forming the S-pair is two range-checked
+calls of the field's merge loop `add_into` (the loop of the ring's kernel
+`ring._add_into`), each reduction step v <- v + k * X^u * b is one more,
+whatever the rank, and the map is sorted into flat terms once at the end.
+The engine forms no product anywhere else.
 Tuples of polynomials are converted to and from the flat form only at the
 public functions.
 
@@ -69,15 +70,19 @@ The engine works on packed monomials (see `ring`).  The low bits of a key
 are its packed monomial, so the guard-bit divisibility test, the multiplier
 of a reduction (a difference of keys at one position), the degree field and
 `decode` read keys unchanged; reducers are looked up among the basis
-elements that lead at the same position.  Each lead is decoded once, when
-its element is added, and a pair's lcm is packed from the two exponent
-tuples.  After its sugar, an S-pair is keyed by its position-free packed
-lcm, which sorts exactly like the lcm's order key.
+elements that lead at the same position.  Each run reads the ring's packed
+layout once (the guard mask, the degree field's shift and mask,
+`degree_cap` and `position_unit`) and tests keys inline: a divisibility
+test is `not (b - a) & guard`, a degree read `key >> shift & mask` and a
+position `-(key // unit)`, with no ring method called per test.  Each lead
+is decoded once, when its element is added, and a pair's lcm is packed from
+the two exponent tuples.  After its sugar, an S-pair is keyed by its
+position-free packed lcm, which sorts exactly like the lcm's order key.
 Each stored basis element, transcript included, carries the degree of its
-highest-degree term (`PolyRing.top_degree`), which the kernel range-checks
-every product against: one that would leave the packed range raises
-MonomialOutOfRange before it is merged, even when that term lies below the
-lead.
+highest-degree term (as `PolyRing.top_degree` reads it), and the engine
+range-checks every product against it, as `ring._add_into` does, before
+the field merges any term: one that would leave the packed range raises
+MonomialOutOfRange, even when that term lies below the lead.
 
 All computations are deterministic: fixed insertion order, pairs processed in
 increasing (sugar, packed lcm, position, i, j) and reducers chosen
@@ -97,7 +102,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .ring import Polynomial, PolyRing, _add_into
+from .ring import Polynomial, PolyRing
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -165,8 +170,9 @@ def v_degree(v: Vector, shifts: Optional[Sequence[int]] = None):
     read from every packed term in one pass."""
     if not v:
         return None
-    degree = v[0].ring.packed_degree
-    degs = {degree(m) + shift
+    ring = v[0].ring
+    dshift, mask = ring._degree_shift, ring._mask
+    degs = {(m >> dshift & mask) + shift
             for p, shift in zip(v, shifts or repeat(0)) for m, _ in p.packed}
     return degs.pop() if len(degs) == 1 else None
 
@@ -185,30 +191,24 @@ def from_flat(flat: tuple, ring: PolyRing, rank: int, start: int = 0) -> Vector:
     comps = [ring.zero] * (rank - start)
     pos, terms = None, []
     for key, c in flat:  # positions ascend, each one's terms contiguous
-        p, m = _split(key, unit)
+        p = -(key // unit)
         if p != pos:
             if terms:
                 comps[pos - start] = Polynomial(ring, tuple(terms))
             pos, terms = p, []
-        terms.append((m, c))
+        terms.append((key + p * unit, c))
     if terms:
         comps[pos - start] = Polynomial(ring, tuple(terms))
     return tuple(comps)
-
-
-def _split(key: int, unit: int) -> tuple[int, int]:
-    """(position, packed monomial) of a flat key."""
-    pos = -(key // unit)
-    return pos, key + pos * unit
 
 
 class _Engine:
     """One Buchberger run over vectors of a fixed rank.
 
     Vectors are flat (see `to_flat`); each basis element is stored as
-    (flat terms, top degree), the leading arguments of the ring's kernel
-    `_add_into`; in a syzygy run its terms keyed below `floor` are its
-    transcript.  A vector being reduced is a map {key: coefficient}, sorted
+    (flat terms, top degree), the terms a product multiplies and the degree
+    its range check reads; in a syzygy run its terms keyed below `floor`
+    are its transcript.  A vector being reduced is a map {key: coefficient}, sorted
     into flat terms once it is done.  `shifts`, one per position, default
     0.  Every run queues only the pairs the criteria keep (see the module
     docstring).
@@ -217,7 +217,12 @@ class _Engine:
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
                  limits: Limits, shifts: Optional[Sequence[int]] = None):
         self.ring = ring
+        # the packed layout, read once: keys are tested inline (see the
+        # module docstring)
         self.unit = ring.position_unit
+        self.guard = ring.guard
+        self.dshift, self.dmask = ring._degree_shift, ring._mask
+        self.cap = ring.degree_cap
         self.rank = rank
         self.want_syz = want_syzygies
         self.shifts = tuple(shifts) if shifts else (0,) * rank
@@ -241,10 +246,11 @@ class _Engine:
         idx = self.reducer_of.get(key)
         if idx is not None:
             return idx
-        divides, leads = self.ring.divides, self.leads
-        pos, _ = _split(key, self.unit)
-        for idx in self.by_pos.get(pos, ()):  # first match: deterministic
-            if divides(leads[idx], key):
+        guard, leads = self.guard, self.leads
+        # first match: deterministic; a lead at key's position divides key
+        # when the difference of their keys leaves every guard bit clear
+        for idx in self.by_pos.get(-(key // self.unit), ()):
+            if not (key - leads[idx]) & guard:
                 self.reducer_of[key] = idx
                 return idx
         return None
@@ -253,14 +259,22 @@ class _Engine:
         """Cancel the leading terms of a map {key: coefficient} in place
         until none is reducible; the flat remainder, empty for 0."""
         ring = self.ring
-        neg = ring.field.neg
-        basis, leads = self.basis, self.leads
+        neg, add_into = ring.field.neg, ring.field.add_into
+        basis, leads, reducer_of = self.basis, self.leads, self.reducer_of
+        dshift, mask, cap = self.dshift, self.dmask, self.cap
         while acc:
             key = max(acc)
-            idx = self._find_reducer(key)
+            idx = reducer_of.get(key)
             if idx is None:
-                return tuple(sorted(acc.items(), reverse=True))
-            _add_into(acc, *basis[idx], key - leads[idx], neg(acc[key]), ring)
+                idx = self._find_reducer(key)
+                if idx is None:
+                    return tuple(sorted(acc.items(), reverse=True))
+            q, top = basis[idx]
+            u = key - leads[idx]
+            top += u >> dshift & mask
+            if top >= cap:  # `_add_into`'s range check
+                ring.check_degree(top)
+            add_into(acc, q, u, neg(acc[key]))
         return ()
 
     def _top_reduce(self, v: tuple) -> tuple:
@@ -294,14 +308,15 @@ class _Engine:
 
     def _insert(self, v: tuple):
         """Store a flat v, made monic, as a basis element; forms no pairs."""
-        ring = self.ring
+        field = self.ring.field
         key, coeff = v[0]
         if coeff != 1:
-            inv = ring.field.inv(coeff)
-            mul = ring.field.mul
+            inv = field.inv(coeff)
+            mul = field.mul
             v = tuple([(m, mul(c, inv)) for m, c in v])
-        self.by_pos.setdefault(_split(key, self.unit)[0], []).append(len(self.basis))
-        self.basis.append((v, ring.top_degree(v)))
+        dshift, mask = self.dshift, self.dmask
+        self.by_pos.setdefault(-(key // self.unit), []).append(len(self.basis))
+        self.basis.append((v, max([k >> dshift & mask for k, _ in v])))
         self.leads.append(key)
 
     def add_element(self, v: tuple, pair=None):
@@ -314,24 +329,28 @@ class _Engine:
         if key < self.floor:
             self.syzygies.append(v)
             return
-        pos, m = _split(key, self.unit)
+        pos = -(key // self.unit)
+        low = -pos * self.unit  # the least key at the lead's position
         ring = self.ring
         new = len(self.basis)
-        degree = ring.packed_degree
+        dshift, mask = self.dshift, self.dmask
         if pair is not None and pair[0] == pos:
             sugar = pair[1]
-        else:  # the terms at the lead's position have keys >= key - m
-            sugar = max([degree(k) for k, _ in v if k >= key - m]) + self.shifts[pos]
-        self.excess.append(sugar - degree(key))
+        else:
+            sugar = max([k >> dshift & mask for k, _ in v if k >= low]) + self.shifts[pos]
+        self.excess.append(sugar - (key >> dshift & mask))
         exps, pack, lead_exps = ring.decode(key), ring._pack, self.lead_exps
         lcms = {k: pack([*map(max, lead_exps[k], exps)])
                 for k in self.by_pos.get(pos, ())}
-        self._gebauer_moller(pos, m, new, lcms)
+        self._gebauer_moller(pos, key - low, new, lcms)
         self._insert(v)
         lead_exps.append(exps)
-        # the support cap counts the vector and its transcript apart
-        head = len([k for k, _ in v if k >= self.floor])
-        self.meter.check_growth(len(self.basis), max(head, len(v) - head))
+        # the support cap counts the vector and its transcript apart, which
+        # can matter only when the vector or the basis could exceed a cap
+        limits = self.meter.limits
+        if len(v) > limits.max_support or new >= limits.max_basis:
+            head = len([k for k, _ in v if k >= self.floor])
+            self.meter.check_growth(new + 1, max(head, len(v) - head))
 
     def _gebauer_moller(self, pos: int, m: int, new: int, lcms: dict):
         """Queue the pairs of a new element h (lead m, index `new`) that the
@@ -347,13 +366,12 @@ class _Engine:
         syzygy of a coprime pair): an lcm class with one coprime pair is
         dropped whole.
         """
-        ring = self.ring
+        guard, dead = self.guard, self.dead
         product = self.rank == 1 and not self.want_syz
-        for key in self.pairs:
-            _, lcm, p, i, j = key
-            if (p == pos and ring.divides(m, lcm)
+        for _, lcm, p, i, j in self.pairs:
+            if (p == pos and not (lcm - m) & guard
                     and lcms[i] != lcm and lcms[j] != lcm):
-                self.dead.add((i, j))
+                dead.add((i, j))
         classes: dict[int, int] = {}  # lcm -> smallest k; -1 if a pair is coprime
         for k, lcm in lcms.items():
             # at rank 1 a lead's flat key is its packed monomial
@@ -363,17 +381,18 @@ class _Engine:
                 classes.setdefault(lcm, k)
         # a proper divisor sorts first, and a multiple of a dropped lcm is a
         # multiple of the kept lcm that dropped it
+        dshift, mask, excess, pairs = self.dshift, self.dmask, self.excess, self.pairs
         minimal: list[int] = []
         for lcm in sorted(classes):
-            if any(ring.divides(low, lcm) for low in minimal):
-                continue
-            minimal.append(lcm)
-            if classes[lcm] >= 0:
-                heapq.heappush(self.pairs, self._pair_key(pos, lcm, classes[lcm], new))
-
-    def _pair_key(self, pos, lcm, i, j):
-        sugar = self.ring.packed_degree(lcm) + max(self.excess[i], self.excess[j])
-        return (sugar, lcm, pos, i, j)
+            for low in minimal:
+                if not (lcm - low) & guard:
+                    break
+            else:
+                minimal.append(lcm)
+                k = classes[lcm]
+                if k >= 0:  # keyed (sugar, packed lcm, position, i, j)
+                    sugar = (lcm >> dshift & mask) + max(excess[k], excess[new])
+                    heapq.heappush(pairs, (sugar, lcm, pos, k, new))
 
     def run(self, flats: Sequence[tuple]):
         if self.want_syz:  # input i gains its transcript, 1 at position rank + i
@@ -390,20 +409,27 @@ class _Engine:
         """Reduce pairs in key order; with `stop`, leave those of sugar
         above it in the queue."""
         ring = self.ring
-        while self.pairs:
-            if stop is not None and self.pairs[0][0] > stop:
+        add_into = ring.field.add_into
+        pairs, dead, basis, leads = self.pairs, self.dead, self.basis, self.leads
+        unit, dshift, mask, cap = self.unit, self.dshift, self.dmask, self.cap
+        tick = self.meter.tick_pair
+        while pairs:
+            if stop is not None and pairs[0][0] > stop:
                 return
-            sugar, lcm, pos, i, j = heapq.heappop(self.pairs)
-            if (i, j) in self.dead:
-                self.dead.remove((i, j))
+            sugar, lcm, pos, i, j = heapq.heappop(pairs)
+            if (i, j) in dead:
+                dead.remove((i, j))
                 continue
-            self.meter.tick_pair()
-            at = lcm - pos * self.unit  # the lcm's key at position pos
-            u_i = at - self.leads[i]
-            u_j = at - self.leads[j]
+            tick()
+            at = lcm - pos * unit  # the lcm's key at position pos
             acc = {}
-            _add_into(acc, *self.basis[i], u_i, 1, ring)
-            _add_into(acc, *self.basis[j], u_j, -1, ring)
+            for idx, k in ((i, 1), (j, -1)):
+                q, top = basis[idx]
+                u = at - leads[idx]
+                top += u >> dshift & mask
+                if top >= cap:  # `_add_into`'s range check
+                    ring.check_degree(top)
+                add_into(acc, q, u, k)
             s = self._reduce(acc)
             if s:
                 self.add_element(s, (pos, sugar))
@@ -449,7 +475,8 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
         if deg is None:
             raise ValueError("minimal generators need homogeneous vectors")
         flat = to_flat(v, eng.unit)
-        return (deg, *_split(flat[0][0], eng.unit)), flat, v
+        lead = flat[0][0]
+        return (deg, -(lead // eng.unit), lead % eng.unit), flat, v
 
     # (lead position, hash of the keys less the lead's) -> flat candidates
     shapes: dict[tuple, list[tuple]] = {}

@@ -25,11 +25,14 @@ neighbour.
 A polynomial stores its terms in `packed`, a tuple of (packed int,
 coefficient) pairs sorted strictly decreasing, so decreasing under the ring's
 order, with no zero coefficients and no duplicate monomials.  One kernel,
-`_add_into` (acc += k * X^u * q), forms every product: it range-checks X^u
-against q's top degree (`PolyRing.top_degree`, the one such scan) and then
-hands the loop to the field's `add_into`, which adds q's terms one by one
-into acc, a map {packed monomial: coefficient}, deleting a coefficient that
-cancels.  Each field inlines its own arithmetic there (`% p`, or the int fast
+`_add_into` (acc += k * X^u * q), forms every product outside the
+Buchberger engine: it range-checks X^u against q's top degree
+(`PolyRing.top_degree`) and then hands the loop to the field's `add_into`,
+which adds q's terms one by one into acc, a map {packed monomial:
+coefficient}, deleting a coefficient that cancels.  The engine makes the
+same range check inline, in `_Engine._main_loop` and `_Engine._reduce`,
+against the top degree it stores with each basis element, and then calls
+the field's `add_into` itself, which stays the one merge loop.  Each field inlines its own arithmetic there (`% p`, or the int fast
 path and `_integral` of QQ), the same operations `add` and `mul` perform,
 and with k == 1 into an empty map it only copies q's shifted terms.
 `add_mul` copies a polynomial's terms into a map, adds into it and sorts
@@ -38,9 +41,11 @@ term of the shorter factor) go through it, and the Buchberger engine keeps
 each vector it reduces in one such map from start to finish.  `terms`,
 `leading_term`, `leading_monomial`, `from_dict`, `monomial` and `mul_term`
 speak exponent tuples and decode or encode at the boundary; the engine works
-on packed terms with the ring's `divides`, `decode`, `_pack`,
-`packed_degree` and `position_unit` (it keys a term of a module vector by
-its packed monomial and position).
+on packed terms with the ring's `decode` and `_pack`, and reads the layout
+(`guard`, `_degree_shift`, `_mask`, `degree_cap` and `position_unit`) once
+per run to do what `divides`, `packed_degree` and `check_degree` do inline
+on its keys (it keys a term of a module vector by its packed monomial and
+position).
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
@@ -488,10 +493,12 @@ def _add_into(acc: dict, q: tuple, top: int, u: int, k, ring: PolyRing):
     """Add k * X^u * q into acc, a map {packed term: coefficient} with no
     zero coefficient; `top` is `ring.top_degree(q)` and q is nonempty.
 
-    The one place a product is formed: MonomialOutOfRange if X^u times q's
-    highest-degree term would not fit, checked before anything is added.
-    The field's `add_into` then runs the loop; a coefficient that cancels
-    is deleted, so acc stays free of zeros.
+    The one place a product is formed outside the Buchberger engine:
+    MonomialOutOfRange if X^u times q's highest-degree term would not fit,
+    checked before anything is added.  The field's `add_into` then runs the
+    loop; a coefficient that cancels is deleted, so acc stays free of
+    zeros.  The engine's `_main_loop` and `_reduce` make this range check
+    inline, with the same message, and call the field's `add_into` directly.
     """
     ring.check_degree(top + ring.packed_degree(u))
     ring.field.add_into(acc, q, u, k)

@@ -611,13 +611,28 @@ class TestProcess:
             "with b in [1,n] gives a = 0, and the terms cannot generate minimally\n"
         )
 
-    @pytest.mark.parametrize("argv", [["gens", "100000001", "1", "100000000"],
-                                      ["gens", "2", "2", "100000000"]],
-                             ids=["valid", "gcd"])
+    def test_gcd_check_precedes_the_terms_in_256_mib(self):
+        """A gcd failure's message shows a long sequence by its first two
+        terms and its last, so with n = 10^8 it is rejected like any
+        invalid input, although the terms would need several GB."""
+        script = (
+            "import resource, sys\n"
+            "limit = 256 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS,"
+            " (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from arithcurve.cli import main\n"
+            "sys.exit(main(['gens', '2', '2', '100000000']))\n"
+        )
+        with child_python("-c", script) as child:
+            out, err = child.communicate()
+        assert (child.returncode, out) == (EXIT_INVALID, "")
+        assert err == "invalid sequence: gcd(2, 4, ..., 200000002) = 2 != 1\n"
+
+    @pytest.mark.parametrize("argv", [["gens", "100000001", "1", "100000000"]],
+                             ids=["valid"])
     def test_out_of_memory_exits_as_a_limit_in_256_mib(self, argv):
-        """The n + 1 terms of a valid sequence, and of a gcd failure, whose
-        message lists them, do not fit: one line and the resource exit, not
-        a traceback."""
+        """The n + 1 terms of a valid sequence do not fit: one line and the
+        resource exit, not a traceback."""
         script = (
             "import resource, sys\n"
             "limit = 256 << 20\n"

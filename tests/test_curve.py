@@ -103,6 +103,20 @@ class TestValidation:
     def test_huge_first_term_validates_quickly(self):
         assert validate_sequence(10**12 + 1, 1, 4).b == 1
 
+    def test_gcd_message_of_a_long_sequence_is_short(self):
+        """Up to 16 terms the message lists them all; a longer sequence is
+        shown by its first two terms and its last, so a gcd failure at
+        n = 10^8 builds none of its terms."""
+        with pytest.raises(GcdNotOne) as err:
+            validate_sequence(2, 2, 10**8)
+        assert str(err.value) == "gcd(2, 4, ..., 200000002) = 2 != 1"
+        with pytest.raises(GcdNotOne) as err:
+            validate_sequence(2, 2, 15)
+        assert str(err.value) == f"gcd{tuple(range(2, 33, 2))} = 2 != 1"
+        with pytest.raises(GcdNotOne) as err:
+            validate_sequence(2, 2, 16)
+        assert str(err.value) == "gcd(2, 4, ..., 34) = 2 != 1"
+
 
 class TestSemigroup:
     def test_zero_in_semigroup(self):

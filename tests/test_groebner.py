@@ -100,6 +100,18 @@ class TestGroebner:
         with pytest.raises(MonomialOutOfRange):
             syzygy_generators([(t, x4k), (t * x0, z)], ring)
 
+    def test_range_check_covers_a_reduction_step(self):
+        """t leads t + X4^k, so a reduction step on t*X0 multiplies X4^k by
+        X0, which must not fit, in the full normal form and in top
+        reduction alike."""
+        ring = elimination_ring((5, 6, 7, 8, 9))
+        t, x0 = ring.var(0), ring.var(1)
+        x4k = ring.var(ring.nvars - 1, (ring.degree_cap - 1) // ring.weights[-1])
+        with pytest.raises(MonomialOutOfRange):
+            reduce_poly(t * x0, [t + x4k])
+        with pytest.raises(MonomialOutOfRange):
+            ideal_member(t * x0, [t + x4k])
+
     def test_deadline_enforced(self):
         seq = validate_sequence(13, 1, 6)
         with pytest.raises(ResourceLimitExceeded):
@@ -128,6 +140,15 @@ class TestGroebner:
         assert syzygy_generators(vectors, R3, limits=Limits(max_support=4))
         with pytest.raises(ResourceLimitExceeded):
             syzygy_generators(vectors, R3, limits=Limits(max_support=3))
+
+    def test_basis_size_cap_stops_a_growing_run(self):
+        """Three inputs whose S-pairs add three more elements: a cap of 6
+        lets the run finish, and a cap of 5 stops it at its last element."""
+        x0, x1, x2 = R3.var(0), R3.var(1), R3.var(2)
+        gens = [x0 ** 2 + x1, x0 * x1 + x2, x1 ** 2 + x0 * x2]
+        assert groebner(gens, limits=Limits(max_basis=6))
+        with pytest.raises(ResourceLimitExceeded, match="basis size cap 5 hit"):
+            groebner(gens, limits=Limits(max_basis=5))
 
     def test_deadline_read_on_every_pair(self, monkeypatch):
         """A run whose pairs are individually slow stops at the first pair

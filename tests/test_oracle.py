@@ -103,16 +103,22 @@ class TestToricIdeal:
         assert h.hexdigest() == (
             "9a019efc8a7c9b731b05a364c83b73b84d59b7d770329cfd8c6652dea10238c3")
 
-    def test_elimination_fits_spair_budget(self):
-        """The elimination run of 16 3 4 reduces exactly 76 S-pairs, and the
-        pairs the criteria drop are not counted; without the criteria it
-        reduced 8,250, so a budget of 1,000 stopped it, and with them but
-        pairs taken by packed lcm (t-degree first) it reduced 563."""
-        seq = validate_sequence(16, 3, 4)
-        assert toric_ideal(seq, limits=Limits(max_spairs=1000))
-        assert toric_ideal(seq, limits=Limits(max_spairs=76))
-        with pytest.raises(ResourceLimitExceeded):
-            toric_ideal(seq, limits=Limits(max_spairs=75))
+    @pytest.mark.parametrize("m0,d,n,spairs,basis", [
+        (5, 1, 4, 49, 20), (7, 1, 4, 44, 19), (9, 2, 4, 69, 24),
+        (13, 2, 4, 72, 25), (16, 3, 4, 76, 26),
+    ], ids=["5-1-4", "7-1-4", "9-2-4", "13-2-4", "16-3-4"])
+    def test_elimination_fits_spair_budget(self, m0, d, n, spairs, basis):
+        """The elimination run of each case reduces exactly `spairs`
+        S-pairs and stores `basis` elements; the pairs the criteria drop
+        are not counted.  Without the criteria 16 3 4 reduced 8,250 pairs,
+        so a budget of 1,000 stopped it, and with them but pairs taken by
+        packed lcm (t-degree first) it reduced 563."""
+        seq = validate_sequence(m0, d, n)
+        assert toric_ideal(seq, limits=Limits(max_spairs=spairs, max_basis=basis))
+        with pytest.raises(ResourceLimitExceeded, match="S-pair budget"):
+            toric_ideal(seq, limits=Limits(max_spairs=spairs - 1))
+        with pytest.raises(ResourceLimitExceeded, match="basis size cap"):
+            toric_ideal(seq, limits=Limits(max_basis=basis - 1))
 
 
 class TestIdealEqual:
