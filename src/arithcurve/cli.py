@@ -3,7 +3,6 @@
 Commands
   gens M0 D N      list the minimal generators with their degrees
   resolve M0 D N   build the resolution (or closed-form table) and report it
-  verify M0 D N    alias for resolve --verify
   scan             Betti vectors over an (a, d) grid, uniformity per class b
 
 Exit codes: 0 success, 1 stdout closed early, 2 invalid input,
@@ -22,7 +21,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from functools import cache, partial
 from itertools import islice
 from typing import Optional
@@ -90,23 +89,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _is_positive(value, kinds) -> bool:
-    """A positive number of the given types; rejects booleans and NaN."""
-    return not isinstance(value, bool) and isinstance(value, kinds) and value > 0
-
-
-def _parse_cell_timeout(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if not _is_positive(value, float):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number of seconds, got {text!r}"
-        )
-    return value
-
-
 def load_limits(path: str) -> Limits:
     """Resource caps from a JSON object whose keys are fields of Limits.
 
@@ -128,7 +110,8 @@ def load_limits(path: str) -> Limits:
             )
         integral = isinstance(defaults[key], int)
         kinds = int if integral else (int, float)
-        if not _is_positive(value, kinds):
+        # a bool is an int, and NaN > 0 is false
+        if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
             kind = "integer" if integral else "number"
             raise argparse.ArgumentTypeError(
                 f"key {key!r} must be a positive {kind}, got {json.dumps(value)}"
@@ -349,11 +332,8 @@ def cmd_scan(args) -> int:
     b_values = [args.b] if args.b is not None else list(range(1, n + 1))
     a_lo, a_hi = args.a_range
     d_lo, d_hi = args.d_range
-    limits = args.limits
-    if args.cell_timeout is not None:
-        limits = replace(limits, deadline_s=args.cell_timeout)
     payloads = [
-        (n, b, a, d, args.field, limits)
+        (n, b, a, d, args.field, args.limits)
         for b in b_values
         for a in range(a_lo, a_hi + 1)
         for d in range(d_lo, d_hi + 1)
@@ -444,26 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gens.add_argument("--field", type=parse_field, default=QQ)
     p_gens.set_defaults(func=cmd_gens)
 
-    for name, force_verify in (("resolve", False), ("verify", True)):
-        p_res = sub.add_parser(
-            name,
-            help="construct and optionally verify the resolution"
-            if name == "resolve"
-            else "resolve with every check enabled",
-        )
-        add_seq_args(p_res)
-        p_res.add_argument("--method", choices=["auto", *METHODS], default="auto")
-        p_res.add_argument("--json", action="store_true")
-        p_res.add_argument("--field", type=parse_field, default=QQ)
-        p_res.add_argument("--emit-matrices", action="store_true")
-        p_res.add_argument("--timing", action="store_true",
-                           help="include wall-clock timings (breaks byte-stability)")
-        add_config_arg(p_res)
-        if force_verify:
-            p_res.set_defaults(verify=True)
-        else:
-            p_res.add_argument("--verify", action="store_true")
-        p_res.set_defaults(func=cmd_resolve)
+    p_res = sub.add_parser("resolve",
+                           help="construct and optionally verify the resolution")
+    add_seq_args(p_res)
+    p_res.add_argument("--method", choices=["auto", *METHODS], default="auto")
+    p_res.add_argument("--json", action="store_true")
+    p_res.add_argument("--field", type=parse_field, default=QQ)
+    p_res.add_argument("--emit-matrices", action="store_true")
+    p_res.add_argument("--timing", action="store_true",
+                       help="include wall-clock timings (breaks byte-stability)")
+    add_config_arg(p_res)
+    p_res.add_argument("--verify", action="store_true")
+    p_res.set_defaults(func=cmd_resolve)
 
     p_scan = sub.add_parser("scan", help="Betti vectors over an (a, d) grid")
     p_scan.add_argument("--n", type=_int_at_least(2), required=True)
@@ -477,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--field", type=parse_field,
                         default=PrimeField(SCAN_DEFAULT_PRIME))
     p_scan.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p_scan.add_argument("--cell-timeout", type=_parse_cell_timeout, default=None,
-                        help="wall-clock budget in seconds (positive) for each "
-                             "engine run of a cell")
     add_config_arg(p_scan)
     p_scan.set_defaults(func=cmd_scan)
     return parser

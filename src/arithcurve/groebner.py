@@ -134,11 +134,11 @@ class _Meter:
             raise ResourceLimitExceeded(
                 f"S-pair budget {self.limits.max_spairs} exhausted"
             )
-        # the clock is read on every pair when a deadline is set, so a run
-        # whose pairs are individually slow stops at the first pair past it
+        # the clock is read on every pair when a deadline is set: a run stops at
+        # the first pair past it, however slow its pairs, or at its first if NaN
         if (
             self.limits.deadline_s is not None
-            and time.monotonic() - self.t0 > self.limits.deadline_s
+            and not time.monotonic() - self.t0 <= self.limits.deadline_s
         ):
             raise ResourceLimitExceeded(
                 f"deadline of {self.limits.deadline_s}s exceeded"

@@ -137,8 +137,8 @@ class TestResolve:
         assert mats[0]["rows"] == 1 and mats[0]["cols"] == 2
         assert all(isinstance(e, str) for m in mats for e in m["entries"])
 
-    def test_verify_alias(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "6", "1", "3", "--json")
+    def test_verify_flag_checks_exactness(self, capsys):
+        code, out, _ = run_cli(capsys, "resolve", "6", "1", "3", "--verify", "--json")
         assert code == EXIT_OK
         obj = json.loads(out)
         assert obj["checks"]["exactness"]["pass"]
@@ -205,9 +205,15 @@ class TestResolve:
         assert obj["betti"] == shift_table_b1(validate_sequence(m0, 1, 4)).to_json_obj()
 
 
-# every cell of this grid runs engine passes with fewer than 64 S-pairs
-TIMED_OUT_SCAN = ("scan", "--n", "4", "--a", "1..2", "--d", "1..1",
-                  "--cell-timeout", "1e-9")
+# under a deadline of 1e-9 s, which is checked before every S-pair, every
+# cell of this grid stops at its first pair
+TIMED_OUT_SCAN = ("scan", "--n", "4", "--a", "1..2", "--d", "1..1")
+
+
+def write_config(tmp_path, data) -> str:
+    cfg = tmp_path / "caps.json"
+    cfg.write_text(json.dumps(data))
+    return str(cfg)
 
 
 class TestScan:
@@ -245,11 +251,9 @@ class TestScan:
         assert obj["summary"][0]["betti"] == [1, 4, 5, 2]
 
     def test_resource_limited_cells_reported(self, capsys, tmp_path):
-        cfg = tmp_path / "caps.json"
-        cfg.write_text(json.dumps({"max_spairs": 1}))
         code, out, _ = run_cli(
             capsys, "scan", "--n", "4", "--b", "1", "--a", "1..1", "--d", "1..1",
-            "--json", "--config", str(cfg),
+            "--json", "--config", write_config(tmp_path, {"max_spairs": 1}),
         )
         assert code == EXIT_RESOURCE
         obj = json.loads(out)
@@ -261,30 +265,25 @@ class TestScan:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
-    def test_invalid_cell_timeout_rejected(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", "--n", "3", "--a", "1..1", "--d", "1..1",
-                  "--cell-timeout", value])
-        assert exc.value.code == EXIT_INVALID
-        assert "--cell-timeout" in capsys.readouterr().err
-
-    def test_valid_cell_timeout_keeps_json(self, capsys):
+    def test_valid_deadline_keeps_json(self, capsys, tmp_path):
         args = ("scan", "--n", "3", "--a", "1..1", "--d", "1..2", "--json")
         _, plain, _ = run_cli(capsys, *args)
-        code, timed, _ = run_cli(capsys, *args, "--cell-timeout", "60")
+        code, timed, _ = run_cli(capsys, *args, "--config",
+                                 write_config(tmp_path, {"deadline_s": 60}))
         assert code == EXIT_OK
         assert timed == plain
 
-    def test_deadline_checked_on_first_pair(self, capsys):
-        code, out, _ = run_cli(capsys, *TIMED_OUT_SCAN, "--json")
+    def test_deadline_checked_on_first_pair(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, *TIMED_OUT_SCAN, "--json", "--config",
+                               write_config(tmp_path, {"deadline_s": 1e-9}))
         assert code == EXIT_RESOURCE
         cells = json.loads(out)["cells"]
         assert len(cells) == 8
         assert all(c["status"] == "resource-limit" for c in cells)
 
-    def test_text_summary_names_limited_cells(self, capsys):
-        code, out, _ = run_cli(capsys, *TIMED_OUT_SCAN)
+    def test_text_summary_names_limited_cells(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, *TIMED_OUT_SCAN, "--config",
+                               write_config(tmp_path, {"deadline_s": 1e-9}))
         assert code == EXIT_RESOURCE
         for b in range(1, 5):
             assert f"b={b}: no completed cells (2 resource-limit)" in out
@@ -411,6 +410,8 @@ BAD_CONFIGS = [
     ({"deadline_s": -1}, "'deadline_s'"),
     ({"deadline_s": None}, "'deadline_s'"),
     ([1], "JSON object"),
+    ({"deadline_s": 0}, "'deadline_s'"),
+    ({"deadline_s": float("nan")}, "'deadline_s'"),  # json writes NaN
 ]
 
 
@@ -421,19 +422,15 @@ class TestConfig:
     ])
     @pytest.mark.parametrize("data,needle", BAD_CONFIGS)
     def test_invalid_config_rejected(self, capsys, tmp_path, argv, data, needle):
-        cfg = tmp_path / "caps.json"
-        cfg.write_text(json.dumps(data))
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--config", str(cfg)])
+            main([*argv, "--config", write_config(tmp_path, data)])
         assert exc.value.code == EXIT_INVALID
         assert needle in capsys.readouterr().err
 
     def test_valid_config_applies(self, capsys, tmp_path):
-        cfg = tmp_path / "caps.json"
-        cfg.write_text(json.dumps({"max_spairs": 1, "deadline_s": 30}))
         code, _, err = run_cli(
-            capsys, "resolve", "7", "1", "4", "--method", "oracle",
-            "--config", str(cfg),
+            capsys, "resolve", "7", "1", "4", "--method", "oracle", "--config",
+            write_config(tmp_path, {"max_spairs": 1, "deadline_s": 30}),
         )
         assert code == EXIT_RESOURCE
         assert "S-pair budget 1" in err
@@ -661,6 +658,17 @@ class TestGolden:
         assert run_cli(capsys, *argv) == (EXIT_INVALID, "", line + "\n")
 
 
+def test_removed_spellings_rejected(capsys):
+    """`verify` is `resolve --verify`, and a scan's deadline is set only
+    by `--config`'s deadline_s."""
+    for argv in (["verify", "6", "1", "3"],
+                 ["scan", "--n", "3", "--a", "1..1", "--d", "1..1",
+                  "--cell-timeout", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID
+
+
 def test_parser_built_once(capsys):
     build_parser.cache_clear()
     run_cli(capsys, "gens", "5", "1", "4")
@@ -690,6 +698,5 @@ class TestReadme:
         listed = re.search(r"`--method ([a-z|]+)`", README.read_text()).group(1)
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        for command in ("resolve", "verify"):
-            method = sub.choices[command]._option_string_actions["--method"]
-            assert listed.split("|") == list(method.choices)
+        method = sub.choices["resolve"]._option_string_actions["--method"]
+        assert listed.split("|") == list(method.choices)

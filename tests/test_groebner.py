@@ -163,6 +163,14 @@ class TestGroebner:
         with pytest.raises(ResourceLimitExceeded, match="deadline of 1.0s exceeded"):
             meter.tick_pair()
 
+    def test_nan_deadline_stops_the_first_pair(self):
+        """No elapsed time is within a NaN deadline, so the run stops at its
+        first pair; infinity never fires."""
+        gens = list(validate_sequence(7, 2, 4).generators(QQ).all)
+        with pytest.raises(ResourceLimitExceeded, match="deadline of nans exceeded"):
+            groebner(gens, limits=Limits(deadline_s=float("nan")))
+        assert len(groebner(gens, limits=Limits(deadline_s=float("inf")))) == 8
+
     def test_reducer_over_fixed_basis_meters_nothing(self, R, monkeypatch):
         """A reducer never grows its basis, so the default caps do not
         apply to it: a caller's own limits are the only ones that count."""
