@@ -74,10 +74,13 @@ elements that lead at the same position.  Each run reads the ring's packed
 layout once (the guard mask, the degree field's shift and mask,
 `degree_cap` and `position_unit`) and tests keys inline: a divisibility
 test is `not (b - a) & guard`, a degree read `key >> shift & mask` and a
-position `-(key // unit)`, with no ring method called per test.  Each lead
-is decoded once, when its element is added, and a pair's lcm is packed from
-the two exponent tuples.  After its sugar, an S-pair is keyed by its
-position-free packed lcm, which sorts exactly like the lcm's order key.
+position `-(key // unit)`, with no ring method called per test.  The pair
+criteria work on each lead's exponent word, its packed monomial masked to
+the exponent fields (`_WordLayout`): an lcm is a field-wise max read off
+the guard bits of one subtraction, divisibility the same guard-bit test,
+and only the lcm of a pair the criteria queue is packed.  After its sugar,
+an S-pair is keyed by its position-free packed lcm, which sorts exactly
+like the lcm's order key.
 Each stored basis element, transcript included, carries the degree of its
 highest-degree term (as `PolyRing.top_degree` reads it), and the engine
 range-checks every product against it, as `ring._add_into` does, before
@@ -99,7 +102,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .ring import Polynomial, PolyRing
@@ -130,7 +133,8 @@ class _Meter:
 
     def tick_pair(self):
         self.spairs += 1
-        if self.spairs > self.limits.max_spairs:
+        # every cap is compared fail-closed: no count is within a NaN cap
+        if not self.spairs <= self.limits.max_spairs:
             raise ResourceLimitExceeded(
                 f"S-pair budget {self.limits.max_spairs} exhausted"
             )
@@ -145,9 +149,9 @@ class _Meter:
             )
 
     def check_growth(self, size: int, support: int):
-        if size > self.limits.max_basis:
+        if not size <= self.limits.max_basis:
             raise ResourceLimitExceeded(f"basis size cap {self.limits.max_basis} hit")
-        if support > self.limits.max_support:
+        if not support <= self.limits.max_support:
             raise ResourceLimitExceeded(
                 f"support size {support} exceeds cap {self.limits.max_support}"
             )
@@ -202,6 +206,39 @@ def from_flat(flat: tuple, ring: PolyRing, rank: int, start: int = 0) -> Vector:
     return tuple(comps)
 
 
+class _WordLayout:
+    """Exponent words of a ring's packed monomials: a monomial's word is its
+    packed int masked to the exponent fields (`fields`), whose guard bits
+    are `guard`.  One word divides another exactly when their difference
+    leaves every guard bit clear, and a larger word is never a proper
+    divisor of a smaller one."""
+
+    def __init__(self, ring: PolyRing):
+        self.mask, self.shifts = ring._mask, ring._exp_shifts
+        self.bits = self.mask.bit_length()
+        self.fields = sum(self.mask << s for s in self.shifts)
+        self.guard = sum(1 << (s + self.bits) for s in self.shifts)
+
+    def lcms(self, a: int, words: Sequence[int]) -> list[int]:
+        """lcm word of `a` with each of `words`, a field-wise max: (a | guard)
+        - b keeps the guard bit of each field where a's exponent is at least
+        b's, and that bit less itself shifted down to the field's foot masks
+        the field, which is taken from a; every other field from b."""
+        fields, guard, bits = self.fields, self.guard, self.bits
+        high = a | guard
+        out = []
+        for b in words:
+            t = (high - b) & guard
+            m = t - (t >> bits)
+            out.append((a & m) | (b & (fields ^ m)))
+        return out
+
+    def exps(self, word: int) -> list[int]:
+        """Exponents of a word."""
+        mask = self.mask
+        return [word >> s & mask for s in self.shifts]
+
+
 class _Engine:
     """One Buchberger run over vectors of a fixed rank.
 
@@ -230,11 +267,13 @@ class _Engine:
         self.floor = (1 - rank) * self.unit  # the least key at a position < rank
         self.basis: list[tuple] = []  # (flat vector, top degree); monic
         self.leads: list[int] = []  # flat key of each basis element's lead
-        self.lead_exps: list[tuple] = []  # exponents of each lead, kept by add_element
+        self.layout = _WordLayout(ring)
+        self.words: list[int] = []  # exponent word of each lead, kept by add_element
+        self.top_lead = 0  # the largest lead degree among them
         self.reducer_of: dict[int, int] = {}  # key -> first reducer found
         self.by_pos: dict[int, list[int]] = {}
         self.excess: list[int] = []  # sugar less the lead's unshifted degree
-        self.pairs: list[tuple] = []  # (sugar, packed lcm, pos, i, j)
+        self.pairs: list[tuple] = []  # (sugar, packed lcm, pos, i, j, lcm word)
         self.dead: set[tuple[int, int]] = set()  # queued (i, j) the B criterion drops
         self.syzygies: list[tuple] = []  # flat transcripts, below `floor`
 
@@ -331,31 +370,42 @@ class _Engine:
             return
         pos = -(key // self.unit)
         low = -pos * self.unit  # the least key at the lead's position
-        ring = self.ring
         new = len(self.basis)
         dshift, mask = self.dshift, self.dmask
         if pair is not None and pair[0] == pos:
             sugar = pair[1]
         else:
             sugar = max([k >> dshift & mask for k, _ in v if k >= low]) + self.shifts[pos]
-        self.excess.append(sugar - (key >> dshift & mask))
-        exps, pack, lead_exps = ring.decode(key), ring._pack, self.lead_exps
-        lcms = {k: pack([*map(max, lead_exps[k], exps)])
-                for k in self.by_pos.get(pos, ())}
-        self._gebauer_moller(pos, key - low, new, lcms)
+        degree = key >> dshift & mask
+        self.excess.append(sugar - degree)
+        # a key's low bits are its packed monomial
+        layout, words = self.layout, self.words
+        word = key & layout.fields
+        same = self.by_pos.get(pos, ())
+        lcms = dict(zip(same, layout.lcms(word, [words[k] for k in same])))
+        # an lcm's degree is at most the sum of its leads': only past the
+        # cap is each one's exact degree checked, in index order
+        if degree + self.top_lead >= self.cap:
+            ring = self.ring
+            for lcm in lcms.values():
+                ring.check_degree(sum(map(mul, layout.exps(lcm), ring.weights)))
+        self._gebauer_moller(pos, word, new, lcms)
         self._insert(v)
-        lead_exps.append(exps)
+        words.append(word)
+        self.top_lead = max(self.top_lead, degree)
         # the support cap counts the vector and its transcript apart, which
-        # can matter only when the vector or the basis could exceed a cap
+        # can matter only when the vector or the basis could exceed a cap;
+        # written fail-closed, so that a NaN cap stops the run
         limits = self.meter.limits
-        if len(v) > limits.max_support or new >= limits.max_basis:
+        if not (len(v) <= limits.max_support and new < limits.max_basis):
             head = len([k for k, _ in v if k >= self.floor])
             self.meter.check_growth(new + 1, max(head, len(v) - head))
 
     def _gebauer_moller(self, pos: int, m: int, new: int, lcms: dict):
-        """Queue the pairs of a new element h (lead m, index `new`) that the
-        Gebauer-Moeller criteria keep; `lcms` maps each same-position basis
-        index k to lcm(lead k, m).
+        """Queue the pairs of a new element h (lead word m, index `new`)
+        that the Gebauer-Moeller criteria keep; `lcms` maps each
+        same-position basis index k to the word of lcm(lead k, m).  Every
+        test is on words; only a queued pair's lcm is packed.
 
         B: a queued pair (i, j) whose lcm L is a multiple of m, with lcm(i, h)
         and lcm(j, h) both proper divisors of L, is marked dead.  M: a new
@@ -363,25 +413,26 @@ class _Engine:
         dropped.  F: one pair is kept per remaining lcm, the one with the
         smallest k.  Product criterion (rank 1 only: it does not hold for
         vectors; and never in a syzygy run, which would lose the Koszul
-        syzygy of a coprime pair): an lcm class with one coprime pair is
-        dropped whole.
+        syzygy of a coprime pair): an lcm class with one coprime pair, one
+        whose lcm is the product of its leads, is dropped whole.
         """
-        guard, dead = self.guard, self.dead
+        guard, dead = self.layout.guard, self.dead
         product = self.rank == 1 and not self.want_syz
-        for _, lcm, p, i, j in self.pairs:
+        for _, _, p, i, j, lcm in self.pairs:
             if (p == pos and not (lcm - m) & guard
                     and lcms[i] != lcm and lcms[j] != lcm):
                 dead.add((i, j))
         classes: dict[int, int] = {}  # lcm -> smallest k; -1 if a pair is coprime
+        words = self.words
         for k, lcm in lcms.items():
-            # at rank 1 a lead's flat key is its packed monomial
-            if product and lcm == self.leads[k] + m:
+            if product and lcm == words[k] + m:
                 classes[lcm] = -1
             else:
                 classes.setdefault(lcm, k)
         # a proper divisor sorts first, and a multiple of a dropped lcm is a
         # multiple of the kept lcm that dropped it
         dshift, mask, excess, pairs = self.dshift, self.dmask, self.excess, self.pairs
+        pack, exps = self.ring._pack, self.layout.exps
         minimal: list[int] = []
         for lcm in sorted(classes):
             for low in minimal:
@@ -390,9 +441,11 @@ class _Engine:
             else:
                 minimal.append(lcm)
                 k = classes[lcm]
-                if k >= 0:  # keyed (sugar, packed lcm, position, i, j)
-                    sugar = (lcm >> dshift & mask) + max(excess[k], excess[new])
-                    heapq.heappush(pairs, (sugar, lcm, pos, k, new))
+                # keyed (sugar, packed lcm, position, i, j); the word is for B
+                if k >= 0:
+                    packed = pack(exps(lcm))
+                    sugar = (packed >> dshift & mask) + max(excess[k], excess[new])
+                    heapq.heappush(pairs, (sugar, packed, pos, k, new, lcm))
 
     def run(self, flats: Sequence[tuple]):
         if self.want_syz:  # input i gains its transcript, 1 at position rank + i
@@ -416,7 +469,7 @@ class _Engine:
         while pairs:
             if stop is not None and pairs[0][0] > stop:
                 return
-            sugar, lcm, pos, i, j = heapq.heappop(pairs)
+            sugar, lcm, pos, i, j, _ = heapq.heappop(pairs)
             if (i, j) in dead:
                 dead.remove((i, j))
                 continue

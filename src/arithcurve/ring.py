@@ -41,11 +41,11 @@ term of the shorter factor) go through it, and the Buchberger engine keeps
 each vector it reduces in one such map from start to finish.  `terms`,
 `leading_term`, `leading_monomial`, `from_dict`, `monomial` and `mul_term`
 speak exponent tuples and decode or encode at the boundary; the engine works
-on packed terms with the ring's `decode` and `_pack`, and reads the layout
-(`guard`, `_degree_shift`, `_mask`, `degree_cap` and `position_unit`) once
-per run to do what `divides`, `packed_degree` and `check_degree` do inline
-on its keys (it keys a term of a module vector by its packed monomial and
-position).
+on packed terms, packs the lcm of each S-pair it queues with `_pack`, and
+reads the layout (`guard`, `_degree_shift`, `_mask`, `_exp_shifts`,
+`degree_cap` and `position_unit`) once per run to do what `divides`,
+`packed_degree` and `check_degree` do inline on its keys (it keys a term of
+a module vector by its packed monomial and position).
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.

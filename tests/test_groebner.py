@@ -171,6 +171,18 @@ class TestGroebner:
             groebner(gens, limits=Limits(deadline_s=float("nan")))
         assert len(groebner(gens, limits=Limits(deadline_s=float("inf")))) == 8
 
+    @pytest.mark.parametrize("cap,message", [
+        ("max_spairs", "S-pair budget nan exhausted"),
+        ("max_basis", "basis size cap nan hit"),
+        ("max_support", "exceeds cap nan"),
+    ])
+    def test_nan_cap_stops_the_run(self, cap, message):
+        """No count is within a NaN cap, so the resolution stops at its
+        first S-pair or basis element instead of running uncapped."""
+        gens = list(validate_sequence(7, 2, 4).generators(QQ).all)
+        with pytest.raises(ResourceLimitExceeded, match=message):
+            minimal_resolution(gens, limits=Limits(**{cap: float("nan")}))
+
     def test_reducer_over_fixed_basis_meters_nothing(self, R, monkeypatch):
         """A reducer never grows its basis, so the default caps do not
         apply to it: a caller's own limits are the only ones that count."""

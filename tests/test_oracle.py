@@ -120,6 +120,20 @@ class TestToricIdeal:
         with pytest.raises(ResourceLimitExceeded, match="basis size cap"):
             toric_ideal(seq, limits=Limits(max_basis=basis - 1))
 
+    @pytest.mark.parametrize("m0,d,n,spairs", [
+        (9, 2, 4, [69, 20, 20]), (16, 3, 4, [76, 8, 8]), (13, 2, 4, [72, 20, 20]),
+    ], ids=["9-2-4", "16-3-4", "13-2-4"])
+    def test_identity_spairs_pinned(self, m0, d, n, spairs):
+        """S-pairs reduced by each run of the toric identity over QQ: the
+        elimination run, then the two rank-1 runs of `ideal_equal`, where
+        the product criterion applies.  A change that reorders or drops
+        their pairs shows here even when the bases do not change."""
+        seq = validate_sequence(m0, d, n)
+        limits = KeepMeters()
+        basis = toric_ideal(seq, limits=limits)
+        assert ideal_equal(basis, list(seq.generators(QQ).all), limits=limits)
+        assert [meter.spairs for meter in limits.meters] == spairs
+
 
 class TestIdealEqual:
     def test_trivial_examples(self):

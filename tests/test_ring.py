@@ -16,6 +16,7 @@ from arithcurve import (
     syzygy_generators,
     validate_sequence,
 )
+from arithcurve.groebner import _WordLayout
 from arithcurve.oracle import ideal_equal, minimal_resolution, toric_ideal
 from arithcurve.ring import (
     QQ,
@@ -29,6 +30,7 @@ from arithcurve.ring import (
     elimination_ring,
     monomial_div,
     monomial_divides,
+    monomial_lcm,
     weighted_degree_of,
 )
 from arithcurve.ring import _MR_EXACT_BOUND, _add_into, _is_prime
@@ -497,6 +499,24 @@ def test_packing_agrees_with_tuple_references(name, data):
     p = ring.monomial(u, 2) + ring.monomial(v, 3)
     keys = [ring.order.key(m) for m, _ in p.mul_term(w, 1).terms]
     assert keys == sorted(keys, reverse=True)
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_RINGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exponent_words_agree_with_tuple_references(name, data):
+    """The engine's pair criteria work on exponent words: the lcm word packs
+    to the packed lcm, the guard-bit test on words is divisibility, and an
+    lcm equals the sum of its words exactly when no variable is shared."""
+    ring = PACKED_RINGS[name]
+    layout = _WordLayout(ring)
+    u, v = (data.draw(packed_exps(ring)) for _ in range(2))
+    wu, wv = ring.encode(u) & layout.fields, ring.encode(v) & layout.fields
+    [lcm] = layout.lcms(wu, [wv])
+    assert layout.exps(wu) == list(u)
+    assert ring._pack(layout.exps(lcm)) == ring.encode(monomial_lcm(u, v))
+    assert (not (wv - wu) & layout.guard) == monomial_divides(u, v)
+    assert (lcm == wu + wv) == all(a == 0 or b == 0 for a, b in zip(u, v))
 
 
 @pytest.mark.parametrize("name", sorted(PACKED_RINGS))
