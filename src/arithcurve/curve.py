@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .matrices import PolyMatrix
 from .ring import QQ, Polynomial, PolyRing, curve_ring
@@ -91,7 +90,7 @@ class ArithmeticSequence:
     # -- ring and parametrization -----------------------------------------
 
     def ring(self, field=QQ) -> PolyRing:
-        return _cached_ring(self.terms, field)
+        return curve_ring(self.terms, field=field)
 
     def semigroup_contains(self, x: int) -> bool:
         """Exact membership of x in the semigroup generated by the terms.
@@ -154,11 +153,6 @@ class ArithmeticSequence:
 
     def __str__(self):
         return f"({self.m0}, {self.d}, {self.n})"
-
-
-@lru_cache(maxsize=None)
-def _cached_ring(terms: tuple[int, ...], field) -> PolyRing:
-    return curve_ring(terms, field=field)
 
 
 def validate_sequence(m0: int, d: int, n: int) -> ArithmeticSequence:

@@ -61,8 +61,13 @@ lies in the module exactly when cancelling leading terms sends it to zero,
 whichever Groebner basis of the module is used.  `ideal_member`,
 `module_member`, pruning and the oracle's membership tests all decide it
 so, against the unreduced basis of `module_groebner_basis` or of
-`syzygies_and_basis`.  Only a basis that is itself an output is
-interreduced: `groebner()` is `interreduce` of `module_groebner_basis`.
+`syzygies_and_basis`.  On homogeneous input a basis up to degree D
+decides the vectors of degree <= D (La Scala & Stillman, "Strategies for
+computing minimal free resolutions", JSC 1998): pruning completes its
+basis degree by degree, and `module_groebner_basis(degree=D)`, which the
+oracle's `ideal_contains` asks for, stops at D.  Only a basis that is
+itself an output is interreduced: `groebner()` is `interreduce` of
+`module_groebner_basis`.
 The full normal form, which also reduces the terms below the lead, serves
 only `interreduce` and `reduce_poly`.
 
@@ -183,7 +188,10 @@ def v_degree(v: Vector, shifts: Optional[Sequence[int]] = None):
 
 def to_flat(v: Vector, unit: int) -> tuple:
     """The engine's form of a vector: its components' packed terms in
-    position order, the monomial m at position pos keyed as m - pos * unit."""
+    position order, the monomial m at position pos keyed as m - pos * unit.
+    At rank 1 that is the polynomial's own packed terms."""
+    if len(v) == 1:
+        return v[0].packed
     return tuple([(m - pos * unit, c) for pos, p in enumerate(v) for m, c in p.packed])
 
 
@@ -447,7 +455,9 @@ class _Engine:
                     sugar = (packed >> dshift & mask) + max(excess[k], excess[new])
                     heapq.heappush(pairs, (sugar, packed, pos, k, new, lcm))
 
-    def run(self, flats: Sequence[tuple]):
+    def run(self, flats: Sequence[tuple], stop: Optional[int] = None):
+        """Store the nonempty flats and reduce their pairs, those of sugar
+        above `stop` left queued (see `_main_loop`)."""
         if self.want_syz:  # input i gains its transcript, 1 at position rank + i
             one = self.ring.one.packed[0][1]
             flats = [v + ((-(self.rank + i) * self.unit, one),)
@@ -455,7 +465,7 @@ class _Engine:
         for v in flats:
             if v:
                 self.add_element(v)
-        self._main_loop()
+        self._main_loop(stop)
         return self
 
     def _main_loop(self, stop: Optional[int] = None):
@@ -562,13 +572,22 @@ def _is_multiple(v: tuple, e: tuple, ring: PolyRing) -> bool:
 
 
 def module_groebner_basis(vectors: Sequence[Vector], ring: PolyRing,
-                          limits: Limits = DEFAULT_LIMITS) -> list[Vector]:
-    """Groebner basis (not interreduced) of the module the vectors generate."""
+                          limits: Limits = DEFAULT_LIMITS,
+                          degree: Optional[int] = None) -> list[Vector]:
+    """Groebner basis (not interreduced) of the module the vectors generate.
+
+    With `degree`, only the pairs of sugar up to it are reduced, so the
+    result is a Groebner basis up to that degree and not a full basis: it
+    decides membership of vectors of degree <= `degree`, and only when every
+    vector is homogeneous (the weights are positive), by the argument of
+    `minimal_module_generators`.  On other input a truncated run decides
+    nothing.
+    """
     if not vectors:
         return []
     rank = len(vectors[0])
     eng = _Engine(ring, rank, want_syzygies=False, limits=limits)
-    eng.run([to_flat(v, eng.unit) for v in vectors])
+    eng.run([to_flat(v, eng.unit) for v in vectors], stop=degree)
     return [from_flat(v, ring, rank) for v, _ in eng.basis]
 
 

@@ -9,7 +9,8 @@ ones is a genuine two-route check.
                        only the t-free elements of the elimination basis
                        are interreduced
   ideal_contains       top reduction against an unreduced Groebner basis
-                       of the generators
+                       of the generators, completed only up to the largest
+                       degree tested when everything is homogeneous
   ideal_equal          ideal_contains in both directions
   colon_check          (I : f) from the first coordinates of the syzygies of
                        [f, g_1, ..., g_k], compared back to I
@@ -86,11 +87,21 @@ def toric_ideal(seq: ArithmeticSequence, field=QQ,
 
 def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
                    limits: Limits = DEFAULT_LIMITS) -> bool:
-    """True iff every element of `polys` lies in the ideal of `gens`."""
+    """True iff every element of `polys` lies in the ideal of `gens`.
+
+    When every generator and every element is homogeneous, the basis of
+    `gens` is completed only up to the largest degree among the nonzero
+    elements, which decides their membership (`module_groebner_basis`);
+    otherwise it is completed in full.  The zero elements need no run.
+    """
+    polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return True
     ring = polys[0].ring
-    gb = module_groebner_basis([(g,) for g in gens], ring, limits=limits)
+    degrees = [p.weighted_degree() for p in polys]
+    homogeneous = None not in degrees and all(g.is_homogeneous for g in gens)
+    gb = module_groebner_basis([(g,) for g in gens], ring, limits=limits,
+                               degree=max(degrees) if homogeneous else None)
     reducer = module_reducer(gb, ring, 1)
     return not any(reducer.top_reduce((p,)) for p in polys)
 

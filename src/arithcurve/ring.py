@@ -62,6 +62,7 @@ coefficients cannot overflow.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import mul as _mul
 from typing import Sequence
 
@@ -706,7 +707,13 @@ def monomial_lcm(a: Sequence[int], b: Sequence[int]):
 
 
 def curve_ring(weights: Sequence[int], field=QQ) -> PolyRing:
-    """Ring k[X0..Xn] with deg(Xi) = weights[i], weighted grevlex order."""
+    """Ring k[X0..Xn] with deg(Xi) = weights[i], weighted grevlex order.
+    One ring per (weights, field): equal arguments give the same object."""
+    return _curve_ring(tuple(int(w) for w in weights), field)
+
+
+@cache
+def _curve_ring(weights: tuple[int, ...], field) -> PolyRing:
     names = tuple(f"X{i}" for i in range(len(weights)))
     return PolyRing(names, weights, field=field)
 
@@ -715,19 +722,28 @@ def elimination_ring(weights: Sequence[int], field=QQ) -> PolyRing:
     """Ring k[t, X0..Xn] with t first and greatest (block elimination order).
 
     t carries weight 1 so that Xi - t^{weights[i]} is homogeneous and every
-    computation in this ring stays weighted-graded.
+    computation in this ring stays weighted-graded.  Cached like `curve_ring`.
     """
+    return _elimination_ring(tuple(int(w) for w in weights), field)
+
+
+@cache
+def _elimination_ring(weights: tuple[int, ...], field) -> PolyRing:
     names = ("t",) + tuple(f"X{i}" for i in range(len(weights)))
-    full_weights = (1,) + tuple(int(w) for w in weights)
     order = EliminationOrder(1, weights)
-    return PolyRing(names, full_weights, field=field, order=order)
+    return PolyRing(names, (1,) + weights, field=field, order=order)
 
 
 def drop_first_variable(p: Polynomial, target: PolyRing) -> Polynomial:
-    """Project a polynomial not involving the first variable onto `target`."""
-    data = {}
-    for m, c in p.terms:
-        if m[0] != 0:
+    """Project a polynomial not involving the first variable onto `target`,
+    a ring over the same field with that variable left out: each term is
+    repacked from its exponents after the first, and the terms sorted once."""
+    decode, pack = p.ring.decode, target._pack
+    terms = []
+    for m, c in p.packed:
+        exps = decode(m)
+        if exps[0] != 0:
             raise ValueError("polynomial involves the eliminated variable")
-        data[m[1:]] = c
-    return target.from_dict(data)
+        terms.append((pack(exps[1:]), c))
+    terms.sort(reverse=True)
+    return Polynomial(target, tuple(terms))
