@@ -17,8 +17,12 @@ calls of the field's merge loop `add_into` (the loop of the ring's kernel
 `ring._add_into`), each reduction step v <- v + k * X^u * b is one more,
 whatever the rank, and the map is sorted into flat terms once at the end.
 The engine forms no product anywhere else.
-Tuples of polynomials are converted to and from the flat form only at the
-public functions.
+The public functions convert tuples of polynomials to and from the flat
+form, except three that the exactness check chains: `syzygies_and_basis`
+takes flat columns and returns flat syzygies and a flat image basis,
+`module_reducer` stores flat vectors, and its reducer's `top_reduce`
+reduces one, so no vector becomes polynomials between one syzygy run and
+the reducer its syzygies are tested by.
 
 Syzygy extraction works in the augmented module [F | I]: a syzygy run on
 vectors of rank r gives input i a term 1 at position r + i, below every
@@ -326,15 +330,14 @@ class _Engine:
 
     def _top_reduce(self, v: tuple) -> tuple:
         """Cancel leading terms of a flat v until none is reducible; v itself
-        when its lead is not."""
+        when its lead is not, and empty when v reduces to 0."""
         if not v or self._find_reducer(v[0][0]) is None:
             return v
         return self._reduce(dict(v))
 
-    def top_reduce(self, v: Vector) -> tuple:
-        """`_top_reduce` on a tuple of polynomials; returns the flat
-        remainder, empty when v reduces to 0."""
-        return self._top_reduce(to_flat(v, self.unit))
+    # the name a `module_reducer` is called by, and the benchmark's tracer
+    # wraps on each reducer; pruning and `normal_form` call `_top_reduce`
+    top_reduce = _top_reduce
 
     def normal_form(self, v: tuple) -> tuple:
         """Full normal form of a flat v: every remaining term is irreducible.
@@ -591,27 +594,21 @@ def module_groebner_basis(vectors: Sequence[Vector], ring: PolyRing,
     return [from_flat(v, ring, rank) for v, _ in eng.basis]
 
 
-def module_reducer(basis: Sequence[Vector], ring: PolyRing, rank: int) -> "_Engine":
-    """Reusable reducer over a fixed (Groebner) basis; no completion is run."""
+def module_reducer(basis: Sequence[tuple], ring: PolyRing, rank: int) -> "_Engine":
+    """Reusable reducer over a fixed (Groebner) basis of flat vectors of rank
+    `rank`; no completion is run.  Its `top_reduce` takes a flat vector."""
     eng = _Engine(ring, rank, want_syzygies=False, limits=DEFAULT_LIMITS)
     for b in basis:
-        eng._insert(to_flat(b, eng.unit))
+        eng._insert(b)
     return eng
 
 
 def module_member(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> bool:
     """True iff top reduction by the basis sends v to zero; this decides
     membership when the basis is a Groebner basis."""
-    return not module_reducer(basis, ring, len(v)).top_reduce(v)
-
-
-def _syzygy_run(vectors: Sequence[Vector], ring: PolyRing,
-                limits: Limits) -> tuple[list[Vector], "_Engine"]:
-    """(syzygies, engine) of one syzygy run over nonempty `vectors`."""
-    rank = len(vectors[0])
-    eng = _Engine(ring, rank, want_syzygies=True, limits=limits)
-    eng.run([to_flat(v, eng.unit) for v in vectors])
-    return [from_flat(s, ring, rank + len(vectors), rank) for s in eng.syzygies], eng
+    unit = ring.position_unit
+    reducer = module_reducer([to_flat(b, unit) for b in basis], ring, len(v))
+    return not reducer.top_reduce(to_flat(v, unit))
 
 
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
@@ -622,24 +619,30 @@ def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
     module they generate does not."""
     if not vectors:
         return []
-    return _syzygy_run(vectors, ring, limits)[0]
+    rank = len(vectors[0])
+    eng = _Engine(ring, rank, want_syzygies=True, limits=limits)
+    eng.run([to_flat(v, eng.unit) for v in vectors])
+    return [from_flat(s, ring, rank + len(vectors), rank) for s in eng.syzygies]
 
 
-def syzygies_and_basis(vectors: Sequence[Vector], ring: PolyRing,
+def syzygies_and_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
                        limits: Limits = DEFAULT_LIMITS
-                       ) -> tuple[list[Vector], list[Vector]]:
+                       ) -> tuple[list[tuple], list[tuple]]:
     """(generators of the syzygy module, Groebner basis (not interreduced) of
-    the module the vectors generate) from one syzygy run.
+    the module the columns generate) from one syzygy run, all flat.
 
-    The syzygies are `syzygy_generators`' list; the basis is the stored
-    vectors with their transcripts stripped.
+    `columns` are flat vectors of rank `rank` (see `to_flat`).  The syzygies
+    are those of `syzygy_generators`, in its order, with their transcript
+    positions rank.. rebased to 0.., so that `from_flat(s, ring,
+    len(columns))` reads one back; the basis is the stored vectors with
+    their transcripts stripped.
     """
-    if not vectors:
+    if not columns:
         return [], []
-    syz, eng = _syzygy_run(vectors, ring, limits)
-    floor = eng.floor
-    return syz, [from_flat([t for t in v if t[0] >= floor], ring, eng.rank)
-                 for v, _ in eng.basis]
+    eng = _Engine(ring, rank, want_syzygies=True, limits=limits).run(columns)
+    shift, floor = rank * eng.unit, eng.floor
+    return ([tuple([(k + shift, c) for k, c in s]) for s in eng.syzygies],
+            [tuple([t for t in v if t[0] >= floor]) for v, _ in eng.basis])
 
 
 # -- ideal layer ---------------------------------------------------------------
@@ -678,7 +681,7 @@ def interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
         kept.append(p)
     # tail-reduce each against all of them: every term met while reducing
     # the tail of p lies below lead(p), so p itself is never a reducer
-    reducer = module_reducer([(p,) for p in kept], ring, 1)
+    reducer = module_reducer([p.packed for p in kept], ring, 1)
     return [
         Polynomial(ring, reducer.normal_form(p.packed[1:]))
         .add_mul(ring.one, *p.packed[0]).monic()
@@ -690,7 +693,7 @@ def reduce_poly(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full normal form of p modulo a list of polynomials."""
     if p.is_zero() or not basis:
         return p
-    reducer = module_reducer([(b,) for b in basis if not b.is_zero()], p.ring, 1)
+    reducer = module_reducer([b.packed for b in basis if not b.is_zero()], p.ring, 1)
     return Polynomial(p.ring, reducer.normal_form(p.packed))
 
 

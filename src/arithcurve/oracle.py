@@ -8,12 +8,15 @@ ones is a genuine two-route check.
                        order (t has weight 1, so pairs go degree by degree);
                        only the t-free elements of the elimination basis
                        are interreduced
-  ideal_contains       top reduction against an unreduced Groebner basis
-                       of the generators, completed only up to the largest
-                       degree tested when everything is homogeneous
+  ideal_contains       a nonzero scalar multiple of a generator is a member
+                       with no run; the other elements are top-reduced
+                       against an unreduced Groebner basis of the
+                       generators, completed only up to the largest degree
+                       among them when everything is homogeneous
   ideal_equal          ideal_contains in both directions
   colon_check          (I : f) from the first coordinates of the syzygies of
-                       [f, g_1, ..., g_k], compared back to I
+                       [f, g_1, ..., g_k], compared back to I; f and the
+                       quotient are tested by ideal_contains
   minimal_generators   graded greedy minimalization of a homogeneous set
   minimal_resolution   one loop: prune the candidates to minimal generators,
                        keep them as the next differential, take their
@@ -23,10 +26,13 @@ ones is a genuine two-route check.
   verify_exactness     image of d_1 generates the target ideal, and every
                        syzygy of d_s lies in the image of d_{s+1}, which is
                        the zero module past the last map; one syzygy run per
-                       differential gives both its syzygies and a Groebner
-                       basis of its image, and one more run gives a basis of
-                       the target ideal; returns the `exactness` check entry
-                       that `resolve --verify` prints, at the first failure
+                       differential, on the engine's flat columns, gives both
+                       its syzygies and a Groebner basis of its image, which
+                       stay flat up to the reducer that tests them; the
+                       entries of d_1 go to ideal_contains, which makes no
+                       run when each is a generator up to a scalar; returns
+                       the `exactness` check entry that `resolve --verify`
+                       prints, at the first failure
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ from .groebner import (
     DEFAULT_LIMITS,
     Limits,
     ResourceLimitExceeded,
+    _is_multiple,
     groebner,  # unused here; the benchmark's tracer patches this name
-    ideal_member,
+    ideal_member,  # likewise
     interreduce,
     minimal_module_generators,
     module_groebner_basis,
@@ -89,12 +96,21 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
                    limits: Limits = DEFAULT_LIMITS) -> bool:
     """True iff every element of `polys` lies in the ideal of `gens`.
 
-    When every generator and every element is homogeneous, the basis of
-    `gens` is completed only up to the largest degree among the nonzero
-    elements, which decides their membership (`module_groebner_basis`);
-    otherwise it is completed in full.  The zero elements need no run.
+    The zero elements, and the syntactic members (nonzero scalar multiples
+    of a generator: the same packed monomials, coefficients proportional),
+    need no run.  Only the rest are tested against a basis of `gens`: when
+    every generator and every one of them is homogeneous, the basis is
+    completed only up to the largest degree among them, which decides their
+    membership (`module_groebner_basis`); otherwise it is completed in full.
     """
-    polys = [p for p in polys if not p.is_zero()]
+    # generators filed by their packed monomials; the zero one by none,
+    # which no nonzero element has
+    by_monomials: dict[tuple, list[tuple]] = {}
+    for g in gens:
+        by_monomials.setdefault(tuple([m for m, _ in g.packed]), []).append(g.packed)
+    polys = [p for p in polys if p.packed and not any(
+        _is_multiple(p.packed, g, p.ring)
+        for g in by_monomials.get(tuple([m for m, _ in p.packed]), ()))]
     if not polys:
         return True
     ring = polys[0].ring
@@ -102,8 +118,8 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
     homogeneous = None not in degrees and all(g.is_homogeneous for g in gens)
     gb = module_groebner_basis([(g,) for g in gens], ring, limits=limits,
                                degree=max(degrees) if homogeneous else None)
-    reducer = module_reducer(gb, ring, 1)
-    return not any(reducer.top_reduce((p,)) for p in polys)
+    reducer = module_reducer([g.packed for g, in gb], ring, 1)
+    return not any(reducer.top_reduce(p.packed) for p in polys)
 
 
 def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],
@@ -125,14 +141,18 @@ def colon_ideal(gens: Sequence[Polynomial], f: Polynomial,
 
 def colon_check(gens: Sequence[Polynomial], f: Polynomial,
                 limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Is (I : f) = I?  Requires f not in I; raises ValueError otherwise."""
-    gb = [g for g, in module_groebner_basis([(g,) for g in gens], f.ring,
-                                            limits=limits)]
-    if ideal_member(f, gb):
-        raise ValueError("multiplier lies in the ideal; colon comparison undefined")
+    """Is (I : f) = I?  Requires f not in I; raises ValueError otherwise.
+
+    Both memberships are decided by `ideal_contains` after the syzygy run
+    of `colon_ideal`, so on homogeneous input each basis of I is completed
+    only up to the degree it tests, and the quotient's generators that are
+    generators of I up to a scalar make no run.
+    """
     quotient = colon_ideal(gens, f, limits=limits)
+    if ideal_contains(gens, [f], limits=limits):
+        raise ValueError("multiplier lies in the ideal; colon comparison undefined")
     # (I : f) always contains I, so only the forward inclusion needs work
-    return all(ideal_member(q, gb) for q in quotient)
+    return ideal_contains(gens, quotient, limits=limits)
 
 
 def minimal_generators(gens: Sequence[Polynomial],
@@ -148,10 +168,6 @@ def minimal_generators(gens: Sequence[Polynomial],
 
 
 # -- minimal free resolution ---------------------------------------------------
-
-
-def _matrix_columns(mat: PolyMatrix) -> list[tuple]:
-    return [mat.column(j) for j in range(mat.cols)]
 
 
 def minimal_resolution(gens: Sequence[Polynomial],
@@ -212,6 +228,18 @@ def _exactness(failure=None) -> dict:
                           "witness": [] if failure is None else [failure]}}
 
 
+def _flat_columns(mat: PolyMatrix) -> list[tuple]:
+    """The columns of mat in the engine's flat form (`to_flat`), from one
+    row-major pass over its nonzero entries: row i is position i, and the
+    rows of a column arrive in order."""
+    unit = mat.ring.position_unit
+    cols: list[list] = [[] for _ in range(mat.cols)]
+    for (i, j), e in mat.nonzero.items():
+        at = i * unit
+        cols[j] += [(m - at, c) for m, c in e.packed] if i else e.packed
+    return [tuple(c) for c in cols]
+
+
 def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
                      limits: Limits = DEFAULT_LIMITS) -> dict:
     """Machine check that C resolves R modulo the ideal of `gens`.
@@ -234,25 +262,30 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     s - 1 reduces by; only the runs of d_s and d_{s+1} are held at a time.
     The run is the syzygy run of `minimal_resolution`, so on the oracle's
     own complex this check shares its pair criteria with the resolution
-    it checks.
+    it checks.  Its columns, syzygies and basis stay in the engine's flat
+    form throughout.  When every entry of d_1 is a generator up to a
+    scalar, as in the `en`, `cone` and oracle complexes, (a)'s second
+    inclusion makes no run (`ideal_contains`).
     """
     if len(C.steps[0]) != 1:
         raise ValueError("step 0 must have rank 1")
     d1 = C.differential(1)
     ring = d1.ring
-    syz, image = syzygies_and_basis(_matrix_columns(d1), ring, limits=limits)
+    syz, image = syzygies_and_basis(_flat_columns(d1), ring, 1, limits=limits)
     # d_1 has one row, so its image is the ideal of its entries; the zero
     # ones add nothing to it
     image_reducer = module_reducer(image, ring, 1)
-    if (any(image_reducer.top_reduce((g,)) for g in gens)
+    if (any(image_reducer.top_reduce(g.packed) for g in gens)
             or not ideal_contains(gens, list(d1.nonzero.values()), limits=limits)):
         return _exactness("image of the first differential")
     for s in range(1, C.length + 1):
-        next_syz, gb = (syzygies_and_basis(_matrix_columns(C.differential(s + 1)),
-                                           ring, limits=limits)
+        rank = C.differential(s).cols  # d_{s+1}'s rows: C checks the shapes
+        next_syz, gb = (syzygies_and_basis(_flat_columns(C.differential(s + 1)),
+                                           ring, rank, limits=limits)
                         if s < C.length else ([], []))
-        reducer = module_reducer(gb, ring, C.differential(s).cols)
+        reducer = module_reducer(gb, ring, rank)
         if any(reducer.top_reduce(v) for v in syz):
             return _exactness(f"exactness at step {s}")
         syz = next_syz
     return _exactness()
+

@@ -448,11 +448,13 @@ def test_raw_syzygies_pinned(inputs, count, digest):
         list(validate_sequence(7, 2, 4).generators(PrimeField(32003)).all)),
 ], ids=["b1-5-1-4", "bn-8-1-4", "oracle-7-2-4-fp"])
 def test_criteria_pruned_run_generates_same_modules(build):
-    """For each differential, the basis of the syzygy run generates the
-    module of the columns; verify_exactness decides membership by top
-    reduction against that basis."""
+    """For each differential, the flat run of `syzygies_and_basis` gives
+    the syzygies of `syzygy_generators`, in its order, and a basis that
+    generates the module of the columns; verify_exactness decides
+    membership by top reduction against that basis."""
     C = build()
     ring = C.differential(1).ring
+    unit = ring.position_unit
 
     def inside(vectors, generators):
         gb = module_groebner_basis(generators, ring)
@@ -461,7 +463,11 @@ def test_criteria_pruned_run_generates_same_modules(build):
     for s in range(1, C.length + 1):
         mat = C.differential(s)
         cols = [mat.column(j) for j in range(mat.cols)]
-        _, basis = syzygies_and_basis(cols, ring)
+        syz, flat_basis = syzygies_and_basis([to_flat(c, unit) for c in cols],
+                                             ring, mat.rows)
+        assert [from_flat(v, ring, len(cols)) for v in syz] == \
+            syzygy_generators(cols, ring), s
+        basis = [from_flat(v, ring, mat.rows) for v in flat_basis]
         assert inside(basis, cols) and inside(cols, basis), s
         assert all(module_member(c, basis, ring) for c in cols), s
 

@@ -138,15 +138,18 @@ class TestToricIdeal:
             toric_ideal(seq, limits=Limits(max_basis=basis - 1))
 
     @pytest.mark.parametrize("m0,d,n,spairs", [
-        (9, 2, 4, [69, 8, 8]), (16, 3, 4, [76, 8, 8]), (13, 2, 4, [72, 8, 8]),
+        (9, 2, 4, [69, 0, 0]), (16, 3, 4, [76, 0, 0]), (13, 2, 4, [72, 0, 0]),
     ], ids=["9-2-4", "16-3-4", "13-2-4"])
     def test_identity_spairs_pinned(self, m0, d, n, spairs):
         """S-pairs reduced by each run of the toric identity over QQ: the
         elimination run, then the two rank-1 runs of `ideal_equal`, where
         the product criterion applies.  A change that reorders or drops
-        their pairs shows here even when the bases do not change.  The
-        membership runs stop at the largest degree they test; run to the
-        end, those of 9 2 4 and 13 2 4 reduced 20 pairs each."""
+        their pairs shows here even when the bases do not change.  Each
+        direction leaves one element that is not a generator up to a
+        scalar, of degree 26, 44 and 34, and its membership run stops
+        there, below every pair; stopped at the largest degree of all the
+        elements (51, 112 and 84) those runs reduced 8 pairs each, and run
+        to the end, those of 9 2 4 and 13 2 4 reduced 20 pairs each."""
         seq = validate_sequence(m0, d, n)
         limits = KeepMeters()
         basis = toric_ideal(seq, limits=limits)
@@ -284,6 +287,28 @@ class TestIdealContains:
         assert limits.meters == []
         assert ideal_contains([x * y], [R.zero, x * x * y, R.zero])
         assert not ideal_contains([x * y, R.zero], [R.zero, x * x])
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "fp"])
+    def test_scalar_multiples_of_generators_take_no_run(self, field):
+        """A nonzero scalar multiple of a generator (its monomials, its
+        coefficients times one scalar) is a member with no engine run:
+        -g, 3g and 12345g, also beside other such multiples.  A monomial
+        multiple X1*g, an element with g's monomials but other coefficients
+        and the non-member X1 still take a run, which a syntactic member
+        beside them does not avoid.  Every verdict is `ideal_member`'s
+        against the reduced basis."""
+        gens = list(validate_sequence(5, 1, 4).generators(field).all)
+        g = gens[0]  # X0*X2 - X1^2
+        x1 = g.ring.var(1)
+        full = groebner(gens)
+        for polys, runs in [
+            ([-g], 0), ([3 * g], 0), ([12345 * g], 0), ([g, -g, 3 * gens[5]], 0),
+            ([x1 * g], 1), ([g + 2 * x1 ** 2], 1), ([x1], 1), ([-g, x1 * g], 1),
+        ]:
+            limits = KeepMeters()
+            verdict = ideal_contains(gens, polys, limits=limits)
+            assert len(limits.meters) == runs, polys
+            assert verdict is all(ideal_member(p, full) for p in polys), polys
 
 
 class TestIdealEqual:
@@ -620,8 +645,9 @@ class TestVerifyExactness:
     def test_dropped_column_fails_at_middle_step(self):
         """Without one column of d_2 (its shift and the matching row of
         d_3 go too), the image of d_2 misses a syzygy of d_1.  The check
-        stops there: after d_1's run and the generators' basis, only d_2's
-        run is made, not those of d_3 and d_4."""
+        stops there: after d_1's run only d_2's run is made, not those of
+        d_3 and d_4; every entry of d_1 is a generator up to a scalar, so
+        the generators' basis is not run."""
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         d2, d3 = C.differential(2), C.differential(3)
@@ -642,20 +668,21 @@ class TestVerifyExactness:
         limits = KeepMeters()
         rep = verify_exactness(cut, list(seq.generators().all), limits=limits)
         assert rep == failed("exactness at step 1")
-        assert len(limits.meters) == 3
+        assert len(limits.meters) == 2
 
     @pytest.mark.parametrize("m0,build,spairs", [
-        (5, resolution_b1, [20, 0, 39, 19, 3]),
-        (8, resolution_bn, [14, 0, 18, 13, 2]),
+        (5, resolution_b1, [20, 39, 19, 3]),
+        (8, resolution_bn, [14, 18, 13, 2]),
     ])
     def test_spairs_per_engine_run_pinned(self, m0, build, spairs):
         """S-pairs reduced by each engine run of the check, in order: the
-        syzygies and image basis of d_1, the Groebner basis of the
-        generators, then one run per later differential.  A second basis
-        of d_1's entries (20 and 8 S-pairs) no longer runs first.  The
-        generators' basis is completed only up to the largest degree of
-        d_1's entries, which no pair reaches here; run to the end, it
-        reduced 20 and 8 pairs."""
+        syzygies and image basis of d_1, then one run per later
+        differential.  A second basis of d_1's entries (20 and 8 S-pairs)
+        no longer runs first, nor does the Groebner basis of the
+        generators: every entry of d_1 is a generator up to a scalar, so
+        `ideal_contains` needs no run (completed up to the largest degree
+        of d_1's entries it reduced 0 pairs, and run to the end 20 and
+        8)."""
         seq = validate_sequence(m0, 1, 4)
         limits = KeepMeters()
         assert verify_exactness(build(seq), list(seq.generators().all),
