@@ -22,8 +22,8 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, fields
-from functools import cache, partial
-from itertools import islice
+from functools import cache
+from itertools import chain, islice
 from typing import Optional
 
 from .closedform import (
@@ -119,22 +119,13 @@ def load_limits(path: str) -> Limits:
     return Limits(**data)
 
 
-def _built(value):
-    """The encoder's hook for other objects: a callable stands for what it returns."""
-    if callable(value):
-        return value()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def write_json(obj) -> None:
     """obj as indented JSON and a newline, written as it is encoded.
 
     Chunks go out joined in batches: the whole text of a large report would
     not fit in memory, and one write per chunk (per matrix entry) is slow.
-    A zero-argument callable in obj is called when the encoder reaches it,
-    so what it builds is held only while it is written.
     """
-    chunks = json.JSONEncoder(indent=2, default=_built).iterencode(obj)
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
     while batch := list(islice(chunks, 1 << 16)):
         sys.stdout.write("".join(batch))
     sys.stdout.write("\n")
@@ -227,18 +218,28 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
     return report, complex_
 
 
+class _RowMajor(list):
+    """A matrix's entry strings, row-major and zeros included, as a list
+    that holds none of them.  `write_json`'s `iterencode` runs json's
+    Python encoder, which reads a list's length and iterates it; each
+    iteration here builds one row of strings at a time."""
+
+    def __init__(self, matrix):
+        super().__init__()
+        self.matrix = matrix
+
+    def __len__(self):
+        return self.matrix.rows * self.matrix.cols
+
+    def __iter__(self):
+        return chain.from_iterable(self.matrix.dense_rows(str))
+
+
 def emit_matrices_obj(complex_: GradedComplex) -> list:
-    """Per differential, a callable that builds its JSON object, dense entry
-    strings included; `write_json` holds one of them at a time."""
-    def matrix_obj(s: int) -> dict:
-        d = complex_.differential(s)
-        return {
-            "step": s,
-            "rows": d.rows,
-            "cols": d.cols,
-            "entries": d.dense_strings(),
-        }
-    return [partial(matrix_obj, s) for s in range(1, complex_.length + 1)]
+    """Per differential, its JSON object; `write_json` holds one row of its
+    entry strings at a time."""
+    return [{"step": s, "rows": d.rows, "cols": d.cols, "entries": _RowMajor(d)}
+            for s, d in enumerate(complex_.maps, 1)]
 
 
 # -- commands -----------------------------------------------------------------
@@ -295,8 +296,8 @@ def cmd_resolve(args) -> int:
             for s in range(1, complex_.length + 1):
                 d = complex_.differential(s)
                 print(f"differential {s} ({d.rows}x{d.cols}):")
-                for row in d.dense_rows():
-                    print("  [" + ", ".join(map(str, row)) + "]")
+                for row in d.dense_rows(str):
+                    print("  [" + ", ".join(row) + "]")
 
     if args.verify and not all(c["pass"] for c in report["checks"].values()):
         print("verification failed", file=sys.stderr)

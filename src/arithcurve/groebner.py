@@ -35,20 +35,22 @@ syzygy module.
 Pair criteria (Gebauer & Moeller, "On an installation of Buchberger's
 algorithm", JSC 1988) depend on the run:
 
-  - A syzygy run (`syzygy_generators`, so the oracle resolution and the
-    colon ideal; `syzygies_and_basis`, so the exactness check) applies the
-    B, M and F criteria but never the product criterion.  These drop only
+  - A syzygy run (`syzygy_generators`, so the colon ideal and each step
+    of the oracle resolution, whose pruning is part of that step's run;
+    `syzygies_and_basis`, so the exactness check) applies the B, M and F
+    criteria but never the product criterion, not even at rank 1, where
+    the resolution's step 0 prunes the generators.  These drop only
     pairs whose syzygy of leading terms the kept pairs generate, so the
     transcripts still generate the syzygy module (Moeller, Mora &
     Traverso, "Groebner bases computation using syzygies", ISSAC 1992).
     The product criterion would lose the Koszul syzygy of a coprime pair.
-  - Every other run (`groebner`, `module_groebner_basis` and the pruning
-    runs of `minimal_module_generators`) applies the B, M and F criteria
-    at every rank, and the product criterion (coprime leads) at rank 1
-    only, where it holds.  These runs return a Groebner basis or a
-    membership answer, which no choice of pairs can change: the reduced
-    basis is unique, membership does not depend on the basis used, and
-    pruning keeps input candidates.
+  - Every other run (`groebner`, `module_groebner_basis` and the
+    standalone pruning runs of `minimal_module_generators`) applies the
+    B, M and F criteria at every rank, and the product criterion (coprime
+    leads) at rank 1 only, where it holds.  These runs return a Groebner
+    basis or a membership answer, which no choice of pairs can change: the
+    reduced basis is unique, membership does not depend on the basis
+    used, and pruning keeps input candidates.
 
 Every run takes its pairs by sugar first (Giovini et al., ISSAC 1991): a
 pair's is its lcm's shifted degree (shifts are zero unless the run gives
@@ -503,7 +505,8 @@ class _Engine:
 
 def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
                               shifts: Optional[Sequence[int]] = None,
-                              limits: Limits = DEFAULT_LIMITS) -> list[Vector]:
+                              limits: Limits = DEFAULT_LIMITS,
+                              engine: Optional[_Engine] = None) -> list[Vector]:
     """Minimal generating subset of a list of homogeneous vectors.
 
     Candidates are taken in increasing degree (graded Nakayama); a candidate
@@ -528,12 +531,31 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     taken first, so it lies in the kept module, and so does c, which top
     reduction would send to zero.  The pairs up to c's degree are still
     reduced, so the S-pairs a run reduces do not change.
+
+    With `engine`, a syzygy run of the vectors' rank and shifts, pruning
+    is the first half of that run and `syzygy_generators(kept, ring,
+    engine=engine)` the second (`shifts` and `limits` are the engine's).
+    Each candidate gets its transcript, 1 at position rank + len(kept),
+    before it is top-reduced.  Head arithmetic never reads transcripts, so
+    a candidate is dropped exactly when its remainder has no head term, as
+    without them, and that remainder is discarded (the next candidate
+    takes its position).  A kept remainder is inserted with its
+    transcript, which writes it in the kept columns.  Column j with its
+    transcript is (c_j | e_j), and its remainder differs from it by an
+    element of the module that the earlier kept columns span in the same
+    way, so the inserted vectors span the same augmented module [C | I]
+    as the kept columns do (C the kept columns, I the identity).  The
+    transcript-leading remainders of a complete, criteria-pruned run with
+    no product criterion on such vectors generate Syz(kept), as in a run
+    on the kept columns themselves; those of the pairs reduced while
+    pruning are among them.
     """
     nonzero = [v for v in vectors if not v_is_zero(v)]
     if not nonzero:
         return []
-    eng = _Engine(ring, len(nonzero[0]), want_syzygies=False, limits=limits,
-                  shifts=shifts)
+    eng = engine or _Engine(ring, len(nonzero[0]), want_syzygies=False,
+                            limits=limits, shifts=shifts)
+    one = ring.one.packed[0][1]
 
     def candidate(v: Vector):
         """((degree, position, packed lead), flat v, v)"""
@@ -554,8 +576,10 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
         if any(_is_multiple(flat, e, ring) for e in shape):
             continue
         shape.append(flat)
+        if eng.want_syz:  # its transcript, 1 at position rank + len(kept)
+            flat += ((-(eng.rank + len(kept)) * eng.unit, one),)
         reduced = eng._top_reduce(flat)
-        if not reduced:
+        if not reduced or reduced[0][0] < eng.floor:  # no head: a member
             continue
         kept.append(v)
         eng.add_element(reduced)
@@ -612,17 +636,27 @@ def module_member(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> bool:
 
 
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
-                      limits: Limits = DEFAULT_LIMITS) -> list[Vector]:
+                      limits: Limits = DEFAULT_LIMITS,
+                      engine: Optional[_Engine] = None) -> list[Vector]:
     """Generators of the syzygy module of the given vectors (in R^len(vectors)),
     one per criteria-kept pair that reduces to zero (and per zero input).
     Which generators, and how many, depends on the pair criteria; the
-    module they generate does not."""
+    module they generate does not.
+
+    With `engine`, the run in which `minimal_module_generators` kept the
+    vectors, in order: its queued pairs are completed instead of a fresh
+    run made, and every syzygy it collected is returned, those of the
+    pairs reduced while pruning included.  They generate the syzygy module
+    by the argument given there.  `limits` is then the engine's."""
     if not vectors:
         return []
     rank = len(vectors[0])
-    eng = _Engine(ring, rank, want_syzygies=True, limits=limits)
-    eng.run([to_flat(v, eng.unit) for v in vectors])
-    return [from_flat(s, ring, rank + len(vectors), rank) for s in eng.syzygies]
+    if engine is None:
+        engine = _Engine(ring, rank, want_syzygies=True, limits=limits)
+        engine.run([to_flat(v, engine.unit) for v in vectors])
+    else:
+        engine._main_loop()
+    return [from_flat(s, ring, rank + len(vectors), rank) for s in engine.syzygies]
 
 
 def syzygies_and_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,

@@ -3,12 +3,11 @@
 A matrix stores only its nonzero entries, keyed by (row, col) in row-major
 order; the constructor takes them so and `from_rows` takes dense rows.
 `dense_rows()` is the row reader for output: it yields each row, zeros
-included, from one pass over those keys; `dense_strings()` gives the whole
-matrix as one flat list of entry strings."""
+included, from one pass over those keys, as entries or as their strings."""
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .ring import Polynomial, PolyRing, _add_into
 
@@ -37,10 +36,14 @@ class PolyMatrix:
         return cls(ring, len(rows), ncols,
                    {(i, j): e for i, r in enumerate(rows) for j, e in enumerate(r)})
 
-    def dense_rows(self) -> Iterator[list]:
-        """Each row in order as a list, zeros included."""
+    def dense_rows(self, convert: Optional[Callable] = None) -> Iterator[list]:
+        """Each row in order as a list, zeros included: of the entries, or
+        with `convert` of convert(entry), the zeros sharing one convert(0)."""
         zero = self.ring.zero
         nonzero = iter(self.nonzero.items())
+        if convert is not None:
+            nonzero = ((key, convert(e)) for key, e in nonzero)
+            zero = convert(zero)
         end = ((self.rows, 0), zero)  # past the last row
         (k, j), e = next(nonzero, end)
         for i in range(self.rows):
@@ -49,15 +52,6 @@ class PolyMatrix:
                 row[j] = e
                 (k, j), e = next(nonzero, end)
             yield row
-
-    def dense_strings(self) -> list[str]:
-        """Every entry as a string, row-major, zeros included.  The list is
-        allocated once at its full length and the zeros share one string."""
-        cols = self.cols
-        out = [str(self.ring.zero)] * (self.rows * cols)
-        for (i, j), e in self.nonzero.items():
-            out[i * cols + j] = str(e)
-        return out
 
     def entry(self, i: int, j: int) -> Polynomial:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -116,7 +110,7 @@ class PolyMatrix:
         ]
 
     def __str__(self):
-        rows = ["[" + ", ".join(map(str, row)) + "]" for row in self.dense_rows()]
+        rows = ["[" + ", ".join(row) + "]" for row in self.dense_rows(str)]
         return "[" + ",\n ".join(rows) + "]"
 
     def __repr__(self):

@@ -22,7 +22,9 @@ ones is a genuine two-route check.
                        keep them as the next differential, take their
                        syzygies as the next candidates; the generators are
                        the first candidates, so each differential is minimal
-                       and the ranks are the Betti numbers
+                       and the ranks are the Betti numbers; one engine run
+                       per step, shifted by the step's degrees, prunes and
+                       then completes to the syzygies
   verify_exactness     image of d_1 generates the target ideal, and every
                        syzygy of d_s lies in the image of d_{s+1}, which is
                        the zero module past the last map; one syzygy run per
@@ -53,6 +55,7 @@ from .groebner import (
     DEFAULT_LIMITS,
     Limits,
     ResourceLimitExceeded,
+    _Engine,
     _is_multiple,
     groebner,  # unused here; the benchmark's tracer patches this name
     ideal_member,  # likewise
@@ -179,6 +182,10 @@ def minimal_resolution(gens: Sequence[Polynomial],
     columns of the next differential, and their syzygies are the next
     candidates.  Step 0 starts from the generators as 1-vectors over R(0),
     so each differential is minimal and the ranks are the Betti numbers.
+    Both halves of a step are one syzygy run, shifted by the step's
+    degrees: pruning inserts each kept candidate with its transcript, and
+    `syzygy_generators` completes the run's pairs (the argument is in
+    `minimal_module_generators`).
 
     No entry of a differential is a nonzero constant.  Suppose a syzygy of
     the columns of d_s had a nonzero constant in position i.  The relation
@@ -203,10 +210,10 @@ def minimal_resolution(gens: Sequence[Polynomial],
     steps: list[tuple[int, ...]] = [(0,)]
     mats: list[PolyMatrix] = []
     max_steps = ring.nvars + 2
-    while True:
-        cols = minimal_module_generators(cols, ring, shifts=steps[-1], limits=limits)
-        if not cols:
-            break
+    while cols:
+        engine = _Engine(ring, len(steps[-1]), want_syzygies=True,
+                         limits=limits, shifts=steps[-1])
+        cols = minimal_module_generators(cols, ring, engine=engine)
         mats.append(PolyMatrix(ring, len(steps[-1]), len(cols),
                                {(i, j): p for j, col in enumerate(cols)
                                 for i, p in enumerate(col)}))
@@ -215,7 +222,7 @@ def minimal_resolution(gens: Sequence[Polynomial],
             raise ResourceLimitExceeded(
                 f"resolution did not terminate within {max_steps} steps"
             )
-        cols = syzygy_generators(cols, ring, limits=limits)
+        cols = syzygy_generators(cols, ring, engine=engine)
     return GradedComplex(steps, mats)
 
 

@@ -466,10 +466,10 @@ GOLDEN = [
     # oracle matrices at n = 5, and over QQ outside b = 3
     (("resolve", "11", "1", "5", "--method", "oracle", "--field", "fp:32003",
       "--json", "--emit-matrices"),
-     "21aff7396a0f6b32d9c836c1c451182098acf924a2c71d4f3649ef81b8012d1d"),
+     "cea783409c0d908ecdef5c47e4a2871ee7bf1726e9cb8bb33302f039d8f70c89"),
     (("resolve", "9", "2", "4", "--method", "oracle", "--verify", "--json",
       "--emit-matrices"),
-     "2672474c53499641907b92deb3e13d726cd224574879170639a1f78cfd31e047"),
+     "bcd527941ce5e1b0ab639e932bdab6334cf2f2271c92442e9d66a3552d27d9c6"),
     (("scan", "--n", "4", "--a", "1..2", "--d", "1..3", "--json"),
      "585cd71fb2610cfd28541eb7e8525d22646ed96458b879a362406d65261c58e9"),
     # the same digest through pickled cells in worker processes
@@ -588,6 +588,26 @@ class TestProcess:
         assert child.returncode == EXIT_OK
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == hashlib.sha256(unlimited.encode()).hexdigest()
+
+    def test_json_matrices_hold_one_row_at_n10_in_56_mib(self):
+        """JSON entry strings are built one row at a time as the encoder
+        reaches them: the largest differential of the mapping cone of
+        `20 1 10` is 1,638 x 2,058, 3.6 M slots, and its entry list alone
+        needed 70 MiB.  Stdout goes to the null device, so the limit bounds
+        the encoding, not the text."""
+        argv = ["resolve", "20", "1", "10", "--json", "--emit-matrices"]
+        script = (
+            "import os, resource, sys\n"
+            "limit = 56 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS,"
+            " (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            "from arithcurve.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        with child_python("-c", script) as child:
+            out, err = child.communicate()
+        assert (child.returncode, out, err) == (EXIT_OK, "", "")
 
     def test_first_term_check_precedes_the_terms_in_256_mib(self):
         """m0 <= n is rejected before the n + 1 terms are built: with

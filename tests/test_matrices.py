@@ -122,7 +122,7 @@ def test_sparse_storage_and_product(data, r, k, c):
     # the dense input comes back through every accessor
     assert list(A.dense_rows()) == [list(row) for row in a_rows]
     assert PolyMatrix.from_rows(R2, list(A.dense_rows())) == A
-    assert A.dense_strings() == [str(e) for row in a_rows for e in row]
+    assert list(A.dense_rows(str)) == [[str(e) for e in row] for row in a_rows]
     for i in range(r):
         for j in range(k):
             assert A.entry(i, j) == a_rows[i][j]

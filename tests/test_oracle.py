@@ -2,6 +2,7 @@
 minimal resolutions, and exactness verification."""
 
 import hashlib
+import importlib
 import itertools
 import math
 
@@ -419,51 +420,72 @@ def failed(witness):
 
 class TestMinimalResolution:
     @pytest.mark.parametrize("m0,d,n,field,spairs", [
-        (7, 2, 4, QQ, [1, 15, 12, 38, 4, 6, 0, 0]),
-        (11, 1, 5, PrimeField(32003), [20, 40, 25, 192, 68, 130, 15, 25, 1, 1]),
+        (7, 2, 4, QQ, [15, 36, 5, 0]),
+        (11, 1, 5, PrimeField(32003), [40, 125, 90, 15, 1]),
     ])
     def test_spairs_per_engine_run_pinned(self, m0, d, n, field, spairs):
-        """S-pairs reduced by each engine run of the resolution, in order
-        (pruning, then syzygies, step by step), as recorded when syzygy
-        runs took up the pair criteria.  A change that reorders syzygy or
-        pruning pairs shows here even when the output does not."""
+        """S-pairs reduced by each engine run of the resolution, one run per
+        step in order, as recorded when pruning and the syzygies came to
+        share that run.  A change that reorders pruning or syzygy pairs
+        shows here even when the output does not."""
         limits = KeepMeters()
         minimal_resolution(list(validate_sequence(m0, d, n).generators(field).all),
                            limits=limits)
         assert [meter.spairs for meter in limits.meters] == spairs
 
+    @pytest.mark.parametrize("m0,d,n,field", [
+        (4, 1, 2, QQ), (8, 1, 3, QQ), (7, 2, 4, QQ), (11, 1, 5, PrimeField(32003)),
+    ])
+    def test_one_engine_run_per_step(self, m0, d, n, field):
+        """Each step prunes its candidates and takes the syzygies of the kept
+        ones in one run, so the meters started equal the differentials."""
+        limits = KeepMeters()
+        C = minimal_resolution(list(validate_sequence(m0, d, n).generators(field).all),
+                               limits=limits)
+        assert len(limits.meters) == C.length == n
+
     @pytest.mark.parametrize("m0,d,n,candidates,reduced,spairs", [
-        (5, 1, 4, [10, 20, 20, 6], [10, 20, 20, 5], [0, 0, 9, 1]),
-        (11, 1, 5, [15, 40, 105, 53, 7], [15, 40, 88, 42, 7],
-         [20, 25, 68, 15, 1]),
+        (5, 1, 4, [10, 20, 20, 6], [10, 20, 20, 5], [20, 35, 17, 1]),
+        (11, 1, 5, [15, 40, 85, 48, 7], [15, 40, 76, 40, 7],
+         [40, 125, 90, 15, 1]),
     ])
     def test_pruning_skips_reductions_not_pairs(self, monkeypatch, m0, d, n,
                                                 candidates, reduced, spairs):
-        """Per pruning run over fp:32003: the candidates, the candidates
-        top-reduced (all of them before pruning skipped the multiples of
-        earlier candidates), and the S-pairs reduced, which did not change
-        with the skip."""
+        """Per step over fp:32003: the candidates, the candidates top-reduced
+        and the S-pairs of the step's run.  Without the skip of candidates
+        that are multiples of earlier ones every candidate is top-reduced,
+        while the S-pairs and the Betti numbers stay as they are."""
+        gens = list(validate_sequence(m0, d, n).generators(PrimeField(32003)).all)
         prune = arithcurve.oracle.minimal_module_generators
         top_reduce = _Engine._top_reduce
-        seen, reductions = [], []
 
-        def counting_prune(vectors, *args, **kwargs):
-            seen.append(len(vectors))
-            return prune(vectors, *args, **kwargs)
+        def step_counts():
+            seen, reductions = [], []
 
-        def counting_top_reduce(eng, v):
-            reductions.append(eng.meter)
-            return top_reduce(eng, v)
+            def counting_prune(vectors, *args, **kwargs):
+                seen.append(len(vectors))
+                return prune(vectors, *args, **kwargs)
 
-        monkeypatch.setattr(arithcurve.oracle, "minimal_module_generators", counting_prune)
-        monkeypatch.setattr(_Engine, "_top_reduce", counting_top_reduce)
-        limits = KeepMeters()
-        gens = validate_sequence(m0, d, n).generators(PrimeField(32003)).all
-        minimal_resolution(list(gens), limits=limits)
-        runs = limits.meters[::2]  # pruning, then syzygies, step by step
-        assert seen[:len(runs)] == candidates
-        assert [sum(m is run for m in reductions) for run in runs] == reduced
-        assert [run.spairs for run in runs] == spairs
+            def counting_top_reduce(eng, v):
+                reductions.append(eng.meter)
+                return top_reduce(eng, v)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(arithcurve.oracle, "minimal_module_generators",
+                              counting_prune)
+                patch.setattr(_Engine, "_top_reduce", counting_top_reduce)
+                limits = KeepMeters()
+                betti = minimal_resolution(gens, limits=limits).betti()
+            runs = limits.meters  # one per step
+            return (betti, seen,
+                    [sum(m is run for m in reductions) for run in runs],
+                    [run.spairs for run in runs])
+
+        betti, *counts = step_counts()
+        assert counts == [candidates, reduced, spairs]
+        engine = importlib.import_module("arithcurve.groebner")  # not the function
+        monkeypatch.setattr(engine, "_is_multiple", lambda *args: False)
+        assert step_counts() == (betti, candidates, candidates, spairs)
 
     def test_codim3_gorenstein_shape(self):
         seq = validate_sequence(8, 1, 3)
@@ -606,8 +628,9 @@ class TestMinimalResolution:
             assert C.betti() == middle[b]
 
     def test_n6_syzygy_runs_fit_500_spairs(self):
-        """Every engine run of 13 1 6 reduces at most 449 S-pairs; its
-        largest syzygy run reduced 1,876 without the pair criteria."""
+        """Every engine run of 13 1 6 reduces at most 280 S-pairs (449
+        before pruning and syzygies shared a run); its largest syzygy run
+        reduced 1,876 without the pair criteria."""
         seq = validate_sequence(13, 1, 6)
         C = minimal_resolution(list(seq.generators(PrimeField(32003)).all),
                                limits=Limits(max_spairs=500))
