@@ -57,7 +57,12 @@ def parse_field(text: str):
         return QQ
     if text.startswith("fp:"):
         try:
-            return PrimeField(int(text[3:]))
+            modulus = int(text[3:])
+        except ValueError:  # int() would name the error "invalid literal"
+            raise argparse.ArgumentTypeError(
+                f"invalid field {text!r}: the modulus is not an integer") from None
+        try:
+            return PrimeField(modulus)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown field {text!r}; use q or fp:<prime>")

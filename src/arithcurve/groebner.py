@@ -35,22 +35,23 @@ syzygy module.
 Pair criteria (Gebauer & Moeller, "On an installation of Buchberger's
 algorithm", JSC 1988) depend on the run:
 
-  - A syzygy run (`syzygy_generators`, so the colon ideal and each step
-    of the oracle resolution, whose pruning is part of that step's run;
+  - A syzygy run (`minimal_module_generators`, whose pruning is always
+    the head of one, and `syzygy_generators`, which completes it or runs
+    alone, so the colon ideal and each step of the oracle resolution;
     `syzygies_and_basis`, so the exactness check) applies the B, M and F
     criteria but never the product criterion, not even at rank 1, where
-    the resolution's step 0 prunes the generators.  These drop only
-    pairs whose syzygy of leading terms the kept pairs generate, so the
-    transcripts still generate the syzygy module (Moeller, Mora &
-    Traverso, "Groebner bases computation using syzygies", ISSAC 1992).
-    The product criterion would lose the Koszul syzygy of a coprime pair.
-  - Every other run (`groebner`, `module_groebner_basis` and the
-    standalone pruning runs of `minimal_module_generators`) applies the
+    `minimal_generators` and the resolution's step 0 prune generators.
+    These drop only pairs whose syzygy of leading terms the kept pairs
+    generate, so the transcripts still generate the syzygy module
+    (Moeller, Mora & Traverso, "Groebner bases computation using
+    syzygies", ISSAC 1992).  The product criterion would lose the Koszul
+    syzygy of a coprime pair.
+  - Every other run (`groebner` and `module_groebner_basis`) applies the
     B, M and F criteria at every rank, and the product criterion (coprime
     leads) at rank 1 only, where it holds.  These runs return a Groebner
     basis or a membership answer, which no choice of pairs can change: the
-    reduced basis is unique, membership does not depend on the basis
-    used, and pruning keeps input candidates.
+    reduced basis is unique, and membership does not depend on the basis
+    used.
 
 Every run takes its pairs by sugar first (Giovini et al., ISSAC 1991): a
 pair's is its lcm's shifted degree (shifts are zero unless the run gives
@@ -66,12 +67,13 @@ Membership is decided by top reduction against a Groebner basis: a vector
 lies in the module exactly when cancelling leading terms sends it to zero,
 whichever Groebner basis of the module is used.  `ideal_member`,
 `module_member`, pruning and the oracle's membership tests all decide it
-so, against the unreduced basis of `module_groebner_basis` or of
-`syzygies_and_basis`.  On homogeneous input a basis up to degree D
-decides the vectors of degree <= D (La Scala & Stillman, "Strategies for
-computing minimal free resolutions", JSC 1998): pruning completes its
-basis degree by degree, and `module_groebner_basis(degree=D)`, which the
-oracle's `ideal_contains` asks for, stops at D.  Only a basis that is
+so, against the unreduced basis of `module_groebner_basis`, of
+`syzygies_and_basis` or of the pruning run itself.  On homogeneous input
+a basis up to degree D decides the vectors of degree <= D (La Scala &
+Stillman, "Strategies for computing minimal free resolutions", JSC
+1998): pruning completes its basis degree by degree, and
+`module_groebner_basis(degree=D)`, which the oracle's `ideal_contains`
+asks for, stops at D.  Only a basis that is
 itself an output is interreduced: `groebner()` is `interreduce` of
 `module_groebner_basis`.
 The full normal form, which also reduces the terms below the lead, serves
@@ -460,9 +462,9 @@ class _Engine:
                     sugar = (packed >> dshift & mask) + max(excess[k], excess[new])
                     heapq.heappush(pairs, (sugar, packed, pos, k, new, lcm))
 
-    def run(self, flats: Sequence[tuple], stop: Optional[int] = None):
-        """Store the nonempty flats and reduce their pairs, those of sugar
-        above `stop` left queued (see `_main_loop`)."""
+    def add_inputs(self, flats: Sequence[tuple]):
+        """Store the nonempty flats and queue their pairs; `_main_loop`
+        reduces them."""
         if self.want_syz:  # input i gains its transcript, 1 at position rank + i
             one = self.ring.one.packed[0][1]
             flats = [v + ((-(self.rank + i) * self.unit, one),)
@@ -470,7 +472,6 @@ class _Engine:
         for v in flats:
             if v:
                 self.add_element(v)
-        self._main_loop(stop)
         return self
 
     def _main_loop(self, stop: Optional[int] = None):
@@ -523,23 +524,14 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     & Stillman's degree-by-degree strategy).  The pair criteria keep this
     exact: the pairs that justify dropping a pair have lcms dividing its lcm.
 
-    A candidate c that is a multiple lambda * X^w * e of an earlier one is
-    dropped without a reduction.  Such an e has the same lead position and
-    the same flat keys relative to the lead, so it is looked for only among
-    the earlier candidates filed under those (the keys by their hash, which
-    costs no memory per term; `_is_multiple` compares them in full).  e was
-    taken first, so it lies in the kept module, and so does c, which top
-    reduction would send to zero.  The pairs up to c's degree are still
-    reduced, so the S-pairs a run reduces do not change.
-
-    With `engine`, a syzygy run of the vectors' rank and shifts, pruning
-    is the first half of that run and `syzygy_generators(kept, ring,
-    engine=engine)` the second (`shifts` and `limits` are the engine's).
-    Each candidate gets its transcript, 1 at position rank + len(kept),
-    before it is top-reduced.  Head arithmetic never reads transcripts, so
-    a candidate is dropped exactly when its remainder has no head term, as
-    without them, and that remainder is discarded (the next candidate
-    takes its position).  A kept remainder is inserted with its
+    Pruning is the head of a syzygy run of the vectors' rank and shifts:
+    `engine` when given (`shifts` and `limits` are then the engine's), else
+    a fresh one, and `syzygy_generators(kept, ring, engine=engine)` is the
+    tail that completes it.  Each candidate gets its transcript, 1 at
+    position rank + len(kept), before it is top-reduced.  Head arithmetic
+    never reads transcripts, so a candidate is dropped exactly when its
+    remainder has no head term, and that remainder is discarded (the next
+    candidate takes its position).  A kept remainder is inserted with its
     transcript, which writes it in the kept columns.  Column j with its
     transcript is (c_j | e_j), and its remainder differs from it by an
     element of the module that the earlier kept columns span in the same
@@ -553,7 +545,7 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     nonzero = [v for v in vectors if not v_is_zero(v)]
     if not nonzero:
         return []
-    eng = engine or _Engine(ring, len(nonzero[0]), want_syzygies=False,
+    eng = engine or _Engine(ring, len(nonzero[0]), want_syzygies=True,
                             limits=limits, shifts=shifts)
     one = ring.one.packed[0][1]
 
@@ -566,20 +558,12 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
         lead = flat[0][0]
         return (deg, -(lead // eng.unit), lead % eng.unit), flat, v
 
-    # (lead position, hash of the keys less the lead's) -> flat candidates
-    shapes: dict[tuple, list[tuple]] = {}
     kept: list[Vector] = []
-    for (deg, pos, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
+    for (deg, _, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
         eng._main_loop(stop=deg)
-        lead = flat[0][0]
-        shape = shapes.setdefault((pos, hash(tuple([k - lead for k, _ in flat]))), [])
-        if any(_is_multiple(flat, e, ring) for e in shape):
-            continue
-        shape.append(flat)
-        if eng.want_syz:  # its transcript, 1 at position rank + len(kept)
-            flat += ((-(eng.rank + len(kept)) * eng.unit, one),)
-        reduced = eng._top_reduce(flat)
-        if not reduced or reduced[0][0] < eng.floor:  # no head: a member
+        # its transcript leads no basis element, so the remainder keeps it
+        reduced = eng._top_reduce(flat + ((-(eng.rank + len(kept)) * eng.unit, one),))
+        if reduced[0][0] < eng.floor:  # no head: a member
             continue
         kept.append(v)
         eng.add_element(reduced)
@@ -614,7 +598,7 @@ def module_groebner_basis(vectors: Sequence[Vector], ring: PolyRing,
         return []
     rank = len(vectors[0])
     eng = _Engine(ring, rank, want_syzygies=False, limits=limits)
-    eng.run([to_flat(v, eng.unit) for v in vectors], stop=degree)
+    eng.add_inputs([to_flat(v, eng.unit) for v in vectors])._main_loop(stop=degree)
     return [from_flat(v, ring, rank) for v, _ in eng.basis]
 
 
@@ -644,18 +628,18 @@ def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
     module they generate does not.
 
     With `engine`, the run in which `minimal_module_generators` kept the
-    vectors, in order: its queued pairs are completed instead of a fresh
-    run made, and every syzygy it collected is returned, those of the
-    pairs reduced while pruning included.  They generate the syzygy module
-    by the argument given there.  `limits` is then the engine's."""
+    vectors, in order, that run is completed, and every syzygy it
+    collected is returned, those of the pairs reduced while pruning
+    included.  They generate the syzygy module by the argument given
+    there.  `limits` is then the engine's.  Without one, a fresh unshifted
+    run stores the vectors with their transcripts and is completed."""
     if not vectors:
         return []
     rank = len(vectors[0])
     if engine is None:
-        engine = _Engine(ring, rank, want_syzygies=True, limits=limits)
-        engine.run([to_flat(v, engine.unit) for v in vectors])
-    else:
-        engine._main_loop()
+        engine = _Engine(ring, rank, want_syzygies=True, limits=limits).add_inputs(
+            [to_flat(v, ring.position_unit) for v in vectors])
+    engine._main_loop()
     return [from_flat(s, ring, rank + len(vectors), rank) for s in engine.syzygies]
 
 
@@ -673,7 +657,8 @@ def syzygies_and_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
     """
     if not columns:
         return [], []
-    eng = _Engine(ring, rank, want_syzygies=True, limits=limits).run(columns)
+    eng = _Engine(ring, rank, want_syzygies=True, limits=limits).add_inputs(columns)
+    eng._main_loop()
     shift, floor = rank * eng.unit, eng.floor
     return ([tuple([(k + shift, c) for k, c in s]) for s in eng.syzygies],
             [tuple([t for t in v if t[0] >= floor]) for v, _ in eng.basis])

@@ -15,8 +15,9 @@ ones is a genuine two-route check.
                        among them when everything is homogeneous
   ideal_equal          ideal_contains in both directions
   colon_check          (I : f) from the first coordinates of the syzygies of
-                       [f, g_1, ..., g_k], compared back to I; f and the
-                       quotient are tested by ideal_contains
+                       [f, g_1, ..., g_k], compared back to I; f, before
+                       that run, and the quotient are tested by
+                       ideal_contains
   minimal_generators   graded greedy minimalization of a homogeneous set
   minimal_resolution   one loop: prune the candidates to minimal generators,
                        keep them as the next differential, take their
@@ -146,16 +147,16 @@ def colon_check(gens: Sequence[Polynomial], f: Polynomial,
                 limits: Limits = DEFAULT_LIMITS) -> bool:
     """Is (I : f) = I?  Requires f not in I; raises ValueError otherwise.
 
-    Both memberships are decided by `ideal_contains` after the syzygy run
-    of `colon_ideal`, so on homogeneous input each basis of I is completed
-    only up to the degree it tests, and the quotient's generators that are
-    generators of I up to a scalar make no run.
+    Both memberships are decided by `ideal_contains`: f's before the syzygy
+    run of `colon_ideal`, so an f in I raises with no colon run made, and
+    the quotient's after it.  On homogeneous input each basis of I is
+    completed only up to the degree it tests, and the quotient's
+    generators that are generators of I up to a scalar make no run.
     """
-    quotient = colon_ideal(gens, f, limits=limits)
     if ideal_contains(gens, [f], limits=limits):
         raise ValueError("multiplier lies in the ideal; colon comparison undefined")
     # (I : f) always contains I, so only the forward inclusion needs work
-    return ideal_contains(gens, quotient, limits=limits)
+    return ideal_contains(gens, colon_ideal(gens, f, limits=limits), limits=limits)
 
 
 def minimal_generators(gens: Sequence[Polynomial],
@@ -267,12 +268,13 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     One run of `syzygies_and_basis` per differential gives the syzygies of
     d_s and a Groebner basis of the image of d_s, which (a) (s = 1) or step
     s - 1 reduces by; only the runs of d_s and d_{s+1} are held at a time.
-    The run is the syzygy run of `minimal_resolution`, so on the oracle's
-    own complex this check shares its pair criteria with the resolution
-    it checks.  Its columns, syzygies and basis stay in the engine's flat
-    form throughout.  When every entry of d_1 is a generator up to a
-    scalar, as in the `en`, `cone` and oracle complexes, (a)'s second
-    inclusion makes no run (`ideal_contains`).
+    The run is an unshifted syzygy run that prunes nothing, where a step
+    of `minimal_resolution` shifts its run and prunes first, so on the
+    oracle's own complex the two share only their pair criteria.  Its
+    columns, syzygies and basis stay in the engine's flat form throughout.
+    When every entry of d_1 is a generator up to a scalar, as in the `en`,
+    `cone` and oracle complexes, (a)'s second inclusion makes no run
+    (`ideal_contains`).
     """
     if len(C.steps[0]) != 1:
         raise ValueError("step 0 must have rank 1")

@@ -435,6 +435,15 @@ class TestConfig:
         assert code == EXIT_RESOURCE
         assert "S-pair budget 1" in err
 
+    @pytest.mark.parametrize("field", ["fp:abc", "fp:"])
+    def test_non_integer_modulus_rejected(self, capsys, field):
+        with pytest.raises(SystemExit) as exc:
+            main(["resolve", "5", "1", "4", "--field", field])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_INVALID
+        assert "--field" in err and "not an integer" in err
+        assert "invalid literal" not in err
+
     def test_oversized_prime_field_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["resolve", "5", "1", "4", "--field", f"fp:{2**89 - 1}"])

@@ -704,7 +704,7 @@ def test_truncated_pruning_on_mixed_shifts(data):
     )
 
 
-# -- pruning skips multiples of earlier candidates --------------------------------
+# -- pruning of multiples of earlier candidates ----------------------------------
 
 
 def member_prune(vectors, ring, shifts=None):
@@ -750,8 +750,9 @@ def test_pruning_of_multiples_matches_member_reference(name):
 
 
 def test_is_multiple_compares_every_key_and_coefficient():
-    """The hash that files candidates can collide, so `_is_multiple` alone
-    must tell a multiple from a vector of another shape."""
+    """`_is_multiple` alone tells a multiple from a vector of another
+    shape: a shared lead position, or a shared monomial support as in
+    `ideal_contains`, is not enough."""
     ring = curve_ring((1, 1, 1), PrimeField(7))
     x, y, z = (ring.var(i) for i in range(3))
     unit = ring.position_unit

@@ -2,7 +2,6 @@
 minimal resolutions, and exactness verification."""
 
 import hashlib
-import importlib
 import itertools
 import math
 
@@ -38,7 +37,7 @@ from arithcurve import (
     verify_complex,
     verify_exactness,
 )
-from arithcurve.groebner import _Engine
+from arithcurve.groebner import _Engine, minimal_module_generators
 from arithcurve.matrices import PolyMatrix
 from arithcurve.ring import (
     QQ,
@@ -367,6 +366,16 @@ class TestColon:
         with pytest.raises(ValueError):
             colon_check([x0], x0 ** 2)
 
+    def test_member_multiplier_raises_before_the_colon_run(self):
+        """f in I is found by the membership run alone: the colon's syzygy
+        run is not made."""
+        R = curve_ring((1, 1))
+        x0 = R.var(0)
+        limits = KeepMeters()
+        with pytest.raises(ValueError):
+            colon_check([x0], x0 ** 2, limits=limits)
+        assert len(limits.meters) == 1
+
     def test_prime_ideal_colon_family(self):
         # for a prime ideal, (P : f) = P for any f outside P
         seq = validate_sequence(8, 1, 4)
@@ -422,6 +431,7 @@ class TestMinimalResolution:
     @pytest.mark.parametrize("m0,d,n,field,spairs", [
         (7, 2, 4, QQ, [15, 36, 5, 0]),
         (11, 1, 5, PrimeField(32003), [40, 125, 90, 15, 1]),
+        (5, 1, 4, PrimeField(32003), [20, 35, 17, 1]),
     ])
     def test_spairs_per_engine_run_pinned(self, m0, d, n, field, spairs):
         """S-pairs reduced by each engine run of the resolution, one run per
@@ -444,48 +454,19 @@ class TestMinimalResolution:
                                limits=limits)
         assert len(limits.meters) == C.length == n
 
-    @pytest.mark.parametrize("m0,d,n,candidates,reduced,spairs", [
-        (5, 1, 4, [10, 20, 20, 6], [10, 20, 20, 5], [20, 35, 17, 1]),
-        (11, 1, 5, [15, 40, 85, 48, 7], [15, 40, 76, 40, 7],
-         [40, 125, 90, 15, 1]),
-    ])
-    def test_pruning_skips_reductions_not_pairs(self, monkeypatch, m0, d, n,
-                                                candidates, reduced, spairs):
-        """Per step over fp:32003: the candidates, the candidates top-reduced
-        and the S-pairs of the step's run.  Without the skip of candidates
-        that are multiples of earlier ones every candidate is top-reduced,
-        while the S-pairs and the Betti numbers stay as they are."""
-        gens = list(validate_sequence(m0, d, n).generators(PrimeField(32003)).all)
-        prune = arithcurve.oracle.minimal_module_generators
-        top_reduce = _Engine._top_reduce
-
-        def step_counts():
-            seen, reductions = [], []
-
-            def counting_prune(vectors, *args, **kwargs):
-                seen.append(len(vectors))
-                return prune(vectors, *args, **kwargs)
-
-            def counting_top_reduce(eng, v):
-                reductions.append(eng.meter)
-                return top_reduce(eng, v)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(arithcurve.oracle, "minimal_module_generators",
-                              counting_prune)
-                patch.setattr(_Engine, "_top_reduce", counting_top_reduce)
-                limits = KeepMeters()
-                betti = minimal_resolution(gens, limits=limits).betti()
-            runs = limits.meters  # one per step
-            return (betti, seen,
-                    [sum(m is run for m in reductions) for run in runs],
-                    [run.spairs for run in runs])
-
-        betti, *counts = step_counts()
-        assert counts == [candidates, reduced, spairs]
-        engine = importlib.import_module("arithcurve.groebner")  # not the function
-        monkeypatch.setattr(engine, "_is_multiple", lambda *args: False)
-        assert step_counts() == (betti, candidates, candidates, spairs)
+    def test_standalone_pruning_is_a_step_run(self):
+        """Pruning with no engine makes the same syzygy run as a step's
+        pruning: the pair of x0 and x1, coprime, is reduced, and x0*x1 is
+        dropped as a member, with or without `engine=`."""
+        ring = curve_ring((1, 1, 1))
+        x0, x1, x2 = (ring.var(i) for i in range(3))
+        vectors = [(x0,), (x1,), (x0 * x1,), (x2 * x2,)]
+        limits = KeepMeters()
+        engine = _Engine(ring, 1, want_syzygies=True, limits=limits, shifts=(0,))
+        with_engine = minimal_module_generators(vectors, ring, engine=engine)
+        alone = minimal_module_generators(vectors, ring, limits=limits)
+        assert with_engine == alone == [(x1,), (x0,), (x2 * x2,)]
+        assert [meter.spairs for meter in limits.meters] == [1, 1]
 
     def test_codim3_gorenstein_shape(self):
         seq = validate_sequence(8, 1, 3)
