@@ -57,7 +57,6 @@ from .groebner import (
     groebner,
     ideal_member,
     module_groebner_basis,
-    module_member,
     reduce_poly,
     syzygy_generators,
 )

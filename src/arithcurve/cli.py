@@ -56,9 +56,15 @@ def parse_field(text: str):
     if text == "q":
         return QQ
     if text.startswith("fp:"):
+        digits = text[3:].strip()
         try:
-            modulus = int(text[3:])
+            modulus = int(digits)
         except ValueError:  # int() would name the error "invalid literal"
+            if digits.isdecimal():  # an integer past Python's parsing limit
+                raise argparse.ArgumentTypeError(
+                    f"invalid field: the modulus is too large ({len(digits)} "
+                    f"digits; Python parses at most "
+                    f"{sys.get_int_max_str_digits()})") from None
             raise argparse.ArgumentTypeError(
                 f"invalid field {text!r}: the modulus is not an integer") from None
         try:

@@ -25,10 +25,11 @@ quadratics followed by powers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .matrices import PolyMatrix
-from .ring import QQ, Polynomial, PolyRing, curve_ring
+from .ring import QQ, Polynomial, PolyRing, curve_ring, packed_bits
 
 
 class SequenceError(ValueError):
@@ -68,6 +69,16 @@ class ArithmeticSequence:
             raise SequenceError("common difference d must be non-negative")
         if n < 2:
             raise SequenceError("n must be at least 2")
+        # every degree the commands print lies below the curve ring's
+        # degree_cap; one that Python cannot convert to text (0: no limit)
+        # would fail mid-output, after a long run
+        limit = sys.get_int_max_str_digits()
+        bits = packed_bits((m0 + n * d,))
+        if limit and bits * math.log10(2) > limit:
+            raise SequenceError(
+                f"the terms are too large: degrees may reach 2^{bits}, past "
+                f"the {limit} decimal digits Python converts to text "
+                f"(sys.set_int_max_str_digits)")
         # the gcd of the terms m0 + i*d is gcd(m0, d), so both checks are
         # O(1); the n + 1 terms are built only for the result
         g = math.gcd(m0, d)

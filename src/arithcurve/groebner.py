@@ -17,12 +17,13 @@ calls of the field's merge loop `add_into` (the loop of the ring's kernel
 `ring._add_into`), each reduction step v <- v + k * X^u * b is one more,
 whatever the rank, and the map is sorted into flat terms once at the end.
 The engine forms no product anywhere else.
-The public functions convert tuples of polynomials to and from the flat
-form, except three that the exactness check chains: `syzygies_and_basis`
-takes flat columns and returns flat syzygies and a flat image basis,
+The pruning and syzygy functions convert tuples of polynomials to and
+from the flat form.  The basis and membership functions speak it:
+`module_groebner_basis` takes flat columns and returns a flat basis,
+`syzygies_and_basis` flat syzygies and a flat image basis,
 `module_reducer` stores flat vectors, and its reducer's `top_reduce`
-reduces one, so no vector becomes polynomials between one syzygy run and
-the reducer its syzygies are tested by.
+reduces one, so no vector becomes polynomials between a basis run and the
+reducer that tests membership against it.
 
 Syzygy extraction works in the augmented module [F | I]: a syzygy run on
 vectors of rank r gives input i a term 1 at position r + i, below every
@@ -65,10 +66,10 @@ reordered.  Pruning relies on the degree order (minimal_module_generators).
 
 Membership is decided by top reduction against a Groebner basis: a vector
 lies in the module exactly when cancelling leading terms sends it to zero,
-whichever Groebner basis of the module is used.  `ideal_member`,
-`module_member`, pruning and the oracle's membership tests all decide it
-so, against the unreduced basis of `module_groebner_basis`, of
-`syzygies_and_basis` or of the pruning run itself.  On homogeneous input
+whichever Groebner basis of the module is used.  `ideal_member`, pruning
+and the oracle's membership tests all decide it so, against the
+unreduced basis of `module_groebner_basis`, of `syzygies_and_basis` or of
+the pruning run itself.  On homogeneous input
 a basis up to degree D decides the vectors of degree <= D (La Scala &
 Stillman, "Strategies for computing minimal free resolutions", JSC
 1998): pruning completes its basis degree by degree, and
@@ -102,11 +103,9 @@ MonomialOutOfRange, even when that term lies below the lead.
 
 All computations are deterministic: fixed insertion order, pairs processed in
 increasing (sugar, packed lcm, position, i, j) and reducers chosen
-first-in-basis.  `_find_reducer` remembers the reducer it found for a key:
-an element is only ever appended to the basis, so the first element whose
-lead divides a key stays the first.  Resource limits are explicit errors,
-never silent truncation; the S-pair budget counts only the pairs that are
-reduced, not those a criterion drops.
+first-in-basis.  Resource limits are explicit errors, never silent
+truncation; the S-pair budget counts only the pairs that are reduced, not
+those a criterion drops.
 """
 
 from __future__ import annotations
@@ -286,7 +285,6 @@ class _Engine:
         self.layout = _WordLayout(ring)
         self.words: list[int] = []  # exponent word of each lead, kept by add_element
         self.top_lead = 0  # the largest lead degree among them
-        self.reducer_of: dict[int, int] = {}  # key -> first reducer found
         self.by_pos: dict[int, list[int]] = {}
         self.excess: list[int] = []  # sugar less the lead's unshifted degree
         self.pairs: list[tuple] = []  # (sugar, packed lcm, pos, i, j, lcm word)
@@ -296,17 +294,12 @@ class _Engine:
     # -- reduction ----------------------------------------------------------
 
     def _find_reducer(self, key: int) -> Optional[int]:
-        """The first basis element whose lead divides key, or None.  Hits
-        are remembered (see the module docstring); a miss may not stay one."""
-        idx = self.reducer_of.get(key)
-        if idx is not None:
-            return idx
+        """The first basis element whose lead divides key, or None."""
         guard, leads = self.guard, self.leads
         # first match: deterministic; a lead at key's position divides key
         # when the difference of their keys leaves every guard bit clear
         for idx in self.by_pos.get(-(key // self.unit), ()):
             if not (key - leads[idx]) & guard:
-                self.reducer_of[key] = idx
                 return idx
         return None
 
@@ -315,15 +308,13 @@ class _Engine:
         until none is reducible; the flat remainder, empty for 0."""
         ring = self.ring
         neg, add_into = ring.field.neg, ring.field.add_into
-        basis, leads, reducer_of = self.basis, self.leads, self.reducer_of
+        basis, leads, find = self.basis, self.leads, self._find_reducer
         dshift, mask, cap = self.dshift, self.dmask, self.cap
         while acc:
             key = max(acc)
-            idx = reducer_of.get(key)
+            idx = find(key)
             if idx is None:
-                idx = self._find_reducer(key)
-                if idx is None:
-                    return tuple(sorted(acc.items(), reverse=True))
+                return tuple(sorted(acc.items(), reverse=True))
             q, top = basis[idx]
             u = key - leads[idx]
             top += u >> dshift & mask
@@ -582,10 +573,11 @@ def _is_multiple(v: tuple, e: tuple, ring: PolyRing) -> bool:
                     for (k, c), (ek, ec) in zip(v, e)))
 
 
-def module_groebner_basis(vectors: Sequence[Vector], ring: PolyRing,
+def module_groebner_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
                           limits: Limits = DEFAULT_LIMITS,
-                          degree: Optional[int] = None) -> list[Vector]:
-    """Groebner basis (not interreduced) of the module the vectors generate.
+                          degree: Optional[int] = None) -> list[tuple]:
+    """Groebner basis (not interreduced) of the module that flat columns of
+    rank `rank` (see `to_flat`) generate, as flat vectors.
 
     With `degree`, only the pairs of sugar up to it are reduced, so the
     result is a Groebner basis up to that degree and not a full basis: it
@@ -594,12 +586,9 @@ def module_groebner_basis(vectors: Sequence[Vector], ring: PolyRing,
     `minimal_module_generators`.  On other input a truncated run decides
     nothing.
     """
-    if not vectors:
-        return []
-    rank = len(vectors[0])
     eng = _Engine(ring, rank, want_syzygies=False, limits=limits)
-    eng.add_inputs([to_flat(v, eng.unit) for v in vectors])._main_loop(stop=degree)
-    return [from_flat(v, ring, rank) for v, _ in eng.basis]
+    eng.add_inputs(columns)._main_loop(stop=degree)
+    return [v for v, _ in eng.basis]
 
 
 def module_reducer(basis: Sequence[tuple], ring: PolyRing, rank: int) -> "_Engine":
@@ -609,14 +598,6 @@ def module_reducer(basis: Sequence[tuple], ring: PolyRing, rank: int) -> "_Engin
     for b in basis:
         eng._insert(b)
     return eng
-
-
-def module_member(v: Vector, basis: Sequence[Vector], ring: PolyRing) -> bool:
-    """True iff top reduction by the basis sends v to zero; this decides
-    membership when the basis is a Groebner basis."""
-    unit = ring.position_unit
-    reducer = module_reducer([to_flat(b, unit) for b in basis], ring, len(v))
-    return not reducer.top_reduce(to_flat(v, unit))
 
 
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
@@ -673,38 +654,30 @@ def groebner(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS) -> lis
     Deterministic for fixed input order; idempotent (a reduced basis maps to
     itself).
     """
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
+    if not gens:
         return []
-    ring = nonzero[0].ring
-    basis = module_groebner_basis([(g,) for g in nonzero], ring, limits=limits)
-    return interreduce([v for v, in basis], ring)
+    ring = gens[0].ring
+    return interreduce(module_groebner_basis([g.packed for g in gens], ring, 1,
+                                             limits=limits), ring)
 
 
-def _lm(p: Polynomial) -> int:
-    """Packed leading monomial of a nonzero polynomial."""
-    return p.packed[0][0]
-
-
-def interreduce(basis: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
+def interreduce(basis: Sequence[tuple], ring: PolyRing) -> list[Polynomial]:
     """The reduced Groebner basis, sorted by increasing leading term, of the
-    ideal that a Groebner basis of nonzero polynomials generates."""
+    ideal that a Groebner basis of nonzero flat rank-1 vectors (packed
+    terms) generates."""
     # minimalize: drop any element whose leading monomial is divisible by
-    # another's, preferring to keep smaller leading terms
-    basis = sorted(basis, key=_lm)
-    kept: list[Polynomial] = []
-    for p in basis:
-        lm = _lm(p)
-        if any(ring.divides(_lm(q), lm) for q in kept):
-            continue
-        kept.append(p)
+    # another's, preferring to keep smaller leading terms; at rank 1 a lead
+    # key is the packed leading monomial
+    kept: list[tuple] = []
+    for v in sorted(basis, key=lambda v: v[0][0]):
+        if not any(ring.divides(q[0][0], v[0][0]) for q in kept):
+            kept.append(v)
     # tail-reduce each against all of them: every term met while reducing
-    # the tail of p lies below lead(p), so p itself is never a reducer
-    reducer = module_reducer([p.packed for p in kept], ring, 1)
+    # the tail of v lies below lead(v), so v itself is never a reducer
+    reducer = module_reducer(kept, ring, 1)
     return [
-        Polynomial(ring, reducer.normal_form(p.packed[1:]))
-        .add_mul(ring.one, *p.packed[0]).monic()
-        for p in kept
+        Polynomial(ring, reducer.normal_form(v[1:])).add_mul(ring.one, *v[0]).monic()
+        for v in kept
     ]
 
 
@@ -717,5 +690,7 @@ def reduce_poly(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 def ideal_member(p: Polynomial, gb: Sequence[Polynomial]) -> bool:
-    """True iff top reduction by gb sends p to zero, as `module_member`."""
-    return module_member((p,), [(g,) for g in gb if not g.is_zero()], p.ring)
+    """True iff top reduction by gb sends p to zero; this decides membership
+    when gb is a Groebner basis."""
+    reducer = module_reducer([g.packed for g in gb if g.packed], p.ring, 1)
+    return not reducer.top_reduce(p.packed)

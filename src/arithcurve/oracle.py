@@ -78,12 +78,12 @@ def toric_ideal_of_weights(weights: Sequence[int], field=QQ,
     not valid curve sequences.
     """
     ext = elimination_ring(weights, field=field)
-    gens = [(ext.var(i + 1) - ext.var(0, w),) for i, w in enumerate(weights)]
+    gens = [(ext.var(i + 1) - ext.var(0, w)).packed for i, w in enumerate(weights)]
     # under the block order a lead free of t leaves the whole element free
     # of it, and the t-free elements of a Groebner basis are one of the
     # elimination ideal (the elimination theorem)
-    gb = [g for g, in module_groebner_basis(gens, ext, limits=limits)
-          if g.leading_monomial()[0] == 0]
+    gb = [g for g in module_groebner_basis(gens, ext, 1, limits=limits)
+          if ext.decode(g[0][0])[0] == 0]
     target = curve_ring(weights, field=field)
     # t-free monomials compare under the block order as they do in the
     # target ring, so the reduced basis comes out monic and sorted
@@ -120,9 +120,9 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
     ring = polys[0].ring
     degrees = [p.weighted_degree() for p in polys]
     homogeneous = None not in degrees and all(g.is_homogeneous for g in gens)
-    gb = module_groebner_basis([(g,) for g in gens], ring, limits=limits,
+    gb = module_groebner_basis([g.packed for g in gens], ring, 1, limits=limits,
                                degree=max(degrees) if homogeneous else None)
-    reducer = module_reducer([g.packed for g, in gb], ring, 1)
+    reducer = module_reducer(gb, ring, 1)
     return not any(reducer.top_reduce(p.packed) for p in polys)
 
 

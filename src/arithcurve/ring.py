@@ -256,6 +256,16 @@ class MonomialOutOfRange(OverflowError):
     """A monomial's weighted degree does not fit its ring's packed fields."""
 
 
+def packed_bits(weights: Sequence[int]) -> int:
+    """Width of each packed field, guard bit excluded, of a ring with these
+    weights; its `degree_cap` is 2**packed_bits(weights)."""
+    # the weighted degree bounds every field, so a degree below degree_cap
+    # keeps every field below its guard bit.  The degrees of a curve's
+    # resolution grow like the square of its largest weight (the b = 1
+    # generators reach about m0^2 / n), with 16 bits spare.
+    return 2 * max(weights, default=1).bit_length() + 16
+
+
 def weighted_degree_of(exps: Sequence[int], weights: Sequence[int]) -> int:
     return sum(e * w for e, w in zip(exps, weights))
 
@@ -380,11 +390,7 @@ class PolyRing:
                 raise ValueError(f"{self.order!r} needs a form outside 0..weight")
             if row not in rows:
                 rows.append(row)
-        # the weighted degree bounds every field, so a degree below
-        # degree_cap keeps every field below its guard bit.  The degrees of
-        # a curve's resolution grow like the square of its largest weight
-        # (the b = 1 generators reach about m0^2 / n), with 16 bits spare.
-        bits = 2 * max(self.weights, default=1).bit_length() + 16
+        bits = packed_bits(self.weights)
         width = bits + 1
         shift = {row: width * (len(rows) - 1 - k) for k, row in enumerate(rows)}
         self.degree_cap = 1 << bits

@@ -96,3 +96,21 @@ def test_traced_resolve_counts_engine_work(capsys):
     for counter in ("groebner.prune.candidates", "groebner.syzygy.raw",
                     "groebner.spairs"):
         assert counts[counter] > 0, counter
+
+
+def test_traced_toric_identity_times_the_basis_runs():
+    """The toric workload's spans wrap `oracle.toric_ideal`, `ideal_equal`
+    and `module_groebner_basis`; a traced identity must still hold and time
+    and count its basis runs."""
+    from arithcurve import oracle, validate_sequence
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    seq = validate_sequence(7, 2, 4)
+    with tracer.installed(), tracer.operation("toric", 0):
+        basis = oracle.toric_ideal(seq)
+        assert oracle.ideal_equal(basis, list(seq.generators().all)) is True
+    times, counts = tracer.metrics()
+    assert times["groebner.module_gb_s"] > 0
+    assert times["oracle.toric_ideal_s"] > 0
+    assert counts["groebner.spairs"] > 0

@@ -204,6 +204,39 @@ class TestResolve:
         obj = json.loads(out)
         assert obj["betti"] == shift_table_b1(validate_sequence(m0, 1, 4)).to_json_obj()
 
+    @pytest.mark.parametrize("command", ["gens", "resolve"])
+    def test_terms_past_the_text_limit_rejected_up_front(self, capsys,
+                                                          int_text_limit, command):
+        """m0 = 10^3000 + 1 gives degrees near 10^6000, more digits than
+        Python converts to text: one line and the invalid-input exit, with
+        nothing on stdout, not a traceback after part of the output."""
+        code, out, err = run_cli(capsys, command, str(10**3000 + 1), "1", "4")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("invalid sequence: the terms are too large")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["gens", "resolve"])
+    def test_terms_within_the_text_limit_accepted(self, capsys, int_text_limit,
+                                                  command):
+        """m0 = 10^2000 + 1: degrees near 10^4000 still print."""
+        m0 = 10**2000 + 1
+        code, out, _ = run_cli(capsys, command, str(m0), "1", "4", "--json")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        if command == "resolve":
+            seq = validate_sequence(m0, 1, 4)
+            assert obj["betti"] == shift_table_b1(seq).to_json_obj()
+
+
+@pytest.fixture
+def int_text_limit():
+    """Python's default limit on int-to-text conversion, 4300 digits, in
+    place of whatever the environment sets."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
 
 # under a deadline of 1e-9 s, which is checked before every S-pair, every
 # cell of this grid stops at its first pair
@@ -240,6 +273,16 @@ class TestScan:
         assert statuses[(1, 2)] == "invalid"
         assert statuses[(1, 3)] == "invalid"
         assert obj["summary"][0]["cells_invalid"] == 2
+
+    def test_terms_past_the_text_limit_make_invalid_cells(self, capsys,
+                                                          int_text_limit):
+        a = 10**3000
+        code, out, _ = run_cli(capsys, "scan", "--n", "4", "--a", f"{a}..{a}",
+                               "--d", "1..1", "--json")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert [c["status"] for c in obj["cells"]] == ["invalid"] * 4
+        assert all("too large" in c["reason"] for c in obj["cells"])
 
     def test_single_value_ranges(self, capsys):
         code, out, _ = run_cli(
@@ -443,6 +486,16 @@ class TestConfig:
         assert exc.value.code == EXIT_INVALID
         assert "--field" in err and "not an integer" in err
         assert "invalid literal" not in err
+
+    def test_modulus_past_the_parsing_limit_rejected(self, capsys, int_text_limit):
+        """An integer int() refuses for its length is too large, not a
+        non-integer."""
+        with pytest.raises(SystemExit) as exc:
+            main(["resolve", "5", "1", "4", "--field", "fp:" + "7" * 5000])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_INVALID
+        assert "--field" in err and "too large (5000 digits" in err
+        assert "not an integer" not in err
 
     def test_oversized_prime_field_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -160,9 +160,9 @@ def test_from_dict_reduces_into_the_prime_field():
     x0, x1 = R.var(0), R.var(1)
     p = R.from_dict({(1, 0, 0): 1, (0, 1, 0): -1})
     assert p == x0 - x1
-    [(g,)] = module_groebner_basis([(p,)], R)
-    assert g == x0 - x1
-    assert all(0 < c < 7 for _, c in g.packed)
+    [g] = module_groebner_basis([p.packed], R, 1)
+    assert g == (x0 - x1).packed
+    assert all(0 < c < 7 for _, c in g)
 
 
 def test_from_dict_drops_coefficients_that_vanish_in_the_field():
