@@ -337,11 +337,22 @@ def _scan_cell(payload: tuple) -> dict:
 
 def cmd_scan(args) -> int:
     n = args.n
-    # the one usage check the parser cannot make: its range depends on --n
+    # the usage checks the parser cannot make, as they depend on --n: the
+    # range of --b, and that every cell's m0 = a*n + b, which is printed,
+    # converts to text; m0 is linear in a and b, so its largest magnitude,
+    # the longest text, lies at a pair of bounds
     if args.b is not None and not 1 <= args.b <= n:
         print(f"--b must lie in 1..{n}, got {args.b}", file=sys.stderr)
         return EXIT_INVALID
     b_values = [args.b] if args.b is not None else list(range(1, n + 1))
+    try:
+        str(max(abs(a * n + b) for a in args.a_range
+                for b in (b_values[0], b_values[-1])))
+    except ValueError:  # past Python's int-to-text limit
+        print(f"--a is too large: m0 = a*n + b would pass the "
+              f"{sys.get_int_max_str_digits()} decimal digits Python converts "
+              f"to text (sys.set_int_max_str_digits)", file=sys.stderr)
+        return EXIT_INVALID
     a_lo, a_hi = args.a_range
     d_lo, d_hi = args.d_range
     payloads = [

@@ -197,8 +197,6 @@ def to_flat(v: Vector, unit: int) -> tuple:
     """The engine's form of a vector: its components' packed terms in
     position order, the monomial m at position pos keyed as m - pos * unit.
     At rank 1 that is the polynomial's own packed terms."""
-    if len(v) == 1:
-        return v[0].packed
     return tuple([(m - pos * unit, c) for pos, p in enumerate(v) for m, c in p.packed])
 
 
@@ -561,18 +559,6 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     return kept
 
 
-def _is_multiple(v: tuple, e: tuple, ring: PolyRing) -> bool:
-    """True iff the flat v is lambda * X^w * e for a scalar lambda and a
-    monomial X^w, given that v and e lead at the same position: e's lead
-    divides v's, each key of v is e's key plus w, and the coefficients are
-    proportional (compared crosswise, so no inverse is taken)."""
-    (lead, lc), (e_lead, e_lc) = v[0], e[0]
-    w, mul = lead - e_lead, ring.field.mul
-    return (len(v) == len(e) and ring.divides(e_lead, lead)
-            and all(k == ek + w and mul(ec, lc) == mul(c, e_lc)
-                    for (k, c), (ek, ec) in zip(v, e)))
-
-
 def module_groebner_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
                           limits: Limits = DEFAULT_LIMITS,
                           degree: Optional[int] = None) -> list[tuple]:
@@ -664,7 +650,11 @@ def groebner(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS) -> lis
 def interreduce(basis: Sequence[tuple], ring: PolyRing) -> list[Polynomial]:
     """The reduced Groebner basis, sorted by increasing leading term, of the
     ideal that a Groebner basis of nonzero flat rank-1 vectors (packed
-    terms) generates."""
+    terms) generates.
+
+    The basis is the engine's, as `module_groebner_basis` returns it: every
+    element is monic, so each keeps its lead and has only its tail reduced.
+    """
     # minimalize: drop any element whose leading monomial is divisible by
     # another's, preferring to keep smaller leading terms; at rank 1 a lead
     # key is the packed leading monomial
@@ -673,12 +663,10 @@ def interreduce(basis: Sequence[tuple], ring: PolyRing) -> list[Polynomial]:
         if not any(ring.divides(q[0][0], v[0][0]) for q in kept):
             kept.append(v)
     # tail-reduce each against all of them: every term met while reducing
-    # the tail of v lies below lead(v), so v itself is never a reducer
+    # the tail of v lies below lead(v), so v itself is never a reducer and
+    # the lead followed by the tail's normal form stays sorted
     reducer = module_reducer(kept, ring, 1)
-    return [
-        Polynomial(ring, reducer.normal_form(v[1:])).add_mul(ring.one, *v[0]).monic()
-        for v in kept
-    ]
+    return [Polynomial(ring, (v[0],) + reducer.normal_form(v[1:])) for v in kept]
 
 
 def reduce_poly(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:

@@ -57,7 +57,6 @@ from .groebner import (
     Limits,
     ResourceLimitExceeded,
     _Engine,
-    _is_multiple,
     groebner,  # unused here; the benchmark's tracer patches this name
     ideal_member,  # likewise
     interreduce,
@@ -101,10 +100,11 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
     """True iff every element of `polys` lies in the ideal of `gens`.
 
     The zero elements, and the syntactic members (nonzero scalar multiples
-    of a generator: the same packed monomials, coefficients proportional),
-    need no run.  Only the rest are tested against a basis of `gens`: when
-    every generator and every one of them is homogeneous, the basis is
-    completed only up to the largest degree among them, which decides their
+    of a generator), need no run: generators are filed by their packed
+    monomials, which fixes the keys, so only proportionality is tested.
+    Only the rest are tested against a basis of `gens`: when every
+    generator and every one of them is homogeneous, the basis is completed
+    only up to the largest degree among them, which decides their
     membership (`module_groebner_basis`); otherwise it is completed in full.
     """
     # generators filed by their packed monomials; the zero one by none,
@@ -112,18 +112,25 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
     by_monomials: dict[tuple, list[tuple]] = {}
     for g in gens:
         by_monomials.setdefault(tuple([m for m, _ in g.packed]), []).append(g.packed)
-    polys = [p for p in polys if p.packed and not any(
-        _is_multiple(p.packed, g, p.ring)
-        for g in by_monomials.get(tuple([m for m, _ in p.packed]), ()))]
-    if not polys:
+    rest = []
+    for p in polys:
+        if not p.packed:
+            continue
+        (_, lc), mul = p.packed[0], p.ring.field.mul
+        # proportional coefficients, compared crosswise: no inverse is taken
+        if not any(all(mul(gc, lc) == mul(c, g[0][1])
+                       for (_, c), (_, gc) in zip(p.packed, g))
+                   for g in by_monomials.get(tuple([m for m, _ in p.packed]), ())):
+            rest.append(p)
+    if not rest:
         return True
-    ring = polys[0].ring
-    degrees = [p.weighted_degree() for p in polys]
+    ring = rest[0].ring
+    degrees = [p.weighted_degree() for p in rest]
     homogeneous = None not in degrees and all(g.is_homogeneous for g in gens)
     gb = module_groebner_basis([g.packed for g in gens], ring, 1, limits=limits,
                                degree=max(degrees) if homogeneous else None)
     reducer = module_reducer(gb, ring, 1)
-    return not any(reducer.top_reduce(p.packed) for p in polys)
+    return not any(reducer.top_reduce(p.packed) for p in rest)
 
 
 def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],

@@ -33,8 +33,7 @@ coefficient}, deleting a coefficient that cancels.  The engine makes the
 same range check inline, in `_Engine._main_loop` and `_Engine._reduce`,
 against the top degree it stores with each basis element, and then calls
 the field's `add_into` itself, which stays the one merge loop.  Each field inlines its own arithmetic there (`% p`, or the int fast
-path and `_integral` of QQ), the same operations `add` and `mul` perform,
-and with k == 1 into an empty map it only copies q's shifted terms.
+path and `_integral` of QQ), the same operations `add` and `mul` perform.
 `add_mul` copies a polynomial's terms into a map, adds into it and sorts
 the map once; sums, differences, `mul_term` and products (one `add_mul` per
 term of the shorter factor) go through it, and the Buchberger engine keeps
@@ -119,10 +118,6 @@ class Rationals:
         """The loop of `ring._add_into`: acc += k * X^u * q term by term, as
         `add` and `mul` would, with their int fast path and `_integral`
         inline so that integral results stay ints."""
-        if k == 1 and not acc:
-            acc.update([(m + u, c if c.__class__ is int else _integral(c))
-                        for m, c in q])
-            return
         get = acc.get
         for m, c in q:
             m += u
@@ -222,9 +217,6 @@ class PrimeField:
     def add_into(self, acc: dict, q: tuple, u: int, k):
         """The loop of `ring._add_into`: acc += k * X^u * q term by term, as
         `add` and `mul` would, with `% p` inline."""
-        if k == 1 and not acc:
-            acc.update([(m + u, c) for m, c in q])
-            return
         p = self.p
         get = acc.get
         for m, c in q:
@@ -514,13 +506,12 @@ def _add_into(acc: dict, q: tuple, top: int, u: int, k, ring: PolyRing):
 class Polynomial:
     """Immutable sparse polynomial; packed terms sorted decreasing."""
 
-    __slots__ = ("ring", "packed", "_hash", "_top")
+    __slots__ = ("ring", "packed", "_hash")
 
     def __init__(self, ring: PolyRing, packed: tuple):
         self.ring = ring
         self.packed = packed
         self._hash = None
-        self._top = None  # largest weighted degree of a term, once asked for
 
     # -- basic queries ----------------------------------------------------
 
@@ -568,11 +559,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return not self.packed or self.weighted_degree() is not None
 
-    def _top_degree(self) -> int:
-        if self._top is None:
-            self._top = self.ring.top_degree(self.packed)
-        return self._top
-
     # -- arithmetic --------------------------------------------------------
 
     def _compatible(self, other: "Polynomial"):
@@ -599,7 +585,7 @@ class Polynomial:
             return self
         ring = self.ring
         acc = dict(self.packed)
-        _add_into(acc, q.packed, q._top_degree(), u, coeff, ring)
+        _add_into(acc, q.packed, ring.top_degree(q.packed), u, coeff, ring)
         return Polynomial(ring, tuple(sorted(acc.items(), reverse=True)))
 
     def __neg__(self):

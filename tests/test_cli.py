@@ -284,6 +284,29 @@ class TestScan:
         assert [c["status"] for c in obj["cells"]] == ["invalid"] * 4
         assert all("too large" in c["reason"] for c in obj["cells"])
 
+    @pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("a_range", [f"{10**4299 - 1}..{10**4299}",
+                                         f"-{10**4299 + 1}..-{10**4299}"],
+                             ids=["high", "low"])
+    def test_unprintable_m0_rejects_a(self, capsys, int_text_limit, form, a_range):
+        """|m0| = |a*10 + 1| reaches 10^4300, 4,301 digits, which Python
+        will not print, at one bound of --a only (the other gives 4,300
+        digits): a usage error naming --a, with empty stdout."""
+        code, out, err = run_cli(capsys, "scan", "--n", "10", "--b", "1",
+                                 f"--a={a_range}", "--d", "1..1", *form)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("--a ") and err.count("\n") == 1
+
+    def test_printable_m0_of_the_largest_length_scans(self, capsys, int_text_limit):
+        """a = 10^4298 gives m0 = 10^4299 + b, 4,300 digits, which prints: the
+        cells are scanned, and invalid as their terms are too large."""
+        a = 10**4298
+        code, out, _ = run_cli(capsys, "scan", "--n", "10", "--a", f"{a}..{a}",
+                               "--d", "1..1")
+        assert code == EXIT_OK
+        assert f"  b=10 a={a} d=1 m0={a * 10 + 10}: invalid (" in out
+        assert out.count(": invalid (") == 10
+
     def test_single_value_ranges(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--n", "3", "--b", "3", "--a", "1..1", "--d", "1..1",

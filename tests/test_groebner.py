@@ -23,7 +23,6 @@ from arithcurve import (
 )
 from arithcurve.groebner import (
     Vector,
-    _is_multiple,
     from_flat,
     minimal_module_generators,
     module_reducer,
@@ -61,6 +60,23 @@ class TestGroebner:
         seq = validate_sequence(5, 1, 4)
         gb = groebner(list(seq.generators().all))
         assert groebner(gb) == gb
+
+    @pytest.mark.parametrize("field, want", [
+        (QQ, ["X0 - 1/3*X1", "X1^2 + 3/2*X2^2"]),
+        (PrimeField(7), ["X0 + 2*X1", "X1^2 + 5*X2^2"]),
+    ])
+    def test_non_monic_leads_give_a_monic_basis(self, field, want):
+        """`interreduce` keeps each lead as the engine stored it, so every
+        basis vector is monic even when the inputs' leads are not, and the
+        reduced basis is the one the field dictates."""
+        ring = curve_ring((1, 1, 1), field)
+        x, y, z = (ring.var(i) for i in range(3))
+        gens = [3 * x - y, 2 * x * y + z ** 2]
+        basis = module_groebner_basis([g.packed for g in gens], ring, 1)
+        assert basis and all(type(v[0][1]) is int and v[0][1] == 1 for v in basis)
+        gb = groebner(gens)
+        assert [str(g) for g in gb] == want
+        assert all(type(g.packed[0][1]) is int and g.packed[0][1] == 1 for g in gb)
 
     def test_empty_and_zero_inputs(self, R):
         assert groebner([]) == []
@@ -761,26 +777,6 @@ def test_pruning_of_multiples_matches_member_reference(name):
     ring, cases = _multiples_cases()
     vectors = dict(cases)[name]
     assert minimal_module_generators(vectors, ring) == member_prune(vectors, ring)
-
-
-def test_is_multiple_compares_every_key_and_coefficient():
-    """`_is_multiple` alone tells a multiple from a vector of another
-    shape: a shared lead position, or a shared monomial support as in
-    `ideal_contains`, is not enough."""
-    ring = curve_ring((1, 1, 1), PrimeField(7))
-    x, y, z = (ring.var(i) for i in range(3))
-    unit = ring.position_unit
-    e = to_flat((x * x - y * y, x * z), unit)
-    cases = {
-        (3 * x * y * (x * x - y * y), 3 * x * y * x * z): True,
-        (x * x - y * y, x * z): True,
-        (x * x - y * y, y * z): False,  # a key moved
-        (x * x - y * y, x * z + y * z): False,  # one more term
-        (x * x - y * y, ring.zero): False,  # one term fewer
-        (x * x - 2 * y * y, x * z): False,  # not proportional
-    }
-    for v, multiple in cases.items():
-        assert _is_multiple(to_flat(v, unit), e, ring) is multiple, v
 
 
 def test_pruning_matches_member_reference_on_raw_syzygies():
