@@ -50,6 +50,9 @@ EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
 
 SCAN_DEFAULT_PRIME = 32003
+# the most (b, a, d) cells one scan runs: a million take about 100 minutes
+# at n = 4, and their records and payloads alone about 580 MB
+SCAN_MAX_CELLS = 1_000_000
 
 
 def parse_field(text: str):
@@ -338,9 +341,9 @@ def _scan_cell(payload: tuple) -> dict:
 def cmd_scan(args) -> int:
     n = args.n
     # the usage checks the parser cannot make, as they depend on --n: the
-    # range of --b, and that every cell's m0 = a*n + b, which is printed,
-    # converts to text; m0 is linear in a and b, so its largest magnitude,
-    # the longest text, lies at a pair of bounds
+    # range of --b, that every cell's m0 = a*n + b, which is printed,
+    # converts to text (m0 is linear in a and b, so its largest magnitude,
+    # the longest text, lies at a pair of bounds), and the number of cells
     if args.b is not None and not 1 <= args.b <= n:
         print(f"--b must lie in 1..{n}, got {args.b}", file=sys.stderr)
         return EXIT_INVALID
@@ -355,6 +358,11 @@ def cmd_scan(args) -> int:
         return EXIT_INVALID
     a_lo, a_hi = args.a_range
     d_lo, d_hi = args.d_range
+    # counted before any cell exists; the count itself may not print
+    if len(b_values) * (a_hi - a_lo + 1) * (d_hi - d_lo + 1) > SCAN_MAX_CELLS:
+        print(f"--a and --d give more than {SCAN_MAX_CELLS:,} scan cells",
+              file=sys.stderr)
+        return EXIT_INVALID
     payloads = [
         (n, b, a, d, args.field, args.limits)
         for b in b_values

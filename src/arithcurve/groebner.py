@@ -90,15 +90,15 @@ layout once (the guard mask, the degree field's shift and mask,
 test is `not (b - a) & guard`, a degree read `key >> shift & mask` and a
 position `-(key // unit)`, with no ring method called per test.  The pair
 criteria work on each lead's exponent word, its packed monomial masked to
-the exponent fields (`_WordLayout`): an lcm is a field-wise max read off
-the guard bits of one subtraction, divisibility the same guard-bit test,
-and only the lcm of a pair the criteria queue is packed.  After its sugar,
-an S-pair is keyed by its position-free packed lcm, which sorts exactly
-like the lcm's order key.
+the exponent fields (`PolyRing.word_fields`): an lcm is a field-wise max
+read off the guard bits of one subtraction (`PolyRing.word_lcms`),
+divisibility the same guard-bit test, and only the lcm of a pair the
+criteria queue is packed.  After its sugar, an S-pair is keyed by its
+position-free packed lcm, which sorts exactly like the lcm's order key.
 Each stored basis element, transcript included, carries the degree of its
-highest-degree term (as `PolyRing.top_degree` reads it), and the engine
-range-checks every product against it, as `ring._add_into` does, before
-the field merges any term: one that would leave the packed range raises
+highest-degree term (`PolyRing.top_degree`), and the engine range-checks
+every product against it, as `ring._add_into` does, before the field
+merges any term: one that would leave the packed range raises
 MonomialOutOfRange, even when that term lies below the lead.
 
 All computations are deterministic: fixed insertion order, pairs processed in
@@ -219,39 +219,6 @@ def from_flat(flat: tuple, ring: PolyRing, rank: int, start: int = 0) -> Vector:
     return tuple(comps)
 
 
-class _WordLayout:
-    """Exponent words of a ring's packed monomials: a monomial's word is its
-    packed int masked to the exponent fields (`fields`), whose guard bits
-    are `guard`.  One word divides another exactly when their difference
-    leaves every guard bit clear, and a larger word is never a proper
-    divisor of a smaller one."""
-
-    def __init__(self, ring: PolyRing):
-        self.mask, self.shifts = ring._mask, ring._exp_shifts
-        self.bits = self.mask.bit_length()
-        self.fields = sum(self.mask << s for s in self.shifts)
-        self.guard = sum(1 << (s + self.bits) for s in self.shifts)
-
-    def lcms(self, a: int, words: Sequence[int]) -> list[int]:
-        """lcm word of `a` with each of `words`, a field-wise max: (a | guard)
-        - b keeps the guard bit of each field where a's exponent is at least
-        b's, and that bit less itself shifted down to the field's foot masks
-        the field, which is taken from a; every other field from b."""
-        fields, guard, bits = self.fields, self.guard, self.bits
-        high = a | guard
-        out = []
-        for b in words:
-            t = (high - b) & guard
-            m = t - (t >> bits)
-            out.append((a & m) | (b & (fields ^ m)))
-        return out
-
-    def exps(self, word: int) -> list[int]:
-        """Exponents of a word."""
-        mask = self.mask
-        return [word >> s & mask for s in self.shifts]
-
-
 class _Engine:
     """One Buchberger run over vectors of a fixed rank.
 
@@ -280,7 +247,6 @@ class _Engine:
         self.floor = (1 - rank) * self.unit  # the least key at a position < rank
         self.basis: list[tuple] = []  # (flat vector, top degree); monic
         self.leads: list[int] = []  # flat key of each basis element's lead
-        self.layout = _WordLayout(ring)
         self.words: list[int] = []  # exponent word of each lead, kept by add_element
         self.top_lead = 0  # the largest lead degree among them
         self.by_pos: dict[int, list[int]] = {}
@@ -357,9 +323,8 @@ class _Engine:
             inv = field.inv(coeff)
             mul = field.mul
             v = tuple([(m, mul(c, inv)) for m, c in v])
-        dshift, mask = self.dshift, self.dmask
         self.by_pos.setdefault(-(key // self.unit), []).append(len(self.basis))
-        self.basis.append((v, max([k >> dshift & mask for k, _ in v])))
+        self.basis.append((v, self.ring.top_degree(v)))
         self.leads.append(key)
 
     def add_element(self, v: tuple, pair=None):
@@ -383,16 +348,15 @@ class _Engine:
         degree = key >> dshift & mask
         self.excess.append(sugar - degree)
         # a key's low bits are its packed monomial
-        layout, words = self.layout, self.words
-        word = key & layout.fields
+        ring, words = self.ring, self.words
+        word = key & ring.word_fields
         same = self.by_pos.get(pos, ())
-        lcms = dict(zip(same, layout.lcms(word, [words[k] for k in same])))
+        lcms = dict(zip(same, ring.word_lcms(word, [words[k] for k in same])))
         # an lcm's degree is at most the sum of its leads': only past the
         # cap is each one's exact degree checked, in index order
         if degree + self.top_lead >= self.cap:
-            ring = self.ring
             for lcm in lcms.values():
-                ring.check_degree(sum(map(mul, layout.exps(lcm), ring.weights)))
+                ring.check_degree(sum(map(mul, ring.decode(lcm), ring.weights)))
         self._gebauer_moller(pos, word, new, lcms)
         self._insert(v)
         words.append(word)
@@ -420,7 +384,7 @@ class _Engine:
         syzygy of a coprime pair): an lcm class with one coprime pair, one
         whose lcm is the product of its leads, is dropped whole.
         """
-        guard, dead = self.layout.guard, self.dead
+        guard, dead = self.ring.word_guard, self.dead
         product = self.rank == 1 and not self.want_syz
         for _, _, p, i, j, lcm in self.pairs:
             if (p == pos and not (lcm - m) & guard
@@ -436,7 +400,7 @@ class _Engine:
         # a proper divisor sorts first, and a multiple of a dropped lcm is a
         # multiple of the kept lcm that dropped it
         dshift, mask, excess, pairs = self.dshift, self.dmask, self.excess, self.pairs
-        pack, exps = self.ring._pack, self.layout.exps
+        pack, decode = self.ring._pack, self.ring.decode
         minimal: list[int] = []
         for lcm in sorted(classes):
             for low in minimal:
@@ -447,7 +411,7 @@ class _Engine:
                 k = classes[lcm]
                 # keyed (sugar, packed lcm, position, i, j); the word is for B
                 if k >= 0:
-                    packed = pack(exps(lcm))
+                    packed = pack(decode(lcm))
                     sugar = (packed >> dshift & mask) + max(excess[k], excess[new])
                     heapq.heappush(pairs, (sugar, packed, pos, k, new, lcm))
 

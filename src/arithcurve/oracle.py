@@ -26,16 +26,16 @@ ones is a genuine two-route check.
                        and the ranks are the Betti numbers; one engine run
                        per step, shifted by the step's degrees, prunes and
                        then completes to the syzygies
-  verify_exactness     image of d_1 generates the target ideal, and every
-                       syzygy of d_s lies in the image of d_{s+1}, which is
-                       the zero module past the last map; one syzygy run per
-                       differential, on the engine's flat columns, gives both
-                       its syzygies and a Groebner basis of its image, which
-                       stay flat up to the reducer that tests them; the
-                       entries of d_1 go to ideal_contains, which makes no
-                       run when each is a generator up to a scalar; returns
-                       the `exactness` check entry that `resolve --verify`
-                       prints, at the first failure
+  verify_exactness     the entries of d_1 go to ideal_contains first, which
+                       makes no run when each is a generator up to a scalar;
+                       then one loop from step 0, whose syzygies are the
+                       generators: every syzygy of d_s lies in the image of
+                       d_{s+1}, which is the zero module past the last map;
+                       one syzygy run per differential, on the engine's flat
+                       columns, gives both its syzygies and a Groebner basis
+                       of its image, which stay flat up to the reducer that
+                       tests them; returns the `exactness` check entry that
+                       `resolve --verify` prints, at the first failure
 """
 
 from __future__ import annotations
@@ -259,9 +259,9 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
                      limits: Limits = DEFAULT_LIMITS) -> dict:
     """Machine check that C resolves R modulo the ideal of `gens`.
 
-    (a) the entries of d_1 generate the same ideal as `gens`: `gens` lie in
-        the image of d_1, decided against the basis of d_1's own run, and
-        the entries lie in the ideal of `gens` (`ideal_contains`);
+    (a) the entries of d_1 generate the same ideal as `gens`: the entries
+        lie in the ideal of `gens` (`ideal_contains`, tested first), and
+        `gens` lie in the image of d_1;
     (b) for each s < length, the syzygies of d_s lie in the image of d_{s+1};
     (c) the last differential has no nonzero syzygies (injectivity): this is
         (b) at s = length, with the zero module as the image.
@@ -272,36 +272,35 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     check returns at its first failure, so no engine run is made after the
     verdict is fixed, and no cap can turn a failure into a resource limit.
 
-    One run of `syzygies_and_basis` per differential gives the syzygies of
-    d_s and a Groebner basis of the image of d_s, which (a) (s = 1) or step
-    s - 1 reduces by; only the runs of d_s and d_{s+1} are held at a time.
-    The run is an unshifted syzygy run that prunes nothing, where a step
-    of `minimal_resolution` shifts its run and prunes first, so on the
-    oracle's own complex the two share only their pair criteria.  Its
-    columns, syzygies and basis stay in the engine's flat form throughout.
+    After (a)'s first inclusion, one loop checks every step from s = 0, as
+    `minimal_resolution` builds them.  The pass at step s makes one run of
+    `syzygies_and_basis` on d_{s+1}, top-reduces the syzygies of d_s by
+    the run's Groebner basis of the image, and keeps the run's syzygies
+    for the next pass, so only the runs of d_s and d_{s+1} are held at a
+    time.  Step 0's syzygies are `gens`, the kernel of R -> R/I at rank 1,
+    so its pass is (a)'s second inclusion.  The run is an unshifted syzygy
+    run that prunes nothing, where a step of `minimal_resolution` shifts
+    its run and prunes first, so on the oracle's own complex the two share
+    only their pair criteria.  Its columns, syzygies and basis stay in the
+    engine's flat form throughout.
     When every entry of d_1 is a generator up to a scalar, as in the `en`,
-    `cone` and oracle complexes, (a)'s second inclusion makes no run
-    (`ideal_contains`).
+    `cone` and oracle complexes, (a)'s first inclusion makes no run.
     """
     if len(C.steps[0]) != 1:
         raise ValueError("step 0 must have rank 1")
     d1 = C.differential(1)
     ring = d1.ring
-    syz, image = syzygies_and_basis(_flat_columns(d1), ring, 1, limits=limits)
-    # d_1 has one row, so its image is the ideal of its entries; the zero
-    # ones add nothing to it
-    image_reducer = module_reducer(image, ring, 1)
-    if (any(image_reducer.top_reduce(g.packed) for g in gens)
-            or not ideal_contains(gens, list(d1.nonzero.values()), limits=limits)):
+    if not ideal_contains(gens, list(d1.nonzero.values()), limits=limits):
         return _exactness("image of the first differential")
-    for s in range(1, C.length + 1):
-        rank = C.differential(s).cols  # d_{s+1}'s rows: C checks the shapes
+    syz = [g.packed for g in gens]
+    for s in range(C.length + 1):
+        rank = len(C.steps[s])  # d_{s+1}'s rows: C checks the shapes
         next_syz, gb = (syzygies_and_basis(_flat_columns(C.differential(s + 1)),
                                            ring, rank, limits=limits)
                         if s < C.length else ([], []))
         reducer = module_reducer(gb, ring, rank)
         if any(reducer.top_reduce(v) for v in syz):
-            return _exactness(f"exactness at step {s}")
+            return _exactness(f"exactness at step {s}" if s
+                              else "image of the first differential")
         syz = next_syz
     return _exactness()
-

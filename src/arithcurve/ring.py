@@ -40,11 +40,13 @@ term of the shorter factor) go through it, and the Buchberger engine keeps
 each vector it reduces in one such map from start to finish.  `terms`,
 `leading_term`, `leading_monomial`, `from_dict`, `monomial` and `mul_term`
 speak exponent tuples and decode or encode at the boundary; the engine works
-on packed terms, packs the lcm of each S-pair it queues with `_pack`, and
-reads the layout (`guard`, `_degree_shift`, `_mask`, `_exp_shifts`,
+on packed terms.  It reads the layout (`guard`, `_degree_shift`, `_mask`,
 `degree_cap` and `position_unit`) once per run to do what `divides`,
 `packed_degree` and `check_degree` do inline on its keys (it keys a term of
-a module vector by its packed monomial and position).
+a module vector by its packed monomial and position).  Its pair criteria
+take the lcms of exponent words, packed monomials masked to `word_fields`,
+with `word_lcms`, test their divisibility against `word_guard`, and
+`decode` and `_pack` the lcm of each pair they queue.
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
@@ -305,56 +307,43 @@ class WeightedGrevlex:
 
 
 class EliminationOrder:
-    """Block order: the first `head` variables dominate everything after them.
+    """Block order that eliminates the first variable, t: its exponent
+    dominates, and ties are broken by WeightedGrevlex on `tail_weights`.
 
-    Any monomial containing an eliminated variable is larger than every
-    monomial free of them, so the t-free elements of a Groebner basis are a
-    Groebner basis of the elimination ideal.  The head block is compared by
-    total degree then reverse lex; the tail by WeightedGrevlex on
-    `tail_weights`.
+    Any monomial containing t is larger than every monomial free of it, so
+    the t-free elements of a Groebner basis are a Groebner basis of the
+    elimination ideal.
     """
 
-    def __init__(self, head: int, tail_weights: Sequence[int]):
-        self.head = head
+    def __init__(self, tail_weights: Sequence[int]):
         self.tail = WeightedGrevlex(tail_weights)
 
     def key(self, exps: Sequence[int]):
-        h = exps[: self.head]
-        return (
-            sum(h),
-            tuple(-e for e in reversed(h)),
-            self.tail.key(exps[self.head :]),
-        )
+        return (exps[0], self.tail.key(exps[1:]))
 
     def forms(self) -> list[tuple]:
-        """The head block's grevlex forms (unit weights, so its weighted and
-        total degree coincide), then the tail's, each padded with zeros."""
-        head = WeightedGrevlex((1,) * self.head).forms()[1:]
-        pad = (0,) * len(self.tail.weights)
-        return [f + pad for f in head] + [
-            (0,) * self.head + f for f in self.tail.forms()
+        """t's exponent, then the tail's forms, each padded with zeros."""
+        return [(1,) + (0,) * len(self.tail.weights)] + [
+            (0,) + f for f in self.tail.forms()
         ]
 
     def __repr__(self):
-        return f"EliminationOrder(head={self.head}, tail={self.tail.weights})"
+        return f"EliminationOrder(tail={self.tail.weights})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, EliminationOrder)
-            and other.head == self.head
-            and other.tail == self.tail
-        )
+        return isinstance(other, EliminationOrder) and other.tail == self.tail
 
     def __hash__(self):
-        return hash(("EliminationOrder", self.head, self.tail.weights))
+        return hash(("EliminationOrder", self.tail.weights))
 
 
 class PolyRing:
     """A polynomial ring with named variables, weights, field and order.
 
     The ring also fixes the packing of its monomials (see the module
-    docstring): `guard` holds every field's guard bit, and a monomial fits
-    when its weighted degree is below `degree_cap`.
+    docstring): `guard` holds every field's guard bit, `word_fields` and
+    `word_guard` the exponent fields and their guard bits, and a monomial
+    fits when its weighted degree is below `degree_cap`.
     """
 
     def __init__(self, names: Sequence[str], weights: Sequence[int], field=QQ, order=None):
@@ -394,6 +383,12 @@ class PolyRing:
         self._cols = tuple(sum(row[i] << s for row, s in shift.items()) for i in range(n))
         self._exp_shifts = tuple(shift[u] for u in units)
         self._degree_shift = shift[self.weights]
+        # a monomial's exponent word is its packed int masked to the
+        # exponent fields, whose guard bits are `word_guard`: one word
+        # divides another exactly when their difference leaves those bits
+        # clear, and a larger word is never a proper divisor of a smaller one
+        self.word_fields = sum(self._mask << s for s in self._exp_shifts)
+        self.word_guard = sum(1 << (s + bits) for s in self._exp_shifts)
 
     # -- packed monomials ---------------------------------------------------
 
@@ -436,8 +431,24 @@ class PolyRing:
         """Largest weighted degree of nonempty packed terms; the flat terms
         of a module vector qualify too, as a position leaves the degree
         field unchanged."""
-        degree = self.packed_degree
-        return max([degree(m) for m, _ in terms])
+        shift, mask = self._degree_shift, self._mask
+        return max([m >> shift & mask for m, _ in terms])
+
+    def word_lcms(self, a: int, words: Sequence[int]) -> list[int]:
+        """lcm word of the exponent word `a` with each of `words`, a
+        field-wise max: (a | word_guard) - b keeps the guard bit of each
+        field where a's exponent is at least b's, and that bit less itself
+        shifted down to the field's foot masks the field, which is taken
+        from a; every other field from b.  `decode` reads a word's
+        exponents."""
+        fields, guard, bits = self.word_fields, self.word_guard, self._mask.bit_length()
+        high = a | guard
+        out = []
+        for b in words:
+            t = (high - b) & guard
+            m = t - (t >> bits)
+            out.append((a & m) | (b & (fields ^ m)))
+        return out
 
     # -- polynomials from exponent tuples -------------------------------------
 
@@ -722,7 +733,7 @@ def elimination_ring(weights: Sequence[int], field=QQ) -> PolyRing:
 @cache
 def _elimination_ring(weights: tuple[int, ...], field) -> PolyRing:
     names = ("t",) + tuple(f"X{i}" for i in range(len(weights)))
-    order = EliminationOrder(1, weights)
+    order = EliminationOrder(weights)
     return PolyRing(names, (1,) + weights, field=field, order=order)
 
 

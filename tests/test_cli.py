@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,17 @@ class TestScan:
         assert f"  b=10 a={a} d=1 m0={a * 10 + 10}: invalid (" in out
         assert out.count(": invalid (") == 10
 
+    def test_grid_past_the_cell_cap_rejected_up_front(self, capsys, int_text_limit):
+        """--a=-10^4299..1 gives about 10^4299 cells, each with a printable
+        m0: the cells are counted before any is built, so the scan exits 2
+        at once with one stderr line naming --a, and prints nothing."""
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "scan", "--n", "10", "--b", "1",
+                                 f"--a=-{10**4299}..1", "--d", "1..1")
+        assert time.monotonic() - start < 5
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "--a" in err and err.count("\n") == 1
+
     def test_single_value_ranges(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--n", "3", "--b", "3", "--a", "1..1", "--d", "1..1",
@@ -370,6 +382,7 @@ class TestScan:
         (("--n", "4", "--a", "1..1", "--d", "1..1", "--jobs", "x"), "--jobs"),
         (("--n", "4", "--a", "1..1"), "--d"),
         (("--n", "4", "--a", "x..2", "--d", "1..1"), "--a"),
+        (("--n", "4", "--a", "1..250001", "--d", "1..1"), "--a"),
     ])
     def test_invalid_scan_input_rejected(self, capsys, argv, flag):
         try:
