@@ -69,14 +69,16 @@ lies in the module exactly when cancelling leading terms sends it to zero,
 whichever Groebner basis of the module is used.  `ideal_member`, pruning
 and the oracle's membership tests all decide it so, against the
 unreduced basis of `module_groebner_basis`, of `syzygies_and_basis` or of
-the pruning run itself.  On homogeneous input
+the pruning run itself; a zero remainder by any generating set is a
+standard representation, so `ideal_contains` first top-reduces by the
+generators, with no run.  On homogeneous input
 a basis up to degree D decides the vectors of degree <= D (La Scala &
 Stillman, "Strategies for computing minimal free resolutions", JSC
 1998): pruning completes its basis degree by degree, and
-`module_groebner_basis(degree=D)`, which the oracle's `ideal_contains`
-asks for, stops at D.  Only a basis that is
-itself an output is interreduced: `groebner()` is `interreduce` of
-`module_groebner_basis`.
+`module_groebner_basis(degree=D)`, which `ideal_contains` asks for at
+the largest degree D of the elements the generators leave, stops at D.
+Only a basis that is itself an output is interreduced: `groebner()` is
+`interreduce` of `module_groebner_basis`.
 The full normal form, which also reduces the terms below the lead, serves
 only `interreduce` and `reduce_poly`.
 

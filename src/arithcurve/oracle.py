@@ -8,11 +8,11 @@ ones is a genuine two-route check.
                        order (t has weight 1, so pairs go degree by degree);
                        only the t-free elements of the elimination basis
                        are interreduced
-  ideal_contains       a nonzero scalar multiple of a generator is a member
-                       with no run; the other elements are top-reduced
+  ideal_contains       an element the generators top-reduce to zero is a
+                       member with no run; the others are top-reduced
                        against an unreduced Groebner basis of the
                        generators, completed only up to the largest degree
-                       among them when everything is homogeneous
+                       among those others when everything is homogeneous
   ideal_equal          ideal_contains in both directions
   colon_check          (I : f) from the first coordinates of the syzygies of
                        [f, g_1, ..., g_k], compared back to I; f, before
@@ -27,7 +27,7 @@ ones is a genuine two-route check.
                        per step, shifted by the step's degrees, prunes and
                        then completes to the syzygies
   verify_exactness     the entries of d_1 go to ideal_contains first, which
-                       makes no run when each is a generator up to a scalar;
+                       makes no run when the generators reduce each to zero;
                        then one loop from step 0, whose syzygies are the
                        generators: every syzygy of d_s lies in the image of
                        d_{s+1}, which is the zero module past the last map;
@@ -99,32 +99,26 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
                    limits: Limits = DEFAULT_LIMITS) -> bool:
     """True iff every element of `polys` lies in the ideal of `gens`.
 
-    The zero elements, and the syntactic members (nonzero scalar multiples
-    of a generator), need no run: generators are filed by their packed
-    monomials, which fixes the keys, so only proportionality is tested.
-    Only the rest are tested against a basis of `gens`: when every
-    generator and every one of them is homogeneous, the basis is completed
-    only up to the largest degree among them, which decides their
-    membership (`module_groebner_basis`); otherwise it is completed in full.
+    Each element is first top-reduced by the generators themselves, which
+    takes no run: a zero remainder is a standard representation by them,
+    so an element they reduce to zero (zero itself, or a nonzero scalar
+    multiple of a generator among others) is a member.  Only the elements
+    they leave are tested against a basis of `gens`: when every generator
+    and every one of those is homogeneous, the basis is completed only up
+    to the largest degree among those, which decides their membership
+    (`module_groebner_basis`); otherwise it is completed in full.
+    ValueError if the polynomials do not all share one ring.
     """
-    # generators filed by their packed monomials; the zero one by none,
-    # which no nonzero element has
-    by_monomials: dict[tuple, list[tuple]] = {}
-    for g in gens:
-        by_monomials.setdefault(tuple([m for m, _ in g.packed]), []).append(g.packed)
-    rest = []
-    for p in polys:
-        if not p.packed:
-            continue
-        (_, lc), mul = p.packed[0], p.ring.field.mul
-        # proportional coefficients, compared crosswise: no inverse is taken
-        if not any(all(mul(gc, lc) == mul(c, g[0][1])
-                       for (_, c), (_, gc) in zip(p.packed, g))
-                   for g in by_monomials.get(tuple([m for m, _ in p.packed]), ())):
-            rest.append(p)
+    rings = [p.ring for p in (*gens, *polys)]
+    if any(r is not rings[0] and r != rings[0] for r in rings):
+        raise ValueError("polynomials from different rings")
+    if not polys:
+        return True
+    ring = rings[0]
+    by_gens = module_reducer([g.packed for g in gens if g.packed], ring, 1)
+    rest = [p for p in polys if by_gens.top_reduce(p.packed)]
     if not rest:
         return True
-    ring = rest[0].ring
     degrees = [p.weighted_degree() for p in rest]
     homogeneous = None not in degrees and all(g.is_homogeneous for g in gens)
     gb = module_groebner_basis([g.packed for g in gens], ring, 1, limits=limits,
@@ -156,9 +150,9 @@ def colon_check(gens: Sequence[Polynomial], f: Polynomial,
 
     Both memberships are decided by `ideal_contains`: f's before the syzygy
     run of `colon_ideal`, so an f in I raises with no colon run made, and
-    the quotient's after it.  On homogeneous input each basis of I is
-    completed only up to the degree it tests, and the quotient's
-    generators that are generators of I up to a scalar make no run.
+    the quotient's after it.  Elements the generators of I top-reduce to
+    zero make no run; on homogeneous input each basis of I is completed
+    only up to the largest degree among the elements they leave.
     """
     if ideal_contains(gens, [f], limits=limits):
         raise ValueError("multiplier lies in the ideal; colon comparison undefined")
@@ -283,7 +277,7 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     its run and prunes first, so on the oracle's own complex the two share
     only their pair criteria.  Its columns, syzygies and basis stay in the
     engine's flat form throughout.
-    When every entry of d_1 is a generator up to a scalar, as in the `en`,
+    When `gens` top-reduce every entry of d_1 to zero, as in the `en`,
     `cone` and oracle complexes, (a)'s first inclusion makes no run.
     """
     if len(C.steps[0]) != 1:

@@ -137,18 +137,16 @@ class TestToricIdeal:
             toric_ideal(seq, limits=Limits(max_basis=basis - 1))
 
     @pytest.mark.parametrize("m0,d,n,spairs", [
-        (9, 2, 4, [69, 0, 0]), (16, 3, 4, [76, 0, 0]), (13, 2, 4, [72, 0, 0]),
+        (9, 2, 4, [69]), (16, 3, 4, [76]), (13, 2, 4, [72]),
     ], ids=["9-2-4", "16-3-4", "13-2-4"])
     def test_identity_spairs_pinned(self, m0, d, n, spairs):
         """S-pairs reduced by each run of the toric identity over QQ: the
-        elimination run, then the two rank-1 runs of `ideal_equal`, where
-        the product criterion applies.  A change that reorders or drops
-        their pairs shows here even when the bases do not change.  Each
-        direction leaves one element that is not a generator up to a
-        scalar, of degree 26, 44 and 34, and its membership run stops
-        there, below every pair; stopped at the largest degree of all the
-        elements (51, 112 and 84) those runs reduced 8 pairs each, and run
-        to the end, those of 9 2 4 and 13 2 4 reduced 20 pairs each."""
+        elimination run is the only one.  A change that reorders or drops
+        its pairs shows here even when the basis does not change.  Neither
+        direction of `ideal_equal` makes a run: each side's generators
+        top-reduce every element of the other side to zero, the one that
+        is not a generator up to a scalar (of degree 26, 44 and 34)
+        included."""
         seq = validate_sequence(m0, d, n)
         limits = KeepMeters()
         basis = toric_ideal(seq, limits=limits)
@@ -229,7 +227,8 @@ def _inhomogeneous_cases() -> dict:
     return {
         "inhomogeneous gens, member": (disguised, [x - y], True),
         "inhomogeneous gens, non-member": (disguised, [x - y, x * x], False),
-        "inhomogeneous poly, member": ([x * y, y * y], [x * y + x * y * y], True),
+        # not a Groebner basis: y^3 + x*y is a member that they leave nonzero
+        "inhomogeneous poly, member": ([x * x - y * y, x * y], [y ** 3 + x * y], True),
         "inhomogeneous poly, non-member": ([x * y, y * y], [x * x + y], False),
     }
 
@@ -268,6 +267,44 @@ class TestIdealContains:
         assert degrees == [None]
         assert all(ideal_member(p, groebner(gens)) for p in polys) is inside
 
+    def test_truncated_run_takes_the_degrees_the_generators_leave(self, monkeypatch):
+        """Elements the generators top-reduce to zero make no run and do
+        not raise its degree: beside x^3*y and x^2*y^2 - y^4 (degree 4,
+        reduced to zero), the members y^3 and x*y^2 - y^3 and the
+        non-member y^2 are left, and the one truncated run stops at 3."""
+        R = curve_ring((1, 1))
+        x, y = R.var(0), R.var(1)
+        gens = [x * x - y * y, x * y]
+        degrees = []
+        run = arithcurve.oracle.module_groebner_basis
+
+        def recording(*args, degree=None, **kwargs):
+            degrees.append(degree)
+            return run(*args, degree=degree, **kwargs)
+
+        monkeypatch.setattr(arithcurve.oracle, "module_groebner_basis", recording)
+        zero = [x ** 3 * y, x * x * y * y - y ** 4]
+        full = groebner(gens)
+        for left in ([y ** 3, x * y * y - y ** 3], [y ** 3, y * y, x * y * y - y ** 3]):
+            degrees.clear()
+            polys = [zero[0], *left, zero[1]]
+            assert ideal_contains(gens, polys) is all(ideal_member(p, full)
+                                                      for p in polys)
+            assert degrees == [max(p.weighted_degree() for p in left)] == [3]
+        assert all(ideal_member(p, full) for p in zero)
+
+    def test_polynomials_from_different_rings_raise(self):
+        """Generators and elements must share one ring: the first generator
+        of 7 1 4 read in the layout of 5 1 4's ring, or the generators of
+        5 1 4 over QQ against those over GF(7), decide nothing."""
+        seq = validate_sequence(5, 1, 4)
+        gens = list(seq.generators(QQ).all)
+        other = validate_sequence(7, 1, 4).generators(QQ).all[0]
+        with pytest.raises(ValueError, match="different rings"):
+            ideal_contains(gens, [other])
+        with pytest.raises(ValueError, match="different rings"):
+            ideal_equal(gens, list(seq.generators(PrimeField(7)).all))
+
     def test_truncated_run_decides_nothing_on_inhomogeneous_input(self):
         """Why such input takes the full run: stopped at degree 1, the run
         over the disguised (x - 1, y - 1) leaves x - y outside."""
@@ -291,18 +328,21 @@ class TestIdealContains:
     def test_scalar_multiples_of_generators_take_no_run(self, field):
         """A nonzero scalar multiple of a generator (its monomials, its
         coefficients times one scalar) is a member with no engine run:
-        -g, 3g and 12345g, also beside other such multiples.  A monomial
-        multiple X1*g, an element with g's monomials but other coefficients
-        and the non-member X1 still take a run, which a syntactic member
-        beside them does not avoid.  Every verdict is `ideal_member`'s
-        against the reduced basis."""
+        -g, 3g and 12345g, also beside other such multiples.  So is the
+        monomial multiple X1*g, which the generators top-reduce to zero,
+        alone or beside -g.  An element with g's monomials but other
+        coefficients, which the generators leave nonzero, and the
+        non-member X1 still take a run, which a member beside them does
+        not avoid.  Every verdict is `ideal_member`'s against the reduced
+        basis."""
         gens = list(validate_sequence(5, 1, 4).generators(field).all)
         g = gens[0]  # X0*X2 - X1^2
         x1 = g.ring.var(1)
         full = groebner(gens)
         for polys, runs in [
             ([-g], 0), ([3 * g], 0), ([12345 * g], 0), ([g, -g, 3 * gens[5]], 0),
-            ([x1 * g], 1), ([g + 2 * x1 ** 2], 1), ([x1], 1), ([-g, x1 * g], 1),
+            ([x1 * g], 0), ([-g, x1 * g], 0),
+            ([g + 2 * x1 ** 2], 1), ([x1], 1), ([-g, x1, x1 * g], 1),
         ]:
             limits = KeepMeters()
             verdict = ideal_contains(gens, polys, limits=limits)
@@ -322,6 +362,17 @@ class TestIdealEqual:
             seq = validate_sequence(m0, d, n)
             both = seq.matrix_a().all_minors2() + seq.matrix_b().all_minors2()
             assert ideal_equal(both, toric_ideal(seq))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_sum_of_minor_ideals_is_kernel_past_n4(self, n):
+        """The identity for every class b with a, d in {1, 2} and
+        gcd(m0, d) = 1: 78 cells over n = 5..8."""
+        for a, b, d in itertools.product((1, 2), range(1, n + 1), (1, 2)):
+            m0 = a * n + b
+            if math.gcd(m0, d) == 1:
+                seq = validate_sequence(m0, d, n)
+                both = seq.matrix_a().all_minors2() + seq.matrix_b().all_minors2()
+                assert ideal_equal(both, toric_ideal(seq)), (m0, d, n)
 
     def test_b1_pair_minors_inside_power_minors(self):
         # when b = 1 the power matrix contains every consecutive pair
@@ -366,14 +417,18 @@ class TestColon:
             colon_check([x0], x0 ** 2)
 
     def test_member_multiplier_raises_before_the_colon_run(self):
-        """f in I is found by the membership run alone: the colon's syzygy
-        run is not made."""
+        """f in I is found before the colon's syzygy run, which is not
+        made: x0^2, which the generator x0 reduces to zero, with no run,
+        and y^3, which [x^2 - y^2, x*y] leave nonzero, with the membership
+        run alone."""
         R = curve_ring((1, 1))
-        x0 = R.var(0)
-        limits = KeepMeters()
-        with pytest.raises(ValueError):
-            colon_check([x0], x0 ** 2, limits=limits)
-        assert len(limits.meters) == 1
+        x0, x1 = R.var(0), R.var(1)
+        for gens, f, runs in [([x0], x0 ** 2, 0),
+                              ([x0 * x0 - x1 * x1, x0 * x1], x1 ** 3, 1)]:
+            limits = KeepMeters()
+            with pytest.raises(ValueError):
+                colon_check(gens, f, limits=limits)
+            assert len(limits.meters) == runs
 
     def test_prime_ideal_colon_family(self):
         # for a prime ideal, (P : f) = P for any f outside P
