@@ -21,9 +21,15 @@ The pruning and syzygy functions convert tuples of polynomials to and
 from the flat form.  The basis and membership functions speak it:
 `module_groebner_basis` takes flat columns and returns a flat basis,
 `syzygies_and_basis` flat syzygies and a flat image basis,
-`module_reducer` stores flat vectors, and its reducer's `top_reduce`
+`module_reducer` stores flat vectors in a `_Reducer`, and its `top_reduce`
 reduces one, so no vector becomes polynomials between a basis run and the
 reducer that tests membership against it.
+
+A run is one `_Engine`: a `_Reducer` whose basis grows by the S-pairs it
+reduces, under one meter (`Limits.start`) that every cap bounds.  A
+`_Reducer` alone reduces against a finished basis (membership tests,
+normal forms, interreduction): it forms no pair and starts no meter, so
+it is no run and takes no cap.
 
 Syzygy extraction works in the augmented module [F | I]: a syzygy run on
 vectors of rank r gives input i a term 1 at position r + i, below every
@@ -86,17 +92,18 @@ The engine works on packed monomials (see `ring`).  The low bits of a key
 are its packed monomial, so the guard-bit divisibility test, the multiplier
 of a reduction (a difference of keys at one position), the degree field and
 `decode` read keys unchanged; reducers are looked up among the basis
-elements that lead at the same position.  Each run reads the ring's packed
-layout once (the guard mask, the degree field's shift and mask,
-`degree_cap` and `position_unit`) and tests keys inline: a divisibility
-test is `not (b - a) & guard`, a degree read `key >> shift & mask` and a
-position `-(key // unit)`, with no ring method called per test.  The pair
-criteria work on each lead's exponent word, its packed monomial masked to
-the exponent fields (`PolyRing.word_fields`): an lcm is a field-wise max
-read off the guard bits of one subtraction (`PolyRing.word_lcms`),
-divisibility the same guard-bit test, and only the lcm of a pair the
-criteria queue is packed.  After its sugar, an S-pair is keyed by its
-position-free packed lcm, which sorts exactly like the lcm's order key.
+elements that lead at the same position.  Each reducer, run or not,
+reads the ring's packed layout once (the guard mask, the degree field's
+shift and mask, `degree_cap` and `position_unit`) and tests keys inline:
+a divisibility test is `not (b - a) & guard`, a degree read
+`key >> shift & mask` and a position `-(key // unit)`, with no ring
+method called per test.  The pair criteria work on each lead's exponent
+word, its packed monomial masked to the exponent fields
+(`PolyRing.word_fields`): an lcm is a field-wise max read off the guard
+bits of one subtraction (`PolyRing.word_lcms`), divisibility the same
+guard-bit test, and only the lcm of a pair the criteria queue is packed.
+After its sugar, an S-pair is keyed by its position-free packed lcm,
+which sorts exactly like the lcm's order key.
 Each stored basis element, transcript included, carries the degree of its
 highest-degree term (`PolyRing.top_degree`), and the engine range-checks
 every product against it, as `ring._add_into` does, before the field
@@ -106,8 +113,8 @@ MonomialOutOfRange, even when that term lies below the lead.
 All computations are deterministic: fixed insertion order, pairs processed in
 increasing (sugar, packed lcm, position, i, j) and reducers chosen
 first-in-basis.  Resource limits are explicit errors, never silent
-truncation; the S-pair budget counts only the pairs that are reduced, not
-those a criterion drops.
+truncation; each cap bounds one run, and the S-pair budget counts only the
+pairs that run reduces, not those a criterion drops.
 """
 
 from __future__ import annotations
@@ -221,20 +228,17 @@ def from_flat(flat: tuple, ring: PolyRing, rank: int, start: int = 0) -> Vector:
     return tuple(comps)
 
 
-class _Engine:
-    """One Buchberger run over vectors of a fixed rank.
+class _Reducer:
+    """Reduction against a fixed basis of flat vectors (see `to_flat`); it
+    forms no pairs and starts no meter, so it is not a run.
 
-    Vectors are flat (see `to_flat`); each basis element is stored as
-    (flat terms, top degree), the terms a product multiplies and the degree
-    its range check reads; in a syzygy run its terms keyed below `floor`
-    are its transcript.  A vector being reduced is a map {key: coefficient}, sorted
-    into flat terms once it is done.  `shifts`, one per position, default
-    0.  Every run queues only the pairs the criteria keep (see the module
-    docstring).
+    Each basis element is stored monic as (flat terms, top degree), the
+    terms a product multiplies and the degree its range check reads.  A
+    vector being reduced is a map {key: coefficient}, sorted into flat terms
+    once it is done.
     """
 
-    def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
-                 limits: Limits, shifts: Optional[Sequence[int]] = None):
+    def __init__(self, ring: PolyRing, basis: Sequence[tuple] = ()):
         self.ring = ring
         # the packed layout, read once: keys are tested inline (see the
         # module docstring)
@@ -242,22 +246,11 @@ class _Engine:
         self.guard = ring.guard
         self.dshift, self.dmask = ring._degree_shift, ring._mask
         self.cap = ring.degree_cap
-        self.rank = rank
-        self.want_syz = want_syzygies
-        self.shifts = tuple(shifts) if shifts else (0,) * rank
-        self.meter = limits.start()
-        self.floor = (1 - rank) * self.unit  # the least key at a position < rank
         self.basis: list[tuple] = []  # (flat vector, top degree); monic
         self.leads: list[int] = []  # flat key of each basis element's lead
-        self.words: list[int] = []  # exponent word of each lead, kept by add_element
-        self.top_lead = 0  # the largest lead degree among them
         self.by_pos: dict[int, list[int]] = {}
-        self.excess: list[int] = []  # sugar less the lead's unshifted degree
-        self.pairs: list[tuple] = []  # (sugar, packed lcm, pos, i, j, lcm word)
-        self.dead: set[tuple[int, int]] = set()  # queued (i, j) the B criterion drops
-        self.syzygies: list[tuple] = []  # flat transcripts, below `floor`
-
-    # -- reduction ----------------------------------------------------------
+        for b in basis:
+            self._insert(b)
 
     def _find_reducer(self, key: int) -> Optional[int]:
         """The first basis element whose lead divides key, or None."""
@@ -289,16 +282,12 @@ class _Engine:
             add_into(acc, q, u, neg(acc[key]))
         return ()
 
-    def _top_reduce(self, v: tuple) -> tuple:
+    def top_reduce(self, v: tuple) -> tuple:
         """Cancel leading terms of a flat v until none is reducible; v itself
         when its lead is not, and empty when v reduces to 0."""
         if not v or self._find_reducer(v[0][0]) is None:
             return v
         return self._reduce(dict(v))
-
-    # the name a `module_reducer` is called by, and the benchmark's tracer
-    # wraps on each reducer; pruning and `normal_form` call `_top_reduce`
-    top_reduce = _top_reduce
 
     def normal_form(self, v: tuple) -> tuple:
         """Full normal form of a flat v: every remaining term is irreducible.
@@ -309,13 +298,11 @@ class _Engine:
         """
         remainder = []
         while True:
-            v = self._top_reduce(v)
+            v = self.top_reduce(v)
             if not v:
                 return tuple(remainder)
             remainder.append(v[0])
             v = v[1:]
-
-    # -- basis growth ---------------------------------------------------------
 
     def _insert(self, v: tuple):
         """Store a flat v, made monic, as a basis element; forms no pairs."""
@@ -328,6 +315,31 @@ class _Engine:
         self.by_pos.setdefault(-(key // self.unit), []).append(len(self.basis))
         self.basis.append((v, self.ring.top_degree(v)))
         self.leads.append(key)
+
+
+class _Engine(_Reducer):
+    """One Buchberger run over vectors of a fixed rank: a `_Reducer` whose
+    basis grows by the pairs it reduces, under one meter.
+
+    In a syzygy run a basis element's terms keyed below `floor` are its
+    transcript.  `shifts`, one per position, default 0.  Every run queues
+    only the pairs the criteria keep (see the module docstring).
+    """
+
+    def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
+                 limits: Limits, shifts: Optional[Sequence[int]] = None):
+        super().__init__(ring)
+        self.rank = rank
+        self.want_syz = want_syzygies
+        self.shifts = tuple(shifts) if shifts else (0,) * rank
+        self.meter = limits.start()
+        self.floor = (1 - rank) * self.unit  # the least key at a position < rank
+        self.words: list[int] = []  # exponent word of each lead, kept by add_element
+        self.top_lead = 0  # the largest lead degree among them
+        self.excess: list[int] = []  # sugar less the lead's unshifted degree
+        self.pairs: list[tuple] = []  # (sugar, packed lcm, pos, i, j, lcm word)
+        self.dead: set[tuple[int, int]] = set()  # queued (i, j) the B criterion drops
+        self.syzygies: list[tuple] = []  # flat transcripts, below `floor`
 
     def add_element(self, v: tuple, pair=None):
         """Queue the pairs of a nonzero flat v and store it, or keep it as a
@@ -517,7 +529,7 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     for (deg, _, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
         eng._main_loop(stop=deg)
         # its transcript leads no basis element, so the remainder keeps it
-        reduced = eng._top_reduce(flat + ((-(eng.rank + len(kept)) * eng.unit, one),))
+        reduced = eng.top_reduce(flat + ((-(eng.rank + len(kept)) * eng.unit, one),))
         if reduced[0][0] < eng.floor:  # no head: a member
             continue
         kept.append(v)
@@ -543,13 +555,11 @@ def module_groebner_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
     return [v for v, _ in eng.basis]
 
 
-def module_reducer(basis: Sequence[tuple], ring: PolyRing, rank: int) -> "_Engine":
-    """Reusable reducer over a fixed (Groebner) basis of flat vectors of rank
-    `rank`; no completion is run.  Its `top_reduce` takes a flat vector."""
-    eng = _Engine(ring, rank, want_syzygies=False, limits=DEFAULT_LIMITS)
-    for b in basis:
-        eng._insert(b)
-    return eng
+def module_reducer(basis: Sequence[tuple], ring: PolyRing) -> _Reducer:
+    """Reusable reducer over a fixed (Groebner) basis of flat vectors; no
+    completion is run and no meter started.  Its `top_reduce` takes a flat
+    vector."""
+    return _Reducer(ring, basis)
 
 
 def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
@@ -600,15 +610,25 @@ def syzygies_and_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
 # -- ideal layer ---------------------------------------------------------------
 
 
+def common_ring(polys: Sequence[Polynomial]) -> Optional[PolyRing]:
+    """The ring all of `polys` live in, None when there are none;
+    ValueError if they do not all share one, as packed terms read in
+    another ring's layout are other monomials."""
+    rings = [p.ring for p in polys]
+    if any(r is not rings[0] and r != rings[0] for r in rings):
+        raise ValueError("polynomials from different rings")
+    return rings[0] if rings else None
+
+
 def groebner(gens: Sequence[Polynomial], limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
     """Reduced Groebner basis, sorted by increasing leading term.
 
     Deterministic for fixed input order; idempotent (a reduced basis maps to
     itself).
     """
-    if not gens:
+    ring = common_ring(gens)
+    if ring is None:
         return []
-    ring = gens[0].ring
     return interreduce(module_groebner_basis([g.packed for g in gens], ring, 1,
                                              limits=limits), ring)
 
@@ -631,20 +651,21 @@ def interreduce(basis: Sequence[tuple], ring: PolyRing) -> list[Polynomial]:
     # tail-reduce each against all of them: every term met while reducing
     # the tail of v lies below lead(v), so v itself is never a reducer and
     # the lead followed by the tail's normal form stays sorted
-    reducer = module_reducer(kept, ring, 1)
+    reducer = module_reducer(kept, ring)
     return [Polynomial(ring, (v[0],) + reducer.normal_form(v[1:])) for v in kept]
 
 
 def reduce_poly(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full normal form of p modulo a list of polynomials."""
+    ring = common_ring([p, *basis])
     if p.is_zero() or not basis:
         return p
-    reducer = module_reducer([b.packed for b in basis if not b.is_zero()], p.ring, 1)
-    return Polynomial(p.ring, reducer.normal_form(p.packed))
+    reducer = module_reducer([b.packed for b in basis if not b.is_zero()], ring)
+    return Polynomial(ring, reducer.normal_form(p.packed))
 
 
 def ideal_member(p: Polynomial, gb: Sequence[Polynomial]) -> bool:
     """True iff top reduction by gb sends p to zero; this decides membership
     when gb is a Groebner basis."""
-    reducer = module_reducer([g.packed for g in gb if g.packed], p.ring, 1)
+    reducer = module_reducer([g.packed for g in gb if g.packed], common_ring([p, *gb]))
     return not reducer.top_reduce(p.packed)

@@ -57,6 +57,7 @@ from .groebner import (
     Limits,
     ResourceLimitExceeded,
     _Engine,
+    common_ring,
     groebner,  # unused here; the benchmark's tracer patches this name
     ideal_member,  # likewise
     interreduce,
@@ -109,13 +110,10 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
     (`module_groebner_basis`); otherwise it is completed in full.
     ValueError if the polynomials do not all share one ring.
     """
-    rings = [p.ring for p in (*gens, *polys)]
-    if any(r is not rings[0] and r != rings[0] for r in rings):
-        raise ValueError("polynomials from different rings")
+    ring = common_ring([*gens, *polys])
     if not polys:
         return True
-    ring = rings[0]
-    by_gens = module_reducer([g.packed for g in gens if g.packed], ring, 1)
+    by_gens = module_reducer([g.packed for g in gens if g.packed], ring)
     rest = [p for p in polys if by_gens.top_reduce(p.packed)]
     if not rest:
         return True
@@ -123,7 +121,7 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
     homogeneous = None not in degrees and all(g.is_homogeneous for g in gens)
     gb = module_groebner_basis([g.packed for g in gens], ring, 1, limits=limits,
                                degree=max(degrees) if homogeneous else None)
-    reducer = module_reducer(gb, ring, 1)
+    reducer = module_reducer(gb, ring)
     return not any(reducer.top_reduce(p.packed) for p in rest)
 
 
@@ -137,7 +135,7 @@ def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],
 def colon_ideal(gens: Sequence[Polynomial], f: Polynomial,
                 limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
     """Generators of (I : f), read off the syzygies of [f, g_1, ..., g_k]."""
-    ring = f.ring
+    ring = common_ring([f, *gens])
     vectors = [(f,)] + [(g,) for g in gens]
     syz = syzygy_generators(vectors, ring, limits=limits)
     out = [s[0] for s in syz if not s[0].is_zero()]
@@ -165,9 +163,10 @@ def minimal_generators(gens: Sequence[Polynomial],
     """Subset of a homogeneous generating set that generates minimally.
 
     Candidates are processed by increasing degree, keeping those not already
-    in the ideal of the kept ones (graded Nakayama).
+    in the ideal of the kept ones (graded Nakayama).  ValueError if the
+    generators do not all share one ring.
     """
-    ring = gens[0].ring
+    ring = common_ring(gens)
     kept = minimal_module_generators([(g,) for g in gens], ring, limits=limits)
     return [v[0] for v in kept]
 
@@ -196,10 +195,10 @@ def minimal_resolution(gens: Sequence[Polynomial],
     the previous step.  So every syzygy, and with it every kept column,
     already lies in m*F_s; `verify_complex` reports this as `minimal`.
     """
+    ring = common_ring(gens)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    ring = gens[0].ring
     for g in gens:
         if g.weighted_degree() is None:
             raise ValueError(f"generator {g} is not homogeneous")
@@ -292,7 +291,7 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
         next_syz, gb = (syzygies_and_basis(_flat_columns(C.differential(s + 1)),
                                            ring, rank, limits=limits)
                         if s < C.length else ([], []))
-        reducer = module_reducer(gb, ring, rank)
+        reducer = module_reducer(gb, ring)
         if any(reducer.top_reduce(v) for v in syz):
             return _exactness(f"exactness at step {s}" if s
                               else "image of the first differential")

@@ -30,7 +30,7 @@ Buchberger engine: it range-checks X^u against q's top degree
 (`PolyRing.top_degree`) and then hands the loop to the field's `add_into`,
 which adds q's terms one by one into acc, a map {packed monomial:
 coefficient}, deleting a coefficient that cancels.  The engine makes the
-same range check inline, in `_Engine._main_loop` and `_Engine._reduce`,
+same range check inline, in `_Engine._main_loop` and `_Reducer._reduce`,
 against the top degree it stores with each basis element, and then calls
 the field's `add_into` itself, which stays the one merge loop.  Each field inlines its own arithmetic there (`% p`, or the int fast
 path and `_integral` of QQ), the same operations `add` and `mul` perform.
@@ -507,7 +507,7 @@ def _add_into(acc: dict, q: tuple, top: int, u: int, k, ring: PolyRing):
     MonomialOutOfRange if X^u times q's highest-degree term would not fit,
     checked before anything is added.  The field's `add_into` then runs the
     loop; a coefficient that cancels is deleted, so acc stays free of
-    zeros.  The engine's `_main_loop` and `_reduce` make this range check
+    zeros.  `_Engine._main_loop` and `_Reducer._reduce` make this range check
     inline, with the same message, and call the field's `add_into` directly.
     """
     ring.check_degree(top + ring.packed_degree(u))

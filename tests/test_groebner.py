@@ -11,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from arithcurve import (
     Limits,
     ResourceLimitExceeded,
+    colon_ideal,
     groebner,
     ideal_member,
+    minimal_generators,
     minimal_resolution,
     module_groebner_basis,
     reduce_poly,
@@ -81,6 +83,26 @@ class TestGroebner:
     def test_empty_and_zero_inputs(self, R):
         assert groebner([]) == []
         assert groebner([R.zero]) == []
+        assert minimal_generators([]) == []
+
+    @pytest.mark.parametrize("call", [
+        lambda A, B: groebner([A.var(0), B.var(1)]),
+        lambda A, B: ideal_member(A.var(0), [B.var(0)]),
+        lambda A, B: reduce_poly(A.var(1), [B.var(1)]),
+        lambda A, B: minimal_generators([A.var(0), B.var(1)]),
+        lambda A, B: minimal_resolution(
+            [A.var(0), curve_ring(A.weights, PrimeField(7)).var(1)]),
+        lambda A, B: colon_ideal(
+            [A.var(1)], curve_ring(A.weights, PrimeField(7)).var(0)),
+    ], ids=["groebner", "ideal_member", "reduce_poly", "minimal_generators",
+            "minimal_resolution", "colon_ideal"])
+    def test_polynomials_from_different_rings_raise(self, call):
+        """Packed terms read in another ring's layout are other monomials:
+        X0 of the ring of (6 7 8 9 10) is not the X0 of (5 6 7 8 9), nor is
+        X1 over GF(7) the X1 over QQ."""
+        A, B = curve_ring((5, 6, 7, 8, 9)), curve_ring((6, 7, 8, 9, 10))
+        with pytest.raises(ValueError, match="polynomials from different rings"):
+            call(A, B)
 
     def test_membership(self, R):
         seq = validate_sequence(5, 1, 4)
@@ -214,7 +236,7 @@ class TestModules:
         x0, x1, x2 = R.var(0), R.var(1), R.var(2)
         unit = R.position_unit
         vecs = [to_flat(v, unit) for v in [(x0, x1), (x1, x2)]]
-        reducer = module_reducer(module_groebner_basis(vecs, R, 2), R, 2)
+        reducer = module_reducer(module_groebner_basis(vecs, R, 2), R)
         assert not reducer.top_reduce(to_flat((x0 * x1, x1 * x1), unit))
         assert reducer.top_reduce(to_flat((R.one, R.zero), unit))
 
@@ -475,7 +497,7 @@ def test_criteria_pruned_run_generates_same_modules(build):
 
     def inside(vectors, generators, rank):
         gb = module_groebner_basis(generators, ring, rank)
-        return not any(module_reducer(gb, ring, rank).top_reduce(v) for v in vectors)
+        return not any(module_reducer(gb, ring).top_reduce(v) for v in vectors)
 
     for s in range(1, C.length + 1):
         mat = C.differential(s)
@@ -486,7 +508,7 @@ def test_criteria_pruned_run_generates_same_modules(build):
             syzygy_generators(cols, ring), s
         assert inside(basis, flat_cols, mat.rows), s
         assert inside(flat_cols, basis, mat.rows), s
-        reducer = module_reducer(basis, ring, mat.rows)
+        reducer = module_reducer(basis, ring)
         assert not any(reducer.top_reduce(c) for c in flat_cols), s
 
 
@@ -747,7 +769,7 @@ def member_prune(vectors, ring, shifts=None):
 
     kept, gb, unit = [], [], ring.position_unit
     for v in sorted((v for v in vectors if not v_is_zero(v)), key=key):
-        if module_reducer(gb, ring, len(v)).top_reduce(to_flat(v, unit)):
+        if module_reducer(gb, ring).top_reduce(to_flat(v, unit)):
             kept.append(v)
             gb = module_groebner_basis([to_flat(k, unit) for k in kept], ring, len(v))
     return kept

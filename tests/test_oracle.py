@@ -310,7 +310,7 @@ class TestIdealContains:
         over the disguised (x - 1, y - 1) leaves x - y outside."""
         gens, (p,), _ = INHOMOGENEOUS["inhomogeneous gens, member"]
         gb = module_groebner_basis([g.packed for g in gens], p.ring, 1, degree=1)
-        assert module_reducer(gb, p.ring, 1).top_reduce(p.packed)
+        assert module_reducer(gb, p.ring).top_reduce(p.packed)
 
     def test_zero_polys_are_skipped(self):
         """The zero polynomial has no degree; it lies in every ideal, so a
@@ -782,3 +782,60 @@ class TestVerifyExactness:
         C = resolution_b1(seq)
         wrong = [seq.ring().var(0)]
         assert verify_exactness(C, wrong) == failed("image of the first differential")
+
+
+def meters_started(monkeypatch, run):
+    """(run(), the number of meters `Limits.start` handed out meanwhile),
+    counted on the class, so that a meter of the default limits counts."""
+    started = []
+    start = Limits.start
+
+    def counted(limits):
+        started.append(start(limits))
+        return started[-1]
+
+    monkeypatch.setattr(Limits, "start", counted)
+    try:
+        return run(), len(started)
+    finally:
+        monkeypatch.undo()
+
+
+class TestOneMeterPerRun:
+    """A reduction against a finished basis grows no basis and reduces no
+    S-pair, so it is no engine run and starts no meter: membership tests,
+    normal forms and interreduction take none."""
+
+    @pytest.mark.parametrize("m0,d,n", [
+        (5, 1, 4), (7, 1, 4), (9, 2, 4), (13, 2, 4), (16, 3, 4),
+    ])
+    def test_toric_identity_is_one_run(self, monkeypatch, m0, d, n):
+        """The elimination run of `toric_ideal`; its interreduction and both
+        `ideal_contains` directions, which the generators decide, start
+        none."""
+        seq = validate_sequence(m0, d, n)
+        gens = list(seq.generators().all)
+        equal, starts = meters_started(
+            monkeypatch, lambda: ideal_equal(toric_ideal(seq), gens))
+        assert equal
+        assert starts == 1
+
+    @pytest.mark.parametrize("m0,d,n", [(5, 1, 4), (9, 2, 4)])
+    def test_exactness_is_one_run_per_differential(self, monkeypatch, m0, d, n):
+        """One syzygy run per differential; the first inclusion and the
+        reducer of each step's image basis start none."""
+        seq = validate_sequence(m0, d, n)
+        C, gens = resolution_b1(seq), list(seq.generators().all)
+        rep, starts = meters_started(monkeypatch, lambda: verify_exactness(C, gens))
+        assert rep == EXACT
+        assert starts == C.length
+
+    def test_a_reducer_holds_no_run_state(self, monkeypatch):
+        ring = curve_ring((1, 1))
+        basis = [ring.var(0).packed, (ring.var(1) ** 2).packed]
+        reducer, starts = meters_started(monkeypatch,
+                                         lambda: module_reducer(basis, ring))
+        assert starts == 0
+        assert not reducer.top_reduce((ring.var(0) * ring.var(1)).packed)
+        for attr in ("meter", "pairs", "rank", "syzygies"):
+            assert not hasattr(reducer, attr), attr
