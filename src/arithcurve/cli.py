@@ -18,12 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from collections import Counter
 from dataclasses import asdict, fields
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from typing import Optional
 
 from .closedform import (
@@ -55,21 +57,32 @@ SCAN_DEFAULT_PRIME = 32003
 SCAN_MAX_CELLS = 1_000_000
 
 
+def parse_int(text: str, invalid: Optional[str] = None) -> int:
+    """An argparse type: int(text).  A text that is no integer is the error
+    `invalid` (by default argparse's own for an int); an integer longer than
+    Python parses (`sys.get_int_max_str_digits()`) is too large, and the
+    error gives its length, not its digits."""
+    try:
+        return int(text)
+    except ValueError:  # int() would name the error "invalid literal"
+        # int()'s own syntax, digits grouped by single underscores: such a
+        # text fails only past Python's parsing limit
+        syntax = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", text)
+        if syntax:
+            digits = len(syntax[1].replace("_", ""))
+            raise argparse.ArgumentTypeError(
+                f"too large ({digits} digits; Python parses at most "
+                f"{sys.get_int_max_str_digits()})") from None
+        raise argparse.ArgumentTypeError(
+            invalid or f"invalid int value: {text!r}") from None
+
+
 def parse_field(text: str):
     if text == "q":
         return QQ
     if text.startswith("fp:"):
-        digits = text[3:].strip()
-        try:
-            modulus = int(digits)
-        except ValueError:  # int() would name the error "invalid literal"
-            if digits.isdecimal():  # an integer past Python's parsing limit
-                raise argparse.ArgumentTypeError(
-                    f"invalid field: the modulus is too large ({len(digits)} "
-                    f"digits; Python parses at most "
-                    f"{sys.get_int_max_str_digits()})") from None
-            raise argparse.ArgumentTypeError(
-                f"invalid field {text!r}: the modulus is not an integer") from None
+        modulus = parse_int(text[3:], f"invalid field {text!r}: the modulus "
+                                      f"is not an integer")
         try:
             return PrimeField(modulus)
         except ValueError as exc:
@@ -80,11 +93,8 @@ def parse_field(text: str):
 def parse_range(text: str) -> tuple[int, int]:
     """An argparse type: LO..HI, or N for N..N, as the pair (LO, HI)."""
     bounds = text.split("..", 1) if ".." in text else (text, text)
-    try:
-        lo, hi = map(int, bounds)
-    except ValueError:  # argparse would call it an "invalid parse_range value"
-        raise argparse.ArgumentTypeError(
-            f"invalid range {text!r}: a bound is not an integer") from None
+    lo, hi = (parse_int(t, f"invalid range {text!r}: a bound is not an integer")
+              for t in bounds)
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}: LO exceeds HI")
     return lo, hi
@@ -93,10 +103,7 @@ def parse_range(text: str) -> tuple[int, int]:
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than `low`."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:  # argparse would call it an "invalid parse value"
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = parse_int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -384,9 +391,10 @@ def cmd_scan(args) -> int:
     # assembly is ordered by construction of `payloads`, not completion order
 
     summaries = []
-    for b in b_values:
-        ok = [c for c in cells if c["b"] == b and c["status"] == "ok"]
-        status = Counter(c["status"] for c in cells if c["b"] == b)
+    for b, group in groupby(cells, key=itemgetter("b")):  # cells are b-major
+        group = list(group)
+        ok = [c for c in group if c["status"] == "ok"]
+        status = Counter(c["status"] for c in group)
         summary = {"b": b, "cells_ok": len(ok), "cells_invalid": status["invalid"],
                    "cells_limited": status["resource-limit"]}
         if ok:
@@ -440,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seq_args(p):
-        p.add_argument("m0", type=int, help="first term")
-        p.add_argument("d", type=int, help="common difference")
-        p.add_argument("n", type=int, help="number of steps (n+1 terms)")
+        p.add_argument("m0", type=parse_int, help="first term")
+        p.add_argument("d", type=parse_int, help="common difference")
+        p.add_argument("n", type=parse_int, help="number of steps (n+1 terms)")
 
     def add_config_arg(p):
         p.add_argument("--config", dest="limits", type=load_limits,
@@ -470,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="Betti vectors over an (a, d) grid")
     p_scan.add_argument("--n", type=_int_at_least(2), required=True)
-    p_scan.add_argument("--b", type=int, default=None,
+    p_scan.add_argument("--b", type=parse_int, default=None,
                         help="restrict to one residue class (default: all)")
     p_scan.add_argument("--a", dest="a_range", type=parse_range, required=True,
                         metavar="LO..HI")

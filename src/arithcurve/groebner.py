@@ -193,8 +193,6 @@ def v_is_zero(v: Vector) -> bool:
 def v_degree(v: Vector, shifts: Optional[Sequence[int]] = None):
     """Weighted degree of a homogeneous vector (None if inhomogeneous/zero),
     read from every packed term in one pass."""
-    if not v:
-        return None
     ring = v[0].ring
     dshift, mask = ring._degree_shift, ring._mask
     degs = {(m >> dshift & mask) + shift
@@ -472,7 +470,6 @@ class _Engine(_Reducer):
 
 
 def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
-                              shifts: Optional[Sequence[int]] = None,
                               limits: Limits = DEFAULT_LIMITS,
                               engine: Optional[_Engine] = None) -> list[Vector]:
     """Minimal generating subset of a list of homogeneous vectors.
@@ -491,10 +488,11 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     & Stillman's degree-by-degree strategy).  The pair criteria keep this
     exact: the pairs that justify dropping a pair have lcms dividing its lcm.
 
-    Pruning is the head of a syzygy run of the vectors' rank and shifts:
-    `engine` when given (`shifts` and `limits` are then the engine's), else
-    a fresh one, and `syzygy_generators(kept, ring, engine=engine)` is the
-    tail that completes it.  Each candidate gets its transcript, 1 at
+    Pruning is the head of a syzygy run of the vectors' rank: `engine` when
+    given, which carries the shifts the degrees are read under (`limits` is
+    then the engine's), else a fresh unshifted one, and
+    `syzygy_generators(kept, ring, engine=engine)` is the tail that
+    completes it.  Each candidate gets its transcript, 1 at
     position rank + len(kept), before it is top-reduced.  Head arithmetic
     never reads transcripts, so a candidate is dropped exactly when its
     remainder has no head term, and that remainder is discarded (the next
@@ -513,7 +511,7 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     if not nonzero:
         return []
     eng = engine or _Engine(ring, len(nonzero[0]), want_syzygies=True,
-                            limits=limits, shifts=shifts)
+                            limits=limits)
     one = ring.one.packed[0][1]
 
     def candidate(v: Vector):
@@ -598,8 +596,6 @@ def syzygies_and_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
     len(columns))` reads one back; the basis is the stored vectors with
     their transcripts stripped.
     """
-    if not columns:
-        return [], []
     eng = _Engine(ring, rank, want_syzygies=True, limits=limits).add_inputs(columns)
     eng._main_loop()
     shift, floor = rank * eng.unit, eng.floor
@@ -658,8 +654,6 @@ def interreduce(basis: Sequence[tuple], ring: PolyRing) -> list[Polynomial]:
 def reduce_poly(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full normal form of p modulo a list of polynomials."""
     ring = common_ring([p, *basis])
-    if p.is_zero() or not basis:
-        return p
     reducer = module_reducer([b.packed for b in basis if not b.is_zero()], ring)
     return Polynomial(ring, reducer.normal_form(p.packed))
 

@@ -1,7 +1,9 @@
 """Sparse matrices of polynomials: products, 2x2 minors, block assembly.
 
 A matrix stores only its nonzero entries, keyed by (row, col) in row-major
-order; the constructor takes them so and `from_rows` takes dense rows.
+order.  The constructor takes a map of entries in any order and drops its
+zeros, so a caller may pass only the nonzero ones; `from_rows` takes dense
+rows.
 `dense_rows()` is the row reader for output: it yields each row, zeros
 included, from one pass over those keys, as entries or as their strings."""
 

@@ -138,8 +138,7 @@ def colon_ideal(gens: Sequence[Polynomial], f: Polynomial,
     ring = common_ring([f, *gens])
     vectors = [(f,)] + [(g,) for g in gens]
     syz = syzygy_generators(vectors, ring, limits=limits)
-    out = [s[0] for s in syz if not s[0].is_zero()]
-    return out
+    return [s[0] for s in syz if not s[0].is_zero()]
 
 
 def colon_check(gens: Sequence[Polynomial], f: Polynomial,
@@ -217,7 +216,7 @@ def minimal_resolution(gens: Sequence[Polynomial],
         cols = minimal_module_generators(cols, ring, engine=engine)
         mats.append(PolyMatrix(ring, len(steps[-1]), len(cols),
                                {(i, j): p for j, col in enumerate(cols)
-                                for i, p in enumerate(col)}))
+                                for i, p in enumerate(col) if p.packed}))
         steps.append(tuple(v_degree(col, steps[-1]) for col in cols))
         if len(mats) > max_steps:
             raise ResourceLimitExceeded(
@@ -244,7 +243,7 @@ def _flat_columns(mat: PolyMatrix) -> list[tuple]:
     cols: list[list] = [[] for _ in range(mat.cols)]
     for (i, j), e in mat.nonzero.items():
         at = i * unit
-        cols[j] += [(m - at, c) for m, c in e.packed] if i else e.packed
+        cols[j] += [(m - at, c) for m, c in e.packed]
     return [tuple(c) for c in cols]
 
 

@@ -637,10 +637,7 @@ class Polynomial:
         return result
 
     def monic(self) -> "Polynomial":
-        lc = self.leading_coeff()
-        if lc == 1:
-            return self
-        return self.scale(self.ring.field.inv(lc))
+        return self.scale(self.ring.field.inv(self.leading_coeff()))
 
     # -- conversions --------------------------------------------------------
 

@@ -319,6 +319,18 @@ class TestScan:
         assert (code, out) == (EXIT_INVALID, "")
         assert "--a" in err and err.count("\n") == 1
 
+    def test_many_classes_summarise_in_one_pass(self, capsys):
+        """20,000 classes b of one invalid cell each (m0 = b <= n): the
+        summaries take one pass over the cells, not one per class."""
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "scan", "--n", "20000", "--a", "0..0",
+                               "--d", "1..1", "--json")
+        assert time.monotonic() - start < 5
+        assert code == EXIT_OK
+        summary = json.loads(out)["summary"]
+        assert [s["b"] for s in summary] == list(range(1, 20001))
+        assert all(s["cells_invalid"] == 1 and s["cells_ok"] == 0 for s in summary)
+
     def test_single_value_ranges(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--n", "3", "--b", "3", "--a", "1..1", "--d", "1..1",
@@ -532,6 +544,51 @@ class TestConfig:
         assert exc.value.code == EXIT_INVALID
         assert "--field" in err and "too large (5000 digits" in err
         assert "not an integer" not in err
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("m0", ("gens", "{big}", "1", "4")),
+        ("d", ("resolve", "5", "{big}", "4")),
+        ("n", ("resolve", "5", "1", "-{big}")),
+        ("--n", ("scan", "--n", "{big}", "--a", "1..1", "--d", "1..1")),
+        ("--b", ("scan", "--n", "4", "--b", "{big}", "--a", "1..1", "--d", "1..1")),
+        ("--jobs", ("scan", "--n", "4", "--a", "1..1", "--d", "1..1", "--jobs",
+                    "{big}")),
+        ("--a", ("scan", "--n", "4", "--a", "1..{big}", "--d", "1..1")),
+        ("--a", ("scan", "--n", "4", "--a=-{big}..1", "--d", "1..1")),
+        ("--d", ("scan", "--n", "4", "--a", "1..1", "--d", "{big}")),
+        ("--d", ("scan", "--n", "4", "--a", "1..1", "--d", "1..{grouped}")),
+    ])
+    def test_integers_past_the_parsing_limit_rejected(self, capsys, int_text_limit,
+                                                      flag, argv):
+        """Every integer argument reports one that int() refuses for its
+        length (4,400 digits, also grouped by underscores) as too large, by
+        its length and without echoing its digits."""
+        big, grouped = "1" * 4400, "_".join(["1" * 11] * 400)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(big=big, grouped=grouped) for a in argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_INVALID
+        assert f"argument {flag}: too large (4400 digits" in err
+        assert "1" * 100 not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("gens", "x", "1", "4"), "argument m0: invalid int value: 'x'"),
+        (("scan", "--n", "4", "--b", "2.5", "--a", "1..1", "--d", "1..1"),
+         "argument --b: invalid int value: '2.5'"),
+        (("scan", "--n", "four", "--a", "1..1", "--d", "1..1"),
+         "argument --n: invalid int value: 'four'"),
+        (("scan", "--n", "4", "--a", "1..x", "--d", "1..1"),
+         "argument --a: invalid range '1..x': a bound is not an integer"),
+        (("resolve", "5", "1", "4", "--field", "fp:+-7"),
+         "argument --field: invalid field 'fp:+-7': the modulus is not an integer"),
+        (("scan", "--n", "4", "--a", "1..1", "--d", "1__2"),
+         "argument --d: invalid range '1__2': a bound is not an integer"),
+    ])
+    def test_non_integers_keep_their_messages(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_INVALID
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     def test_oversized_prime_field_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -24,7 +24,9 @@ from arithcurve import (
     validate_sequence,
 )
 from arithcurve.groebner import (
+    DEFAULT_LIMITS,
     Vector,
+    _Engine,
     from_flat,
     minimal_module_generators,
     module_reducer,
@@ -84,6 +86,13 @@ class TestGroebner:
         assert groebner([]) == []
         assert groebner([R.zero]) == []
         assert minimal_generators([]) == []
+        p = R.var(0) * R.var(2) - 3 * R.var(1) ** 2
+        gb = groebner([p])
+        assert reduce_poly(R.zero, gb) == R.zero
+        assert reduce_poly(p, []) == p
+        assert syzygies_and_basis([], R, 1) == ([], [])
+        q = p.monic()
+        assert q.monic() == q
 
     @pytest.mark.parametrize("call", [
         lambda A, B: groebner([A.var(0), B.var(1)]),
@@ -666,6 +675,13 @@ def _all_inside(vectors, generators, ring):
 # -- degree-truncated pruning against full completion ---------------------------
 
 
+def shifted_engine(ring, shifts):
+    """The syzygy run a step of `minimal_resolution` prunes in: one
+    position per shift, the degrees read under those shifts."""
+    return _Engine(ring, len(shifts), want_syzygies=True, limits=DEFAULT_LIMITS,
+                   shifts=shifts)
+
+
 def reference_prune(vectors, ring, shifts=None):
     """Greedy pruning that decides each candidate against a Groebner basis of
     the kept vectors, completed by `PlainBuchberger` with no pair criteria and
@@ -700,9 +716,9 @@ def test_truncated_pruning_matches_full_completion(m0, d, n):
         mat = C.differential(s)
         raw = syzygy_generators([mat.column(j) for j in range(mat.cols)], ring)
         shifts = C.steps[s]
-        assert minimal_module_generators(raw, ring, shifts=shifts) == reference_prune(
-            raw, ring, shifts
-        ), (s, len(raw))
+        assert minimal_module_generators(
+            raw, ring, engine=shifted_engine(ring, shifts)
+        ) == reference_prune(raw, ring, shifts), (s, len(raw))
 
 
 def monomials_of_degree(ring, k):
@@ -751,9 +767,9 @@ def homogeneous_candidates(draw, max_base=3):
 @given(homogeneous_candidates(max_base=2))
 def test_truncated_pruning_on_mixed_shifts(data):
     vectors, shifts = data
-    assert minimal_module_generators(vectors, R3, shifts=shifts) == reference_prune(
-        vectors, R3, shifts
-    )
+    assert minimal_module_generators(
+        vectors, R3, engine=shifted_engine(R3, shifts)
+    ) == reference_prune(vectors, R3, shifts)
 
 
 # -- pruning of multiples of earlier candidates ----------------------------------
@@ -813,8 +829,9 @@ def test_pruning_matches_member_reference_on_raw_syzygies():
         mat = C.differential(s)
         raw = syzygy_generators([mat.column(j) for j in range(mat.cols)], ring)
         shifts = C.steps[s]
-        assert minimal_module_generators(raw, ring, shifts=shifts) == member_prune(
-            raw, ring, shifts), (s, len(raw))
+        assert minimal_module_generators(
+            raw, ring, engine=shifted_engine(ring, shifts)
+        ) == member_prune(raw, ring, shifts), (s, len(raw))
 
 
 # -- the pair criteria of basis runs ---------------------------------------------

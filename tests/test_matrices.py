@@ -70,6 +70,15 @@ def test_product_shape_mismatch():
         m.mul(bad)
 
 
+def test_product_over_different_rings_rejected():
+    """Packed terms read in another ring's layout are other monomials."""
+    m = identity(curve_ring((1, 1)), 2)
+    with pytest.raises(ValueError, match="different rings"):
+        m.mul(identity(curve_ring((1, 2)), 2))
+    with pytest.raises(ValueError, match="different rings"):
+        m.mul(identity(curve_ring((1, 1), PrimeField(7)), 2))
+
+
 def test_all_minors_count(seq514):
     B = seq514.matrix_b()
     assert len(B.all_minors2()) == 10
