@@ -58,7 +58,6 @@ from .groebner import (
     ideal_member,
     module_groebner_basis,
     reduce_poly,
-    syzygy_generators,
 )
 from .oracle import (
     colon_check,

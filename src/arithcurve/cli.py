@@ -383,9 +383,14 @@ def cmd_scan(args) -> int:
         # imported here: the pool pulls in multiprocessing, which no other
         # command or serial scan needs
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_scan_cell, payloads))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                cells = list(pool.map(_scan_cell, payloads))
+        except BrokenProcessPool:  # a worker exited abruptly, say by SIGKILL
+            raise ResourceLimitExceeded(
+                "a scan worker process died (killed, or out of memory)") from None
     else:
         cells = [_scan_cell(p) for p in payloads]
     # assembly is ordered by construction of `payloads`, not completion order

@@ -42,10 +42,10 @@ syzygy module.
 Pair criteria (Gebauer & Moeller, "On an installation of Buchberger's
 algorithm", JSC 1988) depend on the run:
 
-  - A syzygy run (`minimal_module_generators`, whose pruning is always
-    the head of one, and `syzygy_generators`, which completes it or runs
-    alone, so the colon ideal and each step of the oracle resolution;
-    `syzygies_and_basis`, so the exactness check) applies the B, M and F
+  - A syzygy run (each step of the oracle resolution, whose
+    `minimal_module_generators` prunes as the head of the step's run and
+    `syzygy_generators` completes it; `syzygies_and_basis`, so the
+    exactness check and the colon ideal) applies the B, M and F
     criteria but never the product criterion, not even at rank 1, where
     `minimal_generators` and the resolution's step 0 prune generators.
     These drop only pairs whose syzygy of leading terms the kept pairs
@@ -469,10 +469,11 @@ class _Engine(_Reducer):
                 self.add_element(s, (pos, sugar))
 
 
-def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
-                              limits: Limits = DEFAULT_LIMITS,
-                              engine: Optional[_Engine] = None) -> list[Vector]:
-    """Minimal generating subset of a list of homogeneous vectors.
+def minimal_module_generators(vectors: Sequence[Vector],
+                              engine: _Engine) -> list[tuple[int, Vector]]:
+    """Minimal generating subset of a list of homogeneous vectors, as one
+    (degree, vector) pair per kept vector, its degree read under the
+    engine's shifts.
 
     Candidates are taken in increasing degree (graded Nakayama); a candidate
     already inside the module of the kept ones is dropped.  Ties and the kept
@@ -488,11 +489,10 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     & Stillman's degree-by-degree strategy).  The pair criteria keep this
     exact: the pairs that justify dropping a pair have lcms dividing its lcm.
 
-    Pruning is the head of a syzygy run of the vectors' rank: `engine` when
-    given, which carries the shifts the degrees are read under (`limits` is
-    then the engine's), else a fresh unshifted one, and
-    `syzygy_generators(kept, ring, engine=engine)` is the tail that
-    completes it.  Each candidate gets its transcript, 1 at
+    Pruning is the head of `engine`, a syzygy run of the vectors' rank that
+    has stored nothing yet and carries the shifts the degrees are read
+    under, its ring and its limits, and `syzygy_generators(kept, engine)`
+    is the tail that completes it.  Each candidate gets its transcript, 1 at
     position rank + len(kept), before it is top-reduced.  Head arithmetic
     never reads transcripts, so a candidate is dropped exactly when its
     remainder has no head term, and that remainder is discarded (the next
@@ -508,30 +508,26 @@ def minimal_module_generators(vectors: Sequence[Vector], ring: PolyRing,
     pruning are among them.
     """
     nonzero = [v for v in vectors if not v_is_zero(v)]
-    if not nonzero:
-        return []
-    eng = engine or _Engine(ring, len(nonzero[0]), want_syzygies=True,
-                            limits=limits)
-    one = ring.one.packed[0][1]
+    unit, one = engine.unit, engine.ring.one.packed[0][1]
 
     def candidate(v: Vector):
         """((degree, position, packed lead), flat v, v)"""
-        deg = v_degree(v, eng.shifts)
+        deg = v_degree(v, engine.shifts)
         if deg is None:
             raise ValueError("minimal generators need homogeneous vectors")
-        flat = to_flat(v, eng.unit)
+        flat = to_flat(v, unit)
         lead = flat[0][0]
-        return (deg, -(lead // eng.unit), lead % eng.unit), flat, v
+        return (deg, -(lead // unit), lead % unit), flat, v
 
-    kept: list[Vector] = []
+    kept: list[tuple[int, Vector]] = []
     for (deg, _, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
-        eng._main_loop(stop=deg)
+        engine._main_loop(stop=deg)
         # its transcript leads no basis element, so the remainder keeps it
-        reduced = eng.top_reduce(flat + ((-(eng.rank + len(kept)) * eng.unit, one),))
-        if reduced[0][0] < eng.floor:  # no head: a member
+        reduced = engine.top_reduce(flat + ((-(engine.rank + len(kept)) * unit, one),))
+        if reduced[0][0] < engine.floor:  # no head: a member
             continue
-        kept.append(v)
-        eng.add_element(reduced)
+        kept.append((deg, v))
+        engine.add_element(reduced)
     return kept
 
 
@@ -560,28 +556,18 @@ def module_reducer(basis: Sequence[tuple], ring: PolyRing) -> _Reducer:
     return _Reducer(ring, basis)
 
 
-def syzygy_generators(vectors: Sequence[Vector], ring: PolyRing,
-                      limits: Limits = DEFAULT_LIMITS,
-                      engine: Optional[_Engine] = None) -> list[Vector]:
-    """Generators of the syzygy module of the given vectors (in R^len(vectors)),
-    one per criteria-kept pair that reduces to zero (and per zero input).
-    Which generators, and how many, depends on the pair criteria; the
-    module they generate does not.
-
-    With `engine`, the run in which `minimal_module_generators` kept the
-    vectors, in order, that run is completed, and every syzygy it
-    collected is returned, those of the pairs reduced while pruning
-    included.  They generate the syzygy module by the argument given
-    there.  `limits` is then the engine's.  Without one, a fresh unshifted
-    run stores the vectors with their transcripts and is completed."""
-    if not vectors:
-        return []
-    rank = len(vectors[0])
-    if engine is None:
-        engine = _Engine(ring, rank, want_syzygies=True, limits=limits).add_inputs(
-            [to_flat(v, ring.position_unit) for v in vectors])
+def syzygy_generators(kept: Sequence, engine: _Engine) -> list[Vector]:
+    """Generators of the syzygy module of the columns that
+    `minimal_module_generators` kept in `engine`'s run, one per kept entry
+    in order, as vectors in R^len(kept): the run is completed, and every
+    syzygy it collected is returned, those of the pairs reduced while
+    pruning included.  They generate the syzygy module by the argument
+    given there.  Which generators, and how many, depends on the pair
+    criteria; the module they generate does not.  Syzygies of vectors
+    that were not pruned come from `syzygies_and_basis`."""
     engine._main_loop()
-    return [from_flat(s, ring, rank + len(vectors), rank) for s in engine.syzygies]
+    rank = engine.rank
+    return [from_flat(s, engine.ring, rank + len(kept), rank) for s in engine.syzygies]
 
 
 def syzygies_and_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
@@ -591,10 +577,11 @@ def syzygies_and_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
     the module the columns generate) from one syzygy run, all flat.
 
     `columns` are flat vectors of rank `rank` (see `to_flat`).  The syzygies
-    are those of `syzygy_generators`, in its order, with their transcript
-    positions rank.. rebased to 0.., so that `from_flat(s, ring,
-    len(columns))` reads one back; the basis is the stored vectors with
-    their transcripts stripped.
+    are one per criteria-kept pair that reduces to zero (and per empty
+    column), with their transcript positions rank.. rebased to 0.., so
+    that `from_flat(s, ring, len(columns))` reads one back and the terms
+    keyed >= 0 are the coefficient of column 0; the basis is the stored
+    vectors with their transcripts stripped.
     """
     eng = _Engine(ring, rank, want_syzygies=True, limits=limits).add_inputs(columns)
     eng._main_loop()

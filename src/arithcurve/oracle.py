@@ -66,7 +66,6 @@ from .groebner import (
     module_reducer,
     syzygies_and_basis,
     syzygy_generators,
-    v_degree,
 )
 
 
@@ -134,11 +133,14 @@ def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],
 
 def colon_ideal(gens: Sequence[Polynomial], f: Polynomial,
                 limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
-    """Generators of (I : f), read off the syzygies of [f, g_1, ..., g_k]."""
+    """Generators of (I : f), read off the syzygies of [f, g_1, ..., g_k]:
+    the coefficient of f in each is its flat terms at position 0, those
+    keyed >= 0."""
     ring = common_ring([f, *gens])
-    vectors = [(f,)] + [(g,) for g in gens]
-    syz = syzygy_generators(vectors, ring, limits=limits)
-    return [s[0] for s in syz if not s[0].is_zero()]
+    syz, _ = syzygies_and_basis([f.packed, *(g.packed for g in gens)], ring, 1,
+                                limits=limits)
+    coefficients = (tuple([t for t in s if t[0] >= 0]) for s in syz)
+    return [Polynomial(ring, c) for c in coefficients if c]
 
 
 def colon_check(gens: Sequence[Polynomial], f: Polynomial,
@@ -162,12 +164,15 @@ def minimal_generators(gens: Sequence[Polynomial],
     """Subset of a homogeneous generating set that generates minimally.
 
     Candidates are processed by increasing degree, keeping those not already
-    in the ideal of the kept ones (graded Nakayama).  ValueError if the
-    generators do not all share one ring.
+    in the ideal of the kept ones (graded Nakayama), in one unshifted
+    rank-1 syzygy run.  ValueError if the generators do not all share one
+    ring.
     """
     ring = common_ring(gens)
-    kept = minimal_module_generators([(g,) for g in gens], ring, limits=limits)
-    return [v[0] for v in kept]
+    if ring is None:
+        return []
+    engine = _Engine(ring, 1, want_syzygies=True, limits=limits)
+    return [v[0] for _, v in minimal_module_generators([(g,) for g in gens], engine)]
 
 
 # -- minimal free resolution ---------------------------------------------------
@@ -183,9 +188,10 @@ def minimal_resolution(gens: Sequence[Polynomial],
     candidates.  Step 0 starts from the generators as 1-vectors over R(0),
     so each differential is minimal and the ranks are the Betti numbers.
     Both halves of a step are one syzygy run, shifted by the step's
-    degrees: pruning inserts each kept candidate with its transcript, and
-    `syzygy_generators` completes the run's pairs (the argument is in
-    `minimal_module_generators`).
+    degrees: pruning inserts each kept candidate with its transcript and
+    returns the degree it sorted it by, which is its shift at the next
+    step, and `syzygy_generators` completes the run's pairs (the argument
+    is in `minimal_module_generators`).
 
     No entry of a differential is a nonzero constant.  Suppose a syzygy of
     the columns of d_s had a nonzero constant in position i.  The relation
@@ -204,8 +210,8 @@ def minimal_resolution(gens: Sequence[Polynomial],
         if g.is_constant():
             raise ValueError("a constant generator gives the unit ideal")
 
-    # the candidates for the next differential's columns, pruned in place so
-    # that no step's raw syzygies outlive its pruning
+    # the candidates for the next differential's columns, dropped once
+    # pruned so that no step's raw syzygies outlive its pruning
     cols = [(g,) for g in gens]
     steps: list[tuple[int, ...]] = [(0,)]
     mats: list[PolyMatrix] = []
@@ -213,16 +219,17 @@ def minimal_resolution(gens: Sequence[Polynomial],
     while cols:
         engine = _Engine(ring, len(steps[-1]), want_syzygies=True,
                          limits=limits, shifts=steps[-1])
-        cols = minimal_module_generators(cols, ring, engine=engine)
-        mats.append(PolyMatrix(ring, len(steps[-1]), len(cols),
-                               {(i, j): p for j, col in enumerate(cols)
+        kept = minimal_module_generators(cols, engine)
+        del cols
+        mats.append(PolyMatrix(ring, len(steps[-1]), len(kept),
+                               {(i, j): p for j, (_, col) in enumerate(kept)
                                 for i, p in enumerate(col) if p.packed}))
-        steps.append(tuple(v_degree(col, steps[-1]) for col in cols))
+        steps.append(tuple(deg for deg, _ in kept))
         if len(mats) > max_steps:
             raise ResourceLimitExceeded(
                 f"resolution did not terminate within {max_steps} steps"
             )
-        cols = syzygy_generators(cols, ring, engine=engine)
+        cols = syzygy_generators(kept, engine)
     return GradedComplex(steps, mats)
 
 

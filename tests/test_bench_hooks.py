@@ -83,8 +83,11 @@ def test_verify_exactness_reduces_through_module_reducer(monkeypatch):
 
 def test_traced_resolve_counts_engine_work(capsys):
     """`bench/run.py --trace 1` reads its counters from the arguments and
-    results of the calls it wraps; an engine refactor that changes their
-    types would leave them at zero."""
+    results of the calls it wraps: candidates from pruning's vectors, kept
+    columns as the length of its result (one entry per kept column, the
+    ranks 10 + 20 + 15 + 4 of the oracle's differentials), and syzygy
+    inputs as the length of the kept list passed on.  An engine refactor
+    that changes their types or shapes moves these counts."""
     from arithcurve import cli
 
     spans = load_spans()
@@ -93,9 +96,10 @@ def test_traced_resolve_counts_engine_work(capsys):
         assert cli.main(["resolve", "5", "1", "4", "--verify", "--json"]) == 0
     capsys.readouterr()
     _, counts = tracer.metrics()
-    for counter in ("groebner.prune.candidates", "groebner.syzygy.raw",
-                    "groebner.spairs"):
-        assert counts[counter] > 0, counter
+    expected = {"groebner.prune.candidates": 56, "groebner.prune.kept": 49,
+                "groebner.syzygy.inputs": 49, "groebner.syzygy.raw": 46,
+                "groebner.spairs": 154, "groebner.syzygy.calls": 4}
+    assert {counter: counts[counter] for counter in expected} == expected
 
 
 def test_traced_toric_identity_times_the_basis_runs():

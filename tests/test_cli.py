@@ -28,6 +28,19 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
+# the pid of the process that runs the tests, not of a scan worker
+TEST_PID = os.getpid()
+REAL_SCAN_CELL = cli._scan_cell
+
+
+def _scan_cell_dies_at_a2(payload):
+    """`cli._scan_cell`, except that a worker process exits abruptly with
+    137, as one the OOM killer ends, at a = 2; never in this process."""
+    if payload[2] == 2 and os.getpid() != TEST_PID:
+        os._exit(137)
+    return REAL_SCAN_CELL(payload)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -489,6 +502,19 @@ class TestScan:
             sizes.clear()
             code, out, _ = run_cli(capsys, *args, "--jobs", jobs)
             assert (code, out, sizes) == (EXIT_OK, serial, expected)
+
+    def test_dead_worker_is_a_resource_limit(self, capsys, monkeypatch):
+        """A scan worker that dies mid-scan breaks the pool; the scan exits
+        4 with one stderr line and prints no cell, not a traceback with
+        exit 1, which means stdout closed early.  Two cores are faked so
+        that the pool runs on one core too."""
+        monkeypatch.setattr(cli, "_scan_cell", _scan_cell_dies_at_a2)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--b", "1",
+                                 "--a", "1..2", "--d", "1..1", "--jobs", "2")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == ("resource limit: a scan worker process died "
+                       "(killed, or out of memory)\n")
 
 
 # (config, text the error message must contain)

@@ -20,7 +20,6 @@ from arithcurve import (
     reduce_poly,
     resolution_b1,
     resolution_bn,
-    syzygy_generators,
     validate_sequence,
 )
 from arithcurve.groebner import (
@@ -48,6 +47,24 @@ from arithcurve.ring import (
 @pytest.fixture
 def R():
     return curve_ring((5, 6, 7, 8, 9))
+
+
+def syzygies_of(vectors, ring, limits=DEFAULT_LIMITS):
+    """The syzygies of polynomial vectors, as vectors in R^len(vectors),
+    from one `syzygies_and_basis` run on their flat forms."""
+    if not vectors:
+        return []
+    unit = ring.position_unit
+    syz, _ = syzygies_and_basis([to_flat(v, unit) for v in vectors], ring,
+                                len(vectors[0]), limits=limits)
+    return [from_flat(s, ring, len(vectors)) for s in syz]
+
+
+def prune(vectors, ring, shifts=None):
+    """The vectors `minimal_module_generators` keeps in a syzygy run of
+    their rank, unshifted unless `shifts` are given."""
+    engine = shifted_engine(ring, shifts or (0,) * len(vectors[0]))
+    return [v for _, v in minimal_module_generators(vectors, engine)]
 
 
 class TestGroebner:
@@ -143,9 +160,9 @@ class TestGroebner:
         with pytest.raises(MonomialOutOfRange):
             groebner([t + x4k, t * x0])
         with pytest.raises(MonomialOutOfRange):
-            syzygy_generators([(t + x4k,), (t * x0,)], ring)
+            syzygies_of([(t + x4k,), (t * x0,)], ring)
         with pytest.raises(MonomialOutOfRange):
-            syzygy_generators([(t, x4k), (t * x0, z)], ring)
+            syzygies_of([(t, x4k), (t * x0, z)], ring)
 
     def test_range_check_covers_a_reduction_step(self):
         """t leads t + X4^k, so a reduction step on t*X0 multiplies X4^k by
@@ -184,9 +201,9 @@ class TestGroebner:
         their transcripts up to 4, so a cap of 3 must stop it."""
         x0, x1, x2 = R3.var(0), R3.var(1), R3.var(2)
         vectors = [(x0 ** 2 + x1,), (x0 * x1 + x2,), (x1 ** 2 + x0 * x2,)]
-        assert syzygy_generators(vectors, R3, limits=Limits(max_support=4))
+        assert syzygies_of(vectors, R3, limits=Limits(max_support=4))
         with pytest.raises(ResourceLimitExceeded):
-            syzygy_generators(vectors, R3, limits=Limits(max_support=3))
+            syzygies_of(vectors, R3, limits=Limits(max_support=3))
 
     def test_basis_size_cap_stops_a_growing_run(self):
         """Three inputs whose S-pairs add three more elements: a cap of 6
@@ -252,7 +269,7 @@ class TestModules:
     def test_syzygies_annihilate_columns(self, R):
         seq = validate_sequence(5, 1, 4)
         gens = list(seq.generators().all)
-        syz = syzygy_generators([(g,) for g in gens], R)
+        syz = syzygies_of([(g,) for g in gens], R)
         assert syz
         for s in syz:
             total = R.zero
@@ -261,17 +278,17 @@ class TestModules:
             assert total.is_zero()
 
     def test_syzygy_of_single_independent_column_is_empty(self, R):
-        syz = syzygy_generators([(R.var(0),)], R)
+        syz = syzygies_of([(R.var(0),)], R)
         assert [s for s in syz if not v_is_zero(s)] == []
 
     def test_zero_input_vector_gives_unit_syzygy(self, R):
-        syz = syzygy_generators([(R.zero,), (R.var(0),)], R)
+        syz = syzygies_of([(R.zero,), (R.var(0),)], R)
         nonzero = [s for s in syz if not v_is_zero(s)]
         assert ((R.one, R.zero)) in nonzero
 
     def test_koszul_pair(self, R):
         x0, x1 = R.var(0), R.var(1)
-        syz = [s for s in syzygy_generators([(x0,), (x1,)], R) if not v_is_zero(s)]
+        syz = [s for s in syzygies_of([(x0,), (x1,)], R) if not v_is_zero(s)]
         assert len(syz) == 1
         s = syz[0]
         assert (s[0] * x0 + s[1] * x1).is_zero()
@@ -279,19 +296,19 @@ class TestModules:
     def test_minimal_module_generators_prunes(self, R):
         x0, x1, x3, z = R.var(0), R.var(1), R.var(3), R.zero
         vecs = [(x0, z), (x1, z), (x0 * x1, z)]
-        kept = minimal_module_generators(vecs, R)
+        kept = prune(vecs, R)
         assert len(kept) == 2
         # a zero vector and a multiple of a kept vector are dropped; a vector
         # outside the module of the kept ones is kept
         vecs = [(z, z), (x0 * x3, z), (x0, z), (x1, z)]
-        assert minimal_module_generators(vecs, R) == [(x0, z), (x1, z)]
-        assert minimal_module_generators([(z,)], R) == []
-        assert minimal_module_generators([(x0,)], R) == [(x0,)]
+        assert prune(vecs, R) == [(x0, z), (x1, z)]
+        assert prune([(z,)], R) == []
+        assert prune([(x0,)], R) == [(x0,)]
 
     def test_minimal_module_generators_need_homogeneous_input(self, R):
         x0, x1 = R.var(0), R.var(1)
         with pytest.raises(ValueError):
-            minimal_module_generators([(x0, R.zero), (x0 + x1 * x1, R.zero)], R)
+            prune([(x0, R.zero), (x0 + x1 * x1, R.zero)], R)
 
     def test_leading_term_position_priority(self, R):
         v = (R.zero, R.var(3), R.var(0))
@@ -445,7 +462,7 @@ def test_ideal_member_agrees_with_normal_form_on_any_list(basis, polys):
           R3.from_dict({(2, 3, 1): -2, (0, 1, 2): -2, (3, 0, 0): -1}),
           R3.from_dict({(3, 3, 2): -3, (3, 3, 1): -1, (2, 3, 0): -3})])
 def test_random_syzygies_annihilate(gens):
-    syz = syzygy_generators([(g,) for g in gens], R3)
+    syz = syzygies_of([(g,) for g in gens], R3)
     assert not any(v_is_zero(s) for s in syz)
     for s in syz:
         total = R3.zero
@@ -484,7 +501,7 @@ def test_raw_syzygies_pinned(inputs, count, digest):
     when syzygy runs took up the pair criteria; pruning downstream hides
     any change that does not alter what it keeps."""
     vectors, ring = inputs()
-    syz = [tuple(map(str, s)) for s in syzygy_generators(vectors, ring)]
+    syz = [tuple(map(str, s)) for s in syzygies_of(vectors, ring)]
     assert len(syz) == count
     assert hashlib.sha256(repr(syz).encode()).hexdigest() == digest
 
@@ -497,9 +514,9 @@ def test_raw_syzygies_pinned(inputs, count, digest):
 ], ids=["b1-5-1-4", "bn-8-1-4", "oracle-7-2-4-fp"])
 def test_criteria_pruned_run_generates_same_modules(build):
     """For each differential, the flat run of `syzygies_and_basis` gives
-    the syzygies of `syzygy_generators`, in its order, and a basis that
-    generates the module of the columns; verify_exactness decides
-    membership by top reduction against that basis."""
+    syzygies that `from_flat` reads back as relations of the columns, and
+    a basis that generates the module of the columns; verify_exactness
+    decides membership by top reduction against that basis."""
     C = build()
     ring = C.differential(1).ring
     unit = ring.position_unit
@@ -513,8 +530,10 @@ def test_criteria_pruned_run_generates_same_modules(build):
         cols = [mat.column(j) for j in range(mat.cols)]
         flat_cols = [to_flat(c, unit) for c in cols]
         syz, basis = syzygies_and_basis(flat_cols, ring, mat.rows)
-        assert [from_flat(v, ring, len(cols)) for v in syz] == \
-            syzygy_generators(cols, ring), s
+        for v in syz:
+            coeffs = from_flat(v, ring, len(cols))
+            assert all(sum((f * c[i] for f, c in zip(coeffs, cols)), ring.zero).is_zero()
+                       for i in range(mat.rows)), s
         assert inside(basis, flat_cols, mat.rows), s
         assert inside(flat_cols, basis, mat.rows), s
         reducer = module_reducer(basis, ring)
@@ -643,7 +662,7 @@ def test_syzygies_match_criteria_free_reference(m0, d, n):
     for s in range(1, C.length + 1):
         mat = C.differential(s)
         cols = [mat.column(j) for j in range(mat.cols)]
-        syz = syzygy_generators(cols, ring)
+        syz = syzygies_of(cols, ring)
         reference = plain_syzygies(cols, ring)
         assert _all_inside(syz, reference, ring), s
         assert _all_inside(reference, syz, ring), s
@@ -708,17 +727,15 @@ def test_truncated_pruning_matches_full_completion(m0, d, n):
     gens = list(seq.generators(PrimeField(32003)).all)
     ring = gens[0].ring
     candidates = [(g,) for g in gens]
-    assert minimal_module_generators(candidates, ring) == reference_prune(
-        candidates, ring
-    )
+    assert prune(candidates, ring) == reference_prune(candidates, ring)
     C = minimal_resolution(gens)
     for s in range(1, C.length + 1):
         mat = C.differential(s)
-        raw = syzygy_generators([mat.column(j) for j in range(mat.cols)], ring)
+        raw = syzygies_of([mat.column(j) for j in range(mat.cols)], ring)
         shifts = C.steps[s]
-        assert minimal_module_generators(
-            raw, ring, engine=shifted_engine(ring, shifts)
-        ) == reference_prune(raw, ring, shifts), (s, len(raw))
+        kept = minimal_module_generators(raw, shifted_engine(ring, shifts))
+        assert [v for _, v in kept] == reference_prune(raw, ring, shifts), (s, len(raw))
+        assert [deg for deg, _ in kept] == [v_degree(v, shifts) for _, v in kept], s
 
 
 def monomials_of_degree(ring, k):
@@ -767,9 +784,9 @@ def homogeneous_candidates(draw, max_base=3):
 @given(homogeneous_candidates(max_base=2))
 def test_truncated_pruning_on_mixed_shifts(data):
     vectors, shifts = data
-    assert minimal_module_generators(
-        vectors, R3, engine=shifted_engine(R3, shifts)
-    ) == reference_prune(vectors, R3, shifts)
+    kept = minimal_module_generators(vectors, shifted_engine(R3, shifts))
+    assert [v for _, v in kept] == reference_prune(vectors, R3, shifts)
+    assert [deg for deg, _ in kept] == [v_degree(v, shifts) for _, v in kept]
 
 
 # -- pruning of multiples of earlier candidates ----------------------------------
@@ -814,7 +831,7 @@ def _multiples_cases():
 def test_pruning_of_multiples_matches_member_reference(name):
     ring, cases = _multiples_cases()
     vectors = dict(cases)[name]
-    assert minimal_module_generators(vectors, ring) == member_prune(vectors, ring)
+    assert prune(vectors, ring) == member_prune(vectors, ring)
 
 
 def test_pruning_matches_member_reference_on_raw_syzygies():
@@ -823,15 +840,15 @@ def test_pruning_matches_member_reference_on_raw_syzygies():
     gens = list(validate_sequence(11, 1, 5).generators(PrimeField(32003)).all)
     ring = gens[0].ring
     candidates = [(g,) for g in gens]
-    assert minimal_module_generators(candidates, ring) == member_prune(candidates, ring)
+    assert prune(candidates, ring) == member_prune(candidates, ring)
     C = minimal_resolution(gens)
     for s in range(1, C.length + 1):
         mat = C.differential(s)
-        raw = syzygy_generators([mat.column(j) for j in range(mat.cols)], ring)
+        raw = syzygies_of([mat.column(j) for j in range(mat.cols)], ring)
         shifts = C.steps[s]
-        assert minimal_module_generators(
-            raw, ring, engine=shifted_engine(ring, shifts)
-        ) == member_prune(raw, ring, shifts), (s, len(raw))
+        kept = minimal_module_generators(raw, shifted_engine(ring, shifts))
+        assert [v for _, v in kept] == member_prune(raw, ring, shifts), (s, len(raw))
+        assert [deg for deg, _ in kept] == [v_degree(v, shifts) for _, v in kept], s
 
 
 # -- the pair criteria of basis runs ---------------------------------------------

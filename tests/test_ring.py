@@ -13,9 +13,9 @@ from arithcurve import (
     module_groebner_basis,
     resolution_b1,
     resolution_bn,
-    syzygy_generators,
     validate_sequence,
 )
+from arithcurve.groebner import from_flat, syzygies_and_basis
 from arithcurve.oracle import ideal_equal, minimal_resolution, toric_ideal
 from arithcurve.ring import (
     QQ,
@@ -233,7 +233,9 @@ def test_integral_coefficients_are_ints_from_construction_on(R):
                         (6, lambda seq: minimal_resolution(seq.generators(QQ).all))]:
         seq = validate_sequence(m0, 1, 4)
         gens = seq.generators(QQ).all
-        raw = syzygy_generators([(g,) for g in gens], gens[0].ring)
+        ring = gens[0].ring
+        syz, _ = syzygies_and_basis([g.packed for g in gens], ring, 1)
+        raw = [from_flat(s, ring, len(gens)) for s in syz]
         for polys in (gens, differential_entries(resolve(seq)), [p for v in raw for p in v]):
             assert integral_fractions(polys) == [], m0
     assert integral_fractions(toric_ideal(validate_sequence(9, 2, 4))) == []
