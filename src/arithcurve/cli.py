@@ -354,10 +354,10 @@ def cmd_scan(args) -> int:
     if args.b is not None and not 1 <= args.b <= n:
         print(f"--b must lie in 1..{n}, got {args.b}", file=sys.stderr)
         return EXIT_INVALID
-    b_values = [args.b] if args.b is not None else list(range(1, n + 1))
+    # the classes as bounds: --n alone may give more than fit in memory
+    b_lo, b_hi = (args.b, args.b) if args.b is not None else (1, n)
     try:
-        str(max(abs(a * n + b) for a in args.a_range
-                for b in (b_values[0], b_values[-1])))
+        str(max(abs(a * n + b) for a in args.a_range for b in (b_lo, b_hi)))
     except ValueError:  # past Python's int-to-text limit
         print(f"--a is too large: m0 = a*n + b would pass the "
               f"{sys.get_int_max_str_digits()} decimal digits Python converts "
@@ -366,13 +366,13 @@ def cmd_scan(args) -> int:
     a_lo, a_hi = args.a_range
     d_lo, d_hi = args.d_range
     # counted before any cell exists; the count itself may not print
-    if len(b_values) * (a_hi - a_lo + 1) * (d_hi - d_lo + 1) > SCAN_MAX_CELLS:
-        print(f"--a and --d give more than {SCAN_MAX_CELLS:,} scan cells",
-              file=sys.stderr)
+    if (b_hi - b_lo + 1) * (a_hi - a_lo + 1) * (d_hi - d_lo + 1) > SCAN_MAX_CELLS:
+        grid = "--a and --d" if args.b is not None else "--n, --a and --d"
+        print(f"{grid} give more than {SCAN_MAX_CELLS:,} scan cells", file=sys.stderr)
         return EXIT_INVALID
     payloads = [
         (n, b, a, d, args.field, args.limits)
-        for b in b_values
+        for b in range(b_lo, b_hi + 1)
         for a in range(a_lo, a_hi + 1)
         for d in range(d_lo, d_hi + 1)
     ]

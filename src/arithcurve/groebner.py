@@ -17,8 +17,10 @@ calls of the field's merge loop `add_into` (the loop of the ring's kernel
 `ring._add_into`), each reduction step v <- v + k * X^u * b is one more,
 whatever the rank, and the map is sorted into flat terms once at the end.
 The engine forms no product anywhere else.
-The pruning and syzygy functions convert tuples of polynomials to and
-from the flat form.  The basis and membership functions speak it:
+Polynomials become flat vectors only in `to_flat` and flat vectors
+polynomials only in `from_flat`: pruning converts each candidate once
+and reads its degree off the flat terms, and `syzygy_generators` reads
+its syzygies back.  The basis and membership functions speak it:
 `module_groebner_basis` takes flat columns and returns a flat basis,
 `syzygies_and_basis` flat syzygies and a flat image basis,
 `module_reducer` stores flat vectors in a `_Reducer`, and its `top_reduce`
@@ -122,7 +124,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
@@ -184,20 +185,6 @@ DEFAULT_LIMITS = Limits()
 # -- vectors -----------------------------------------------------------------
 
 Vector = tuple  # tuple[Polynomial, ...]
-
-
-def v_is_zero(v: Vector) -> bool:
-    return all(p.is_zero() for p in v)
-
-
-def v_degree(v: Vector, shifts: Optional[Sequence[int]] = None):
-    """Weighted degree of a homogeneous vector (None if inhomogeneous/zero),
-    read from every packed term in one pass."""
-    ring = v[0].ring
-    dshift, mask = ring._degree_shift, ring._mask
-    degs = {(m >> dshift & mask) + shift
-            for p, shift in zip(v, shifts or repeat(0)) for m, _ in p.packed}
-    return degs.pop() if len(degs) == 1 else None
 
 
 def to_flat(v: Vector, unit: int) -> tuple:
@@ -475,6 +462,11 @@ def minimal_module_generators(vectors: Sequence[Vector],
     (degree, vector) pair per kept vector, its degree read under the
     engine's shifts.
 
+    Each vector is converted once with `to_flat`; an empty result is the
+    zero vector, which is skipped.  The degree and the sort key are read
+    off the flat terms: every term's degree field plus the shift at its
+    position must give one degree, else ValueError.
+
     Candidates are taken in increasing degree (graded Nakayama); a candidate
     already inside the module of the kept ones is dropped.  Ties and the kept
     order are deterministic.
@@ -507,20 +499,21 @@ def minimal_module_generators(vectors: Sequence[Vector],
     on the kept columns themselves; those of the pairs reduced while
     pruning are among them.
     """
-    nonzero = [v for v in vectors if not v_is_zero(v)]
     unit, one = engine.unit, engine.ring.one.packed[0][1]
-
-    def candidate(v: Vector):
-        """((degree, position, packed lead), flat v, v)"""
-        deg = v_degree(v, engine.shifts)
-        if deg is None:
-            raise ValueError("minimal generators need homogeneous vectors")
+    dshift, mask, shifts = engine.dshift, engine.dmask, engine.shifts
+    candidates = []  # ((degree, position, packed lead), flat v, v)
+    for v in vectors:
         flat = to_flat(v, unit)
+        if not flat:  # the zero vector
+            continue
+        degrees = {(key >> dshift & mask) + shifts[-(key // unit)] for key, _ in flat}
+        if len(degrees) != 1:
+            raise ValueError("minimal generators need homogeneous vectors")
         lead = flat[0][0]
-        return (deg, -(lead // unit), lead % unit), flat, v
+        candidates.append(((degrees.pop(), -(lead // unit), lead % unit), flat, v))
 
     kept: list[tuple[int, Vector]] = []
-    for (deg, _, _), flat, v in sorted(map(candidate, nonzero), key=itemgetter(0)):
+    for (deg, _, _), flat, v in sorted(candidates, key=itemgetter(0)):
         engine._main_loop(stop=deg)
         # its transcript leads no basis element, so the remainder keeps it
         reduced = engine.top_reduce(flat + ((-(engine.rank + len(kept)) * unit, one),))

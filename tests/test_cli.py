@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from arithcurve import cli, shift_table_b1, validate_sequence
+from arithcurve import cli, shift_table_b1, shift_table_bn, validate_sequence
 from arithcurve.cli import (
     EXIT_CLOSED_STDOUT,
     EXIT_INVALID,
@@ -229,17 +229,26 @@ class TestResolve:
         assert err.startswith("invalid sequence: the terms are too large")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["gens", "resolve"])
+    @pytest.mark.parametrize("command,b,flags", [
+        ("gens", 1, ()),
+        ("resolve", 1, ()),
+        ("resolve", 1, ("--verify", "--field", "fp:32003")),
+        ("resolve", 1, ("--verify",)),
+        ("resolve", 4, ("--verify",)),
+    ], ids=["gens", "resolve", "verify-b1-fp", "verify-b1", "verify-bn"])
     def test_terms_within_the_text_limit_accepted(self, capsys, int_text_limit,
-                                                  command):
-        """m0 = 10^2000 + 1: degrees near 10^4000 still print."""
-        m0 = 10**2000 + 1
-        code, out, _ = run_cli(capsys, command, str(m0), "1", "4", "--json")
+                                                  command, b, flags):
+        """m0 = 10^2000 + b: degrees near 10^4000 still print, and --verify
+        passes every check of both routes, for b = 1 and b = n = 4."""
+        m0 = 10**2000 + b
+        code, out, _ = run_cli(capsys, command, str(m0), "1", "4", "--json", *flags)
         assert code == EXIT_OK
         obj = json.loads(out)
         if command == "resolve":
-            seq = validate_sequence(m0, 1, 4)
-            assert obj["betti"] == shift_table_b1(seq).to_json_obj()
+            table = shift_table_b1 if b == 1 else shift_table_bn
+            assert obj["betti"] == table(validate_sequence(m0, 1, 4)).to_json_obj()
+        if flags:
+            assert obj["checks"] and all(c["pass"] for c in obj["checks"].values())
 
 
 @pytest.fixture
@@ -331,6 +340,17 @@ class TestScan:
         assert time.monotonic() - start < 5
         assert (code, out) == (EXIT_INVALID, "")
         assert "--a" in err and err.count("\n") == 1
+
+    def test_classes_past_the_cell_cap_rejected_up_front(self, capsys):
+        """--n 10^15 gives 10^15 classes b of one cell each: they are
+        counted from their bounds before any is listed, so the scan exits 2
+        at once with one stderr line, and prints nothing."""
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "scan", "--n", str(10**15),
+                                 "--a", "1..1", "--d", "1..1")
+        assert time.monotonic() - start < 5
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "--n" in err and err.count("\n") == 1
 
     def test_many_classes_summarise_in_one_pass(self, capsys):
         """20,000 classes b of one invalid cell each (m0 = b <= n): the

@@ -31,8 +31,6 @@ from arithcurve.groebner import (
     module_reducer,
     syzygies_and_basis,
     to_flat,
-    v_degree,
-    v_is_zero,
 )
 from arithcurve.ring import (
     QQ,
@@ -65,6 +63,23 @@ def prune(vectors, ring, shifts=None):
     their rank, unshifted unless `shifts` are given."""
     engine = shifted_engine(ring, shifts or (0,) * len(vectors[0]))
     return [v for _, v in minimal_module_generators(vectors, engine)]
+
+
+def is_zero(v):
+    """The reference zero test: no component has packed terms."""
+    return not any(p.packed for p in v)
+
+
+def shifted_degree(v, shifts=None):
+    """The degree every nonzero component of v shares, its
+    `Polynomial.weighted_degree()` plus its shift (default 0); None when
+    v is zero, a component is inhomogeneous or two components differ."""
+    degs = set()
+    for p, shift in zip(v, shifts or [0] * len(v)):
+        if not p.is_zero():
+            d = p.weighted_degree()
+            degs.add(None if d is None else d + shift)
+    return degs.pop() if len(degs) == 1 else None
 
 
 class TestGroebner:
@@ -279,16 +294,16 @@ class TestModules:
 
     def test_syzygy_of_single_independent_column_is_empty(self, R):
         syz = syzygies_of([(R.var(0),)], R)
-        assert [s for s in syz if not v_is_zero(s)] == []
+        assert [s for s in syz if not is_zero(s)] == []
 
     def test_zero_input_vector_gives_unit_syzygy(self, R):
         syz = syzygies_of([(R.zero,), (R.var(0),)], R)
-        nonzero = [s for s in syz if not v_is_zero(s)]
+        nonzero = [s for s in syz if not is_zero(s)]
         assert ((R.one, R.zero)) in nonzero
 
     def test_koszul_pair(self, R):
         x0, x1 = R.var(0), R.var(1)
-        syz = [s for s in syzygies_of([(x0,), (x1,)], R) if not v_is_zero(s)]
+        syz = [s for s in syzygies_of([(x0,), (x1,)], R) if not is_zero(s)]
         assert len(syz) == 1
         s = syz[0]
         assert (s[0] * x0 + s[1] * x1).is_zero()
@@ -369,30 +384,34 @@ def test_flat_layout(ring, data):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_v_degree_is_the_common_shifted_degree(data):
-    """`v_degree` against the degrees of the components one by one, on
-    random vectors (mostly inhomogeneous) and on their leading terms
-    shifted to one degree."""
+def test_pruning_reads_the_common_shifted_degree(data):
+    """Pruning one random vector (mostly inhomogeneous) under random
+    shifts, with zero vectors around it, against `shifted_degree`: a
+    homogeneous vector is kept with that degree, an inhomogeneous one
+    raises, and a zero one is skipped; then the vector's leading terms,
+    shifted to one degree, are kept with it."""
     v = data.draw(vectors_of(RQ))
     shifts = data.draw(st.lists(st.integers(0, 9), min_size=len(v), max_size=len(v)))
+    zero = (RQ.zero,) * len(v)
 
-    def reference(v, shifts):
-        degs = set()
-        for p, shift in zip(v, shifts):
-            if not p.is_zero():
-                d = p.weighted_degree()
-                degs.add(None if d is None else d + shift)
-        return degs.pop() if len(degs) == 1 else None
+    def pruned(vectors, shifts):
+        return minimal_module_generators(vectors, shifted_engine(RQ, shifts))
 
-    assert v_degree(v, shifts) == reference(v, shifts)
-    assert v_degree(v) == reference(v, [0] * len(v))
+    degree = shifted_degree(v, shifts)
+    if is_zero(v):
+        assert pruned([v, zero], shifts) == []
+    elif degree is None:
+        with pytest.raises(ValueError, match="homogeneous"):
+            pruned([zero, v], shifts)
+    else:
+        assert pruned([zero, v, zero], shifts) == [(degree, v)]
     leads = tuple(RQ.monomial(*p.leading_term()) if not p.is_zero() else p for p in v)
-    if v_is_zero(leads):
-        assert v_degree(leads, shifts) is None
+    if is_zero(leads):
         return
     top = max(p.weighted_degree() for p in leads if not p.is_zero())
     level = [top - p.weighted_degree() if not p.is_zero() else 0 for p in leads]
-    assert v_degree(leads, level) == top
+    assert shifted_degree(leads, level) == top
+    assert pruned([leads, zero], level) == [(top, leads)]
 
 
 R3 = curve_ring((2, 3, 5))
@@ -463,7 +482,7 @@ def test_ideal_member_agrees_with_normal_form_on_any_list(basis, polys):
           R3.from_dict({(3, 3, 2): -3, (3, 3, 1): -1, (2, 3, 0): -3})])
 def test_random_syzygies_annihilate(gens):
     syz = syzygies_of([(g,) for g in gens], R3)
-    assert not any(v_is_zero(s) for s in syz)
+    assert not any(is_zero(s) for s in syz)
     for s in syz:
         total = R3.zero
         for coeff, g in zip(s, gens):
@@ -637,7 +656,7 @@ class PlainBuchberger:
             i, j = self.pairs.pop()
             s = s_vector(self.basis[i], self.basis[j], self.ring)
             s = plain_top_reduce(s, self.basis, self.ring)
-            if not v_is_zero(s):
+            if not is_zero(s):
                 self._insert(s)
 
     def _insert(self, v):
@@ -647,7 +666,7 @@ class PlainBuchberger:
         self.basis.append(v)
 
     def contains(self, v):
-        return v_is_zero(plain_top_reduce(v, self.basis, self.ring))
+        return is_zero(plain_top_reduce(v, self.basis, self.ring))
 
 
 @pytest.mark.parametrize("m0,d,n", [(3, 1, 2), (4, 1, 2), (4, 1, 3), (5, 1, 3),
@@ -686,7 +705,7 @@ def _all_inside(vectors, generators, ring):
     a `PlainBuchberger` basis."""
     gb = PlainBuchberger(ring)
     for g in generators:
-        if not v_is_zero(g):
+        if not is_zero(g):
             gb.add(g)
     return all(gb.contains(v) for v in vectors)
 
@@ -708,10 +727,10 @@ def reference_prune(vectors, ring, shifts=None):
 
     def key(v):
         pos, exps, _ = v_leading(v)
-        return (v_degree(v, shifts), pos, ring.order.key(exps))
+        return (shifted_degree(v, shifts), pos, ring.order.key(exps))
 
     kept, gb = [], PlainBuchberger(ring)
-    for v in sorted((v for v in vectors if not v_is_zero(v)), key=key):
+    for v in sorted((v for v in vectors if not is_zero(v)), key=key):
         if not gb.contains(v):
             kept.append(v)
             gb.add(v)
@@ -735,7 +754,7 @@ def test_truncated_pruning_matches_full_completion(m0, d, n):
         shifts = C.steps[s]
         kept = minimal_module_generators(raw, shifted_engine(ring, shifts))
         assert [v for _, v in kept] == reference_prune(raw, ring, shifts), (s, len(raw))
-        assert [deg for deg, _ in kept] == [v_degree(v, shifts) for _, v in kept], s
+        assert [deg for deg, _ in kept] == [shifted_degree(v, shifts) for _, v in kept], s
 
 
 def monomials_of_degree(ring, k):
@@ -765,7 +784,7 @@ def homogeneous_candidates(draw, max_base=3):
     for _ in range(draw(st.integers(1, max_base))):
         deg = draw(st.integers(max(shifts) + 2, max(shifts) + 8))
         v = (poly(deg - shifts[0]), poly(deg - shifts[1]))
-        if not v_is_zero(v):
+        if not is_zero(v):
             base.append((v, deg))
     combos = []
     for _ in range(draw(st.integers(0, 3))):
@@ -786,7 +805,7 @@ def test_truncated_pruning_on_mixed_shifts(data):
     vectors, shifts = data
     kept = minimal_module_generators(vectors, shifted_engine(R3, shifts))
     assert [v for _, v in kept] == reference_prune(vectors, R3, shifts)
-    assert [deg for deg, _ in kept] == [v_degree(v, shifts) for _, v in kept]
+    assert [deg for deg, _ in kept] == [shifted_degree(v, shifts) for _, v in kept]
 
 
 # -- pruning of multiples of earlier candidates ----------------------------------
@@ -798,10 +817,10 @@ def member_prune(vectors, ring, shifts=None):
 
     def key(v):
         pos, exps, _ = v_leading(v)
-        return (v_degree(v, shifts), pos, ring.order.key(exps))
+        return (shifted_degree(v, shifts), pos, ring.order.key(exps))
 
     kept, gb, unit = [], [], ring.position_unit
-    for v in sorted((v for v in vectors if not v_is_zero(v)), key=key):
+    for v in sorted((v for v in vectors if not is_zero(v)), key=key):
         if module_reducer(gb, ring).top_reduce(to_flat(v, unit)):
             kept.append(v)
             gb = module_groebner_basis([to_flat(k, unit) for k in kept], ring, len(v))
@@ -848,7 +867,7 @@ def test_pruning_matches_member_reference_on_raw_syzygies():
         shifts = C.steps[s]
         kept = minimal_module_generators(raw, shifted_engine(ring, shifts))
         assert [v for _, v in kept] == member_prune(raw, ring, shifts), (s, len(raw))
-        assert [deg for deg, _ in kept] == [v_degree(v, shifts) for _, v in kept], s
+        assert [deg for deg, _ in kept] == [shifted_degree(v, shifts) for _, v in kept], s
 
 
 # -- the pair criteria of basis runs ---------------------------------------------
@@ -863,7 +882,7 @@ def test_module_basis_satisfies_buchberger_criterion(data):
     vectors, _ = data
     gb = polynomial_basis(vectors, R3, 2)
     for f, g in same_position_pairs(gb):
-        assert v_is_zero(plain_top_reduce(s_vector(f, g, R3), gb, R3))
+        assert is_zero(plain_top_reduce(s_vector(f, g, R3), gb, R3))
 
 
 @pytest.mark.parametrize("ring", [R3, elimination_ring((2, 3))],
@@ -878,4 +897,4 @@ def test_rank_one_basis_satisfies_buchberger_criterion(ring, data):
     gens = data.draw(small_polys(ring))
     gb = polynomial_basis([(g,) for g in gens], ring, 1)
     for f, g in same_position_pairs(gb):
-        assert v_is_zero(plain_top_reduce(s_vector(f, g, ring), gb, ring))
+        assert is_zero(plain_top_reduce(s_vector(f, g, ring), gb, ring))
