@@ -60,6 +60,7 @@ from .groebner import (
     reduce_poly,
 )
 from .oracle import (
+    artinian_generators,
     colon_check,
     colon_ideal,
     ideal_contains,

@@ -42,7 +42,7 @@ from .complexes import (
 )
 from .curve import ArithmeticSequence, SequenceError
 from .groebner import Limits, ResourceLimitExceeded
-from .oracle import minimal_resolution, verify_exactness
+from .oracle import artinian_generators, minimal_resolution, verify_exactness
 from .ring import QQ, PrimeField
 
 EXIT_OK = 0
@@ -208,9 +208,10 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
                 checks.update(verify_complex(complex_))
                 checks.update(verify_exactness(complex_, gens, limits=limits))
             if method != "oracle":
-                oracle_table = BettiTable.from_complex(
-                    minimal_resolution(gens, limits=limits)
-                )
+                # only the table is compared, so the oracle may resolve
+                # modulo x0 (`artinian_generators`)
+                oracle_table = BettiTable.from_complex(minimal_resolution(
+                    artinian_generators(gens, limits), limits=limits))
                 checks["oracle_betti_match"] = {
                     "pass": oracle_table.betti() == betti.betti(),
                     "witness": [list(oracle_table.betti()), list(betti.betti())],
@@ -336,7 +337,9 @@ def _scan_cell(payload: tuple) -> dict:
     except SequenceError as exc:
         return {**cell, "status": "invalid", "reason": str(exc)}
     try:
-        complex_ = minimal_resolution(list(seq.generators(field).all), limits=limits)
+        # only the Betti vector is read, so the cell may resolve modulo x0
+        gens = artinian_generators(list(seq.generators(field).all), limits)
+        complex_ = minimal_resolution(gens, limits=limits)
     except ResourceLimitExceeded as exc:
         return {**cell, "status": "resource-limit", "reason": str(exc)}
     except MemoryError:

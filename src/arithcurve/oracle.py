@@ -18,6 +18,14 @@ ones is a genuine two-route check.
                        [f, g_1, ..., g_k], compared back to I; f, before
                        that run, and the quotient are tested by
                        ideal_contains
+  artinian_generators  the generators' images modulo x0 in k[x1..xn] when
+                       colon_check finds x0 a nonzerodivisor modulo I, the
+                       generators themselves otherwise: their resolution
+                       has R/I's graded Betti table, so the callers that
+                       read only the table (`scan`'s cells and the oracle
+                       entries of `resolve --verify` on the constructive
+                       methods) resolve these; `resolve --method oracle`
+                       resolves over R, whose matrices it prints and checks
   minimal_generators   graded greedy minimalization of a homogeneous set
   minimal_resolution   one loop: prune the candidates to minimal generators,
                        keep them as the next differential, take their
@@ -105,21 +113,26 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
     multiple of a generator among others) is a member.  Only the elements
     they leave are tested against a basis of `gens`: when every generator
     and every one of those is homogeneous, the basis is completed only up
-    to the largest degree among those, which decides their membership
-    (`module_groebner_basis`); otherwise it is completed in full.
+    to the largest degree D among those, which decides their membership
+    (`module_groebner_basis`), and only from the generators of degree at
+    most D, which generate the ideal's part of degree at most D (the
+    weights are positive); otherwise it is completed in full.
     ValueError if the polynomials do not all share one ring.
     """
     ring = common_ring([*gens, *polys])
     if not polys:
         return True
-    by_gens = module_reducer([g.packed for g in gens if g.packed], ring)
+    gens = [g for g in gens if g.packed]
+    by_gens = module_reducer([g.packed for g in gens], ring)
     rest = [p for p in polys if by_gens.top_reduce(p.packed)]
     if not rest:
         return True
     degrees = [p.weighted_degree() for p in rest]
-    homogeneous = None not in degrees and all(g.is_homogeneous for g in gens)
-    gb = module_groebner_basis([g.packed for g in gens], ring, 1, limits=limits,
-                               degree=max(degrees) if homogeneous else None)
+    gen_degrees = [g.weighted_degree() for g in gens]
+    top = None if None in degrees or None in gen_degrees else max(degrees)
+    gb = module_groebner_basis([g.packed for g, e in zip(gens, gen_degrees)
+                                if top is None or e <= top],
+                               ring, 1, limits=limits, degree=top)
     reducer = module_reducer(gb, ring)
     return not any(reducer.top_reduce(p.packed) for p in rest)
 
@@ -157,6 +170,45 @@ def colon_check(gens: Sequence[Polynomial], f: Polynomial,
         raise ValueError("multiplier lies in the ideal; colon comparison undefined")
     # (I : f) always contains I, so only the forward inclusion needs work
     return ideal_contains(gens, colon_ideal(gens, f, limits=limits), limits=limits)
+
+
+def artinian_generators(gens: Sequence[Polynomial],
+                        limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
+    """Generators whose minimal resolution has the graded Betti table of
+    R/(gens): their images modulo x0 in k[x1..xn] when x0 is a
+    nonzerodivisor modulo the ideal I of `gens`, and `gens` otherwise.
+
+    x0 is a nonzerodivisor on R/I exactly when (I : x0) = I, which
+    `colon_check` decides.  It is one on R as well, so a minimal graded
+    free resolution F of R/I gives F (x) R/(x0), a minimal graded free
+    resolution of R/(I, x0) over R/(x0) = k[x1..xn] with the same graded
+    Betti table (Bruns & Herzog, Cohen-Macaulay Rings, Sec. 1.1).  Its
+    ideal is generated by the generators of I with every term that
+    involves x0 dropped, taken in `curve_ring` of the other weights over
+    the same field.  Only the table carries over: the matrices of that
+    resolution are not R's.
+
+    `gens` comes back unchanged, to be resolved over R, when x0 lies in I
+    or divides zero modulo I, or when a generator is not homogeneous.
+    ValueError if they do not all share one ring.
+    """
+    ring = common_ring(gens)
+    if ring is None or not all(g.is_homogeneous for g in gens):
+        return list(gens)
+    x0 = ring.var(0)
+    try:
+        regular = colon_check(gens, x0, limits=limits)
+    except ValueError:  # x0 lies in I
+        return list(gens)
+    if not regular:
+        return list(gens)
+    target = curve_ring(ring.weights[1:], ring.field)
+    x0_packed = x0.packed[0][0]
+    return [drop_first_variable(
+                Polynomial(ring, tuple([t for t in g.packed
+                                        if not ring.divides(x0_packed, t[0])])),
+                target)
+            for g in gens]
 
 
 def minimal_generators(gens: Sequence[Polynomial],

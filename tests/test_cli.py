@@ -472,7 +472,9 @@ class TestScan:
         resolve = cli.minimal_resolution
 
         def exhaust_at_m0_7(gens, limits):
-            if gens[0].ring.weights[0] == 7:
+            # the cell resolves modulo x0 in k[x1..x3], whose first weight
+            # is m0 + d = 8 (5 in the other cell, m0 = 4)
+            if gens[0].ring.weights[0] == 8:
                 raise MemoryError
             return resolve(gens, limits=limits)
 

@@ -14,6 +14,7 @@ from arithcurve import (
     GradedComplex,
     Limits,
     ResourceLimitExceeded,
+    artinian_generators,
     betti_b1,
     betti_bn,
     colon_check,
@@ -707,6 +708,47 @@ class TestMinimalResolution:
         R = curve_ring((5, 6, 7))
         with pytest.raises(ValueError):
             minimal_resolution([R.one])
+
+
+def _grid(n, field):
+    """The test grid's valid cells at n: every class b, a in {1, 2},
+    d in {1, 2, 3}, gcd(m0, d) = 1, as generator lists over `field`."""
+    return [list(validate_sequence(a * n + b, d, n).generators(field).all)
+            for b in range(1, n + 1) for a in (1, 2) for d in (1, 2, 3)
+            if math.gcd(a * n + b, d) == 1]
+
+
+class TestArtinianGenerators:
+    @pytest.mark.parametrize("n,field", [(4, QQ), (4, PrimeField(32003)),
+                                         (5, QQ), (5, PrimeField(32003)),
+                                         (6, PrimeField(32003))],
+                             ids=["4-QQ", "4-fp", "5-QQ", "5-fp", "6-fp"])
+    def test_reduced_tables_equal_full_ring_tables(self, n, field):
+        """On every cell of the grid, x0 is a nonzerodivisor, so the
+        generators come back as their images modulo x0 in k[x1..xn]: each
+        term free of x0 kept with its other exponents.  Their resolution
+        has the full ring's graded Betti table."""
+        for gens in _grid(n, field):
+            ring = gens[0].ring
+            reduced = artinian_generators(gens)
+            target = reduced[0].ring
+            assert (target.weights, target.field) == (ring.weights[1:], field)
+            for g, r in zip(gens, reduced, strict=True):
+                images = {e[1:]: c for e, c in g.terms if e[0] == 0}
+                assert r == target.from_dict(images)
+            full = BettiTable.from_complex(minimal_resolution(gens))
+            artinian = BettiTable.from_complex(minimal_resolution(reduced))
+            assert artinian.to_json_obj() == full.to_json_obj(), ring.weights
+
+    def test_zero_divisor_leaves_the_generators(self):
+        """x0 divides zero modulo (x0*x1), and lies in (x0, x1^2): both
+        come back unchanged, to be resolved over R.  So does x0^2 + x1,
+        which is not homogeneous, although x0 is a nonzerodivisor modulo
+        it and its image x1 would be."""
+        R = curve_ring((1, 1))
+        x0, x1 = R.var(0), R.var(1)
+        for gens in ([x0 * x1], [x0, x1 * x1], [x0 * x0 + x1]):
+            assert artinian_generators(gens) == gens
 
 
 class TestVerifyExactness:
