@@ -187,7 +187,8 @@ def build_report(seq: ArithmeticSequence, method: str, field, verify: bool,
     complex_: Optional[GradedComplex] = None
     phase = "construct"
     try:
-        gens = list(seq.generators(field).all) if verify or method == "oracle" else []
+        gens = (list(seq.generators(field, limits).all)
+                if verify or method == "oracle" else [])
         t0 = time.perf_counter()
         if method == "b1-en":
             complex_ = resolution_b1(seq, field)
@@ -269,7 +270,7 @@ def emit_matrices_obj(complex_: GradedComplex) -> list:
 
 def cmd_gens(args) -> int:
     seq = ArithmeticSequence.validate(args.m0, args.d, args.n)
-    gens = seq.generators(args.field)
+    gens = seq.generators(args.field, args.limits)
     obj = {
         "sequence": asdict(seq),
         "count": len(gens.all),
@@ -338,7 +339,7 @@ def _scan_cell(payload: tuple) -> dict:
         return {**cell, "status": "invalid", "reason": str(exc)}
     try:
         # only the Betti vector is read, so the cell may resolve modulo x0
-        gens = artinian_generators(list(seq.generators(field).all), limits)
+        gens = artinian_generators(list(seq.generators(field, limits).all), limits)
         complex_ = minimal_resolution(gens, limits=limits)
     except ResourceLimitExceeded as exc:
         return {**cell, "status": "resource-limit", "reason": str(exc)}
@@ -469,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_seq_args(p_gens)
     p_gens.add_argument("--json", action="store_true")
     p_gens.add_argument("--field", type=parse_field, default=QQ)
+    add_config_arg(p_gens)
     p_gens.set_defaults(func=cmd_gens)
 
     p_res = sub.add_parser("resolve",

@@ -28,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .groebner import DEFAULT_LIMITS, Limits, ResourceLimitExceeded
 from .matrices import PolyMatrix
 from .ring import QQ, Polynomial, PolyRing, curve_ring, packed_bits
 
@@ -153,8 +154,21 @@ class ArithmeticSequence:
         bottom = [R.var(0, a + d)] + [R.var(b + j - 1) for j in range(1, n - b + 2)]
         return PolyMatrix.from_rows(R, [top, bottom])
 
-    def generators(self, field=QQ) -> "GeneratorSet":
-        """Minimal binomial generating set of the curve ideal."""
+    def generators(self, field=QQ,
+                   limits: Limits = DEFAULT_LIMITS) -> "GeneratorSet":
+        """Minimal binomial generating set of the curve ideal.
+
+        ResourceLimitExceeded, before anything is built, when there are
+        more generators than `limits.max_basis`: the oracle's resolution
+        and its x0 test each store every generator in one run's basis, so
+        neither could finish under that cap, and at large n building the
+        generators alone takes minutes or all memory.
+        """
+        count = expected_generator_count(self.n, self.b)
+        if not count <= limits.max_basis:
+            raise ResourceLimitExceeded(
+                f"generators: {count} minimal generators exceed the basis "
+                f"size cap {limits.max_basis}")
         B = self.matrix_b(field)
         return GeneratorSet(
             sequence=self,

@@ -19,13 +19,17 @@ ones is a genuine two-route check.
                        that run, and the quotient are tested by
                        ideal_contains
   artinian_generators  the generators' images modulo x0 in k[x1..xn] when
-                       colon_check finds x0 a nonzerodivisor modulo I, the
-                       generators themselves otherwise: their resolution
-                       has R/I's graded Betti table, so the callers that
-                       read only the table (`scan`'s cells and the oracle
-                       entries of `resolve --verify` on the constructive
-                       methods) resolve these; `resolve --method oracle`
-                       resolves over R, whose matrices it prints and checks
+                       x0 is a nonzerodivisor modulo I, the generators
+                       themselves otherwise: their resolution has R/I's
+                       graded Betti table, so the callers that read only
+                       the table (`scan`'s cells and the oracle entries of
+                       `resolve --verify` on the constructive methods)
+                       resolve these; `resolve --method oracle` resolves
+                       over R, whose matrices it prints and checks.  One
+                       basis run under the reverse-lex order with x0
+                       smallest decides it: there in(I : x0) = in(I) : x0
+                       (Bayer & Stillman 1987), so x0 is one exactly when
+                       no minimal lead involves x0
   minimal_generators   graded greedy minimalization of a homogeneous set
   minimal_resolution   one loop: prune the candidates to minimal generators,
                        keep them as the next differential, take their
@@ -59,6 +63,7 @@ from .ring import (
     curve_ring,
     drop_first_variable,
     elimination_ring,
+    revlex_ring,
 )
 from .groebner import (
     DEFAULT_LIMITS,
@@ -178,9 +183,19 @@ def artinian_generators(gens: Sequence[Polynomial],
     R/(gens): their images modulo x0 in k[x1..xn] when x0 is a
     nonzerodivisor modulo the ideal I of `gens`, and `gens` otherwise.
 
-    x0 is a nonzerodivisor on R/I exactly when (I : x0) = I, which
-    `colon_check` decides.  It is one on R as well, so a minimal graded
-    free resolution F of R/I gives F (x) R/(x0), a minimal graded free
+    x0 is a nonzerodivisor on R/I exactly when (I : x0) = I.  Under
+    `WeightedRevlex`, the weighted reverse-lex order with x0 the smallest
+    variable, a homogeneous I has in(I : x0) = in(I) : x0 (Bayer &
+    Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
+    1987; Eisenbud, Commutative Algebra, Prop. 15.12), so x0 is one
+    exactly when no minimal lead of a Groebner basis of I involves x0.
+    One rank-1 basis run in `revlex_ring` decides it: the basis is not
+    interreduced, so a lead divisible by x0 rules x0 out only when its
+    quotient by x0 is divisible by no lead.  A lead 1 (I = R) rules it out
+    too, as x0 then lies in I.
+
+    x0 is a nonzerodivisor on R as well, so a minimal graded free
+    resolution F of R/I gives F (x) R/(x0), a minimal graded free
     resolution of R/(I, x0) over R/(x0) = k[x1..xn] with the same graded
     Betti table (Bruns & Herzog, Cohen-Macaulay Rings, Sec. 1.1).  Its
     ideal is generated by the generators of I with every term that
@@ -195,18 +210,19 @@ def artinian_generators(gens: Sequence[Polynomial],
     ring = common_ring(gens)
     if ring is None or not all(g.is_homogeneous for g in gens):
         return list(gens)
-    x0 = ring.var(0)
-    try:
-        regular = colon_check(gens, x0, limits=limits)
-    except ValueError:  # x0 lies in I
-        return list(gens)
-    if not regular:
+    revlex = revlex_ring(ring.weights, ring.field)
+    gb = module_groebner_basis([g.change_ring(revlex).packed for g in gens
+                                if g.packed], revlex, 1, limits=limits)
+    leads = [v[0][0] for v in gb]  # at rank 1 a lead key is its packed monomial
+    divides, x0 = revlex.divides, revlex.var(0).packed[0][0]
+    if 0 in leads or any(divides(x0, m) and not any(divides(k, m - x0) for k in leads)
+                         for m in leads):
         return list(gens)
     target = curve_ring(ring.weights[1:], ring.field)
-    x0_packed = x0.packed[0][0]
+    x0 = ring.var(0).packed[0][0]  # packed in R's own layout
     return [drop_first_variable(
                 Polynomial(ring, tuple([t for t in g.packed
-                                        if not ring.divides(x0_packed, t[0])])),
+                                        if not ring.divides(x0, t[0])])),
                 target)
             for g in gens]
 

@@ -48,6 +48,14 @@ take the lcms of exponent words, packed monomials masked to `word_fields`,
 with `word_lcms`, test their divisibility against `word_guard`, and
 `decode` and `_pack` the lcm of each pair they queue.
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
+
+Three orders are defined, each by its forms: `WeightedGrevlex`, the order
+of `curve_ring`; `EliminationOrder`, which puts t first in
+`elimination_ring`; and `WeightedRevlex`, weighted degree then reverse lex
+with X0 the smallest variable, the order of `revlex_ring`, under which a
+homogeneous polynomial whose lead involves X0 is divisible by X0 (the
+x0-regularity test of `oracle.artinian_generators` reads its leads).
+
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
 
@@ -63,7 +71,7 @@ coefficients cannot overflow.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from operator import mul as _mul
 from typing import Sequence
 
@@ -304,6 +312,40 @@ class WeightedGrevlex:
 
     def __hash__(self):
         return hash(("WeightedGrevlex", self.weights))
+
+
+class WeightedRevlex:
+    """Weighted-degree order with a reverse-lex tie break in which X0 is the
+    smallest variable: of two monomials of one weighted degree, the one
+    with the smaller exponent of X0 is larger, then of X1, and so on.
+
+    So a homogeneous polynomial whose lead involves X0 is divisible by X0,
+    which WeightedGrevlex's total-degree tie break does not give: with
+    weights (3, 4, 5), X0^3 leads X0^3 - X1*X2 there.
+    """
+
+    def __init__(self, weights: Sequence[int]):
+        self.weights = tuple(int(w) for w in weights)
+
+    def key(self, exps: Sequence[int]):
+        return (weighted_degree_of(exps, self.weights), tuple(-e for e in exps))
+
+    def forms(self) -> list[tuple]:
+        """The weights, then for each k >= 1 the form w_k*e_k + w_{k+1}*e_{k+1}
+        + ...: with the weighted degree and e_0..e_{k-2} tied, a larger form
+        means a smaller e_{k-1}, which is what key() prefers; the last
+        exponent is then fixed by the degree."""
+        w, n = self.weights, len(self.weights)
+        return [w] + [(0,) * k + w[k:] for k in range(1, n)]
+
+    def __repr__(self):
+        return f"WeightedRevlex{self.weights}"
+
+    def __eq__(self, other):
+        return isinstance(other, WeightedRevlex) and other.weights == self.weights
+
+    def __hash__(self):
+        return hash(("WeightedRevlex", self.weights))
 
 
 class EliminationOrder:
@@ -642,10 +684,16 @@ class Polynomial:
     # -- conversions --------------------------------------------------------
 
     def change_ring(self, new_ring: PolyRing) -> "Polynomial":
-        """Map into a ring with the same variables (possibly new field/order)."""
+        """Map into a ring with the same variables (possibly new field/order).
+        Over the same field the coefficients keep their form, so each term
+        is only repacked from its exponents and the terms sorted once."""
         if new_ring.nvars != self.ring.nvars:
             raise ValueError("variable count mismatch")
-        return new_ring.from_dict(dict(self.terms))
+        if new_ring.field != self.ring.field:
+            return new_ring.from_dict(dict(self.terms))
+        decode, pack = self.ring.decode, new_ring._pack
+        return Polynomial(new_ring, tuple(sorted(
+            [(pack(decode(m)), c) for m, c in self.packed], reverse=True)))
 
     # -- equality / hashing / printing --------------------------------------
 
@@ -706,13 +754,20 @@ def monomial_lcm(a: Sequence[int], b: Sequence[int]):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+# the rings each constructor keeps, the least recently used dropped first:
+# one command uses a few at a time (a scan cell three), and a ring takes
+# about 2.3 KB, so a cache that dropped none grew with every scan cell
+RING_CACHE_SIZE = 256
+
+
 def curve_ring(weights: Sequence[int], field=QQ) -> PolyRing:
     """Ring k[X0..Xn] with deg(Xi) = weights[i], weighted grevlex order.
-    One ring per (weights, field): equal arguments give the same object."""
+    One ring per (weights, field): equal arguments give the same object
+    while it is cached (`RING_CACHE_SIZE`)."""
     return _curve_ring(tuple(int(w) for w in weights), field)
 
 
-@cache
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def _curve_ring(weights: tuple[int, ...], field) -> PolyRing:
     names = tuple(f"X{i}" for i in range(len(weights)))
     return PolyRing(names, weights, field=field)
@@ -727,11 +782,23 @@ def elimination_ring(weights: Sequence[int], field=QQ) -> PolyRing:
     return _elimination_ring(tuple(int(w) for w in weights), field)
 
 
-@cache
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def _elimination_ring(weights: tuple[int, ...], field) -> PolyRing:
     names = ("t",) + tuple(f"X{i}" for i in range(len(weights)))
     order = EliminationOrder(weights)
     return PolyRing(names, (1,) + weights, field=field, order=order)
+
+
+def revlex_ring(weights: Sequence[int], field=QQ) -> PolyRing:
+    """Ring k[X0..Xn] of `curve_ring`, ordered by `WeightedRevlex`, so X0 is
+    the smallest variable.  Cached like `curve_ring`."""
+    return _revlex_ring(tuple(int(w) for w in weights), field)
+
+
+@lru_cache(maxsize=RING_CACHE_SIZE)
+def _revlex_ring(weights: tuple[int, ...], field) -> PolyRing:
+    names = tuple(f"X{i}" for i in range(len(weights)))
+    return PolyRing(names, weights, field=field, order=WeightedRevlex(weights))
 
 
 def drop_first_variable(p: Polynomial, target: PolyRing) -> Polynomial:

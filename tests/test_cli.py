@@ -69,6 +69,29 @@ class TestGens:
         assert len(obj["generators"]) == 9
         assert obj["generators"][0]["label"] == "q[0,1]"
 
+    def test_generators_past_the_basis_cap_rejected_up_front(self, capsys):
+        """C(1000, 2) + 1000 = 500,500 generators exceed the default basis
+        cap of 100,000: the count is compared before any is built, where
+        building them ran out of memory under a 3 GB address-space limit."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gens", "1001", "1", "1000")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == ("resource limit: generators: 500500 minimal generators "
+                       "exceed the basis size cap 100000\n")
+
+    def test_basis_cap_from_config(self, capsys, tmp_path):
+        """8 1 4 has 7 generators: a basis cap of 7 lists them, one of 6
+        refuses them."""
+        code, out, _ = run_cli(capsys, "gens", "8", "1", "4", "--config",
+                               write_config(tmp_path, {"max_basis": 7}))
+        assert code == EXIT_OK
+        assert "7 minimal generators" in out
+        code, out, err = run_cli(capsys, "gens", "8", "1", "4", "--config",
+                                 write_config(tmp_path, {"max_basis": 6}))
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert "7 minimal generators exceed the basis size cap 6" in err
+
 
 class TestResolve:
     def test_b1_with_verification(self, capsys):
@@ -381,6 +404,19 @@ class TestScan:
         assert code == EXIT_RESOURCE
         obj = json.loads(out)
         assert obj["cells"][0]["status"] == "resource-limit"
+
+    def test_generators_past_the_basis_cap_make_a_limited_cell(self, capsys):
+        """At n = 1001 the cell's 501,501 generators exceed the default
+        basis cap: the cell is a resource limit, reported at once."""
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "scan", "--n", "1001", "--b", "1",
+                               "--a", "1..1", "--d", "1..1", "--json")
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_RESOURCE
+        [cell] = json.loads(out)["cells"]
+        assert cell["status"] == "resource-limit"
+        assert cell["reason"] == ("generators: 501501 minimal generators exceed "
+                                  "the basis size cap 100000")
 
     def test_byte_identical_json(self, capsys):
         args = ("scan", "--n", "3", "--a", "1..1", "--d", "1..2", "--json")

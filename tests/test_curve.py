@@ -7,6 +7,8 @@ import pytest
 from arithcurve import (
     FirstTermTooSmall,
     GcdNotOne,
+    Limits,
+    ResourceLimitExceeded,
     expected_generator_count,
     validate_sequence,
 )
@@ -231,6 +233,22 @@ class TestGenerators:
 
     def test_count_gor4(self):
         assert len(validate_sequence(6, 1, 4).generators()) == 9
+
+    def test_count_past_the_basis_cap_raises_before_building(self, monkeypatch):
+        """The count is compared with `max_basis` first: over it, no matrix
+        is built; at it, the generators are."""
+        seq = validate_sequence(8, 1, 4)
+        assert len(seq.generators(limits=Limits(max_basis=7))) == 7
+
+        def unreachable(*args):
+            raise AssertionError("built past the cap")
+
+        monkeypatch.setattr(type(seq), "matrix_b", unreachable)
+        with pytest.raises(ResourceLimitExceeded, match=(
+                "^generators: 7 minimal generators exceed the basis size cap 6$")):
+            seq.generators(limits=Limits(max_basis=6))
+        with pytest.raises(ResourceLimitExceeded, match="500500 minimal generators"):
+            validate_sequence(1001, 1, 1000).generators()
 
     def test_count_formula_and_vanishing_on_grid(self):
         for n in range(2, 7):

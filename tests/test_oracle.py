@@ -740,15 +740,51 @@ class TestArtinianGenerators:
             artinian = BettiTable.from_complex(minimal_resolution(reduced))
             assert artinian.to_json_obj() == full.to_json_obj(), ring.weights
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "fp"])
+    def test_decision_equals_the_colon_check(self, n, field):
+        """On every cell of the grid the generators are reduced exactly
+        when `colon_check` finds x0 a nonzerodivisor, by one engine run
+        under the caller's limits."""
+        for gens in _grid(n, field):
+            ring = gens[0].ring
+            limits = KeepMeters()
+            reduced = artinian_generators(gens, limits)
+            assert len(limits.meters) == 1
+            assert ((reduced[0].ring != ring)
+                    == colon_check(gens, ring.var(0))), ring.weights
+
+    def test_redundant_lead_divisible_by_x0_still_reduces(self):
+        """(x1^2, x0*x1^2) = (x1^2), modulo which x0 is a nonzerodivisor;
+        the unreduced basis keeps the lead x0*x1^2, whose quotient x1^2 by
+        x0 is a lead, so no minimal lead involves x0."""
+        R = curve_ring((1, 2, 3))
+        x0, x1 = R.var(0), R.var(1)
+        gens = [x1 * x1, x0 * x1 * x1]
+        assert colon_check(gens, x0)
+        target = curve_ring((2, 3))
+        assert artinian_generators(gens) == [target.var(0, 2), target.zero]
+
     def test_zero_divisor_leaves_the_generators(self):
-        """x0 divides zero modulo (x0*x1), and lies in (x0, x1^2): both
-        come back unchanged, to be resolved over R.  So does x0^2 + x1,
-        which is not homogeneous, although x0 is a nonzerodivisor modulo
-        it and its image x1 would be."""
+        """x0 divides zero modulo (x0*x1) and modulo (x0*x2 - x1^2, x0*x1),
+        where x1^2 leads the first generator under either order, and lies
+        in (x0, x1^2): each comes back unchanged, to be resolved over R.
+        So does x0^2 + x1, which is not homogeneous, although x0 is a
+        nonzerodivisor modulo it and its image x1 would be."""
         R = curve_ring((1, 1))
         x0, x1 = R.var(0), R.var(1)
         for gens in ([x0 * x1], [x0, x1 * x1], [x0 * x0 + x1]):
             assert artinian_generators(gens) == gens
+        R = curve_ring((1, 2, 3))
+        x0, x1, x2 = R.var(0), R.var(1), R.var(2)
+        for gens in ([x0 * x1], [x0, x1 * x1], [x0 * x2 - x1 * x1, x0 * x1]):
+            assert artinian_generators(gens) == gens
+
+    def test_unit_ideal_leaves_the_generators(self):
+        """x0 lies in the unit ideal: its basis leads with 1."""
+        R = curve_ring((1, 2))
+        gens = [R.one, R.var(1)]
+        assert artinian_generators(gens) == gens
 
 
 class TestVerifyExactness:

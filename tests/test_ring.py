@@ -1,6 +1,7 @@
 """Polynomial kernel: exact arithmetic, weighted degrees, monomial orders."""
 
 import collections
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,20 +20,30 @@ from arithcurve.groebner import from_flat, syzygies_and_basis
 from arithcurve.oracle import ideal_equal, minimal_resolution, toric_ideal
 from arithcurve.ring import (
     QQ,
+    RING_CACHE_SIZE,
     EliminationOrder,
     MonomialOutOfRange,
     Polynomial,
     PolyRing,
     PrimeField,
     WeightedGrevlex,
+    WeightedRevlex,
     curve_ring,
     elimination_ring,
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    revlex_ring,
     weighted_degree_of,
 )
-from arithcurve.ring import _MR_EXACT_BOUND, _add_into, _is_prime
+from arithcurve.ring import (
+    _MR_EXACT_BOUND,
+    _add_into,
+    _curve_ring,
+    _elimination_ring,
+    _is_prime,
+    _revlex_ring,
+)
 
 W = (5, 6, 7, 8, 9)
 
@@ -449,11 +460,39 @@ def test_rational_and_prime_backends_agree(p, q):
     st.tuples(*[st.integers(0, 3) for _ in range(NVARS)]),
 )
 def test_order_keys_multiplicative(u, v, w):
-    order = WeightedGrevlex(SMALL_W)
-    if order.key(u) > order.key(v):
-        uw = tuple(a + b for a, b in zip(u, w))
-        vw = tuple(a + b for a, b in zip(v, w))
-        assert order.key(uw) > order.key(vw)
+    for order in (WeightedGrevlex(SMALL_W), WeightedRevlex(SMALL_W)):
+        if order.key(u) > order.key(v):
+            uw = tuple(a + b for a, b in zip(u, w))
+            vw = tuple(a + b for a, b in zip(v, w))
+            assert order.key(uw) > order.key(vw)
+
+
+def test_revlex_lead_of_a_tied_degree():
+    """Of x0^3 and x1*x2, both of weighted degree 9 under (3, 4, 5), the
+    curve ring's total-degree tie break leads with x0^3, which does not
+    divide the difference; with x0 the smallest variable, x1*x2 leads."""
+    for ring, lead in ((curve_ring((3, 4, 5)), (3, 0, 0)),
+                       (revlex_ring((3, 4, 5)), (0, 1, 1))):
+        x0, x1, x2 = (ring.var(i) for i in range(3))
+        assert (x0 ** 3 - x1 * x2).leading_monomial() == lead
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_revlex_lead_involving_x0_divides_by_x0(data):
+    """A homogeneous polynomial whose revlex lead involves x0 has x0 in
+    every term: the lead has the least exponent of x0 among its terms."""
+    ring = revlex_ring(SMALL_W)
+    degree = data.draw(st.integers(0, 30))
+    monomials = [e for e in itertools.product(*(range(degree // w + 1) for w in SMALL_W))
+                 if weighted_degree_of(e, SMALL_W) == degree]
+    if not monomials:
+        return
+    chosen = data.draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
+    p = ring.from_dict({e: k for k, e in enumerate(chosen, 1)})
+    assert p.weighted_degree() == degree
+    if p.leading_monomial()[0]:
+        assert all(e[0] for e, _ in p.terms)
 
 
 def test_elimination_order_is_multiplicative():
@@ -467,7 +506,8 @@ def test_elimination_order_is_multiplicative():
 
 # -- packed monomials ------------------------------------------------------------
 
-PACKED_RINGS = {"curve": curve_ring(W), "elimination": elimination_ring(W)}
+PACKED_RINGS = {"curve": curve_ring(W), "elimination": elimination_ring(W),
+                "revlex": revlex_ring(W)}
 
 
 def packed_exps(ring):
@@ -552,6 +592,23 @@ def test_range_check_covers_terms_below_the_lead():
     assert p.leading_monomial() == (1,) + (0,) * last
     with pytest.raises(MonomialOutOfRange):
         p.mul_term((0,) * last + (1,), 1)
+
+
+@pytest.mark.parametrize("make,cached", [(curve_ring, _curve_ring),
+                                         (elimination_ring, _elimination_ring),
+                                         (revlex_ring, _revlex_ring)],
+                         ids=["curve", "elimination", "revlex"])
+def test_ring_caches_stay_at_their_bound(make, cached):
+    """Each ring constructor keeps at most RING_CACHE_SIZE rings: an equal
+    call returns the same object while it is cached, and the least
+    recently used ring is dropped first, to be built again when asked."""
+    first = make((10_000, 10_001))
+    for k in range(1, RING_CACHE_SIZE + 8):
+        assert make((10_000 + k, 10_001 + k)) is make((10_000 + k, 10_001 + k))
+    assert cached.cache_info().currsize == RING_CACHE_SIZE
+    again = make((10_000, 10_001))
+    assert again == first and again is not first
+    assert cached.cache_info().currsize == RING_CACHE_SIZE
 
 
 def test_weights_must_be_positive():
