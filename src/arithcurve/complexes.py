@@ -191,7 +191,7 @@ def resolution_bn(seq: ArithmeticSequence, field=QQ) -> GradedComplex:
     if seq.b != seq.n:
         raise WrongCase(f"b = {seq.b}, construction requires b = n = {seq.n}")
     E = minor_complex(seq.matrix_a(field))
-    return mapping_cone(E, seq.generators(field).powers[0])
+    return mapping_cone(E, seq.power_binomial(2, field))
 
 
 def minor_complex_rank(m: int, s: int) -> int:

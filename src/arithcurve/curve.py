@@ -16,10 +16,11 @@ homogeneous binomials (weights deg X_i = m_i):
   powers      X_{b+j-2}*X_n^a - X_{j-2}*X_0^{a+d}  for 2 <= j <= n+2-b
 
 which are exactly the 2x2 minors of the consecutive-pair matrix (matrix_a)
-and the first-column 2x2 minors of the power-column matrix (matrix_b);
-`generators()` computes them as those minors.  Indexing is stable:
-quadratics in lexicographic (i, j) order, powers by ascending j, `all` =
-quadratics followed by powers.
+and the first-column 2x2 minors of the power-column matrix (matrix_b).
+`generators()` packs each binomial straight from the exponents of its two
+terms, with coefficients 1 and -1, and the tests check it against those
+minors.  Indexing is stable: quadratics in lexicographic (i, j) order,
+powers by ascending j, `all` = quadratics followed by powers.
 """
 
 from __future__ import annotations
@@ -169,15 +170,41 @@ class ArithmeticSequence:
             raise ResourceLimitExceeded(
                 f"generators: {count} minimal generators exceed the basis "
                 f"size cap {limits.max_basis}")
-        B = self.matrix_b(field)
+        R, n = self.ring(field), self.n
+        col = R._cols
         return GeneratorSet(
             sequence=self,
-            quadratics=tuple(self.matrix_a(field).all_minors2()),
-            powers=tuple(B.minor2(0, c) for c in range(1, B.cols)),
+            quadratics=tuple([_binomial(R, col[i] + col[j + 1], col[j] + col[i + 1])
+                              for i in range(n) for j in range(i + 1, n)]),
+            powers=tuple([self._power(R, j) for j in range(2, n + 3 - self.b)]),
         )
+
+    def power_binomial(self, j: int, field=QQ) -> Polynomial:
+        """The power binomial p[j], X_{b+j-2}*X_n^a - X_{j-2}*X_0^{a+d} for
+        2 <= j <= n+2-b, alone: `generators().powers[j - 2]`."""
+        if not 2 <= j <= self.n + 2 - self.b:
+            raise IndexError(f"power index {j} out of range 2..{self.n + 2 - self.b}")
+        return self._power(self.ring(field), j)
+
+    def _power(self, R: PolyRing, j: int) -> Polynomial:
+        """p[j] in the curve ring R, packed as a sum of R's packing columns."""
+        col, n, a, b = R._cols, self.n, self.a, self.b
+        return _binomial(R, a * col[n] + col[b + j - 2],
+                         (a + self.d) * col[0] + col[j - 2])
 
     def __str__(self):
         return f"({self.m0}, {self.d}, {self.n})"
+
+
+def _binomial(R: PolyRing, plus: int, minus: int) -> Polynomial:
+    """X^plus - X^minus for distinct packed monomials, its terms sorted.
+
+    The generators' packed monomials are sums of packing columns with no
+    range check: the largest degree of any term, (a+1)*m_n (of p[n+2-b]; a
+    quadratic's is at most 2*m_n), is at most m_n^2, as a < m0, and so lies
+    below the curve ring's degree_cap (`packed_bits`)."""
+    terms = ((plus, 1), (minus, R.field.neg(1)))
+    return Polynomial(R, terms if plus > minus else terms[::-1])
 
 
 def validate_sequence(m0: int, d: int, n: int) -> ArithmeticSequence:

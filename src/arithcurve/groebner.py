@@ -103,7 +103,9 @@ method called per test.  The pair criteria work on each lead's exponent
 word, its packed monomial masked to the exponent fields
 (`PolyRing.word_fields`): an lcm is a field-wise max read off the guard
 bits of one subtraction (`PolyRing.word_lcms`), divisibility the same
-guard-bit test, and only the lcm of a pair the criteria queue is packed.
+guard-bit test, and only the lcm of a pair the criteria queue is packed,
+field by field from the exponent shifts and packing columns read once per
+run.
 After its sugar, an S-pair is keyed by its position-free packed lcm,
 which sorts exactly like the lcm's order key.
 Each stored basis element, transcript included, carries the degree of its
@@ -314,6 +316,9 @@ class _Engine(_Reducer):
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
                  limits: Limits, shifts: Optional[Sequence[int]] = None):
         super().__init__(ring)
+        # (shift, packing column) of each exponent field: a queued lcm word
+        # is packed field by field
+        self.pack_fields = tuple(zip(ring._exp_shifts, ring._cols))
         self.rank = rank
         self.want_syz = want_syzygies
         self.shifts = tuple(shifts) if shifts else (0,) * rank
@@ -372,7 +377,10 @@ class _Engine(_Reducer):
         """Queue the pairs of a new element h (lead word m, index `new`)
         that the Gebauer-Moeller criteria keep; `lcms` maps each
         same-position basis index k to the word of lcm(lead k, m).  Every
-        test is on words; only a queued pair's lcm is packed.
+        test is on words; only a queued pair's lcm is packed, field by
+        field: each exponent it reads times that variable's packing column.
+        That packing makes no range check: `add_element` has checked every
+        lcm whose degree could reach `degree_cap`.
 
         B: a queued pair (i, j) whose lcm L is a multiple of m, with lcm(i, h)
         and lcm(j, h) both proper divisors of L, is marked dead.  M: a new
@@ -399,7 +407,7 @@ class _Engine(_Reducer):
         # a proper divisor sorts first, and a multiple of a dropped lcm is a
         # multiple of the kept lcm that dropped it
         dshift, mask, excess, pairs = self.dshift, self.dmask, self.excess, self.pairs
-        pack, decode = self.ring._pack, self.ring.decode
+        fields = self.pack_fields
         minimal: list[int] = []
         for lcm in sorted(classes):
             for low in minimal:
@@ -410,7 +418,9 @@ class _Engine(_Reducer):
                 k = classes[lcm]
                 # keyed (sugar, packed lcm, position, i, j); the word is for B
                 if k >= 0:
-                    packed = pack(decode(lcm))
+                    packed = 0
+                    for s, col in fields:
+                        packed += (lcm >> s & mask) * col
                     sugar = (packed >> dshift & mask) + max(excess[k], excess[new])
                     heapq.heappush(pairs, (sugar, packed, pos, k, new, lcm))
 

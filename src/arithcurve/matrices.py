@@ -75,7 +75,8 @@ class PolyMatrix:
         """Exact product over the nonzero entries of both factors.
 
         Every term product of an entry is added into one map {packed
-        monomial: coefficient} by the ring's kernel, which is sorted once.
+        monomial: coefficient} by the ring's kernel, which is sorted once;
+        an entry whose terms all cancel builds no polynomial.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -93,15 +94,27 @@ class PolyMatrix:
                     _add_into(terms, f, top, m, c, ring)
         return PolyMatrix(ring, self.rows, other.cols, {
             key: Polynomial(ring, tuple(sorted(terms.items(), reverse=True)))
-            for key, terms in acc.items()})
+            for key, terms in acc.items() if terms})
 
     def minor2(self, c1: int, c2: int) -> Polynomial:
-        """2x2 minor from columns c1 < c2 of a 2-row matrix."""
+        """2x2 minor from columns c1 < c2 of a 2-row matrix: both products
+        go into one map {packed monomial: coefficient} by the ring's
+        kernel, the second negated, and the map is sorted once."""
         if self.rows != 2:
             raise ValueError("minor2 requires a matrix with exactly 2 rows")
         if not 0 <= c1 < c2 < self.cols:
             raise IndexError(f"columns ({c1},{c2}) out of range for width {self.cols}")
-        return self.entry(0, c1) * self.entry(1, c2) - self.entry(0, c2) * self.entry(1, c1)
+        ring, entry = self.ring, self.nonzero.get
+        neg = ring.field.neg
+        acc = {}
+        for p, q, negate in ((entry((0, c1)), entry((1, c2)), False),
+                             (entry((0, c2)), entry((1, c1)), True)):
+            if p is None or q is None:
+                continue
+            top = ring.top_degree(q.packed)
+            for m, c in p.packed:
+                _add_into(acc, q.packed, top, m, neg(c) if negate else c, ring)
+        return Polynomial(ring, tuple(sorted(acc.items(), reverse=True)))
 
     def all_minors2(self) -> list:
         """Every 2x2 minor of a 2-row matrix, columns in lexicographic order."""

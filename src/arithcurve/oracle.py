@@ -93,9 +93,11 @@ def toric_ideal_of_weights(weights: Sequence[int], field=QQ,
     gens = [(ext.var(i + 1) - ext.var(0, w)).packed for i, w in enumerate(weights)]
     # under the block order a lead free of t leaves the whole element free
     # of it, and the t-free elements of a Groebner basis are one of the
-    # elimination ideal (the elimination theorem)
+    # elimination ideal (the elimination theorem); a lead is t-free when its
+    # t field is zero
+    t_field, mask = ext._exp_shifts[0], ext._mask
     gb = [g for g in module_groebner_basis(gens, ext, 1, limits=limits)
-          if ext.decode(g[0][0])[0] == 0]
+          if not g[0][0] >> t_field & mask]
     target = curve_ring(weights, field=field)
     # t-free monomials compare under the block order as they do in the
     # target ring, so the reduced basis comes out monic and sorted

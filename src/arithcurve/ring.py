@@ -45,8 +45,12 @@ on packed terms.  It reads the layout (`guard`, `_degree_shift`, `_mask`,
 `packed_degree` and `check_degree` do inline on its keys (it keys a term of
 a module vector by its packed monomial and position).  Its pair criteria
 take the lcms of exponent words, packed monomials masked to `word_fields`,
-with `word_lcms`, test their divisibility against `word_guard`, and
-`decode` and `_pack` the lcm of each pair they queue.
+with `word_lcms`, test their divisibility against `word_guard`, and pack
+the lcm of each pair they queue field by field: each exponent field times
+its packing column (`_exp_shifts`, `_cols`, read once per run), with no
+exponent tuple.  `repacker` moves a packed monomial into another ring's
+layout of the same variables, or of all but the first, field by field in
+the same way; `change_ring` and `drop_first_variable` go through it.
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 
 Three orders are defined, each by its forms: `WeightedGrevlex`, the order
@@ -73,7 +77,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul as _mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def _integral(r):
@@ -431,6 +435,7 @@ class PolyRing:
         # clear, and a larger word is never a proper divisor of a smaller one
         self.word_fields = sum(self._mask << s for s in self._exp_shifts)
         self.word_guard = sum(1 << (s + bits) for s in self._exp_shifts)
+        self._repackers: dict = {}  # (target, drop_first) -> `repacker`
 
     # -- packed monomials ---------------------------------------------------
 
@@ -491,6 +496,46 @@ class PolyRing:
             m = t - (t >> bits)
             out.append((a & m) | (b & (fields ^ m)))
         return out
+
+    def repacker(self, target: "PolyRing",
+                 drop_first: bool = False) -> Callable[[int], int]:
+        """The map taking a packed monomial of this ring to the packed int of
+        the same monomial in `target`, a ring of the same variables, or of
+        all but the first with `drop_first`; built once per target and kept.
+
+        It goes field to field, with no exponent tuple: each exponent field
+        it reads adds that exponent times the target's packing column, and
+        times the target's weight to the degree it range-checks against the
+        target's `degree_cap` (MonomialOutOfRange past it).  With
+        `drop_first`, ValueError on a monomial that involves the first
+        variable.  It equals `target._pack(decode(m))`, or
+        `target._pack(decode(m)[1:])`.
+        """
+        key = (target, drop_first)
+        repack = self._repackers.get(key)
+        if repack is not None:
+            return repack
+        shifts = self._exp_shifts[1:] if drop_first else self._exp_shifts
+        if len(shifts) != target.nvars:
+            raise ValueError("variable count mismatch")
+        fields = tuple(zip(shifts, target._cols, target.weights))
+        mask, cap, check = self._mask, target.degree_cap, target.check_degree
+        first = self._exp_shifts[0]
+
+        def repack(m: int) -> int:
+            if drop_first and m >> first & mask:
+                raise ValueError("monomial involves the eliminated variable")
+            packed = degree = 0
+            for s, col, w in fields:
+                e = m >> s & mask
+                packed += e * col
+                degree += e * w
+            if degree >= cap:
+                check(degree)
+            return packed
+
+        self._repackers[key] = repack
+        return repack
 
     # -- polynomials from exponent tuples -------------------------------------
 
@@ -685,15 +730,19 @@ class Polynomial:
 
     def change_ring(self, new_ring: PolyRing) -> "Polynomial":
         """Map into a ring with the same variables (possibly new field/order).
-        Over the same field the coefficients keep their form, so each term
-        is only repacked from its exponents and the terms sorted once."""
+        Each term is repacked (`PolyRing.repacker`) and the terms sorted
+        once.  Over the same field the coefficients keep their form; over
+        another each is taken to its stored form there (`_coefficient`)
+        and the zeros dropped, as `from_dict` does."""
         if new_ring.nvars != self.ring.nvars:
             raise ValueError("variable count mismatch")
+        repack = self.ring.repacker(new_ring)
+        terms = [(repack(m), c) for m, c in self.packed]
         if new_ring.field != self.ring.field:
-            return new_ring.from_dict(dict(self.terms))
-        decode, pack = self.ring.decode, new_ring._pack
-        return Polynomial(new_ring, tuple(sorted(
-            [(pack(decode(m)), c) for m, c in self.packed], reverse=True)))
+            coefficient = new_ring._coefficient
+            terms = [(m, coefficient(c)) for m, c in terms]
+            terms = [t for t in terms if t[1]]
+        return Polynomial(new_ring, tuple(sorted(terms, reverse=True)))
 
     # -- equality / hashing / printing --------------------------------------
 
@@ -804,13 +853,8 @@ def _revlex_ring(weights: tuple[int, ...], field) -> PolyRing:
 def drop_first_variable(p: Polynomial, target: PolyRing) -> Polynomial:
     """Project a polynomial not involving the first variable onto `target`,
     a ring over the same field with that variable left out: each term is
-    repacked from its exponents after the first, and the terms sorted once."""
-    decode, pack = p.ring.decode, target._pack
-    terms = []
-    for m, c in p.packed:
-        exps = decode(m)
-        if exps[0] != 0:
-            raise ValueError("polynomial involves the eliminated variable")
-        terms.append((pack(exps[1:]), c))
-    terms.sort(reverse=True)
-    return Polynomial(target, tuple(terms))
+    repacked without it (`PolyRing.repacker`), and the terms sorted once.
+    ValueError if a term involves it."""
+    repack = p.ring.repacker(target, drop_first=True)
+    return Polynomial(target, tuple(sorted(
+        [(repack(m), c) for m, c in p.packed], reverse=True)))

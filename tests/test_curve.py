@@ -1,13 +1,16 @@
 """Sequence validation, semigroup membership, matrices, and the generator set."""
 
+import itertools
 import math
 
 import pytest
 
 from arithcurve import (
+    QQ,
     FirstTermTooSmall,
     GcdNotOne,
     Limits,
+    PrimeField,
     ResourceLimitExceeded,
     expected_generator_count,
     validate_sequence,
@@ -289,17 +292,37 @@ class TestGenerators:
                 assert seq.vanishes(p)
 
     def test_generators_equal_matrix_minors(self):
-        """Cross-check against the independent minor route."""
-        for m0, d, n in [(5, 1, 4), (8, 1, 4), (6, 1, 4), (11, 3, 4), (7, 1, 3)]:
-            seq = validate_sequence(m0, d, n)
-            g = seq.generators()
-            A, B = seq.matrix_a(), seq.matrix_b()
-            expected_quads = [
-                A.minor2(i, j) for i in range(seq.n) for j in range(i + 1, seq.n)
-            ]
-            expected_powers = [B.minor2(0, j) for j in range(1, B.cols)]
-            assert list(g.quadratics) == expected_quads
-            assert list(g.powers) == expected_powers
+        """Cross-check of the packed binomials against the independent minor
+        route, term for term, on every valid (m0, d, n) with 2 <= n <= 7,
+        n < m0 <= 4n + 2 and 0 <= d <= 4, over QQ, GF(7) and GF(32003);
+        `power_binomial` builds each power alone."""
+        cases = 0
+        fields = (QQ, PrimeField(7), PrimeField(32003))
+        for n in range(2, 8):
+            grid = itertools.product(range(n + 1, 4 * n + 3), range(5), fields)
+            for m0, d, field in grid:
+                if math.gcd(m0, d) != 1:
+                    continue
+                seq = validate_sequence(m0, d, n)
+                g = seq.generators(field)
+                A, B = seq.matrix_a(field), seq.matrix_b(field)
+                expected_quads = [
+                    A.minor2(i, j) for i in range(n) for j in range(i + 1, n)
+                ]
+                expected_powers = [B.minor2(0, j) for j in range(1, B.cols)]
+                assert [p.packed for p in g.quadratics] == [p.packed for p in expected_quads]
+                assert [p.packed for p in g.powers] == [p.packed for p in expected_powers]
+                assert all(p.ring is A.ring for p in g.all)
+                assert [seq.power_binomial(j, field) for j in range(2, n + 3 - seq.b)] == list(g.powers)
+                cases += 1
+        assert cases == 3 * 245
+
+    def test_power_binomial_index_range(self):
+        seq = validate_sequence(6, 1, 4)  # b = 2: p[2] .. p[4]
+        assert seq.power_binomial(4) == seq.generators().powers[-1]
+        for j in (1, 5):
+            with pytest.raises(IndexError):
+                seq.power_binomial(j)
 
     def test_stable_labels(self):
         seq = validate_sequence(5, 1, 4)

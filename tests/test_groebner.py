@@ -13,6 +13,7 @@ from arithcurve import (
     ResourceLimitExceeded,
     colon_ideal,
     groebner,
+    ideal_equal,
     ideal_member,
     minimal_generators,
     minimal_resolution,
@@ -20,6 +21,7 @@ from arithcurve import (
     reduce_poly,
     resolution_b1,
     resolution_bn,
+    toric_ideal,
     validate_sequence,
 )
 from arithcurve.groebner import (
@@ -270,6 +272,28 @@ class TestGroebner:
         x0, x1 = R.var(0), R.var(1)
         assert reduce_poly(x0 * x1 + R.var(2), [x0, x1]) == R.var(2)
         assert groebner([x0, x1], limits=Limits()) == [x0, x1]
+
+
+def test_queued_pairs_key_their_packed_lcm(monkeypatch):
+    """Every pair the criteria queue is keyed by its lcm word packed field
+    by field, which equals `_pack(decode(word))`, on the runs of a toric-n4
+    operation (`toric_ideal`, then `ideal_equal` with the generators).  A
+    queued pair stays in the heap until the main loop pops it, so the heap
+    is checked after each call."""
+    checked = set()
+    original = _Engine._gebauer_moller
+
+    def checking(self, *args):
+        original(self, *args)
+        ring = self.ring
+        for _, packed, pos, i, j, word in self.pairs:
+            assert packed == ring._pack(ring.decode(word))
+            checked.add((id(self), pos, i, j))
+
+    monkeypatch.setattr(_Engine, "_gebauer_moller", checking)
+    seq = validate_sequence(9, 2, 4)
+    assert ideal_equal(list(seq.generators().all), toric_ideal(seq))
+    assert len(checked) > 50
 
 
 class TestModules:

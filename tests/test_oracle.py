@@ -100,6 +100,16 @@ class TestToricIdeal:
         with pytest.raises(ValueError, match="eliminated variable"):
             drop_first_variable(p + t, target)
 
+    def test_drop_first_variable_refuses_an_x0_term(self):
+        """Dropping X0 from a curve ring, as `artinian_generators` does,
+        repacks an X0-free polynomial and refuses one with an X0 term."""
+        ring, target = curve_ring((3, 5, 7)), curve_ring((5, 7))
+        x0, x1, x2 = (ring.var(i) for i in range(3))
+        p = x1 ** 7 - x2 ** 5
+        assert drop_first_variable(p, target) == target.from_dict({(7, 0): 1, (0, 5): -1})
+        with pytest.raises(ValueError, match="eliminated variable"):
+            drop_first_variable(p + x0 ** 4 * x2 ** 2 - x0 * x1 ** 4 * x2, target)
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             toric_ideal_of_weights((0, 3))

@@ -453,6 +453,19 @@ def test_rational_and_prime_backends_agree(p, q):
     )
 
 
+def test_change_ring_across_fields_matches_from_dict():
+    """Into another field, each coefficient takes its stored form there and
+    one that vanishes is dropped, as `from_dict` of the terms gives."""
+    R = curve_ring(W)
+    Rp = revlex_ring(W, PrimeField(7))
+    p = R.from_dict({(1, 0, 0, 0, 2): 7, (0, 3, 0, 0, 0): Fraction(1, 2),
+                     (0, 0, 1, 1, 0): -3})
+    q = p.change_ring(Rp)
+    assert q == Rp.from_dict(dict(p.terms))
+    assert len(q.packed) == 2 and all(c.__class__ is int for _, c in q.packed)
+    assert q.change_ring(R) == R.from_dict({(0, 3, 0, 0, 0): 4, (0, 0, 1, 1, 0): 4})
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.tuples(*[st.integers(0, 5) for _ in range(NVARS)]),
@@ -574,12 +587,62 @@ def test_monomial_past_the_packed_range_raises(name):
         half * half
     with pytest.raises(MonomialOutOfRange):
         half.mul_term((0,) * last + (fits // 2 + 1,), 1)
-    # each fits, but their lcm has about twice the degree: the engine packs
-    # it when it files the pair, so it raises before any criterion applies
+    # each fits, but their lcm has about twice the degree: the engine checks
+    # its degree when it files the pair, so it raises before any criterion
+    # applies
     near = (0,) * (last - 1) + ((ring.degree_cap - 1) // ring.weights[last - 1], 0)
     with pytest.raises(MonomialOutOfRange) as caught:
         groebner([ring.monomial(near), ring.monomial((0,) * last + (fits,))])
     assert any(entry.name == "add_element" for entry in caught.traceback)
+
+
+# source and target rings for `PolyRing.repacker`: the three orders on W,
+# on W less its first weight (so with one variable fewer, or the same number
+# for the elimination ring) and a ring of unit weights, whose smaller
+# degree_cap the large exponents of `packed_exps` pass
+REPACK_RINGS = [curve_ring(W), revlex_ring(W), elimination_ring(W),
+                curve_ring(W[1:]), revlex_ring(W[1:]), elimination_ring(W[1:]),
+                curve_ring((1,) * len(W))]
+REPACK_PAIRS = [(source, target, drop) for source in REPACK_RINGS
+                for target in REPACK_RINGS for drop in (False, True)
+                if target.nvars == source.nvars - drop]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_repacker_agrees_with_decode_and_pack(data):
+    """The field-to-field repacking equals packing the decoded exponents in
+    the target, first one dropped or not: MonomialOutOfRange exactly when
+    that does, ValueError when a dropped first exponent is not zero."""
+    source, target, drop = data.draw(st.sampled_from(REPACK_PAIRS))
+    exps = data.draw(packed_exps(source))
+    m = source.encode(exps)
+    repack = source.repacker(target, drop_first=drop)
+    assert source.repacker(target, drop_first=drop) is repack
+    if drop and exps[0]:
+        with pytest.raises(ValueError, match="eliminated variable"):
+            repack(m)
+        return
+    try:
+        expected = target._pack(exps[1:] if drop else exps)
+    except MonomialOutOfRange:
+        with pytest.raises(MonomialOutOfRange):
+            repack(m)
+        return
+    assert repack(m) == expected
+
+
+def test_repacker_range_checks_against_the_target():
+    """X4^k fits curve_ring(W), whose cap is 2^24, but past k = 2^18 - 1
+    not the unit-weight ring, whose cap is 2^18."""
+    source, target = curve_ring(W), curve_ring((1,) * len(W))
+    repack = source.repacker(target)
+    k = target.degree_cap - 1
+    assert repack(source.encode((0, 0, 0, 0, k))) == target.encode((0, 0, 0, 0, k))
+    with pytest.raises(MonomialOutOfRange):
+        repack(source.encode((0, 0, 0, 0, k + 1)))
+    with pytest.raises(ValueError, match="variable count"):
+        source.repacker(curve_ring(W[1:]))
 
 
 def test_range_check_covers_terms_below_the_lead():
