@@ -13,10 +13,11 @@ position-over-term, a vector's flat terms are its components' packed terms
 concatenated in position order, and at rank 1 they are the polynomial's own
 packed terms.  A vector being reduced lives in one map {key: coefficient}
 from its S-pair to its remainder: forming the S-pair is two range-checked
-calls of the field's merge loop `add_into` (the loop of the ring's kernel
-`ring._add_into`), each reduction step v <- v + k * X^u * b is one more,
-whatever the rank, and the map is sorted into flat terms once at the end.
-The engine forms no product anywhere else.
+products, the first (k = 1 into an empty map) one dict comprehension and
+the second a call of the field's merge loop `add_into` (the loop of the
+ring's kernel `ring._add_into`), each reduction step v <- v + k * X^u * b
+is one more call, whatever the rank, and the map is sorted into flat terms
+once at the end.  The engine forms no product anywhere else.
 Polynomials become flat vectors only in `to_flat` and flat vectors
 polynomials only in `from_flat`: pruning converts each candidate once
 and reads its degree off the flat terms, and `syzygy_generators` reads
@@ -28,7 +29,10 @@ reduces one, so no vector becomes polynomials between a basis run and the
 reducer that tests membership against it.
 
 A run is one `_Engine`: a `_Reducer` whose basis grows by the S-pairs it
-reduces, under one meter (`Limits.start`) that every cap bounds.  A
+reduces, under one meter (`Limits.start`) that every cap bounds.  Each
+event of a run is one frame: `add_element` stores an element and queues
+its pairs, the only place pairs are queued; `_main_loop` forms each
+S-pair, and `_reduce` looks up each reducer inline.  A
 `_Reducer` alone reduces against a finished basis (membership tests,
 normal forms, interreduction): it forms no pair and starts no meter, so
 it is no run and takes no cap.
@@ -102,17 +106,20 @@ a divisibility test is `not (b - a) & guard`, a degree read
 method called per test.  The pair criteria work on each lead's exponent
 word, its packed monomial masked to the exponent fields
 (`PolyRing.word_fields`): an lcm is a field-wise max read off the guard
-bits of one subtraction (`PolyRing.word_lcms`), divisibility the same
-guard-bit test, and only the lcm of a pair the criteria queue is packed,
-field by field from the exponent shifts and packing columns read once per
-run.
+bits of one subtraction (inline in `add_element`, as `PolyRing.word_lcms`
+reads it), divisibility the same guard-bit test, and only the lcm of a
+pair the criteria queue is packed, field by field from the exponent shifts
+and packing columns read once per run.
 After its sugar, an S-pair is keyed by its position-free packed lcm,
 which sorts exactly like the lcm's order key.
 Each stored basis element, transcript included, carries the degree of its
-highest-degree term (`PolyRing.top_degree`), and the engine range-checks
-every product against it, as `ring._add_into` does, before the field
-merges any term: one that would leave the packed range raises
-MonomialOutOfRange, even when that term lies below the lead.
+highest-degree term, the one `PolyRing.top_degree` reads: `add_element`
+reads it in the pass that computes the element's sugar, or in one pass of
+its own when the sugar comes from the pair, and a fixed basis is read by
+`top_degree` itself.  The engine range-checks every product against it,
+as `ring._add_into` does, before the field merges any term: one that
+would leave the packed range raises MonomialOutOfRange, even when that
+term lies below the lead.
 
 All computations are deterministic: fixed insertion order, pairs processed in
 increasing (sugar, packed lcm, position, i, j) and reducers chosen
@@ -251,15 +258,19 @@ class _Reducer:
 
     def _reduce(self, acc: dict) -> tuple:
         """Cancel the leading terms of a map {key: coefficient} in place
-        until none is reducible; the flat remainder, empty for 0."""
+        until none is reducible; the flat remainder, empty for 0.  Each
+        reducer is looked up inline by `_find_reducer`'s first-match rule."""
         ring = self.ring
         neg, add_into = ring.field.neg, ring.field.add_into
-        basis, leads, find = self.basis, self.leads, self._find_reducer
+        basis, leads, by_pos = self.basis, self.leads, self.by_pos
+        unit, guard = self.unit, self.guard
         dshift, mask, cap = self.dshift, self.dmask, self.cap
         while acc:
             key = max(acc)
-            idx = find(key)
-            if idx is None:
+            for idx in by_pos.get(-(key // unit), ()):
+                if not (key - leads[idx]) & guard:
+                    break
+            else:
                 return tuple(sorted(acc.items(), reverse=True))
             q, top = basis[idx]
             u = key - leads[idx]
@@ -292,7 +303,8 @@ class _Reducer:
             v = v[1:]
 
     def _insert(self, v: tuple):
-        """Store a flat v, made monic, as a basis element; forms no pairs."""
+        """Store a flat v, made monic, as a basis element; forms no pairs.
+        A run stores its elements in `_Engine.add_element`."""
         field = self.ring.field
         key, coeff = v[0]
         if coeff != 1:
@@ -316,11 +328,18 @@ class _Engine(_Reducer):
     def __init__(self, ring: PolyRing, rank: int, want_syzygies: bool,
                  limits: Limits, shifts: Optional[Sequence[int]] = None):
         super().__init__(ring)
+        # the exponent words' layout, read once: lcms and divisibility are
+        # read off it inline, as `PolyRing.word_lcms` reads them
+        self.word_fields, self.word_guard = ring.word_fields, ring.word_guard
+        self.bits = ring._mask.bit_length()
         # (shift, packing column) of each exponent field: a queued lcm word
         # is packed field by field
         self.pack_fields = tuple(zip(ring._exp_shifts, ring._cols))
         self.rank = rank
         self.want_syz = want_syzygies
+        # the product criterion holds at rank 1 only, and never in a syzygy
+        # run, which would lose the Koszul syzygy of a coprime pair
+        self.product = rank == 1 and not want_syzygies
         self.shifts = tuple(shifts) if shifts else (0,) * rank
         self.meter = limits.start()
         self.floor = (1 - rank) * self.unit  # the least key at a position < rank
@@ -333,38 +352,121 @@ class _Engine(_Reducer):
 
     def add_element(self, v: tuple, pair=None):
         """Queue the pairs of a nonzero flat v and store it, or keep it as a
-        syzygy when it leads in its transcript.  v keeps the sugar of the
-        pair it was reduced from (`pair`: position, sugar) while it leads at
-        that position, as a run's inputs may be homogeneous under shifts it
-        is not given; else its sugar is its top shifted degree there."""
+        syzygy when it leads in its transcript; every pair the run reduces
+        is queued here.
+
+        v keeps the sugar of the pair it was reduced from (`pair`: position,
+        sugar) while it leads at that position, as a run's inputs may be
+        homogeneous under shifts it is not given; else its sugar is its top
+        shifted degree there.  v is stored monic with its top degree, the
+        one `PolyRing.top_degree` reads, which this pass reads itself, in
+        the same loop as the sugar when it computes one.
+
+        The Gebauer-Moeller criteria work on exponent words (the lead
+        masked to the exponent fields); only a queued pair's lcm is packed,
+        field by field: each exponent it reads times that variable's
+        packing column.  That packing makes no range check: every lcm whose
+        degree could reach `degree_cap` is checked first.  An element that
+        opens a new position has no same-position partner, so no pair and
+        no criterion concerns it.
+
+        B: a queued pair (i, j) whose lcm L is a multiple of the new lead
+        m, with lcm(i, m) and lcm(j, m) both proper divisors of L, is
+        marked dead.  M: a new pair whose lcm is a proper multiple of
+        another new pair's lcm is dropped.  F: one pair is kept per
+        remaining lcm, the one with the smallest partner index k.  Product
+        criterion (rank 1 only: it does not hold for vectors; and never in
+        a syzygy run): an lcm class with one coprime pair, one whose lcm is
+        the product of its leads, is dropped whole.
+        """
         key = v[0][0]
         if key < self.floor:
             self.syzygies.append(v)
             return
-        pos = -(key // self.unit)
-        low = -pos * self.unit  # the least key at the lead's position
-        new = len(self.basis)
-        dshift, mask = self.dshift, self.dmask
+        unit, dshift, mask = self.unit, self.dshift, self.dmask
+        pos = -(key // unit)
+        degree = key >> dshift & mask
         if pair is not None and pair[0] == pos:
             sugar = pair[1]
+            top = max([k >> dshift & mask for k, _ in v])
         else:
-            sugar = max([k >> dshift & mask for k, _ in v if k >= low]) + self.shifts[pos]
-        degree = key >> dshift & mask
-        self.excess.append(sugar - degree)
-        # a key's low bits are its packed monomial
-        ring, words = self.ring, self.words
-        word = key & ring.word_fields
-        same = self.by_pos.get(pos, ())
-        lcms = dict(zip(same, ring.word_lcms(word, [words[k] for k in same])))
-        # an lcm's degree is at most the sum of its leads': only past the
-        # cap is each one's exact degree checked, in index order
-        if degree + self.top_lead >= self.cap:
-            for lcm in lcms.values():
-                ring.check_degree(sum(map(mul, ring.decode(lcm), ring.weights)))
-        self._gebauer_moller(pos, word, new, lcms)
-        self._insert(v)
+            # the lead's position holds the keys from `low` up
+            low, top, here = -pos * unit, 0, 0
+            for k, _ in v:
+                d = k >> dshift & mask
+                if k >= low:
+                    if d > here:
+                        here = d
+                elif d > top:
+                    top = d
+            if here > top:
+                top = here
+            sugar = here + self.shifts[pos]
+        excess = sugar - degree
+        field = self.ring.field
+        coeff = v[0][1]
+        if coeff != 1:
+            inv, fmul = field.inv(coeff), field.mul
+            v = tuple([(m, fmul(c, inv)) for m, c in v])
+        words, basis = self.words, self.basis
+        new = len(basis)
+        word = key & self.word_fields  # a key's low bits are its packed monomial
+        same = self.by_pos.get(pos)
+        if same is None:
+            self.by_pos[pos] = [new]
+        else:
+            # the lcm word of each same-position partner k, a field-wise max
+            # (`PolyRing.word_lcms`), and its class: lcm -> smallest k, or
+            # -1 once a pair of that lcm is coprime
+            fields, guard, bits = self.word_fields, self.word_guard, self.bits
+            product, high = self.product, word | guard
+            lcms, classes = {}, {}
+            for k in same:
+                b = words[k]
+                t = (high - b) & guard
+                t -= t >> bits
+                lcm = lcms[k] = (word & t) | (b & (fields ^ t))
+                if product and lcm == b + word:
+                    classes[lcm] = -1
+                elif lcm not in classes:
+                    classes[lcm] = k
+            # an lcm's degree is at most the sum of its leads': only past
+            # the cap is each one's exact degree checked, in index order
+            if degree + self.top_lead >= self.cap:
+                ring = self.ring
+                for lcm in lcms.values():
+                    ring.check_degree(sum(map(mul, ring.decode(lcm), ring.weights)))
+            dead, pairs = self.dead, self.pairs
+            for _, _, p, i, j, lcm in pairs:  # B
+                if (p == pos and not (lcm - word) & guard
+                        and lcms[i] != lcm and lcms[j] != lcm):
+                    dead.add((i, j))
+            # M and F: a proper divisor sorts first, and a multiple of a
+            # dropped lcm is a multiple of the kept lcm that dropped it
+            excess_of, packing = self.excess, self.pack_fields
+            minimal: list[int] = []
+            for lcm in sorted(classes):
+                for smaller in minimal:
+                    if not (lcm - smaller) & guard:
+                        break
+                else:
+                    minimal.append(lcm)
+                    k = classes[lcm]
+                    # keyed (sugar, packed lcm, position, i, j); the word is for B
+                    if k >= 0:
+                        packed = 0
+                        for s, col in packing:
+                            packed += (lcm >> s & mask) * col
+                        heapq.heappush(pairs, (
+                            (packed >> dshift & mask) + max(excess_of[k], excess),
+                            packed, pos, k, new, lcm))
+            same.append(new)
+        basis.append((v, top))
+        self.leads.append(key)
         words.append(word)
-        self.top_lead = max(self.top_lead, degree)
+        self.excess.append(excess)
+        if degree > self.top_lead:
+            self.top_lead = degree
         # the support cap counts the vector and its transcript apart, which
         # can matter only when the vector or the basis could exceed a cap;
         # written fail-closed, so that a NaN cap stops the run
@@ -372,57 +474,6 @@ class _Engine(_Reducer):
         if not (len(v) <= limits.max_support and new < limits.max_basis):
             head = len([k for k, _ in v if k >= self.floor])
             self.meter.check_growth(new + 1, max(head, len(v) - head))
-
-    def _gebauer_moller(self, pos: int, m: int, new: int, lcms: dict):
-        """Queue the pairs of a new element h (lead word m, index `new`)
-        that the Gebauer-Moeller criteria keep; `lcms` maps each
-        same-position basis index k to the word of lcm(lead k, m).  Every
-        test is on words; only a queued pair's lcm is packed, field by
-        field: each exponent it reads times that variable's packing column.
-        That packing makes no range check: `add_element` has checked every
-        lcm whose degree could reach `degree_cap`.
-
-        B: a queued pair (i, j) whose lcm L is a multiple of m, with lcm(i, h)
-        and lcm(j, h) both proper divisors of L, is marked dead.  M: a new
-        pair whose lcm is a proper multiple of another new pair's lcm is
-        dropped.  F: one pair is kept per remaining lcm, the one with the
-        smallest k.  Product criterion (rank 1 only: it does not hold for
-        vectors; and never in a syzygy run, which would lose the Koszul
-        syzygy of a coprime pair): an lcm class with one coprime pair, one
-        whose lcm is the product of its leads, is dropped whole.
-        """
-        guard, dead = self.ring.word_guard, self.dead
-        product = self.rank == 1 and not self.want_syz
-        for _, _, p, i, j, lcm in self.pairs:
-            if (p == pos and not (lcm - m) & guard
-                    and lcms[i] != lcm and lcms[j] != lcm):
-                dead.add((i, j))
-        classes: dict[int, int] = {}  # lcm -> smallest k; -1 if a pair is coprime
-        words = self.words
-        for k, lcm in lcms.items():
-            if product and lcm == words[k] + m:
-                classes[lcm] = -1
-            else:
-                classes.setdefault(lcm, k)
-        # a proper divisor sorts first, and a multiple of a dropped lcm is a
-        # multiple of the kept lcm that dropped it
-        dshift, mask, excess, pairs = self.dshift, self.dmask, self.excess, self.pairs
-        fields = self.pack_fields
-        minimal: list[int] = []
-        for lcm in sorted(classes):
-            for low in minimal:
-                if not (lcm - low) & guard:
-                    break
-            else:
-                minimal.append(lcm)
-                k = classes[lcm]
-                # keyed (sugar, packed lcm, position, i, j); the word is for B
-                if k >= 0:
-                    packed = 0
-                    for s, col in fields:
-                        packed += (lcm >> s & mask) * col
-                    sugar = (packed >> dshift & mask) + max(excess[k], excess[new])
-                    heapq.heappush(pairs, (sugar, packed, pos, k, new, lcm))
 
     def add_inputs(self, flats: Sequence[tuple]):
         """Store the nonempty flats and queue their pairs; `_main_loop`
@@ -437,13 +488,15 @@ class _Engine(_Reducer):
         return self
 
     def _main_loop(self, stop: Optional[int] = None):
-        """Reduce pairs in key order; with `stop`, leave those of sugar
-        above it in the queue."""
+        """Reduce the queued pairs in key order, each S-pair formed and
+        reduced in one map, and store each nonzero remainder
+        (`add_element`); with `stop`, leave those of sugar above it in the
+        queue."""
         ring = self.ring
         add_into = ring.field.add_into
         pairs, dead, basis, leads = self.pairs, self.dead, self.basis, self.leads
         unit, dshift, mask, cap = self.unit, self.dshift, self.dmask, self.cap
-        tick = self.meter.tick_pair
+        tick, reduce, store = self.meter.tick_pair, self._reduce, self.add_element
         while pairs:
             if stop is not None and pairs[0][0] > stop:
                 return
@@ -453,17 +506,21 @@ class _Engine(_Reducer):
                 continue
             tick()
             at = lcm - pos * unit  # the lcm's key at position pos
-            acc = {}
-            for idx, k in ((i, 1), (j, -1)):
-                q, top = basis[idx]
-                u = at - leads[idx]
-                top += u >> dshift & mask
-                if top >= cap:  # `_add_into`'s range check
-                    ring.check_degree(top)
-                add_into(acc, q, u, k)
-            s = self._reduce(acc)
+            q, top = basis[i]
+            u = at - leads[i]
+            top += u >> dshift & mask
+            if top >= cap:  # `_add_into`'s range check
+                ring.check_degree(top)
+            acc = {m + u: c for m, c in q}  # 1 * X^u * q into an empty map
+            q, top = basis[j]
+            u = at - leads[j]
+            top += u >> dshift & mask
+            if top >= cap:
+                ring.check_degree(top)
+            add_into(acc, q, u, -1)
+            s = reduce(acc)
             if s:
-                self.add_element(s, (pos, sugar))
+                store(s, (pos, sugar))
 
 
 def minimal_module_generators(vectors: Sequence[Vector],
@@ -482,14 +539,18 @@ def minimal_module_generators(vectors: Sequence[Vector],
     order are deterministic.
 
     The basis of the kept module is completed only up to the degree of the
-    candidate at hand.  This is exact because the vectors are homogeneous
-    and the weights non-negative: every S-pair is homogeneous of the shifted
-    degree of its lcm, and reducing a degree-D vector uses only basis
-    elements of degree <= D.  Once every pair of degree <= D is reduced, the
-    basis is a Groebner basis up to degree D, so a degree-D candidate lies
-    in the kept module exactly when top reduction sends it to zero (La Scala
-    & Stillman's degree-by-degree strategy).  The pair criteria keep this
-    exact: the pairs that justify dropping a pair have lcms dividing its lcm.
+    candidate at hand: `_main_loop` is entered only when the least queued
+    sugar, the head of the pair heap, is at most that degree, and it
+    stores what it reduces through `add_element`, which queues their
+    pairs and gives each its top degree.  This is exact because the
+    vectors are homogeneous and the weights non-negative: every S-pair is
+    homogeneous of the shifted degree of its lcm, and reducing a degree-D
+    vector uses only basis elements of degree <= D.  Once every pair of
+    degree <= D is reduced, the basis is a Groebner basis up to degree D,
+    so a degree-D candidate lies in the kept module exactly when top
+    reduction sends it to zero (La Scala & Stillman's degree-by-degree
+    strategy).  The pair criteria keep this exact: the pairs that justify
+    dropping a pair have lcms dividing its lcm.
 
     Pruning is the head of `engine`, a syzygy run of the vectors' rank that
     has stored nothing yet and carries the shifts the degrees are read
@@ -523,8 +584,10 @@ def minimal_module_generators(vectors: Sequence[Vector],
         candidates.append(((degrees.pop(), -(lead // unit), lead % unit), flat, v))
 
     kept: list[tuple[int, Vector]] = []
+    pairs = engine.pairs  # a heap: pairs[0] has the least sugar
     for (deg, _, _), flat, v in sorted(candidates, key=itemgetter(0)):
-        engine._main_loop(stop=deg)
+        if pairs and pairs[0][0] <= deg:  # a pair is due
+            engine._main_loop(stop=deg)
         # its transcript leads no basis element, so the remainder keeps it
         reduced = engine.top_reduce(flat + ((-(engine.rank + len(kept)) * unit, one),))
         if reduced[0][0] < engine.floor:  # no head: a member

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .ring import Polynomial, PolyRing, _add_into
+from .ring import Polynomial, PolyRing
 
 
 class PolyMatrix:
@@ -74,46 +74,61 @@ class PolyMatrix:
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         """Exact product over the nonzero entries of both factors.
 
-        Every term product of an entry is added into one map {packed
-        monomial: coefficient} by the ring's kernel, which is sorted once;
-        an entry whose terms all cancel builds no polynomial.
+        Each entry product e * f is range-checked once, against the top
+        degree of e plus that of f (MonomialOutOfRange before any term is
+        added, exactly when one of its term products would not fit, as in
+        `ring._add_into`), and its terms are added by the field's
+        `add_into` into one map {packed monomial: coefficient}, which is
+        sorted once; an entry whose terms all cancel builds no polynomial.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ring = self.ring
         if other.ring is not ring and other.ring != ring:
             raise ValueError("matrices over different rings")
+        top_degree, add_into, cap = ring.top_degree, ring.field.add_into, ring.degree_cap
         right_by_row = {}
         for (k, j), f in other.nonzero.items():
-            right_by_row.setdefault(k, []).append((j, f.packed, ring.top_degree(f.packed)))
+            right_by_row.setdefault(k, []).append((j, f.packed, top_degree(f.packed)))
         acc = {}
         for (i, k), e in self.nonzero.items():
-            for j, f, top in right_by_row.get(k, ()):
+            right = right_by_row.get(k)
+            if right is None:
+                continue
+            e = e.packed
+            top_e = top_degree(e)
+            for j, f, top_f in right:
+                if top_e + top_f >= cap:
+                    ring.check_degree(top_e + top_f)
                 terms = acc.setdefault((i, j), {})
-                for m, c in e.packed:
-                    _add_into(terms, f, top, m, c, ring)
+                for m, c in e:
+                    add_into(terms, f, m, c)
         return PolyMatrix(ring, self.rows, other.cols, {
             key: Polynomial(ring, tuple(sorted(terms.items(), reverse=True)))
             for key, terms in acc.items() if terms})
 
     def minor2(self, c1: int, c2: int) -> Polynomial:
         """2x2 minor from columns c1 < c2 of a 2-row matrix: both products
-        go into one map {packed monomial: coefficient} by the ring's
-        kernel, the second negated, and the map is sorted once."""
+        go into one map {packed monomial: coefficient} by the field's
+        `add_into`, the second negated, and the map is sorted once.  Each
+        product is range-checked once, as in `mul`."""
         if self.rows != 2:
             raise ValueError("minor2 requires a matrix with exactly 2 rows")
         if not 0 <= c1 < c2 < self.cols:
             raise IndexError(f"columns ({c1},{c2}) out of range for width {self.cols}")
         ring, entry = self.ring, self.nonzero.get
-        neg = ring.field.neg
+        neg, add_into, top_degree = ring.field.neg, ring.field.add_into, ring.top_degree
         acc = {}
         for p, q, negate in ((entry((0, c1)), entry((1, c2)), False),
                              (entry((0, c2)), entry((1, c1)), True)):
             if p is None or q is None:
                 continue
-            top = ring.top_degree(q.packed)
-            for m, c in p.packed:
-                _add_into(acc, q.packed, top, m, neg(c) if negate else c, ring)
+            p, q = p.packed, q.packed
+            top = top_degree(p) + top_degree(q)
+            if top >= ring.degree_cap:
+                ring.check_degree(top)
+            for m, c in p:
+                add_into(acc, q, m, neg(c) if negate else c)
         return Polynomial(ring, tuple(sorted(acc.items(), reverse=True)))
 
     def all_minors2(self) -> list:

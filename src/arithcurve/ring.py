@@ -25,15 +25,18 @@ neighbour.
 A polynomial stores its terms in `packed`, a tuple of (packed int,
 coefficient) pairs sorted strictly decreasing, so decreasing under the ring's
 order, with no zero coefficients and no duplicate monomials.  One kernel,
-`_add_into` (acc += k * X^u * q), forms every product outside the
-Buchberger engine: it range-checks X^u against q's top degree
-(`PolyRing.top_degree`) and then hands the loop to the field's `add_into`,
-which adds q's terms one by one into acc, a map {packed monomial:
-coefficient}, deleting a coefficient that cancels.  The engine makes the
-same range check inline, in `_Engine._main_loop` and `_Reducer._reduce`,
-against the top degree it stores with each basis element, and then calls
-the field's `add_into` itself, which stays the one merge loop.  Each field inlines its own arithmetic there (`% p`, or the int fast
-path and `_integral` of QQ), the same operations `add` and `mul` perform.
+`_add_into` (acc += k * X^u * q), forms every product of polynomials: it
+range-checks X^u against q's top degree (`PolyRing.top_degree`) and then
+hands the loop to the field's `add_into`, which adds q's terms one by one
+into acc, a map {packed monomial: coefficient}, deleting a coefficient
+that cancels.  The engine makes the same range check inline, in
+`_Engine._main_loop` and `_Reducer._reduce`, against the top degree it
+stores with each basis element, and `PolyMatrix.mul` and `minor2` make it
+once per entry product, against the sum of the two entries' top degrees;
+both then call the field's `add_into` themselves, which stays the one
+merge loop.  Each field inlines its own arithmetic there (`% p`, or the
+int fast path and `_integral` of QQ), the same operations `add` and `mul`
+perform.
 `add_mul` copies a polynomial's terms into a map, adds into it and sorts
 the map once; sums, differences, `mul_term` and products (one `add_mul` per
 term of the shorter factor) go through it, and the Buchberger engine keeps
@@ -45,12 +48,13 @@ on packed terms.  It reads the layout (`guard`, `_degree_shift`, `_mask`,
 `packed_degree` and `check_degree` do inline on its keys (it keys a term of
 a module vector by its packed monomial and position).  Its pair criteria
 take the lcms of exponent words, packed monomials masked to `word_fields`,
-with `word_lcms`, test their divisibility against `word_guard`, and pack
-the lcm of each pair they queue field by field: each exponent field times
-its packing column (`_exp_shifts`, `_cols`, read once per run), with no
-exponent tuple.  `repacker` moves a packed monomial into another ring's
-layout of the same variables, or of all but the first, field by field in
-the same way; `change_ring` and `drop_first_variable` go through it.
+inline as `word_lcms` takes them, test their divisibility against
+`word_guard`, and pack the lcm of each pair they queue field by field:
+each exponent field times its packing column (`_exp_shifts`, `_cols`,
+read once per run), with no exponent tuple.  `repacker` moves a packed
+monomial into another ring's layout of the same variables, or of all but
+the first, field by field in the same way; `change_ring` and
+`drop_first_variable` go through it.
 `order.key` and `monomial_divides/div/lcm` are the tuple-based references.
 
 Three orders are defined, each by its forms: `WeightedGrevlex`, the order
@@ -401,6 +405,8 @@ class PolyRing:
             raise ValueError("weights must be positive")
         self.field = field
         self.order = order if order is not None else WeightedGrevlex(self.weights)
+        # hashed once: rings key the `repacker` cache and the ring caches
+        self._hash = hash((self.names, self.weights, self.field, self.order))
         self.nvars = len(self.names)
         self._init_packing()
         self.zero = Polynomial(self, ())
@@ -580,7 +586,7 @@ class PolyRing:
         )
 
     def __hash__(self):
-        return hash((self.names, self.weights, self.field, self.order))
+        return self._hash
 
     def __repr__(self):
         return f"PolyRing({','.join(self.names)}; weights={self.weights}; {self.field})"
@@ -590,12 +596,13 @@ def _add_into(acc: dict, q: tuple, top: int, u: int, k, ring: PolyRing):
     """Add k * X^u * q into acc, a map {packed term: coefficient} with no
     zero coefficient; `top` is `ring.top_degree(q)` and q is nonempty.
 
-    The one place a product is formed outside the Buchberger engine:
-    MonomialOutOfRange if X^u times q's highest-degree term would not fit,
-    checked before anything is added.  The field's `add_into` then runs the
-    loop; a coefficient that cancels is deleted, so acc stays free of
-    zeros.  `_Engine._main_loop` and `_Reducer._reduce` make this range check
-    inline, with the same message, and call the field's `add_into` directly.
+    The kernel of `Polynomial.add_mul`: MonomialOutOfRange if X^u times
+    q's highest-degree term would not fit, checked before anything is
+    added.  The field's `add_into` then runs the loop; a coefficient that
+    cancels is deleted, so acc stays free of zeros.  `_Engine._main_loop`
+    and `_Reducer._reduce` make this range check inline, with the same
+    message, and `PolyMatrix.mul` and `minor2` once per entry product; all
+    of them call the field's `add_into` directly.
     """
     ring.check_degree(top + ring.packed_degree(u))
     ring.field.add_into(acc, q, u, k)

@@ -1,5 +1,6 @@
 """The Buchberger engine: reduced bases, module membership, syzygies, limits."""
 
+import collections
 import hashlib
 import importlib
 import itertools
@@ -24,10 +25,12 @@ from arithcurve import (
     toric_ideal,
     validate_sequence,
 )
+from arithcurve.cli import main
 from arithcurve.groebner import (
     DEFAULT_LIMITS,
     Vector,
     _Engine,
+    _Reducer,
     from_flat,
     minimal_module_generators,
     module_reducer,
@@ -276,24 +279,59 @@ class TestGroebner:
 
 def test_queued_pairs_key_their_packed_lcm(monkeypatch):
     """Every pair the criteria queue is keyed by its lcm word packed field
-    by field, which equals `_pack(decode(word))`, on the runs of a toric-n4
-    operation (`toric_ideal`, then `ideal_equal` with the generators).  A
-    queued pair stays in the heap until the main loop pops it, so the heap
-    is checked after each call."""
+    by field, which equals `_pack(decode(word))`, and that word is the one
+    `PolyRing.word_lcms` gives for its two leads, on the runs of a toric-n4
+    operation (`toric_ideal`, then `ideal_equal` with the generators).
+    `add_element` queues every pair, and a queued pair stays in the heap
+    until the main loop pops it, so the heap is checked after each call."""
     checked = set()
-    original = _Engine._gebauer_moller
+    original = _Engine.add_element
 
     def checking(self, *args):
         original(self, *args)
-        ring = self.ring
+        ring, words = self.ring, self.words
         for _, packed, pos, i, j, word in self.pairs:
             assert packed == ring._pack(ring.decode(word))
+            assert [word] == ring.word_lcms(words[i], [words[j]])
             checked.add((id(self), pos, i, j))
 
-    monkeypatch.setattr(_Engine, "_gebauer_moller", checking)
+    monkeypatch.setattr(_Engine, "add_element", checking)
     seq = validate_sequence(9, 2, 4)
     assert ideal_equal(list(seq.generators().all), toric_ideal(seq))
     assert len(checked) > 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "4", "--b", "3", "--a", "1..1", "--d", "1..1", "--field", "fp:32003"],
+    ["resolve", "5", "1", "4", "--verify"],
+], ids=["scan-cell-7-1-4", "resolve-5-1-4-verify"])
+def test_stored_elements_carry_their_top_degree(argv, monkeypatch, capsys):
+    """Every basis element a run stores (`_Engine.add_element`, which reads
+    its top degree itself) and every one a fixed-basis reducer holds
+    carries the top degree `PolyRing.top_degree` reads off its terms, on
+    every run of one command (a scan cell builds no reducer)."""
+    stored = collections.Counter()
+    add_element, init = _Engine.add_element, _Reducer.__init__
+
+    def checked(self, start=0):
+        for v, top in self.basis[start:]:
+            assert top == self.ring.top_degree(v)
+        stored[type(self)] += len(self.basis) - start
+
+    def adding(self, v, pair=None):
+        size = len(self.basis)
+        add_element(self, v, pair)
+        checked(self, size)
+
+    def initialising(self, ring, basis=()):
+        init(self, ring, basis)
+        checked(self)
+
+    monkeypatch.setattr(_Engine, "add_element", adding)
+    monkeypatch.setattr(_Reducer, "__init__", initialising)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert stored[_Engine] > 20, stored
 
 
 class TestModules:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithcurve import PolyMatrix, validate_sequence
-from arithcurve.ring import QQ, PolyRing, PrimeField, curve_ring
+from arithcurve.ring import QQ, MonomialOutOfRange, PolyRing, PrimeField, curve_ring
 
 
 def identity(ring, n):
@@ -77,6 +77,30 @@ def test_product_over_different_rings_rejected():
         m.mul(identity(curve_ring((1, 2)), 2))
     with pytest.raises(ValueError, match="different rings"):
         m.mul(identity(curve_ring((1, 1), PrimeField(7)), 2))
+
+
+@pytest.mark.parametrize("method", ["mul", "minor2"])
+def test_products_range_check_against_degree_cap(method):
+    """An entry product whose top term reaches `degree_cap` raises
+    MonomialOutOfRange; one whose top term lies just below it is the
+    product `Polynomial.__mul__` gives."""
+    ring = PolyRing(("x", "y"), (1, 1), PrimeField(7))
+    cap = ring.degree_cap
+
+    def product(degree):
+        # entries whose top terms multiply to x^h * y^(degree - h)
+        h = degree // 2
+        e, f = ring.var(0, h) + ring.one, ring.var(1, degree - h) + ring.var(0)
+        if method == "mul":
+            got = PolyMatrix.from_rows(ring, [[e]]).mul(PolyMatrix.from_rows(ring, [[f]]))
+            return got.entry(0, 0), e * f
+        got = PolyMatrix.from_rows(ring, [[e, ring.one], [ring.var(1), f]]).minor2(0, 1)
+        return got, e * f - ring.var(1)
+
+    got, want = product(cap - 1)
+    assert got == want and ring.top_degree(got.packed) == cap - 1
+    with pytest.raises(MonomialOutOfRange):
+        product(cap)
 
 
 def test_all_minors_count(seq514):

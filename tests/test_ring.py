@@ -664,7 +664,9 @@ def test_range_check_covers_terms_below_the_lead():
 def test_ring_caches_stay_at_their_bound(make, cached):
     """Each ring constructor keeps at most RING_CACHE_SIZE rings: an equal
     call returns the same object while it is cached, and the least
-    recently used ring is dropped first, to be built again when asked."""
+    recently used ring is dropped first, to be built again when asked.  The
+    ring built again hashes as the first one did, so both key one
+    `repacker` cache entry."""
     first = make((10_000, 10_001))
     for k in range(1, RING_CACHE_SIZE + 8):
         assert make((10_000 + k, 10_001 + k)) is make((10_000 + k, 10_001 + k))
@@ -672,6 +674,9 @@ def test_ring_caches_stay_at_their_bound(make, cached):
     again = make((10_000, 10_001))
     assert again == first and again is not first
     assert cached.cache_info().currsize == RING_CACHE_SIZE
+    assert hash(again) == hash(first)
+    source = make((3, 5))
+    assert source.repacker(again) is source.repacker(first)
 
 
 def test_weights_must_be_positive():
