@@ -33,19 +33,14 @@ from .complexes import (
     WrongCase,
     mapping_cone,
     minor_complex,
-    minor_complex_rank,
     resolution_b1,
     resolution_bn,
     verify_complex,
 )
 from .closedform import (
     BettiTable,
-    alt_shift_table_b1,
-    alt_shift_table_bn,
     betti_b1,
     betti_bn,
-    compare_shift_tables,
-    generator_degree_sum_parity,
     gor4_symmetry_point,
     shift_table_b1,
     shift_table_bn,
@@ -61,11 +56,8 @@ from .groebner import (
 )
 from .oracle import (
     artinian_generators,
-    colon_check,
-    colon_ideal,
     ideal_contains,
     ideal_equal,
-    minimal_generators,
     minimal_resolution,
     toric_ideal,
     toric_ideal_of_weights,

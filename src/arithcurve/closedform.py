@@ -9,15 +9,11 @@ The three cases, by the residue b of m0 modulo n (b = n when the residue is 0):
              palindromic about T = q(q+2d+9)+9d where q = 2a+1
 
 Shift tables here are computed straight from the basis-degree formula
-(sum of chosen top degrees plus (v1+1) times the column degree step); the
-`alt_*` functions give an equivalent nested-summation form whose index
-placement admits two readings, kept so tests can document which reading
-agrees (see compare_shift_tables).
+(sum of chosen top degrees plus (v1+1) times the column degree step).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -163,109 +159,3 @@ def gor4_symmetry_point(a: int, d: int) -> int:
     """The shift T with rows[4-s] = T - rows[s] in the b = 2, n = 4 table."""
     q = 2 * a + 1
     return q * (q + 2 * d + 9) + 9 * d
-
-
-def generator_degree_sum_parity(seq: ArithmeticSequence) -> str:
-    """Parity of the sum of the 9 generator degrees in the b = 2, n = 4 case."""
-    if seq.b != 2 or seq.n != 4:
-        raise WrongCase(f"(b, n) = ({seq.b}, {seq.n}), need (2, 4)")
-    total = sum(seq.generators().degrees())
-    return "odd" if total % 2 else "even"
-
-
-# -- alternate nested-summation form ------------------------------------------
-#
-# The same tables can be written as a chain of nested direct sums: explicit
-# blocks at the two ends, and a generic block indexed by subsets
-# r_1 < ... < r_s of [1, n] and an inner counter k for the middle.  That
-# presentation is ambiguous about whether the generic block standing between
-# the arrows d_s and d_{s-1} is homological step s or step s-1 (it is the
-# *target* of d_s).  aligned=True places it at step s-1, which reproduces
-# shift_table_* exactly; aligned=False reads the index at face value, which
-# miscounts the middle steps (the ends are unambiguous either way).  Both
-# readings are kept so tests can document the discrepancy.
-
-
-def _generic_block_b1(n, m0, d, a, s) -> list[int]:
-    shifts = []
-    for r in combinations(range(1, n + 1), s):
-        shifts.extend(s * m0 + sum(r) * d - k * d for k in range(1, s))
-    for r in combinations(range(1, n + 1), s - 1):
-        shifts.extend((a + s - 1 + d) * m0 + sum(r) * d - k * d for k in range(1, s))
-    return shifts
-
-
-def _generic_block_bn(n, m0, d, a, s) -> list[int]:
-    shifts = []
-    for r in combinations(range(1, n + 1), s):
-        shifts.extend(s * m0 + sum(r) * d - k * d for k in range(1, s))
-    for r in combinations(range(1, n + 1), s - 1):
-        shifts.extend((a + s + d) * m0 + sum(r) * d - k * d for k in range(1, s - 1))
-    return shifts
-
-
-def alt_shift_table_b1(seq: ArithmeticSequence, aligned: bool = True) -> BettiTable:
-    if seq.b != 1:
-        raise WrongCase(f"b = {seq.b}, need b = 1")
-    n, m0, d, a = seq.n, seq.m0, seq.d, seq.a
-    rows: dict[int, list[int]] = {0: [0]}
-    if aligned:
-        for step in range(1, n + 1):
-            rows[step] = _generic_block_b1(n, m0, d, a, step + 1)
-    else:
-        for step in range(2, n - 1):
-            rows[step] = _generic_block_b1(n, m0, d, a, step)
-        top = n * (n + 1) // 2
-        rows[n] = [(a + n + d) * m0 + top * d - k * d for k in range(1, n + 1)]
-        if n - 1 >= 2:
-            block = [n * m0 + top * d - k * d for k in range(1, n)]
-            for r in combinations(range(1, n + 1), n - 1):
-                block.extend(
-                    (a + d + n - 1) * m0 + sum(r) * d - k * d for k in range(1, n)
-                )
-            rows[n - 1] = block
-        block1 = [
-            2 * m0 + (r1 + r2 - 1) * d for r1, r2 in combinations(range(1, n + 1), 2)
-        ]
-        block1 += [(a + 1 + d) * m0 + k * d for k in range(n)]
-        rows[1] = block1
-    return BettiTable.from_rows(rows)
-
-
-def alt_shift_table_bn(seq: ArithmeticSequence, aligned: bool = True) -> BettiTable:
-    if seq.b != seq.n:
-        raise WrongCase(f"b = {seq.b}, need b = n = {seq.n}")
-    n, m0, d, a = seq.n, seq.m0, seq.d, seq.a
-    rows: dict[int, list[int]] = {0: [0]}
-    first = [2 * m0 + (r1 + r2 - 1) * d for r1, r2 in combinations(range(1, n + 1), 2)]
-    first.append((a + 1 + d) * m0)
-    rows[1] = first
-    if aligned:
-        for step in range(2, n + 1):
-            rows[step] = _generic_block_bn(n, m0, d, a, step + 1)
-    else:
-        for step in range(2, n - 1):
-            rows[step] = _generic_block_bn(n, m0, d, a, step)
-        top = n * (n + 1) // 2
-        rows[n] = [(a + n + d + 1) * m0 + top * d - k * d for k in range(1, n)]
-        if n - 1 >= 2:
-            block = [n * m0 + top * d - k * d for k in range(1, n)]
-            for r in combinations(range(1, n + 1), n - 1):
-                block.extend(
-                    (a + n + d) * m0 + sum(r) * d - k * d for k in range(1, n - 1)
-                )
-            rows[n - 1] = block
-    return BettiTable.from_rows(rows)
-
-
-def compare_shift_tables(t1: BettiTable, t2: BettiTable) -> list[tuple]:
-    """Per-step multiset differences: (step, only_in_t1, only_in_t2); empty if equal."""
-    out = []
-    for s in sorted(set(t1.rows) | set(t2.rows)):
-        c1 = Counter(t1.rows.get(s, ()))
-        c2 = Counter(t2.rows.get(s, ()))
-        only1 = sorted((c1 - c2).elements())
-        only2 = sorted((c2 - c1).elements())
-        if only1 or only2:
-            out.append((s, tuple(only1), tuple(only2)))
-    return out

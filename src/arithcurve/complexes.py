@@ -23,7 +23,6 @@ every matrix is reproducible bit-for-bit.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .curve import ArithmeticSequence
 from .matrices import PolyMatrix
@@ -192,13 +191,6 @@ def resolution_bn(seq: ArithmeticSequence, field=QQ) -> GradedComplex:
         raise WrongCase(f"b = {seq.b}, construction requires b = n = {seq.n}")
     E = minor_complex(seq.matrix_a(field))
     return mapping_cone(E, seq.power_binomial(2, field))
-
-
-def minor_complex_rank(m: int, s: int) -> int:
-    """Expected rank s*C(m, s+1) of step s for a 2 x m matrix."""
-    if s == 0:
-        return 1
-    return s * comb(m, s + 1)
 
 
 def _first_entry(mats, accept) -> list:

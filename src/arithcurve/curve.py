@@ -1,4 +1,4 @@
-"""Arithmetic sequences, their numerical semigroup, and the curve ideal's generators.
+"""Arithmetic sequences, their validation, and the curve ideal's generators.
 
 A sequence m0, m0+d, ..., m0+n*d qualifies when (i) the terms have gcd 1,
 (ii) they increase strictly, and (iii) no term is a non-negative integer
@@ -72,15 +72,19 @@ class ArithmeticSequence:
         if n < 2:
             raise SequenceError("n must be at least 2")
         # every degree the commands print lies below the curve ring's
-        # degree_cap; one that Python cannot convert to text (0: no limit)
-        # would fail mid-output, after a long run
+        # degree_cap; one that Python cannot convert to text would fail
+        # mid-output, after a long run.  With no limit (0), Python's default
+        # bounds them all the same: wider packed fields can run out of
+        # memory before any cap applies
         limit = sys.get_int_max_str_digits()
+        bound = limit or sys.int_info.default_max_str_digits
         bits = packed_bits((m0 + n * d,))
-        if limit and bits * math.log10(2) > limit:
+        if bits * math.log10(2) > bound:
             raise SequenceError(
                 f"the terms are too large: degrees may reach 2^{bits}, past "
-                f"the {limit} decimal digits Python converts to text "
-                f"(sys.set_int_max_str_digits)")
+                f"the {bound} decimal digits Python converts to text "
+                + ("(sys.set_int_max_str_digits)" if limit else
+                   "by default (sys.int_info.default_max_str_digits)"))
         # the gcd of the terms m0 + i*d is gcd(m0, d), so both checks are
         # O(1); the n + 1 terms are built only for the result
         g = math.gcd(m0, d)
@@ -104,22 +108,6 @@ class ArithmeticSequence:
 
     def ring(self, field=QQ) -> PolyRing:
         return curve_ring(self.terms, field=field)
-
-    def semigroup_contains(self, x: int) -> bool:
-        """Exact membership of x in the semigroup generated by the terms.
-
-        A sum of k terms is k*m0 + j*d with 0 <= j <= k*n, and every such
-        number is one, so x lies in S iff some k has k*m0 <= x <= k*(m0 + n*d)
-        and k*m0 = x (mod d).  The upper bound holds for every k from
-        ceil(x / (m0 + n*d)) on, so only the least such k in the right
-        residue class (gcd(m0, d) = 1) needs the lower bound.
-        """
-        if x < 0:
-            return False
-        m0, d = self.m0, self.d
-        k = -(-x // (m0 + self.n * d))
-        k += (x * pow(m0, -1, d) - k) % d
-        return k * m0 <= x
 
     def phi_image(self, p: Polynomial) -> dict[int, object]:
         """Image of p under X_i -> t^{m_i}, as {t-exponent: coefficient}."""

@@ -51,9 +51,9 @@ algorithm", JSC 1988) depend on the run:
   - A syzygy run (each step of the oracle resolution, whose
     `minimal_module_generators` prunes as the head of the step's run and
     `syzygy_generators` completes it; `syzygies_and_basis`, so the
-    exactness check and the colon ideal) applies the B, M and F
-    criteria but never the product criterion, not even at rank 1, where
-    `minimal_generators` and the resolution's step 0 prune generators.
+    exactness check) applies the B, M and F criteria but never the
+    product criterion, not even at rank 1, where the resolution's step 0
+    prunes generators.
     These drop only pairs whose syzygy of leading terms the kept pairs
     generate, so the transcripts still generate the syzygy module
     (Moeller, Mora & Traverso, "Groebner bases computation using
@@ -106,10 +106,10 @@ a divisibility test is `not (b - a) & guard`, a degree read
 method called per test.  The pair criteria work on each lead's exponent
 word, its packed monomial masked to the exponent fields
 (`PolyRing.word_fields`): an lcm is a field-wise max read off the guard
-bits of one subtraction (inline in `add_element`, as `PolyRing.word_lcms`
-reads it), divisibility the same guard-bit test, and only the lcm of a
-pair the criteria queue is packed, field by field from the exponent shifts
-and packing columns read once per run.
+bits of one subtraction (inline in `add_element`), divisibility the same
+guard-bit test, and only the lcm of a pair the criteria queue is packed,
+field by field from the exponent shifts and packing columns read once per
+run.
 After its sugar, an S-pair is keyed by its position-free packed lcm,
 which sorts exactly like the lcm's order key.
 Each stored basis element, transcript included, carries the degree of its
@@ -329,7 +329,7 @@ class _Engine(_Reducer):
                  limits: Limits, shifts: Optional[Sequence[int]] = None):
         super().__init__(ring)
         # the exponent words' layout, read once: lcms and divisibility are
-        # read off it inline, as `PolyRing.word_lcms` reads them
+        # read off it inline
         self.word_fields, self.word_guard = ring.word_fields, ring.word_guard
         self.bits = ring._mask.bit_length()
         # (shift, packing column) of each exponent field: a queued lcm word
@@ -415,9 +415,9 @@ class _Engine(_Reducer):
         if same is None:
             self.by_pos[pos] = [new]
         else:
-            # the lcm word of each same-position partner k, a field-wise max
-            # (`PolyRing.word_lcms`), and its class: lcm -> smallest k, or
-            # -1 once a pair of that lcm is coprime
+            # the lcm word of each same-position partner k, a field-wise max,
+            # and its class: lcm -> smallest k, or -1 once a pair of that lcm
+            # is coprime
             fields, guard, bits = self.word_fields, self.word_guard, self.bits
             product, high = self.product, word | guard
             lcms, classes = {}, {}

@@ -14,10 +14,6 @@ ones is a genuine two-route check.
                        generators, completed only up to the largest degree
                        among those others when everything is homogeneous
   ideal_equal          ideal_contains in both directions
-  colon_check          (I : f) from the first coordinates of the syzygies of
-                       [f, g_1, ..., g_k], compared back to I; f, before
-                       that run, and the quotient are tested by
-                       ideal_contains
   artinian_generators  the generators' images modulo x0 in k[x1..xn] when
                        x0 is a nonzerodivisor modulo I, the generators
                        themselves otherwise: their resolution has R/I's
@@ -30,7 +26,6 @@ ones is a genuine two-route check.
                        smallest decides it: there in(I : x0) = in(I) : x0
                        (Bayer & Stillman 1987), so x0 is one exactly when
                        no minimal lead involves x0
-  minimal_generators   graded greedy minimalization of a homogeneous set
   minimal_resolution   one loop: prune the candidates to minimal generators,
                        keep them as the next differential, take their
                        syzygies as the next candidates; the generators are
@@ -151,34 +146,6 @@ def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],
             and ideal_contains(gens_b, gens_a, limits=limits))
 
 
-def colon_ideal(gens: Sequence[Polynomial], f: Polynomial,
-                limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
-    """Generators of (I : f), read off the syzygies of [f, g_1, ..., g_k]:
-    the coefficient of f in each is its flat terms at position 0, those
-    keyed >= 0."""
-    ring = common_ring([f, *gens])
-    syz, _ = syzygies_and_basis([f.packed, *(g.packed for g in gens)], ring, 1,
-                                limits=limits)
-    coefficients = (tuple([t for t in s if t[0] >= 0]) for s in syz)
-    return [Polynomial(ring, c) for c in coefficients if c]
-
-
-def colon_check(gens: Sequence[Polynomial], f: Polynomial,
-                limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Is (I : f) = I?  Requires f not in I; raises ValueError otherwise.
-
-    Both memberships are decided by `ideal_contains`: f's before the syzygy
-    run of `colon_ideal`, so an f in I raises with no colon run made, and
-    the quotient's after it.  Elements the generators of I top-reduce to
-    zero make no run; on homogeneous input each basis of I is completed
-    only up to the largest degree among the elements they leave.
-    """
-    if ideal_contains(gens, [f], limits=limits):
-        raise ValueError("multiplier lies in the ideal; colon comparison undefined")
-    # (I : f) always contains I, so only the forward inclusion needs work
-    return ideal_contains(gens, colon_ideal(gens, f, limits=limits), limits=limits)
-
-
 def artinian_generators(gens: Sequence[Polynomial],
                         limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
     """Generators whose minimal resolution has the graded Betti table of
@@ -227,22 +194,6 @@ def artinian_generators(gens: Sequence[Polynomial],
                                         if not ring.divides(x0, t[0])])),
                 target)
             for g in gens]
-
-
-def minimal_generators(gens: Sequence[Polynomial],
-                       limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
-    """Subset of a homogeneous generating set that generates minimally.
-
-    Candidates are processed by increasing degree, keeping those not already
-    in the ideal of the kept ones (graded Nakayama), in one unshifted
-    rank-1 syzygy run.  ValueError if the generators do not all share one
-    ring.
-    """
-    ring = common_ring(gens)
-    if ring is None:
-        return []
-    engine = _Engine(ring, 1, want_syzygies=True, limits=limits)
-    return [v[0] for _, v in minimal_module_generators([(g,) for g in gens], engine)]
 
 
 # -- minimal free resolution ---------------------------------------------------

@@ -48,14 +48,14 @@ on packed terms.  It reads the layout (`guard`, `_degree_shift`, `_mask`,
 `packed_degree` and `check_degree` do inline on its keys (it keys a term of
 a module vector by its packed monomial and position).  Its pair criteria
 take the lcms of exponent words, packed monomials masked to `word_fields`,
-inline as `word_lcms` takes them, test their divisibility against
-`word_guard`, and pack the lcm of each pair they queue field by field:
+as field-wise maxima read off `word_guard`, test their divisibility against
+it, and pack the lcm of each pair they queue field by field:
 each exponent field times its packing column (`_exp_shifts`, `_cols`,
 read once per run), with no exponent tuple.  `repacker` moves a packed
 monomial into another ring's layout of the same variables, or of all but
 the first, field by field in the same way; `change_ring` and
 `drop_first_variable` go through it.
-`order.key` and `monomial_divides/div/lcm` are the tuple-based references.
+`order.key` is the tuple-based reference of the order.
 
 Three orders are defined, each by its forms: `WeightedGrevlex`, the order
 of `curve_ring`; `EliminationOrder`, which puts t first in
@@ -487,22 +487,6 @@ class PolyRing:
         shift, mask = self._degree_shift, self._mask
         return max([m >> shift & mask for m, _ in terms])
 
-    def word_lcms(self, a: int, words: Sequence[int]) -> list[int]:
-        """lcm word of the exponent word `a` with each of `words`, a
-        field-wise max: (a | word_guard) - b keeps the guard bit of each
-        field where a's exponent is at least b's, and that bit less itself
-        shifted down to the field's foot masks the field, which is taken
-        from a; every other field from b.  `decode` reads a word's
-        exponents."""
-        fields, guard, bits = self.word_fields, self.word_guard, self._mask.bit_length()
-        high = a | guard
-        out = []
-        for b in words:
-            t = (high - b) & guard
-            m = t - (t >> bits)
-            out.append((a & m) | (b & (fields ^ m)))
-        return out
-
     def repacker(self, target: "PolyRing",
                  drop_first: bool = False) -> Callable[[int], int]:
         """The map taking a packed monomial of this ring to the packed int of
@@ -796,18 +780,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
-
-
-def monomial_divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True iff X^a divides X^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-def monomial_div(b: Sequence[int], a: Sequence[int]):
-    """Exponent vector of X^b / X^a."""
-    return tuple(y - x for x, y in zip(a, b))
-
-def monomial_lcm(a: Sequence[int], b: Sequence[int]):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 # the rings each constructor keeps, the least recently used dropped first:

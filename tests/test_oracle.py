@@ -17,13 +17,10 @@ from arithcurve import (
     artinian_generators,
     betti_b1,
     betti_bn,
-    colon_check,
-    colon_ideal,
     groebner,
     ideal_contains,
     ideal_equal,
     ideal_member,
-    minimal_generators,
     minimal_resolution,
     module_groebner_basis,
     resolution_b1,
@@ -45,9 +42,14 @@ from arithcurve.ring import (
     curve_ring,
     drop_first_variable,
     elimination_ring,
+    weighted_degree_of,
+)
+from references import (
+    colon_check,
+    colon_ideal,
+    minimal_generators,
     monomial_div,
     monomial_lcm,
-    weighted_degree_of,
 )
 
 
