@@ -86,9 +86,8 @@ standard representation, so `ideal_contains` first top-reduces by the
 generators, with no run.  On homogeneous input
 a basis up to degree D decides the vectors of degree <= D (La Scala &
 Stillman, "Strategies for computing minimal free resolutions", JSC
-1998): pruning completes its basis degree by degree, and
-`module_groebner_basis(degree=D)`, which `ideal_contains` asks for at
-the largest degree D of the elements the generators leave, stops at D.
+1998): pruning completes its basis degree by degree and is the only
+caller that stops a run early; every other run is completed in full.
 Only a basis that is itself an output is interreduced: `groebner()` is
 `interreduce` of `module_groebner_basis`.
 The full normal form, which also reduces the terms below the lead, serves
@@ -598,20 +597,11 @@ def minimal_module_generators(vectors: Sequence[Vector],
 
 
 def module_groebner_basis(columns: Sequence[tuple], ring: PolyRing, rank: int,
-                          limits: Limits = DEFAULT_LIMITS,
-                          degree: Optional[int] = None) -> list[tuple]:
+                          limits: Limits = DEFAULT_LIMITS) -> list[tuple]:
     """Groebner basis (not interreduced) of the module that flat columns of
-    rank `rank` (see `to_flat`) generate, as flat vectors.
-
-    With `degree`, only the pairs of sugar up to it are reduced, so the
-    result is a Groebner basis up to that degree and not a full basis: it
-    decides membership of vectors of degree <= `degree`, and only when every
-    vector is homogeneous (the weights are positive), by the argument of
-    `minimal_module_generators`.  On other input a truncated run decides
-    nothing.
-    """
+    rank `rank` (see `to_flat`) generate, as flat vectors."""
     eng = _Engine(ring, rank, want_syzygies=False, limits=limits)
-    eng.add_inputs(columns)._main_loop(stop=degree)
+    eng.add_inputs(columns)._main_loop()
     return [v for v, _ in eng.basis]
 
 

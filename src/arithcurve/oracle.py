@@ -10,9 +10,8 @@ ones is a genuine two-route check.
                        are interreduced
   ideal_contains       an element the generators top-reduce to zero is a
                        member with no run; the others are top-reduced
-                       against an unreduced Groebner basis of the
-                       generators, completed only up to the largest degree
-                       among those others when everything is homogeneous
+                       against one unreduced Groebner basis of the
+                       generators
   ideal_equal          ideal_contains in both directions
   artinian_generators  the generators' images modulo x0 in k[x1..xn] when
                        x0 is a nonzerodivisor modulo I, the generators
@@ -113,29 +112,19 @@ def ideal_contains(gens: Sequence[Polynomial], polys: Sequence[Polynomial],
     takes no run: a zero remainder is a standard representation by them,
     so an element they reduce to zero (zero itself, or a nonzero scalar
     multiple of a generator among others) is a member.  Only the elements
-    they leave are tested against a basis of `gens`: when every generator
-    and every one of those is homogeneous, the basis is completed only up
-    to the largest degree D among those, which decides their membership
-    (`module_groebner_basis`), and only from the generators of degree at
-    most D, which generate the ideal's part of degree at most D (the
-    weights are positive); otherwise it is completed in full.
+    they leave are tested, against one full Groebner basis of the nonzero
+    generators.
     ValueError if the polynomials do not all share one ring.
     """
     ring = common_ring([*gens, *polys])
     if not polys:
         return True
-    gens = [g for g in gens if g.packed]
-    by_gens = module_reducer([g.packed for g in gens], ring)
+    packed = [g.packed for g in gens if g.packed]
+    by_gens = module_reducer(packed, ring)
     rest = [p for p in polys if by_gens.top_reduce(p.packed)]
     if not rest:
         return True
-    degrees = [p.weighted_degree() for p in rest]
-    gen_degrees = [g.weighted_degree() for g in gens]
-    top = None if None in degrees or None in gen_degrees else max(degrees)
-    gb = module_groebner_basis([g.packed for g, e in zip(gens, gen_degrees)
-                                if top is None or e <= top],
-                               ring, 1, limits=limits, degree=top)
-    reducer = module_reducer(gb, ring)
+    reducer = module_reducer(module_groebner_basis(packed, ring, 1, limits=limits), ring)
     return not any(reducer.top_reduce(p.packed) for p in rest)
 
 

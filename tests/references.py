@@ -216,8 +216,7 @@ def colon_check(gens: Sequence[Polynomial], f: Polynomial,
     Both memberships are decided by `ideal_contains`: f's before the syzygy
     run of `colon_ideal`, so an f in I raises with no colon run made, and
     the quotient's after it.  Elements the generators of I top-reduce to
-    zero make no run; on homogeneous input each basis of I is completed
-    only up to the largest degree among the elements they leave.
+    zero make no run; the others are tested against one full basis of I.
     """
     if ideal_contains(gens, [f], limits=limits):
         raise ValueError("multiplier lies in the ideal; colon comparison undefined")

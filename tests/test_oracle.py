@@ -234,8 +234,7 @@ def membership_cases(draw):
 def _inhomogeneous_cases() -> dict:
     R = curve_ring((1, 1))
     x, y, one = R.var(0), R.var(1), R.one
-    # (x - 1, y - 1) in disguise: x - y needs pairs of sugar 3, which a
-    # run stopped at degree 1 would leave queued
+    # (x - 1, y - 1) in disguise: x - y needs pairs of sugar 3
     disguised = [x * x * y - one, x * y * y - y]
     return {
         "inhomogeneous gens, member": (disguised, [x - y], True),
@@ -249,14 +248,27 @@ def _inhomogeneous_cases() -> dict:
 INHOMOGENEOUS = _inhomogeneous_cases()
 
 
+def _recording_basis_runs(monkeypatch) -> list:
+    """Patch the oracle's `module_groebner_basis` to record the columns of
+    every run it starts; returns the list they go to."""
+    runs = []
+    run = arithcurve.oracle.module_groebner_basis
+
+    def recording(columns, *args, **kwargs):
+        runs.append(list(columns))
+        return run(columns, *args, **kwargs)
+
+    monkeypatch.setattr(arithcurve.oracle, "module_groebner_basis", recording)
+    return runs
+
+
 class TestIdealContains:
     @settings(max_examples=80, deadline=None)
     @given(membership_cases())
-    def test_truncated_run_agrees_with_full_basis(self, case):
-        """On homogeneous input the basis is completed only up to the
-        largest degree tested; the verdicts agree with membership against
-        the full reduced basis, for members and for elements of exactly
-        that degree that may lie outside."""
+    def test_membership_agrees_with_full_basis(self, case):
+        """The verdicts agree with membership against the full reduced
+        basis, for members and for elements of the members' degree that
+        may lie outside, alone and side by side."""
         gens, member, candidate = case
         full = groebner(gens)
         assert ideal_member(member, full)
@@ -268,43 +280,79 @@ class TestIdealContains:
     @pytest.mark.parametrize("case", list(INHOMOGENEOUS))
     def test_inhomogeneous_input_takes_the_full_run(self, monkeypatch, case):
         gens, polys, inside = INHOMOGENEOUS[case]
-        degrees = []
-        full_run = arithcurve.oracle.module_groebner_basis
-
-        def recording(*args, degree=None, **kwargs):
-            degrees.append(degree)
-            return full_run(*args, degree=degree, **kwargs)
-
-        monkeypatch.setattr(arithcurve.oracle, "module_groebner_basis", recording)
+        runs = _recording_basis_runs(monkeypatch)
         assert ideal_contains(gens, polys) is inside
-        assert degrees == [None]
+        assert runs == [[g.packed for g in gens]]
         assert all(ideal_member(p, groebner(gens)) for p in polys) is inside
 
-    def test_truncated_run_takes_the_degrees_the_generators_leave(self, monkeypatch):
-        """Elements the generators top-reduce to zero make no run and do
-        not raise its degree: beside x^3*y and x^2*y^2 - y^4 (degree 4,
-        reduced to zero), the members y^3 and x*y^2 - y^3 and the
-        non-member y^2 are left, and the one truncated run stops at 3."""
+    def test_one_run_tests_what_the_generators_leave(self, monkeypatch):
+        """Elements the generators top-reduce to zero make no run: beside
+        x^3*y and x^2*y^2 - y^4 (reduced to zero), the members y^3 and
+        x*y^2 - y^3 and the non-member y^2 are left, and they are tested
+        against one run over every nonzero generator."""
         R = curve_ring((1, 1))
         x, y = R.var(0), R.var(1)
-        gens = [x * x - y * y, x * y]
-        degrees = []
-        run = arithcurve.oracle.module_groebner_basis
-
-        def recording(*args, degree=None, **kwargs):
-            degrees.append(degree)
-            return run(*args, degree=degree, **kwargs)
-
-        monkeypatch.setattr(arithcurve.oracle, "module_groebner_basis", recording)
+        gens = [x * x - y * y, R.zero, x * y]
+        runs = _recording_basis_runs(monkeypatch)
         zero = [x ** 3 * y, x * x * y * y - y ** 4]
         full = groebner(gens)
         for left in ([y ** 3, x * y * y - y ** 3], [y ** 3, y * y, x * y * y - y ** 3]):
-            degrees.clear()
+            runs.clear()
             polys = [zero[0], *left, zero[1]]
             assert ideal_contains(gens, polys) is all(ideal_member(p, full)
                                                       for p in polys)
-            assert degrees == [max(p.weighted_degree() for p in left)] == [3]
+            assert runs == [[gens[0].packed, gens[2].packed]]
+        runs.clear()
+        assert ideal_contains(gens, zero)
+        assert runs == []
         assert all(ideal_member(p, full) for p in zero)
+
+    def test_commands_settle_membership_by_the_generators(self, monkeypatch, capsys):
+        """No basis run starts inside `ideal_contains` on the n = 4 and 5
+        grids (a in {1, 2}, d in {1, 2, 3}, gcd(m0, d) = 1): not in
+        `resolve --verify` with the auto method where one of the paper's
+        constructions applies, nor with `--method oracle` on every n = 4
+        cell and the a = 1 cells of n = 5, nor in the toric identity of
+        the toric-n4 workload.  The entries of d_1 and the toric basis are
+        generators up to a scalar or reduce to zero by them.  Should this
+        fail, a membership run is made again, and how much of it to
+        complete (a basis up to the largest degree tested suffices on
+        homogeneous input) is worth deciding anew."""
+        from arithcurve import cli
+
+        runs = _recording_basis_runs(monkeypatch)
+        contains, made = arithcurve.oracle.ideal_contains, []
+
+        def counting(*args, **kwargs):
+            before = len(runs)
+            verdict = contains(*args, **kwargs)
+            made.append(len(runs) - before)
+            return verdict
+
+        monkeypatch.setattr(arithcurve.oracle, "ideal_contains", counting)
+        commands = []
+        for n in (4, 5):
+            for a, b, d in itertools.product((1, 2), range(1, n + 1), (1, 2, 3)):
+                m0 = a * n + b
+                if math.gcd(m0, d) != 1:
+                    continue
+                argv = ["resolve", str(m0), str(d), str(n), "--verify", "--json",
+                        "--field", "fp:32003"]
+                if b in (1, n) or (b, n) == (2, 4):
+                    commands.append(argv)
+                if n == 4 or a == 1:
+                    commands.append(argv + ["--method", "oracle"])
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        # the toric-n4 workload's cases
+        for m0, d, n in [(5, 1, 4), (7, 1, 4), (9, 2, 4), (13, 2, 4), (16, 3, 4)]:
+            seq = validate_sequence(m0, d, n)
+            assert ideal_equal(toric_ideal(seq), list(seq.generators().all))
+        # every command but the 3 closed-form ones checks a complex's d_1,
+        # and each identity tests both inclusions
+        assert len(commands) == 46
+        assert made == [0] * (43 + 2 * 5)
 
     def test_polynomials_from_different_rings_raise(self):
         """Generators and elements must share one ring: the first generator
@@ -317,13 +365,6 @@ class TestIdealContains:
             ideal_contains(gens, [other])
         with pytest.raises(ValueError, match="different rings"):
             ideal_equal(gens, list(seq.generators(PrimeField(7)).all))
-
-    def test_truncated_run_decides_nothing_on_inhomogeneous_input(self):
-        """Why such input takes the full run: stopped at degree 1, the run
-        over the disguised (x - 1, y - 1) leaves x - y outside."""
-        gens, (p,), _ = INHOMOGENEOUS["inhomogeneous gens, member"]
-        gb = module_groebner_basis([g.packed for g in gens], p.ring, 1, degree=1)
-        assert module_reducer(gb, p.ring).top_reduce(p.packed)
 
     def test_zero_polys_are_skipped(self):
         """The zero polynomial has no degree; it lies in every ideal, so a
