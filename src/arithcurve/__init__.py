@@ -56,6 +56,7 @@ from .groebner import (
 )
 from .oracle import (
     artinian_generators,
+    artinian_table,
     ideal_contains,
     ideal_equal,
     minimal_resolution,

@@ -91,7 +91,7 @@ caller that stops a run early; every other run is completed in full.
 Only a basis that is itself an output is interreduced: `groebner()` is
 `interreduce` of `module_groebner_basis`.
 The full normal form, which also reduces the terms below the lead, serves
-only `interreduce` and `reduce_poly`.
+only `interreduce`, `reduce_poly` and the products of `oracle.artinian_table`.
 
 The engine works on packed monomials (see `ring`).  The low bits of a key
 are its packed monomial, so the guard-bit divisibility test, the multiplier

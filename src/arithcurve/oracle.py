@@ -16,15 +16,23 @@ ones is a genuine two-route check.
   artinian_generators  the generators' images modulo x0 in k[x1..xn] when
                        x0 is a nonzerodivisor modulo I, the generators
                        themselves otherwise: their resolution has R/I's
-                       graded Betti table, so the callers that read only
-                       the table (`scan`'s cells and the oracle entries of
-                       `resolve --verify` on the constructive methods)
-                       resolve these; `resolve --method oracle` resolves
-                       over R, whose matrices it prints and checks.  One
-                       basis run under the reverse-lex order with x0
-                       smallest decides it: there in(I : x0) = in(I) : x0
-                       (Bayer & Stillman 1987), so x0 is one exactly when
-                       no minimal lead involves x0
+                       graded Betti table.  One basis run under the
+                       reverse-lex order with x0 smallest decides it:
+                       there in(I : x0) = in(I) : x0 (Bayer & Stillman
+                       1987), so x0 is one exactly when no minimal lead
+                       involves x0
+  artinian_table       R/I's graded Betti table for the callers that read
+                       only the table (`scan`'s cells and the oracle
+                       entries of `resolve --verify` on the constructive
+                       methods): from the same run, the Koszul homology of
+                       A = R/(I, x0) over k[x1..xn], whose standard
+                       monomials and products that run's basis gives, with
+                       ranks by sparse elimination over the field; past
+                       2^n standard monomials, or where x0 is no
+                       nonzerodivisor, `minimal_resolution`'s table.
+                       `resolve --method oracle` resolves over R, whose
+                       matrices it prints and checks, and shares no code
+                       with the Koszul kernel
   minimal_resolution   one loop: prune the candidates to minimal generators,
                        keep them as the next differential, take their
                        syzygies as the next candidates; the generators are
@@ -46,14 +54,18 @@ ones is a genuine two-route check.
 
 from __future__ import annotations
 
-from typing import Sequence
+import time
+from itertools import combinations
+from typing import Optional, Sequence
 
+from .closedform import BettiTable
 from .complexes import GradedComplex
 from .curve import ArithmeticSequence
 from .matrices import PolyMatrix
 from .ring import (
     QQ,
     Polynomial,
+    PolyRing,
     curve_ring,
     drop_first_variable,
     elimination_ring,
@@ -135,6 +147,40 @@ def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],
             and ideal_contains(gens_b, gens_a, limits=limits))
 
 
+def _x0_regular_basis(gens: Sequence[Polynomial],
+                      limits: Limits) -> Optional[tuple[PolyRing, list[tuple]]]:
+    """(`revlex_ring` of the generators' ring, a Groebner basis of their
+    ideal I there) when x0 is a nonzerodivisor modulo I; None when x0
+    lies in I or divides zero modulo I, or when a generator is not
+    homogeneous.  One rank-1 basis run decides it (`artinian_generators`
+    has the argument)."""
+    ring = common_ring(gens)
+    if ring is None or not all(g.is_homogeneous for g in gens):
+        return None
+    revlex = revlex_ring(ring.weights, ring.field)
+    gb = module_groebner_basis([g.change_ring(revlex).packed for g in gens
+                                if g.packed], revlex, 1, limits=limits)
+    leads = [v[0][0] for v in gb]  # at rank 1 a lead key is its packed monomial
+    divides, x0 = revlex.divides, revlex.var(0).packed[0][0]
+    if 0 in leads or any(divides(x0, m) and not any(divides(k, m - x0) for k in leads)
+                         for m in leads):
+        return None
+    return revlex, gb
+
+
+def _images_modulo_x0(gens: Sequence[Polynomial]) -> list[Polynomial]:
+    """Each generator with every term that involves x0 dropped, in
+    `curve_ring` of the other weights over the same field."""
+    ring = gens[0].ring
+    target = curve_ring(ring.weights[1:], ring.field)
+    x0 = ring.var(0).packed[0][0]  # packed in R's own layout
+    return [drop_first_variable(
+                Polynomial(ring, tuple([t for t in g.packed
+                                        if not ring.divides(x0, t[0])])),
+                target)
+            for g in gens]
+
+
 def artinian_generators(gens: Sequence[Polynomial],
                         limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
     """Generators whose minimal resolution has the graded Betti table of
@@ -161,28 +207,171 @@ def artinian_generators(gens: Sequence[Polynomial],
     the same field.  Only the table carries over: the matrices of that
     resolution are not R's.
 
+    No command calls this: `artinian_table` makes the same decision from
+    the same run, and resolves these images only where its Koszul kernel
+    would cost more than their resolution.
+
     `gens` comes back unchanged, to be resolved over R, when x0 lies in I
     or divides zero modulo I, or when a generator is not homogeneous.
     ValueError if they do not all share one ring.
     """
-    ring = common_ring(gens)
-    if ring is None or not all(g.is_homogeneous for g in gens):
+    if _x0_regular_basis(gens, limits) is None:
         return list(gens)
-    revlex = revlex_ring(ring.weights, ring.field)
-    gb = module_groebner_basis([g.change_ring(revlex).packed for g in gens
-                                if g.packed], revlex, 1, limits=limits)
-    leads = [v[0][0] for v in gb]  # at rank 1 a lead key is its packed monomial
-    divides, x0 = revlex.divides, revlex.var(0).packed[0][0]
-    if 0 in leads or any(divides(x0, m) and not any(divides(k, m - x0) for k in leads)
-                         for m in leads):
-        return list(gens)
-    target = curve_ring(ring.weights[1:], ring.field)
-    x0 = ring.var(0).packed[0][0]  # packed in R's own layout
-    return [drop_first_variable(
-                Polynomial(ring, tuple([t for t in g.packed
-                                        if not ring.divides(x0, t[0])])),
-                target)
-            for g in gens]
+    return _images_modulo_x0(gens)
+
+
+def artinian_table(gens: Sequence[Polynomial],
+                   limits: Limits = DEFAULT_LIMITS) -> BettiTable:
+    """The graded Betti table of R/(gens), read as the Koszul homology of
+    A = R/(I, x0) with respect to x1..xn when that is cheap, and off
+    `minimal_resolution` otherwise.
+
+    When x0 is a nonzerodivisor modulo I (`artinian_generators`),
+    beta_{i,D}(R/I) = beta_{i,D}(A) over k[x1..xn] = dim_k H_i(K(x1..xn;
+    A))_D, as Koszul homology computes Tor against k (Bruns & Herzog,
+    Cohen-Macaulay Rings, Sec. 1.1 and 1.6; Eisenbud, Commutative
+    Algebra, Ch. 17).  The run that decides it gives A too: under the
+    reverse-lex order with x0 smallest, in(I + (x0)) = in(I) + (x0) (Bayer
+    & Stillman), and a homogeneous element whose lead avoids x0 keeps
+    that lead when x0 is set to 0.  So the basis elements whose leads
+    avoid x0, with x0 set to 0, are a Groebner basis of the image of I in
+    k[x1..xn] under `WeightedRevlex` on the other weights, the order the
+    run's own ring gives monomials free of x0.  A's k-basis is then its
+    standard monomials, found by a breadth-first walk from 1 over those
+    leads, and multiplication by x_j a normal form (`module_reducer`);
+    `_koszul_table` takes the homology.
+
+    The route is read off the input.  The kernel's cost grows with
+    dim A * 2^n and the resolution's hardly with dim A, so the walk stops
+    once it passes 2^n standard monomials, or `limits.max_basis` of them
+    (which only n >= 17 can reach first), and such an A, an infinite one
+    included, has the images modulo x0 resolved.  Where x0 is not a
+    nonzerodivisor, or a generator is not homogeneous, `gens` are
+    resolved over R.  ValueError if they do not all share one ring.
+    """
+    found = _x0_regular_basis(gens, limits)
+    if found is None:
+        return BettiTable.from_complex(minimal_resolution(gens, limits=limits))
+    revlex, gb = found
+    n = revlex.nvars - 1
+    # A's ideal, kept in revlex: its monomials free of x0 are k[x1..xn]'s,
+    # under the same order and with the same divisibility test
+    first, mask = revlex._exp_shifts[0], revlex._mask
+    basis = [tuple([t for t in v if not t[0] >> first & mask])
+             for v in gb if not v[0][0] >> first & mask]
+    leads = [v[0][0] for v in basis]
+    guard, cap, check = revlex.guard, revlex.degree_cap, revlex.check_degree
+    xs = list(zip(revlex._cols[1:], revlex.weights[1:]))  # x_j packed, deg x_j
+    # standard monomials, breadth-first from 1; each one's quotient by any
+    # variable it involves is standard too, so the walk finds them all
+    standard, degrees, index = [0], [0], {0: 0}
+    for u, e in zip(standard, degrees):
+        for x, w in xs:
+            if e + w >= cap:  # u * x would not fit the packed fields
+                check(e + w)
+            m = u + x
+            if m in index:
+                continue
+            for k in leads:
+                if not (m - k) & guard:  # a lead divides m
+                    break
+            else:
+                index[m] = len(standard)
+                standard.append(m)
+                degrees.append(e + w)
+        if len(standard) > 1 << n or not len(standard) <= limits.max_basis:
+            return BettiTable.from_complex(
+                minimal_resolution(_images_modulo_x0(gens), limits=limits))
+    # x_j * u as ((index, coefficient), ...): itself when it is standard,
+    # and otherwise its normal form, whose monomials all are
+    reducer = module_reducer(basis, revlex)
+    products = [[((index[u + x], 1),) if u + x in index else
+                 tuple([(index[m], c) for m, c in reducer.normal_form(((u + x, 1),))])
+                 for x, _ in xs]
+                for u in standard]
+    return _koszul_table(degrees, products, revlex.weights[1:], revlex.field, limits)
+
+
+def _koszul_table(degrees: Sequence[int], products: Sequence[Sequence[tuple]],
+                  weights: Sequence[int], field, limits: Limits) -> BettiTable:
+    """The graded Betti table over S = k[x1..xn] (deg x_j = weights[j]) of
+    a graded quotient A of S of finite dimension: beta_{i,D} =
+    dim_k H_i(K(x1..xn; A))_D.
+
+    A's k-basis is 0..len(degrees)-1, element u of degree degrees[u], and
+    products[u][j] is x_j * u as ((v, c), ...).  K_i has the basis
+    e_F (x) u for the i-subsets F of the variables, of degree deg u plus
+    F's weights, and d(e_F (x) u) = sum_k (-1)^k e_{F - f_k} (x) x_{f_k} u
+    for F = {f_0 < ... < f_{i-1}}.  The rank of each degree-D block of
+    d_i comes from one sparse elimination in the field's own `add_into`,
+    `mul`, `neg` and `inv`, the same code over every field, and
+    beta_{i,D} = dim K_{i,D} - rank d_{i,D} - rank d_{i+1,D}.
+
+    Each block's dimension is compared with `limits.max_basis` before the
+    block is built, those of step i before its subsets are listed, and the
+    deadline is read between blocks: either raises ResourceLimitExceeded,
+    naming the Koszul phase.  The whole complex, dim A * 2^n, is compared
+    with nothing, and only one step's subsets are held at a time.
+    """
+    n, size = len(weights), len(degrees)
+    t0 = time.monotonic()
+    by_degree: dict[int, list[int]] = {}
+    for u, e in enumerate(degrees):
+        by_degree.setdefault(e, []).append(u)
+    # counts[i][w]: the number of i-subsets of the variables of weight w
+    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
+    for x in weights:
+        for i in range(n, 0, -1):
+            for w, c in counts[i - 1].items():
+                counts[i][w + x] = counts[i].get(w + x, 0) + c
+    dims: list[dict[int, int]] = [{} for _ in range(n + 1)]  # dim K_{i,D}
+    for i, by_weight in enumerate(counts):
+        for w, c in by_weight.items():
+            for e, us in by_degree.items():
+                dims[i][w + e] = dims[i].get(w + e, 0) + c * len(us)
+    ranks: list[dict[int, int]] = [{} for _ in range(n + 2)]  # rank d_{i,D}
+    neg, inv, mul, add_into = field.neg, field.inv, field.mul, field.add_into
+    deadline = limits.deadline_s
+    for i in range(1, n + 1):
+        blocks = [D for D in dims[i] if D in dims[i - 1]]  # d_i is zero elsewhere
+        for D in blocks:
+            if not dims[i][D] <= limits.max_basis:
+                raise ResourceLimitExceeded(
+                    f"Koszul homology: {dims[i][D]} elements of step {i} in degree "
+                    f"{D} exceed the basis size cap {limits.max_basis}")
+        # the i-subsets F = {f_0 < ... < f_{i-1}} by weight, each as its faces
+        # (f_k, the place of e_{F - f_k} in the row keys, whether k is odd):
+        # the row of e_F' (x) v is keyed F' * size + v, F' a bit mask.  Each
+        # F lies in the block of its weight, with the element 1 of A
+        subsets: dict[int, list[tuple]] = {}
+        for F in combinations(range(n), i):
+            mask = sum([1 << j for j in F])
+            subsets.setdefault(sum([weights[j] for j in F]), []).append(
+                tuple([(j, (mask ^ 1 << j) * size, k & 1) for k, j in enumerate(F)]))
+        for D in blocks:
+            if deadline is not None and not time.monotonic() - t0 <= deadline:
+                raise ResourceLimitExceeded(
+                    f"Koszul homology: deadline of {deadline}s exceeded")
+            pivots: dict[int, tuple] = {}  # lead key -> monic reduced image
+            for w, by_faces in subsets.items():
+                for u in by_degree.get(D - w, ()):
+                    row = products[u]
+                    for faces in by_faces:
+                        acc = {at + v: neg(c) if odd else c
+                               for j, at, odd in faces for v, c in row[j]}
+                        while acc:
+                            p = min(acc)
+                            q = pivots.get(p)
+                            if q is None:
+                                k = inv(acc[p])
+                                pivots[p] = tuple([(m, mul(c, k)) for m, c in acc.items()])
+                                break
+                            add_into(acc, q, 0, neg(acc[p]))
+            ranks[i][D] = len(pivots)
+    return BettiTable.from_rows({
+        i: [D for D, count in dims[i].items()
+            for _ in range(count - ranks[i].get(D, 0) - ranks[i + 1].get(D, 0))]
+        for i in range(n + 1)})
 
 
 # -- minimal free resolution ---------------------------------------------------

@@ -62,7 +62,8 @@ of `curve_ring`; `EliminationOrder`, which puts t first in
 `elimination_ring`; and `WeightedRevlex`, weighted degree then reverse lex
 with X0 the smallest variable, the order of `revlex_ring`, under which a
 homogeneous polynomial whose lead involves X0 is divisible by X0 (the
-x0-regularity test of `oracle.artinian_generators` reads its leads).
+x0-regularity test of `oracle.artinian_generators` and `artinian_table` reads
+its leads, and `artinian_table` walks the standard monomials they leave).
 
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.

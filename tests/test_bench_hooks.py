@@ -88,21 +88,23 @@ def test_traced_resolve_counts_engine_work(capsys):
     ranks 10 + 20 + 15 + 4 of the oracle's differentials), and syzygy
     inputs as the length of the kept list passed on.  An engine refactor
     that changes their types or shapes moves these counts.  The oracle
-    entries of `--verify` resolve modulo x0 (`artinian_generators`), which
-    decides that x0 is a nonzerodivisor from one reverse-lex basis run
-    where the colon check made three runs: 140 S-pairs, where they were
-    154."""
+    method resolves over the full ring, so its pruning sees the 10
+    generators and the 46 raw syzygies of its steps, and the S-pairs of
+    its runs and of the exactness check's come to 157.  (The oracle
+    entries of `--verify` on the other methods read `artinian_table`,
+    which prunes nothing.)"""
     from arithcurve import cli
 
     spans = load_spans()
     tracer = spans.Tracer()
     with tracer.installed(), tracer.operation("resolve", 0):
-        assert cli.main(["resolve", "5", "1", "4", "--verify", "--json"]) == 0
+        assert cli.main(["resolve", "5", "1", "4", "--method", "oracle",
+                         "--verify", "--json"]) == 0
     capsys.readouterr()
     _, counts = tracer.metrics()
-    expected = {"groebner.prune.candidates": 49, "groebner.prune.kept": 49,
-                "groebner.syzygy.inputs": 49, "groebner.syzygy.raw": 39,
-                "groebner.spairs": 140, "groebner.syzygy.calls": 4}
+    expected = {"groebner.prune.candidates": 56, "groebner.prune.kept": 49,
+                "groebner.syzygy.inputs": 49, "groebner.syzygy.raw": 46,
+                "groebner.spairs": 157, "groebner.syzygy.calls": 4}
     assert {counter: counts[counter] for counter in expected} == expected
 
 

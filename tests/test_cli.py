@@ -523,16 +523,16 @@ class TestScan:
     def test_out_of_memory_cell_reported(self, capsys, monkeypatch):
         """A cell that runs out of memory is that cell's resource limit: the
         finished cells are still printed, and the scan exits with 4."""
-        resolve = cli.minimal_resolution
+        table = cli.artinian_table
 
         def exhaust_at_m0_7(gens, limits):
-            # the cell resolves modulo x0 in k[x1..x3], whose first weight
-            # is m0 + d = 8 (5 in the other cell, m0 = 4)
-            if gens[0].ring.weights[0] == 8:
+            # the cell's table comes from the curve's generators, in the
+            # ring whose first weight is m0 = 7 (4 in the other cell)
+            if gens[0].ring.weights[0] == 7:
                 raise MemoryError
-            return resolve(gens, limits=limits)
+            return table(gens, limits)
 
-        monkeypatch.setattr(cli, "minimal_resolution", exhaust_at_m0_7)
+        monkeypatch.setattr(cli, "artinian_table", exhaust_at_m0_7)
         args = ("scan", "--n", "3", "--b", "1", "--a", "1..2", "--d", "1..1")
         code, out, err = run_cli(capsys, *args, "--json")
         assert (code, err) == (EXIT_RESOURCE, "")

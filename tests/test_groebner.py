@@ -307,14 +307,14 @@ def test_queued_pairs_key_their_packed_lcm(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["scan", "--n", "4", "--b", "3", "--a", "1..1", "--d", "1..1", "--field", "fp:32003"],
+    ["resolve", "7", "1", "4", "--method", "oracle"],
     ["resolve", "5", "1", "4", "--verify"],
-], ids=["scan-cell-7-1-4", "resolve-5-1-4-verify"])
+], ids=["resolve-7-1-4-oracle", "resolve-5-1-4-verify"])
 def test_stored_elements_carry_their_top_degree(argv, monkeypatch, capsys):
     """Every basis element a run stores (`_Engine.add_element`, which reads
     its top degree itself) and every one a fixed-basis reducer holds
     carries the top degree `PolyRing.top_degree` reads off its terms, on
-    every run of one command (a scan cell builds no reducer)."""
+    every run of one command (the oracle's resolution builds no reducer)."""
     stored = collections.Counter()
     add_element, init = _Engine.add_element, _Reducer.__init__
 

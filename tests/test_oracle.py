@@ -4,6 +4,8 @@ minimal resolutions, and exactness verification."""
 import hashlib
 import itertools
 import math
+import re
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from arithcurve import (
     Limits,
     ResourceLimitExceeded,
     artinian_generators,
+    artinian_table,
     betti_b1,
     betti_bn,
     groebner,
@@ -771,16 +774,28 @@ def _grid(n, field):
             if math.gcd(a * n + b, d) == 1]
 
 
+GF2 = PrimeField(2)
+FP = PrimeField(32003)
+
+
 class TestArtinianGenerators:
-    @pytest.mark.parametrize("n,field", [(4, QQ), (4, PrimeField(32003)),
-                                         (5, QQ), (5, PrimeField(32003)),
-                                         (6, PrimeField(32003))],
-                             ids=["4-QQ", "4-fp", "5-QQ", "5-fp", "6-fp"])
+    @pytest.mark.parametrize("n,field", [(2, QQ), (2, FP), (2, GF2),
+                                         (3, QQ), (3, FP), (3, GF2),
+                                         (4, QQ), (4, FP), (4, GF2),
+                                         (5, QQ), (5, FP), (5, GF2),
+                                         (6, FP)],
+                             ids=["2-QQ", "2-fp", "2-GF2", "3-QQ", "3-fp", "3-GF2",
+                                  "4-QQ", "4-fp", "4-GF2", "5-QQ", "5-fp", "5-GF2",
+                                  "6-fp"])
     def test_reduced_tables_equal_full_ring_tables(self, n, field):
         """On every cell of the grid, x0 is a nonzerodivisor, so the
         generators come back as their images modulo x0 in k[x1..xn]: each
         term free of x0 kept with its other exponents.  Their resolution
-        has the full ring's graded Betti table."""
+        has the full ring's graded Betti table, and so has `artinian_table`.
+        A = R/(I, x0) has dimension m0, so up to 2^n standard monomials the
+        table is the Koszul homology of A, read off the one basis run that
+        decides the reduction; past 2^n (m0 = 5 and 6 at n = 2, m0 = 9 at
+        n = 3) the images are resolved, which starts more runs."""
         for gens in _grid(n, field):
             ring = gens[0].ring
             reduced = artinian_generators(gens)
@@ -792,6 +807,86 @@ class TestArtinianGenerators:
             full = BettiTable.from_complex(minimal_resolution(gens))
             artinian = BettiTable.from_complex(minimal_resolution(reduced))
             assert artinian.to_json_obj() == full.to_json_obj(), ring.weights
+            limits = KeepMeters()
+            assert artinian_table(gens, limits) == full, ring.weights
+            assert (len(limits.meters) == 1) == (ring.weights[0] <= 2 ** n)
+
+    @pytest.mark.parametrize("a", [3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_large_quotients_are_resolved(self, a, d):
+        """At n = 4 the kernel takes A with at most 16 standard monomials,
+        so every a = 3 cell, m0 = dim A <= 16, is read from one basis run,
+        and every a >= 4 cell has its images modulo x0 resolved; both
+        give the full ring's table."""
+        for b in range(1, 5):
+            if math.gcd(4 * a + b, d) != 1:
+                continue
+            gens = list(validate_sequence(4 * a + b, d, 4).generators(FP).all)
+            limits = KeepMeters()
+            table = artinian_table(gens, limits)
+            assert table == BettiTable.from_complex(minimal_resolution(gens))
+            assert (len(limits.meters) == 1) == (a == 3), (a, b, d)
+
+    def test_walk_holds_at_most_max_basis_standard_monomials(self):
+        """At 8 1 3, A has 2^3 = 8 standard monomials, so with `max_basis`
+        8 the kernel takes it, in one basis run; with `max_basis` 7 the
+        walk stops and the images modulo x0 are resolved instead, under
+        the same caps, to the same table."""
+        gens = list(validate_sequence(8, 1, 3).generators(FP).all)
+        full = BettiTable.from_complex(minimal_resolution(gens))
+        for cap, runs in [(8, 1), (7, 4)]:
+            limits = KeepMeters(max_basis=cap)
+            assert artinian_table(gens, limits) == full
+            assert len(limits.meters) == runs, cap
+
+    def test_non_curve_inputs_take_the_resolution(self):
+        """Where `artinian_generators` leaves the generators, x0 lying in
+        I, dividing zero modulo I or a generator being inhomogeneous, or
+        where A is not finite, `artinian_table` gives the table of the
+        resolution over R, or raises what that raises."""
+        R = curve_ring((1, 1))
+        x0, x1 = R.var(0), R.var(1)
+        S = curve_ring((1, 2, 3))
+        y0, y1, y2 = S.var(0), S.var(1), S.var(2)
+        for gens in ([x0 * x1], [x0, x1 * x1], [x0 * x0 + x1], [R.one, x1],
+                     [y0 * y1], [y0, y1 * y1], [y0 * y2 - y1 * y1, y0 * y1],
+                     [y1 * y1, y0 * y1 * y1]):  # the last: A = k[x1, x2]/(x1^2)
+            try:
+                want = BettiTable.from_complex(minimal_resolution(gens))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    artinian_table(gens)
+            else:
+                assert artinian_table(gens) == want, gens
+
+    def test_koszul_blocks_are_capped(self):
+        """Each Koszul block's dimension is compared with `max_basis`
+        before it is built.  Modulo (x1^2, x2^2, x3^2, x1*x2*x3), with
+        every weight 1, A has dimension 7, and its largest blocks, as
+        K_1 in degree 2, have 9 elements; the basis run stores fewer."""
+        R = curve_ring((1, 1, 1, 1))
+        x1, x2, x3 = R.var(1), R.var(2), R.var(3)
+        gens = [x1 * x1, x2 * x2, x3 * x3, x1 * x2 * x3]
+        full = BettiTable.from_complex(minimal_resolution(gens))
+        assert artinian_table(gens, Limits(max_basis=9)) == full
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^Koszul homology: 9 elements of step 1 in degree 2 "
+                                 r"exceed the basis size cap 8$"):
+            artinian_table(gens, Limits(max_basis=8))
+
+    def test_koszul_deadline_is_read_between_blocks(self, monkeypatch):
+        """The kernel reads its clock when it starts and before each block:
+        with a clock that moves 10 s a reading, a deadline of 15 s lets the
+        first block through and stops the second, naming the phase, after
+        a basis run that the deadline did not stop."""
+        clock = itertools.count(0, 10)
+        monkeypatch.setattr(arithcurve.oracle, "time",
+                            types.SimpleNamespace(monotonic=lambda: next(clock)))
+        gens = list(validate_sequence(7, 1, 4).generators(FP).all)
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^Koszul homology: deadline of 15s exceeded$"):
+            artinian_table(gens, Limits(deadline_s=15))
+        assert next(clock) == 30
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "fp"])
