@@ -5,9 +5,12 @@ complex construction - so agreement between this module and the constructive
 ones is a genuine two-route check.
 
   toric_ideal          kernel of X_i -> t^{m_i} by eliminating t with a block
-                       order (t has weight 1, so pairs go degree by degree);
-                       only the t-free elements of the elimination basis
-                       are interreduced
+                       order (t has weight 1, so pairs go degree by degree)
+                       from the weight chain X_i - t^{m_i - m_h} * X_h, X_h
+                       the variable before X_i in weight order (1, of
+                       weight 0, before the first), which generates the
+                       ideal of the X_i - t^{m_i}; only the t-free elements
+                       of the elimination basis are interreduced
   ideal_contains       an element the generators top-reduce to zero is a
                        member with no run; the others are top-reduced
                        against one unreduced Groebner basis of the
@@ -94,9 +97,33 @@ def toric_ideal_of_weights(weights: Sequence[int], field=QQ,
 
     Takes raw weights so the engine can be self-tested on tiny inputs that are
     not valid curve sequences.
+
+    The kernel is J ∩ k[X] for J = (X_i - t^{w_i}), and by the elimination
+    theorem any generating set of J gives it (Sturmfels, Groebner Bases and
+    Convex Polytopes, 1996, Ch. 4).  The run starts from the weight chain:
+    with the indices sorted by weight into c_0, ..., c_n (ties by index),
+    X_{c_0} - t^{w_{c_0}} and X_{c_k} - t^{w_{c_k} - w_{c_{k-1}}} * X_{c_{k-1}}.
+    Each chain binomial is (X_{c_k} - t^{w_{c_k}}) - t^{gap} * (X_{c_{k-1}} -
+    t^{w_{c_{k-1}}}), so it lies in J, and by induction on k the chain gives
+    back every X_i - t^{w_i}: the ideal is J.  Its leads t^{gap} * X have
+    t-degree the gap (d on an arithmetic sequence) where the X_i - t^{w_i}
+    have t^{w_i}, and the S-pair of two of them is a 2x2 minor of the
+    consecutive-pair matrix, so the run stores fewer elements.  A repeated
+    weight gives a gap of 0 and a t-free input.  The reduced basis is
+    unique, so the result does not depend on the generating set.
     """
     ext = elimination_ring(weights, field=field)
-    gens = [(ext.var(i + 1) - ext.var(0, w)).packed for i, w in enumerate(weights)]
+    col, ws, minus_one = ext._cols, ext.weights[1:], field.neg(1)
+    # each binomial packed from the ring's columns, its two terms sorted.
+    # Both terms have weighted degree w_i, as X_i has, and w_i lies below
+    # the ring's degree_cap (`packed_bits` of the weights), so no term
+    # needs a range check
+    gens, below, below_weight = [], 0, 0  # the chain's previous X, and its weight
+    for i in sorted(range(len(ws)), key=ws.__getitem__):
+        x, rest = col[i + 1], (ws[i] - below_weight) * col[0] + below
+        gens.append(((x, 1), (rest, minus_one)) if x > rest
+                    else ((rest, minus_one), (x, 1)))
+        below, below_weight = x, ws[i]
     # under the block order a lead free of t leaves the whole element free
     # of it, and the t-free elements of a Groebner basis are one of the
     # elimination ideal (the elimination theorem); a lead is t-free when its
