@@ -55,7 +55,6 @@ from .groebner import (
     reduce_poly,
 )
 from .oracle import (
-    artinian_generators,
     artinian_table,
     ideal_contains,
     ideal_equal,

@@ -61,10 +61,6 @@ class BettiTable:
             for s in sorted(self.rows)
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "BettiTable":
-        return cls.from_rows({row["step"]: row["shifts"] for row in obj})
-
 
 def betti_b1(n: int) -> tuple[int, ...]:
     if n < 2:

@@ -16,26 +16,19 @@ ones is a genuine two-route check.
                        against one unreduced Groebner basis of the
                        generators
   ideal_equal          ideal_contains in both directions
-  artinian_generators  the generators' images modulo x0 in k[x1..xn] when
-                       x0 is a nonzerodivisor modulo I, the generators
-                       themselves otherwise: their resolution has R/I's
-                       graded Betti table.  One basis run under the
-                       reverse-lex order with x0 smallest decides it:
-                       there in(I : x0) = in(I) : x0 (Bayer & Stillman
-                       1987), so x0 is one exactly when no minimal lead
-                       involves x0
   artinian_table       R/I's graded Betti table for the callers that read
                        only the table (`scan`'s cells and the oracle
                        entries of `resolve --verify` on the constructive
-                       methods): from the same run, the Koszul homology of
-                       A = R/(I, x0) over k[x1..xn], whose standard
-                       monomials and products that run's basis gives, with
-                       ranks by sparse elimination over the field; past
-                       2^n standard monomials, or where x0 is no
-                       nonzerodivisor, `minimal_resolution`'s table.
-                       `resolve --method oracle` resolves over R, whose
-                       matrices it prints and checks, and shares no code
-                       with the Koszul kernel
+                       methods): when one basis run under the reverse-lex
+                       order with x0 smallest finds x0 a nonzerodivisor
+                       (there in(I : x0) = in(I) : x0, Bayer & Stillman
+                       1987) and A = R/(I, x0) finite, the Koszul homology
+                       of A over k[x1..xn], reduced by a Morse matching
+                       along x_n to 2^n * dim(A/x_nA) cells, with ranks by
+                       sparse elimination over the field; otherwise
+                       `minimal_resolution`'s table.  `resolve --method
+                       oracle` resolves over R, whose matrices it prints
+                       and checks, and shares no code with the kernel
   minimal_resolution   one loop: prune the candidates to minimal generators,
                        keep them as the next differential, take their
                        syzygies as the next candidates; the generators are
@@ -179,8 +172,18 @@ def _x0_regular_basis(gens: Sequence[Polynomial],
     """(`revlex_ring` of the generators' ring, a Groebner basis of their
     ideal I there) when x0 is a nonzerodivisor modulo I; None when x0
     lies in I or divides zero modulo I, or when a generator is not
-    homogeneous.  One rank-1 basis run decides it (`artinian_generators`
-    has the argument)."""
+    homogeneous.
+
+    x0 is a nonzerodivisor on R/I exactly when (I : x0) = I.  Under
+    `WeightedRevlex`, the weighted reverse-lex order with x0 the smallest
+    variable, a homogeneous I has in(I : x0) = in(I) : x0 (Bayer &
+    Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
+    1987; Eisenbud, Commutative Algebra, Prop. 15.12), so x0 is one
+    exactly when no minimal lead of a Groebner basis of I involves x0.
+    One rank-1 basis run decides it: the basis is not interreduced, so a
+    lead divisible by x0 rules x0 out only when its quotient by x0 is
+    divisible by no lead.  A lead 1 (I = R) rules it out too.
+    """
     ring = common_ring(gens)
     if ring is None or not all(g.is_homogeneous for g in gens):
         return None
@@ -195,208 +198,199 @@ def _x0_regular_basis(gens: Sequence[Polynomial],
     return revlex, gb
 
 
-def _images_modulo_x0(gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """Each generator with every term that involves x0 dropped, in
-    `curve_ring` of the other weights over the same field."""
-    ring = gens[0].ring
-    target = curve_ring(ring.weights[1:], ring.field)
-    x0 = ring.var(0).packed[0][0]  # packed in R's own layout
-    return [drop_first_variable(
-                Polynomial(ring, tuple([t for t in g.packed
-                                        if not ring.divides(x0, t[0])])),
-                target)
-            for g in gens]
-
-
-def artinian_generators(gens: Sequence[Polynomial],
-                        limits: Limits = DEFAULT_LIMITS) -> list[Polynomial]:
-    """Generators whose minimal resolution has the graded Betti table of
-    R/(gens): their images modulo x0 in k[x1..xn] when x0 is a
-    nonzerodivisor modulo the ideal I of `gens`, and `gens` otherwise.
-
-    x0 is a nonzerodivisor on R/I exactly when (I : x0) = I.  Under
-    `WeightedRevlex`, the weighted reverse-lex order with x0 the smallest
-    variable, a homogeneous I has in(I : x0) = in(I) : x0 (Bayer &
-    Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
-    1987; Eisenbud, Commutative Algebra, Prop. 15.12), so x0 is one
-    exactly when no minimal lead of a Groebner basis of I involves x0.
-    One rank-1 basis run in `revlex_ring` decides it: the basis is not
-    interreduced, so a lead divisible by x0 rules x0 out only when its
-    quotient by x0 is divisible by no lead.  A lead 1 (I = R) rules it out
-    too, as x0 then lies in I.
-
-    x0 is a nonzerodivisor on R as well, so a minimal graded free
-    resolution F of R/I gives F (x) R/(x0), a minimal graded free
-    resolution of R/(I, x0) over R/(x0) = k[x1..xn] with the same graded
-    Betti table (Bruns & Herzog, Cohen-Macaulay Rings, Sec. 1.1).  Its
-    ideal is generated by the generators of I with every term that
-    involves x0 dropped, taken in `curve_ring` of the other weights over
-    the same field.  Only the table carries over: the matrices of that
-    resolution are not R's.
-
-    No command calls this: `artinian_table` makes the same decision from
-    the same run, and resolves these images only where its Koszul kernel
-    would cost more than their resolution.
-
-    `gens` comes back unchanged, to be resolved over R, when x0 lies in I
-    or divides zero modulo I, or when a generator is not homogeneous.
-    ValueError if they do not all share one ring.
-    """
-    if _x0_regular_basis(gens, limits) is None:
-        return list(gens)
-    return _images_modulo_x0(gens)
-
-
 def artinian_table(gens: Sequence[Polynomial],
                    limits: Limits = DEFAULT_LIMITS) -> BettiTable:
-    """The graded Betti table of R/(gens), read as the Koszul homology of
-    A = R/(I, x0) with respect to x1..xn when that is cheap, and off
-    `minimal_resolution` otherwise.
+    """The graded Betti table of R/(gens): the Koszul homology of
+    A = R/(I, x0) over k[x1..xn] when x0 is a nonzerodivisor modulo I
+    (`_x0_regular_basis`) and A is finite, and `minimal_resolution`'s
+    table otherwise.
 
-    When x0 is a nonzerodivisor modulo I (`artinian_generators`),
-    beta_{i,D}(R/I) = beta_{i,D}(A) over k[x1..xn] = dim_k H_i(K(x1..xn;
-    A))_D, as Koszul homology computes Tor against k (Bruns & Herzog,
-    Cohen-Macaulay Rings, Sec. 1.1 and 1.6; Eisenbud, Commutative
-    Algebra, Ch. 17).  The run that decides it gives A too: under the
-    reverse-lex order with x0 smallest, in(I + (x0)) = in(I) + (x0) (Bayer
-    & Stillman), and a homogeneous element whose lead avoids x0 keeps
-    that lead when x0 is set to 0.  So the basis elements whose leads
-    avoid x0, with x0 set to 0, are a Groebner basis of the image of I in
-    k[x1..xn] under `WeightedRevlex` on the other weights, the order the
-    run's own ring gives monomials free of x0.  A's k-basis is then its
-    standard monomials, found by a breadth-first walk from 1 over those
-    leads, and multiplication by x_j a normal form (`module_reducer`);
-    `_koszul_table` takes the homology.
-
-    The route is read off the input.  The kernel's cost grows with
-    dim A * 2^n and the resolution's hardly with dim A, so the walk stops
-    once it passes 2^n standard monomials, or `limits.max_basis` of them
-    (which only n >= 17 can reach first), and such an A, an infinite one
-    included, has the images modulo x0 resolved.  Where x0 is not a
-    nonzerodivisor, or a generator is not homogeneous, `gens` are
-    resolved over R.  ValueError if they do not all share one ring.
+    x0 is a nonzerodivisor on R as well, so a minimal graded free
+    resolution F of R/I gives F (x) R/(x0), one of A over R/(x0) =
+    k[x1..xn] with the same graded Betti table (Bruns & Herzog,
+    Cohen-Macaulay Rings, Sec. 1.1), and beta_{i,D}(A) =
+    dim_k H_i(K(x1..xn; A))_D (Sec. 1.6; Eisenbud, Ch. 17).  The run that
+    decides it gives A too: under that order in(I + (x0)) = in(I) + (x0)
+    (Bayer & Stillman), and a homogeneous element whose lead avoids x0
+    keeps that lead when x0 is set to 0.  So the basis elements whose
+    leads avoid x0, with x0 set to 0, are a Groebner basis of A's ideal
+    under `WeightedRevlex` on the other weights, the order the run's own
+    ring gives monomials free of x0, and A is finite exactly when each
+    x_j has a pure power among their leads.  ValueError if the generators
+    do not all share one ring.
     """
     found = _x0_regular_basis(gens, limits)
-    if found is None:
-        return BettiTable.from_complex(minimal_resolution(gens, limits=limits))
-    revlex, gb = found
-    n = revlex.nvars - 1
-    # A's ideal, kept in revlex: its monomials free of x0 are k[x1..xn]'s,
-    # under the same order and with the same divisibility test
-    first, mask = revlex._exp_shifts[0], revlex._mask
-    basis = [tuple([t for t in v if not t[0] >> first & mask])
-             for v in gb if not v[0][0] >> first & mask]
+    if found is not None:
+        revlex, gb = found
+        # A's ideal, kept in revlex: its monomials free of x0 are
+        # k[x1..xn]'s, under the same order and with the same divisibility
+        # test
+        first, mask = revlex._exp_shifts[0], revlex._mask
+        basis = [tuple([t for t in v if not t[0] >> first & mask])
+                 for v in gb if not v[0][0] >> first & mask]
+        # the variables with a pure-power lead; no lead is 1 here.  An empty
+        # basis (the zero ideal, in k[x0] too) is left to the resolution
+        powers = {e.index(max(e)) for e in map(revlex.decode, [v[0][0] for v in basis])
+                  if max(e) == sum(e)}
+        if basis and len(powers) == revlex.nvars - 1:
+            return _koszul_table(revlex, basis, limits)
+    return BettiTable.from_complex(minimal_resolution(gens, limits=limits))
+
+
+def _koszul_table(ring: PolyRing, basis: Sequence[tuple], limits: Limits) -> BettiTable:
+    """beta_{i,D} = dim_k H_i(K(x1..xn; A))_D for A = S/J finite, S =
+    k[x1..xn] (deg x_j = ring.weights[j]) and `basis` a Groebner basis of
+    J, flat at rank 1 in `ring`, free of x0.
+
+    A's k-basis is the standard monomials, and x_j * u their normal form,
+    computed once when a row first needs it.  K_i has the basis e_F (x) u
+    for the i-subsets F = {f_0 < ... < f_{i-1}} of the variables, of
+    degree deg u plus F's weights, and d(e_F (x) u) = sum_k (-1)^k
+    e_{F - f_k} (x) x_{f_k} u.  Match e_G (x) x_n w with e_{G + n} (x) w
+    for n not in G, when w and x_n w are both standard: n is last in G + n,
+    so the matched coefficient is (-1)^|G|, a unit, and no cell is matched
+    twice.  A gradient path goes up a pair only from a cell without n to
+    one with n, whose other faces all hold n and so are critical or
+    matched downwards: every path has at most one zig-zag, the matching is
+    acyclic, and the Morse complex on the critical cells has the homology
+    of K, degree by degree (Skoldberg, "Morse theory from an algebraic
+    viewpoint", Trans. AMS 358, 2006, Thm 1; Joellenbeck & Welker, Mem.
+    AMS 197, 2009, Ch. 2).  Its differential keeps a cell's critical
+    faces, drops the faces matched downwards, and replaces each face
+    e_G (x) x_n w matched upwards by -(-1)^|G| times the other faces of
+    e_{G + n} (x) w.
+
+    The critical cells are e_F (x) u with n not in F and u a foot, a
+    standard monomial free of x_n, and with n in F and u a head, the top
+    u * x_n^(e - 1) of a foot's x_n-chain, e the least x_n exponent among
+    the leads whose x_n-free part divides u: 2^n * dim(A/x_nA) of them,
+    n * 2^n on a curve whatever m0 is.  The feet come from a walk over
+    x1..x_{n-1}; the rest of A is never walked.  Each degree-D block's
+    rank comes from one sparse elimination in the field's own `add_into`,
+    `mul`, `neg` and `inv`, the same code over every field, and
+    beta_{i,D} = #critical_{i,D} - rank d_{i,D} - rank d_{i+1,D}.
+
+    The feet and each block are compared with `limits.max_basis` before
+    they are built, and the deadline is read between blocks: either raises
+    ResourceLimitExceeded, naming the Koszul phase.  Only one step's
+    subsets and one block's rows are held at a time.
+    """
+    n = ring.nvars - 1
+    t0 = time.monotonic()
+    xs = list(zip(ring._cols[1:], ring.weights[1:]))  # x_j packed, deg x_j
+    xn, wn = xs[-1]
+    guard, cap, check, field = ring.guard, ring.degree_cap, ring.check_degree, ring.field
     leads = [v[0][0] for v in basis]
-    guard, cap, check = revlex.guard, revlex.degree_cap, revlex.check_degree
-    xs = list(zip(revlex._cols[1:], revlex.weights[1:]))  # x_j packed, deg x_j
-    # standard monomials, breadth-first from 1; each one's quotient by any
-    # variable it involves is standard too, so the walk finds them all
-    standard, degrees, index = [0], [0], {0: 0}
-    for u, e in zip(standard, degrees):
-        for x, w in xs:
+    tops = [(k - p * xn, p) for k in leads for p in [ring.decode(k)[n]]]
+    # the feet as (u, deg u), breadth-first from 1, and the head over each;
+    # a foot's quotient by any variable it involves is standard too, so the
+    # walk finds them all
+    feet, foot, heads = [(0, 0)], {0: 0}, []
+    for u, e in feet:
+        p = min([p for k, p in tops if not (u - k) & guard]) - 1
+        if e + p * wn >= cap:
+            check(e + p * wn)
+        heads.append((u + p * xn, e + p * wn))
+        for x, w in xs[:-1]:
             if e + w >= cap:  # u * x would not fit the packed fields
                 check(e + w)
             m = u + x
-            if m in index:
+            if m in foot or any([not (m - k) & guard for k in leads]):
                 continue
-            for k in leads:
-                if not (m - k) & guard:  # a lead divides m
-                    break
-            else:
-                index[m] = len(standard)
-                standard.append(m)
-                degrees.append(e + w)
-        if len(standard) > 1 << n or not len(standard) <= limits.max_basis:
-            return BettiTable.from_complex(
-                minimal_resolution(_images_modulo_x0(gens), limits=limits))
-    # x_j * u as ((index, coefficient), ...): itself when it is standard,
-    # and otherwise its normal form, whose monomials all are
-    reducer = module_reducer(basis, revlex)
-    products = [[((index[u + x], 1),) if u + x in index else
-                 tuple([(index[m], c) for m, c in reducer.normal_form(((u + x, 1),))])
-                 for x, _ in xs]
-                for u in standard]
-    return _koszul_table(degrees, products, revlex.weights[1:], revlex.field, limits)
+            if not len(feet) < limits.max_basis:
+                raise ResourceLimitExceeded(
+                    f"Koszul homology: the standard monomials free of x_{n} "
+                    f"exceed the basis size cap {limits.max_basis}")
+            foot[m] = len(feet)
+            feet.append((m, e + w))
+    head = {h: a for a, (h, _) in enumerate(heads)}
+    # a step's cells by degree: F without n over the feet, F with n over
+    # the heads
+    by_degree: list[dict[int, list[int]]] = [{}, {}]
+    for side, cells in enumerate((feet, heads)):
+        for u, e in cells:
+            by_degree[side].setdefault(e, []).append(u)
 
+    # x_j * u, u of degree e, as its terms (index, c) that are heads, those
+    # that are feet, and (v / x_n, c) for those x_n divides
+    reducer, forms = module_reducer(basis, ring), {}
 
-def _koszul_table(degrees: Sequence[int], products: Sequence[Sequence[tuple]],
-                  weights: Sequence[int], field, limits: Limits) -> BettiTable:
-    """The graded Betti table over S = k[x1..xn] (deg x_j = weights[j]) of
-    a graded quotient A of S of finite dimension: beta_{i,D} =
-    dim_k H_i(K(x1..xn; A))_D.
+    def times(u: int, e: int, j: int) -> tuple:
+        x, w = xs[j]
+        if e + w >= cap:
+            check(e + w)
+        got = forms.get(u + x)
+        if got is None:
+            nf = reducer.normal_form(((u + x, 1),))
+            got = forms[u + x] = (tuple([(head[v], c) for v, c in nf if v in head]),
+                                  tuple([(foot[v], c) for v, c in nf if v in foot]),
+                                  tuple([(v - xn, c) for v, c in nf if v not in foot]))
+        return got
 
-    A's k-basis is 0..len(degrees)-1, element u of degree degrees[u], and
-    products[u][j] is x_j * u as ((v, c), ...).  K_i has the basis
-    e_F (x) u for the i-subsets F of the variables, of degree deg u plus
-    F's weights, and d(e_F (x) u) = sum_k (-1)^k e_{F - f_k} (x) x_{f_k} u
-    for F = {f_0 < ... < f_{i-1}}.  The rank of each degree-D block of
-    d_i comes from one sparse elimination in the field's own `add_into`,
-    `mul`, `neg` and `inv`, the same code over every field, and
-    beta_{i,D} = dim K_{i,D} - rank d_{i,D} - rank d_{i+1,D}.
-
-    Each block's dimension is compared with `limits.max_basis` before the
-    block is built, those of step i before its subsets are listed, and the
-    deadline is read between blocks: either raises ResourceLimitExceeded,
-    naming the Koszul phase.  The whole complex, dim A * 2^n, is compared
-    with nothing, and only one step's subsets are held at a time.
-    """
-    n, size = len(weights), len(degrees)
-    t0 = time.monotonic()
-    by_degree: dict[int, list[int]] = {}
-    for u, e in enumerate(degrees):
-        by_degree.setdefault(e, []).append(u)
-    # counts[i][w]: the number of i-subsets of the variables of weight w
-    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
-    for x in weights:
-        for i in range(n, 0, -1):
-            for w, c in counts[i - 1].items():
-                counts[i][w + x] = counts[i].get(w + x, 0) + c
-    dims: list[dict[int, int]] = [{} for _ in range(n + 1)]  # dim K_{i,D}
-    for i, by_weight in enumerate(counts):
-        for w, c in by_weight.items():
-            for e, us in by_degree.items():
-                dims[i][w + e] = dims[i].get(w + e, 0) + c * len(us)
-    ranks: list[dict[int, int]] = [{} for _ in range(n + 2)]  # rank d_{i,D}
+    size, top = len(feet), (1 << n - 1) * len(feet)  # top: x_n's bit in a row key
+    one, minus = 1, field.neg(1)
     neg, inv, mul, add_into = field.neg, field.inv, field.mul, field.add_into
+    critical = [{e: len(us) for e, us in by_degree[0].items()}]  # #critical_{i,D}
+    ranks: list[dict[int, int]] = [{} for _ in range(n + 2)]  # rank d_{i,D}
     deadline = limits.deadline_s
     for i in range(1, n + 1):
-        blocks = [D for D in dims[i] if D in dims[i - 1]]  # d_i is zero elsewhere
-        for D in blocks:
-            if not dims[i][D] <= limits.max_basis:
-                raise ResourceLimitExceeded(
-                    f"Koszul homology: {dims[i][D]} elements of step {i} in degree "
-                    f"{D} exceed the basis size cap {limits.max_basis}")
-        # the i-subsets F = {f_0 < ... < f_{i-1}} by weight, each as its faces
-        # (f_k, the place of e_{F - f_k} in the row keys, whether k is odd):
-        # the row of e_F' (x) v is keyed F' * size + v, F' a bit mask.  Each
-        # F lies in the block of its weight, with the element 1 of A
-        subsets: dict[int, list[tuple]] = {}
+        # the i-subsets F = {f_0 < ... < f_{i-1}} by whether they hold n and
+        # by weight, each as its faces (f_k, the row key of e_{F - f_k} (x)
+        # element 0, whether k is odd): a row key is F' * size + v, F' a bit
+        # mask and v a foot's index when F' lacks n, a head's otherwise
+        subsets: list[dict[int, list[tuple]]] = [{}, {}]
         for F in combinations(range(n), i):
             mask = sum([1 << j for j in F])
-            subsets.setdefault(sum([weights[j] for j in F]), []).append(
+            subsets[F[-1] == n - 1].setdefault(sum([xs[j][1] for j in F]), []).append(
                 tuple([(j, (mask ^ 1 << j) * size, k & 1) for k, j in enumerate(F)]))
-        for D in blocks:
+        critical.append({})
+        for side in (0, 1):
+            for w, by_faces in subsets[side].items():
+                for e, us in by_degree[side].items():
+                    critical[i][w + e] = critical[i].get(w + e, 0) + len(by_faces) * len(us)
+        for D in [D for D in critical[i] if D in critical[i - 1]]:  # d_i is 0 elsewhere
+            if not critical[i][D] <= limits.max_basis:
+                raise ResourceLimitExceeded(
+                    f"Koszul homology: {critical[i][D]} elements of step {i} in degree "
+                    f"{D} exceed the basis size cap {limits.max_basis}")
             if deadline is not None and not time.monotonic() - t0 <= deadline:
                 raise ResourceLimitExceeded(
                     f"Koszul homology: deadline of {deadline}s exceeded")
             pivots: dict[int, tuple] = {}  # lead key -> monic reduced image
-            for w, by_faces in subsets.items():
-                for u in by_degree.get(D - w, ()):
-                    row = products[u]
-                    for faces in by_faces:
-                        acc = {at + v: neg(c) if odd else c
-                               for j, at, odd in faces for v, c in row[j]}
-                        while acc:
-                            p = min(acc)
-                            q = pivots.get(p)
-                            if q is None:
-                                k = inv(acc[p])
-                                pivots[p] = tuple([(m, mul(c, k)) for m, c in acc.items()])
-                                break
-                            add_into(acc, q, 0, neg(acc[p]))
+            for side in (0, 1):
+                for w, by_faces in subsets[side].items():
+                    e = D - w
+                    for u in by_degree[side].get(e, ()):
+                        for faces in by_faces:
+                            acc: dict[int, object] = {}
+                            for k, (j, at, odd) in enumerate(faces):
+                                ups, downs, matched = times(u, e, j)
+                                if side and k < i - 1:  # e_{F - f_k} holds n
+                                    add_into(acc, ups, at, minus if odd else one)
+                                    continue
+                                add_into(acc, downs, at, minus if odd else one)
+                                # e_{F - f_k} (x) x_n v is matched upwards: it
+                                # becomes -(-1)^(i-1) (-1)^k c times the other
+                                # faces of e_{F - f_k + n} (x) v, each with its
+                                # sign there
+                                step, ev = top - (1 << j) * size, e + xs[j][1] - wn
+                                for v, c in matched:
+                                    c = neg(c) if (i + k) & 1 else c
+                                    for l, (g, at_g, odd_g) in enumerate(faces):
+                                        if l != k:
+                                            add_into(acc, times(v, ev, g)[0], at_g + step,
+                                                     neg(c) if odd_g ^ (l > k) else c)
+                            while acc:
+                                p = min(acc)
+                                q = pivots.get(p)
+                                if q is None:
+                                    k = inv(acc[p])
+                                    pivots[p] = tuple([(m, mul(c, k)) for m, c in acc.items()])
+                                    break
+                                add_into(acc, q, 0, neg(acc[p]))
             ranks[i][D] = len(pivots)
     return BettiTable.from_rows({
-        i: [D for D, count in dims[i].items()
+        i: [D for D, count in critical[i].items()
             for _ in range(count - ranks[i].get(D, 0) - ranks[i + 1].get(D, 0))]
         for i in range(n + 1)})
 

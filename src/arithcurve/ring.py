@@ -62,8 +62,8 @@ of `curve_ring`; `EliminationOrder`, which puts t first in
 `elimination_ring`; and `WeightedRevlex`, weighted degree then reverse lex
 with X0 the smallest variable, the order of `revlex_ring`, under which a
 homogeneous polynomial whose lead involves X0 is divisible by X0 (the
-x0-regularity test of `oracle.artinian_generators` and `artinian_table` reads
-its leads, and `artinian_table` walks the standard monomials they leave).
+x0-regularity test of `oracle.artinian_table` reads its leads, and its
+Koszul kernel walks the standard monomials free of x_n that they leave).
 
 All values are immutable; every operation returns a new normalized
 polynomial, so sharing across threads is safe.
@@ -629,9 +629,6 @@ class Polynomial:
     def leading_monomial(self):
         return self.leading_term()[0]
 
-    def leading_coeff(self):
-        return self.leading_term()[1]
-
     def weighted_degree(self):
         """Common weighted degree of all terms, or None if inhomogeneous.
 
@@ -714,9 +711,6 @@ class Polynomial:
         for _ in range(k):
             result = result * self
         return result
-
-    def monic(self) -> "Polynomial":
-        return self.scale(self.ring.field.inv(self.leading_coeff()))
 
     # -- conversions --------------------------------------------------------
 

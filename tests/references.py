@@ -15,7 +15,7 @@ or package function reads it:
   colon_ideal/colon_check   (I : f) and the test (I : f) = I, which checks
                             the paper's "sum of two determinantal ideals"
                             and the reverse-lex x0 test of
-                            `oracle.artinian_generators`
+                            `oracle._x0_regular_basis`
   minimal_generators        graded greedy minimalization of a homogeneous set
 
 The tests import them with `from references import ...`: pytest puts this

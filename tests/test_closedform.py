@@ -169,7 +169,7 @@ class TestBettiTableType:
     def test_json_round_trip(self):
         t = shifts_gor4(2, 3)
         obj = t.to_json_obj()
-        back = BettiTable.from_json_obj(obj)
+        back = BettiTable.from_rows({row["step"]: row["shifts"] for row in obj})
         assert back.same_shifts(t)
         assert back.betti() == t.betti()
 

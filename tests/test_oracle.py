@@ -8,7 +8,7 @@ import re
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import arithcurve.oracle
 from arithcurve import (
@@ -16,7 +16,6 @@ from arithcurve import (
     GradedComplex,
     Limits,
     ResourceLimitExceeded,
-    artinian_generators,
     artinian_table,
     betti_b1,
     betti_bn,
@@ -127,8 +126,8 @@ class TestToricIdeal:
             drop_first_variable(p + t, target)
 
     def test_drop_first_variable_refuses_an_x0_term(self):
-        """Dropping X0 from a curve ring, as `artinian_generators` does,
-        repacks an X0-free polynomial and refuses one with an X0 term."""
+        """Dropping X0 from a curve ring repacks an X0-free polynomial and
+        refuses one with an X0 term."""
         ring, target = curve_ring((3, 5, 7)), curve_ring((5, 7))
         x0, x1, x2 = (ring.var(i) for i in range(3))
         p = x1 ** 7 - x2 ** 5
@@ -797,7 +796,46 @@ GF2 = PrimeField(2)
 FP = PrimeField(32003)
 
 
+FIELDS = {"QQ": QQ, "GF(2)": GF2, "GF(3)": PrimeField(3), "fp:32003": FP}
+
+
+def _monomials_of_degree(degree, weights):
+    """Every exponent tuple of the given weighted degree."""
+    if not weights:
+        return [()] if degree == 0 else []
+    return [(e,) + rest for e in range(degree // weights[0] + 1)
+            for rest in _monomials_of_degree(degree - e * weights[0], weights[1:])]
+
+
+@st.composite
+def artinian_cases(draw):
+    """(field name, weights, generators as {exponents: coefficient} maps):
+    x0 and 2 to 4 more variables of weights 1 to 3; a pure power of each
+    x_j, one of them left out in half the cases, so that A
+    is infinite; and 1 to 3 homogeneous binomials or trinomials, whose
+    terms may involve x0."""
+    n = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n + 1, max_size=n + 1)))
+    missing = draw(st.sampled_from([None] * n + list(range(1, n + 1))))
+    gens = [{tuple(p if k == j else 0 for k in range(n + 1)): 1}
+            for j, p in enumerate(draw(st.lists(st.integers(1, 4), min_size=n,
+                                                max_size=n)), 1)
+            if j != missing]
+    for _ in range(draw(st.integers(1, 3))):
+        monomials = _monomials_of_degree(draw(st.integers(2, 6)), weights)
+        if len(monomials) < 2:
+            continue
+        gens.append({m: draw(st.integers(-3, 3).filter(bool))
+                     for m in draw(st.lists(st.sampled_from(monomials), min_size=2,
+                                            max_size=3, unique=True))})
+    return draw(st.sampled_from(sorted(FIELDS))), weights, gens
+
+
 class TestArtinianGenerators:
+    """The routes of `artinian_table`: the Morse-reduced Koszul kernel on
+    A = R/(I, x0) when x0 is a nonzerodivisor and A is finite, the
+    resolution over R otherwise."""
+
     @pytest.mark.parametrize("n,field", [(2, QQ), (2, FP), (2, GF2),
                                          (3, QQ), (3, FP), (3, GF2),
                                          (4, QQ), (4, FP), (4, GF2),
@@ -807,36 +845,23 @@ class TestArtinianGenerators:
                                   "4-QQ", "4-fp", "4-GF2", "5-QQ", "5-fp", "5-GF2",
                                   "6-fp"])
     def test_reduced_tables_equal_full_ring_tables(self, n, field):
-        """On every cell of the grid, x0 is a nonzerodivisor, so the
-        generators come back as their images modulo x0 in k[x1..xn]: each
-        term free of x0 kept with its other exponents.  Their resolution
-        has the full ring's graded Betti table, and so has `artinian_table`.
-        A = R/(I, x0) has dimension m0, so up to 2^n standard monomials the
-        table is the Koszul homology of A, read off the one basis run that
-        decides the reduction; past 2^n (m0 = 5 and 6 at n = 2, m0 = 9 at
-        n = 3) the images are resolved, which starts more runs."""
+        """On every cell of the grid, x0 is a nonzerodivisor and A is
+        finite, so `artinian_table` reads the Koszul homology of A off the
+        one basis run that decides it, past 2^n standard monomials too
+        (m0 = 5 and 6 at n = 2, m0 = 9 at n = 3), and gives the full
+        ring's graded Betti table."""
         for gens in _grid(n, field):
-            ring = gens[0].ring
-            reduced = artinian_generators(gens)
-            target = reduced[0].ring
-            assert (target.weights, target.field) == (ring.weights[1:], field)
-            for g, r in zip(gens, reduced, strict=True):
-                images = {e[1:]: c for e, c in g.terms if e[0] == 0}
-                assert r == target.from_dict(images)
             full = BettiTable.from_complex(minimal_resolution(gens))
-            artinian = BettiTable.from_complex(minimal_resolution(reduced))
-            assert artinian.to_json_obj() == full.to_json_obj(), ring.weights
             limits = KeepMeters()
-            assert artinian_table(gens, limits) == full, ring.weights
-            assert (len(limits.meters) == 1) == (ring.weights[0] <= 2 ** n)
+            assert artinian_table(gens, limits) == full, gens[0].ring.weights
+            assert len(limits.meters) == 1
 
     @pytest.mark.parametrize("a", [3, 4, 5])
     @pytest.mark.parametrize("d", [1, 2])
     def test_large_quotients_are_resolved(self, a, d):
-        """At n = 4 the kernel takes A with at most 16 standard monomials,
-        so every a = 3 cell, m0 = dim A <= 16, is read from one basis run,
-        and every a >= 4 cell has its images modulo x0 resolved; both
-        give the full ring's table."""
+        """At n = 4 every a = 3..5 cell, dim A = m0 up to 24, is read from
+        one basis run, whatever dim A is against 2^n = 16, and gives the
+        full ring's table."""
         for b in range(1, 5):
             if math.gcd(4 * a + b, d) != 1:
                 continue
@@ -844,32 +869,66 @@ class TestArtinianGenerators:
             limits = KeepMeters()
             table = artinian_table(gens, limits)
             assert table == BettiTable.from_complex(minimal_resolution(gens))
-            assert (len(limits.meters) == 1) == (a == 3), (a, b, d)
+            assert len(limits.meters) == 1, (a, b, d)
 
-    def test_walk_holds_at_most_max_basis_standard_monomials(self):
-        """At 8 1 3, A has 2^3 = 8 standard monomials, so with `max_basis`
-        8 the kernel takes it, in one basis run; with `max_basis` 7 the
-        walk stops and the images modulo x0 are resolved instead, under
-        the same caps, to the same table."""
-        gens = list(validate_sequence(8, 1, 3).generators(FP).all)
+    @settings(max_examples=150, deadline=None)
+    @given(artinian_cases())
+    # x2^2 leads x1^2 - x1*x2 - x2^2 under the reverse-lex order, so the
+    # product x2 * x2 that a row needs has the normal form x1^2 - x1*x2
+    @example(("QQ", (1, 1, 1), [{(0, 3, 0): 1}, {(0, 0, 3): 1},
+                                {(0, 2, 0): 1, (0, 1, 1): -1, (0, 0, 2): -1}]))
+    def test_table_equals_the_full_ring_resolution(self, case):
+        """On random homogeneous ideals, finite A or not, x0 a
+        nonzerodivisor or not, the table is that of the resolution over
+        R; an example that hits the small caps is skipped."""
+        name, weights, terms = case
+        ring = curve_ring(weights, FIELDS[name])
+        gens = [ring.from_dict(t) for t in terms]
+        limits = Limits(max_spairs=400, max_basis=400, max_support=300)
+        try:
+            table = artinian_table(gens, limits)
+            want = BettiTable.from_complex(minimal_resolution(gens, limits))
+        except ResourceLimitExceeded:
+            assume(False)
+        assert table == want
+
+    def test_quotient_past_max_basis_is_not_walked(self):
+        """At 65 1 4, A has 65 standard monomials and 4 feet; under
+        `max_basis` 20 the kernel takes it all the same, as it never walks
+        A, and gives the full ring's table from one basis run."""
+        gens = list(validate_sequence(65, 1, 4).generators(FP).all)
+        limits = KeepMeters(max_basis=20)
+        assert artinian_table(gens, limits) == BettiTable.from_complex(
+            minimal_resolution(gens))
+        assert len(limits.meters) == 1
+
+    def test_foot_walk_holds_at_most_max_basis_feet(self):
+        """Modulo (x1^3, x2^3, x3), A has 9 standard monomials free of x3,
+        all feet: `max_basis` 9 lets the walk through, and 8 stops it,
+        naming the Koszul phase, after a basis run of 3 elements."""
+        R = curve_ring((1, 1, 1, 1))
+        x1, x2, x3 = R.var(1), R.var(2), R.var(3)
+        gens = [x1 ** 3, x2 ** 3, x3]
         full = BettiTable.from_complex(minimal_resolution(gens))
-        for cap, runs in [(8, 1), (7, 4)]:
-            limits = KeepMeters(max_basis=cap)
-            assert artinian_table(gens, limits) == full
-            assert len(limits.meters) == runs, cap
+        assert artinian_table(gens, Limits(max_basis=9)) == full
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^Koszul homology: the standard monomials free of x_3 "
+                                 r"exceed the basis size cap 8$"):
+            artinian_table(gens, Limits(max_basis=8))
 
     def test_non_curve_inputs_take_the_resolution(self):
-        """Where `artinian_generators` leaves the generators, x0 lying in
-        I, dividing zero modulo I or a generator being inhomogeneous, or
-        where A is not finite, `artinian_table` gives the table of the
-        resolution over R, or raises what that raises."""
+        """Where x0 lies in I, divides zero modulo I or a generator is
+        inhomogeneous, or where A is not finite or I is zero,
+        `artinian_table` gives the table of the resolution over R, or
+        raises what that raises."""
         R = curve_ring((1, 1))
         x0, x1 = R.var(0), R.var(1)
         S = curve_ring((1, 2, 3))
         y0, y1, y2 = S.var(0), S.var(1), S.var(2)
         for gens in ([x0 * x1], [x0, x1 * x1], [x0 * x0 + x1], [R.one, x1],
                      [y0 * y1], [y0, y1 * y1], [y0 * y2 - y1 * y1, y0 * y1],
-                     [y1 * y1, y0 * y1 * y1]):  # the last: A = k[x1, x2]/(x1^2)
+                     [y1 * y1, y0 * y1 * y1],  # A = k[x1, x2]/(x1^2)
+                     [R.zero], [curve_ring((2,)).zero]):  # the zero ideal
             try:
                 want = BettiTable.from_complex(minimal_resolution(gens))
             except ValueError as exc:
@@ -879,19 +938,20 @@ class TestArtinianGenerators:
                 assert artinian_table(gens) == want, gens
 
     def test_koszul_blocks_are_capped(self):
-        """Each Koszul block's dimension is compared with `max_basis`
-        before it is built.  Modulo (x1^2, x2^2, x3^2, x1*x2*x3), with
-        every weight 1, A has dimension 7, and its largest blocks, as
-        K_1 in degree 2, have 9 elements; the basis run stores fewer."""
+        """Each Morse block's size is compared with `max_basis` before it
+        is built.  Modulo (x1^2, x2^2, x3^2, x1*x2*x3), with every weight 1,
+        A has the feet 1, x1, x2, x1*x2 and the heads x3, x1*x3, x2*x3,
+        x1*x2; the largest blocks, as step 1 in degree 2, have 5 critical
+        cells, and the basis run stores fewer."""
         R = curve_ring((1, 1, 1, 1))
         x1, x2, x3 = R.var(1), R.var(2), R.var(3)
         gens = [x1 * x1, x2 * x2, x3 * x3, x1 * x2 * x3]
         full = BettiTable.from_complex(minimal_resolution(gens))
-        assert artinian_table(gens, Limits(max_basis=9)) == full
+        assert artinian_table(gens, Limits(max_basis=5)) == full
         with pytest.raises(ResourceLimitExceeded,
-                           match=r"^Koszul homology: 9 elements of step 1 in degree 2 "
-                                 r"exceed the basis size cap 8$"):
-            artinian_table(gens, Limits(max_basis=8))
+                           match=r"^Koszul homology: 5 elements of step 1 in degree 2 "
+                                 r"exceed the basis size cap 4$"):
+            artinian_table(gens, Limits(max_basis=4))
 
     def test_koszul_deadline_is_read_between_blocks(self, monkeypatch):
         """The kernel reads its clock when it starts and before each block:
@@ -910,16 +970,15 @@ class TestArtinianGenerators:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "fp"])
     def test_decision_equals_the_colon_check(self, n, field):
-        """On every cell of the grid the generators are reduced exactly
-        when `colon_check` finds x0 a nonzerodivisor, by one engine run
+        """On every cell of the grid the reverse-lex lead test finds x0 a
+        nonzerodivisor exactly when `colon_check` does, by one engine run
         under the caller's limits."""
         for gens in _grid(n, field):
             ring = gens[0].ring
             limits = KeepMeters()
-            reduced = artinian_generators(gens, limits)
+            found = arithcurve.oracle._x0_regular_basis(gens, limits)
             assert len(limits.meters) == 1
-            assert ((reduced[0].ring != ring)
-                    == colon_check(gens, ring.var(0))), ring.weights
+            assert (found is not None) == colon_check(gens, ring.var(0)), ring.weights
 
     def test_redundant_lead_divisible_by_x0_still_reduces(self):
         """(x1^2, x0*x1^2) = (x1^2), modulo which x0 is a nonzerodivisor;
@@ -929,29 +988,30 @@ class TestArtinianGenerators:
         x0, x1 = R.var(0), R.var(1)
         gens = [x1 * x1, x0 * x1 * x1]
         assert colon_check(gens, x0)
-        target = curve_ring((2, 3))
-        assert artinian_generators(gens) == [target.var(0, 2), target.zero]
+        revlex, gb = arithcurve.oracle._x0_regular_basis(gens, Limits())
+        assert (revlex.weights, revlex.field) == (R.weights, R.field)
+        assert [revlex.decode(v[0][0]) for v in gb] == [(0, 2, 0), (1, 2, 0)]
 
     def test_zero_divisor_leaves_the_generators(self):
         """x0 divides zero modulo (x0*x1) and modulo (x0*x2 - x1^2, x0*x1),
         where x1^2 leads the first generator under either order, and lies
-        in (x0, x1^2): each comes back unchanged, to be resolved over R.
-        So does x0^2 + x1, which is not homogeneous, although x0 is a
-        nonzerodivisor modulo it and its image x1 would be."""
+        in (x0, x1^2): the lead test rejects each, to be resolved over R.
+        So it does x0^2 + x1, which is not homogeneous, although x0 is a
+        nonzerodivisor modulo it."""
         R = curve_ring((1, 1))
         x0, x1 = R.var(0), R.var(1)
         for gens in ([x0 * x1], [x0, x1 * x1], [x0 * x0 + x1]):
-            assert artinian_generators(gens) == gens
+            assert arithcurve.oracle._x0_regular_basis(gens, Limits()) is None
         R = curve_ring((1, 2, 3))
         x0, x1, x2 = R.var(0), R.var(1), R.var(2)
         for gens in ([x0 * x1], [x0, x1 * x1], [x0 * x2 - x1 * x1, x0 * x1]):
-            assert artinian_generators(gens) == gens
+            assert arithcurve.oracle._x0_regular_basis(gens, Limits()) is None
 
     def test_unit_ideal_leaves_the_generators(self):
         """x0 lies in the unit ideal: its basis leads with 1."""
         R = curve_ring((1, 2))
         gens = [R.one, R.var(1)]
-        assert artinian_generators(gens) == gens
+        assert arithcurve.oracle._x0_regular_basis(gens, Limits()) is None
 
 
 class TestVerifyExactness:
