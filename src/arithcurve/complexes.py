@@ -51,7 +51,11 @@ class WrongCase(ValueError):
 
 class GradedComplex:
     """Complex of graded free modules: steps[s] holds the generator shifts of
-    step s, and maps[s-1] sends step s to step s-1."""
+    step s, and maps[s-1] sends step s to step s-1.
+
+    `_nonzero_product` and `_off_degree` read whether it is a graded complex
+    once each: `verify_complex` reports them and `oracle.verify_exactness`
+    reads them, so a `--verify` run multiplies the differentials once."""
 
     def __init__(self, steps, maps):
         self.steps = tuple(tuple(shifts) for shifts in steps)
@@ -61,6 +65,32 @@ class GradedComplex:
         for s, mat in enumerate(self.maps, start=1):
             if mat.rows != len(self.steps[s - 1]) or mat.cols != len(self.steps[s]):
                 raise ValueError(f"differential {s} has the wrong shape")
+        self._product_witness: tuple | None = None
+        self._degree_witness: tuple | None = None
+
+    def _nonzero_product(self) -> tuple:
+        """(s, row, col) of the first nonzero entry of d_{s-1} * d_s, s = 2,
+        3, ..., each product row-major, or () when every product is zero;
+        computed once."""
+        if self._product_witness is None:
+            products = ((s, self.differential(s - 1).mul(self.differential(s)))
+                        for s in range(2, self.length + 1))
+            self._product_witness = _first_entry(products, lambda s, i, j, e: True)
+        return self._product_witness
+
+    def _off_degree(self) -> tuple:
+        """(s, row, col) of the first entry of d_s, s = 1, 2, ..., that is
+        not homogeneous of degree steps[s][col] - steps[s-1][row], or ();
+        computed once."""
+        if self._degree_witness is None:
+            steps = self.steps
+            self._degree_witness = _first_entry(
+                self._differentials(),
+                lambda s, i, j, e: e.weighted_degree() != steps[s][j] - steps[s - 1][i])
+        return self._degree_witness
+
+    def _differentials(self):
+        return ((s, self.differential(s)) for s in range(1, self.length + 1))
 
     @property
     def length(self) -> int:
@@ -193,14 +223,14 @@ def resolution_bn(seq: ArithmeticSequence, field=QQ) -> GradedComplex:
     return mapping_cone(E, seq.power_binomial(2, field))
 
 
-def _first_entry(mats, accept) -> list:
-    """[step, row, col] of the first nonzero entry e with accept(step, row,
-    col, e) over (step, matrix) pairs in order, each matrix row-major, or []."""
+def _first_entry(mats, accept) -> tuple:
+    """(step, row, col) of the first nonzero entry e with accept(step, row,
+    col, e) over (step, matrix) pairs in order, each matrix row-major, or ()."""
     for s, d in mats:
         for (i, j), e in d.nonzero.items():
             if accept(s, i, j, e):
-                return [s, i, j]
-    return []
+                return (s, i, j)
+    return ()
 
 
 def verify_complex(C: GradedComplex) -> dict:
@@ -208,17 +238,12 @@ def verify_complex(C: GradedComplex) -> dict:
 
     Returns the check entries that `resolve --verify` prints: {"dd_zero" |
     "homogeneous" | "minimal": {"pass": bool, "witness": [step, row, col]
-    of the first failing entry, or []}}.
+    of the first failing entry, or []}}.  The first two are C's own cached
+    reads, which `oracle.verify_exactness` reads too.
     """
-    diffs = [(s, C.differential(s)) for s in range(1, C.length + 1)]
-    products = ((s, C.differential(s - 1).mul(C.differential(s)))
-                for s in range(2, C.length + 1))
     found = {
-        "dd_zero": _first_entry(products, lambda s, i, j, e: True),
-        "homogeneous": _first_entry(
-            diffs,
-            lambda s, i, j, e: e.weighted_degree() != C.steps[s][j] - C.steps[s - 1][i],
-        ),
-        "minimal": _first_entry(diffs, lambda s, i, j, e: e.is_constant()),
+        "dd_zero": C._nonzero_product(),
+        "homogeneous": C._off_degree(),
+        "minimal": _first_entry(C._differentials(), lambda s, i, j, e: e.is_constant()),
     }
-    return {name: {"pass": not w, "witness": w} for name, w in found.items()}
+    return {name: {"pass": not w, "witness": list(w)} for name, w in found.items()}

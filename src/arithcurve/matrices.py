@@ -131,14 +131,6 @@ class PolyMatrix:
                 add_into(acc, q, m, neg(c) if negate else c)
         return Polynomial(ring, tuple(sorted(acc.items(), reverse=True)))
 
-    def all_minors2(self) -> list:
-        """Every 2x2 minor of a 2-row matrix, columns in lexicographic order."""
-        return [
-            self.minor2(c1, c2)
-            for c1 in range(self.cols)
-            for c2 in range(c1 + 1, self.cols)
-        ]
-
     def __str__(self):
         rows = ["[" + ", ".join(row) + "]" for row in self.dense_rows(str)]
         return "[" + ",\n ".join(rows) + "]"

@@ -36,16 +36,19 @@ ones is a genuine two-route check.
                        and the ranks are the Betti numbers; one engine run
                        per step, shifted by the step's degrees, prunes and
                        then completes to the syzygies
-  verify_exactness     the entries of d_1 go to ideal_contains first, which
-                       makes no run when the generators reduce each to zero;
-                       then one loop from step 0, whose syzygies are the
-                       generators: every syzygy of d_s lies in the image of
-                       d_{s+1}, which is the zero module past the last map;
-                       one syzygy run per differential, on the engine's flat
-                       columns, gives both its syzygies and a Groebner basis
-                       of its image, which stay flat up to the reducer that
-                       tests them; returns the `exactness` check entry that
-                       `resolve --verify` prints, at the first failure
+  verify_exactness     im d_1 = (gens) by ideal_contains both ways, which
+                       makes no run when each side reduces the other to
+                       zero; then one loop (`_first_inexact_step`): every
+                       syzygy of d_s lies in the image of d_{s+1}, which is
+                       the zero module past the last map, with one syzygy
+                       run per differential, on the engine's flat columns,
+                       for both its syzygies and a Groebner basis of its
+                       image.  On a graded complex the loop runs first on
+                       F/x_nF, whose exactness at every step s >= 1 makes F
+                       exact (the lemma is in the docstring); otherwise, or
+                       when F/x_nF fails, the loop on F decides.  Returns
+                       the `exactness` check entry that `resolve --verify`
+                       prints, at the first failure
 """
 
 from __future__ import annotations
@@ -462,25 +465,59 @@ def _exactness(failure=None) -> dict:
                           "witness": [] if failure is None else [failure]}}
 
 
-def _flat_columns(mat: PolyMatrix) -> list[tuple]:
+def _flat_columns(mat: PolyMatrix, modulo_last: bool = False) -> list[tuple]:
     """The columns of mat in the engine's flat form (`to_flat`), from one
     row-major pass over its nonzero entries: row i is position i, and the
-    rows of a column arrive in order."""
-    unit = mat.ring.position_unit
+    rows of a column arrive in order.  With `modulo_last`, every term
+    divisible by the ring's last variable x_n is dropped, which gives the
+    columns of mat modulo x_n."""
+    ring = mat.ring
+    unit, last, mask = ring.position_unit, ring._exp_shifts[-1], ring._mask
     cols: list[list] = [[] for _ in range(mat.cols)]
     for (i, j), e in mat.nonzero.items():
         at = i * unit
-        cols[j] += [(m - at, c) for m, c in e.packed]
+        cols[j] += [(m - at, c) for m, c in e.packed
+                    if not (modulo_last and m >> last & mask)]
     return [tuple(c) for c in cols]
+
+
+def _first_inexact_step(C: GradedComplex, limits: Limits,
+                        modulo_last: bool = False) -> Optional[int]:
+    """The first step s >= 1 at which a syzygy of d_s escapes the image of
+    d_{s+1}, or None; past the last map the image is the zero module.  Step
+    0, the generators against the image of d_1, is `verify_exactness`'s
+    (a).  With `modulo_last` the loop runs on F/x_nF, each d_s with its
+    terms divisible by x_n dropped (`_flat_columns`).
+
+    The pass at step s makes one run of `syzygies_and_basis` on d_{s+1},
+    top-reduces the syzygies of d_s by the run's Groebner basis of the
+    image, and keeps the run's syzygies for the next pass, so only the runs
+    of d_s and d_{s+1} are held at a time.  It returns at the first failure,
+    so no run is made after the verdict is fixed.  The run is an unshifted
+    syzygy run that prunes nothing, where a step of `minimal_resolution`
+    shifts its run and prunes first, so on the oracle's own complex the two
+    share only their pair criteria.  Its columns, syzygies and basis stay
+    in the engine's flat form throughout.
+    """
+    ring, syz = C.differential(1).ring, ()
+    for s in range(C.length + 1):
+        rank = len(C.steps[s])  # d_{s+1}'s rows: C checks the shapes
+        next_syz, gb = (syzygies_and_basis(_flat_columns(C.differential(s + 1), modulo_last),
+                                           ring, rank, limits=limits)
+                        if s < C.length else ([], []))
+        reducer = module_reducer(gb, ring)
+        if any(reducer.top_reduce(v) for v in syz):
+            return s
+        syz = next_syz
+    return None
 
 
 def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
                      limits: Limits = DEFAULT_LIMITS) -> dict:
     """Machine check that C resolves R modulo the ideal of `gens`.
 
-    (a) the entries of d_1 generate the same ideal as `gens`: the entries
-        lie in the ideal of `gens` (`ideal_contains`, tested first), and
-        `gens` lie in the image of d_1;
+    (a) the entries of d_1 generate the same ideal as `gens`: two
+        `ideal_contains` tests, the entries in the ideal of `gens` first;
     (b) for each s < length, the syzygies of d_s lie in the image of d_{s+1};
     (c) the last differential has no nonzero syzygies (injectivity): this is
         (b) at s = length, with the zero module as the image.
@@ -491,35 +528,43 @@ def verify_exactness(C: GradedComplex, gens: Sequence[Polynomial],
     check returns at its first failure, so no engine run is made after the
     verdict is fixed, and no cap can turn a failure into a resource limit.
 
-    After (a)'s first inclusion, one loop checks every step from s = 0, as
-    `minimal_resolution` builds them.  The pass at step s makes one run of
-    `syzygies_and_basis` on d_{s+1}, top-reduces the syzygies of d_s by
-    the run's Groebner basis of the image, and keeps the run's syzygies
-    for the next pass, so only the runs of d_s and d_{s+1} are held at a
-    time.  Step 0's syzygies are `gens`, the kernel of R -> R/I at rank 1,
-    so its pass is (a)'s second inclusion.  The run is an unshifted syzygy
-    run that prunes nothing, where a step of `minimal_resolution` shifts
-    its run and prunes first, so on the oracle's own complex the two share
-    only their pair criteria.  Its columns, syzygies and basis stay in the
-    engine's flat form throughout.
-    When `gens` top-reduce every entry of d_1 to zero, as in the `en`,
-    `cone` and oracle complexes, (a)'s first inclusion makes no run.
+    (b) and (c) are first read off the hyperplane section F/x_nF, x_n the
+    ring's last variable, which is the smallest under `curve_ring`'s
+    weighted grevlex, so that d_s modulo x_n has fewer terms and its runs
+    are shorter.  Lemma: let F be a graded complex of free modules over R =
+    k[x0..xn] with positive weights, and write d' for d modulo x_n.  If
+    ker d'_s lies in im d'_{s+1}, then ker d_s lies in im d_{s+1}.  Proof:
+    ker d_s is graded, so take z in it homogeneous, and induct on its
+    degree; the shifts of F_s bound it below.  z modulo x_n lies in ker
+    d'_s, so z - d_{s+1} y = x_n z' for some homogeneous y, and z' has
+    degree deg z - deg x_n.  Since d_s d_{s+1} = 0, x_n d_s z' = d_s z = 0,
+    and F_{s-1} is free, so d_s z' = 0.  By induction z' = d_{s+1} y', and
+    z = d_{s+1}(y + x_n y').  The columns of d' are free of x_n, so their
+    syzygies over R and a Groebner basis of their image are free of x_n and
+    are those over k[x0..x_{n-1}] = R/(x_n), whose extension R is flat: the
+    loop on d' over R decides ker d'_s in im d'_{s+1}.  With (a) this holds
+    at every step s >= 1 exactly when F resolves R/I and x_n is a
+    nonzerodivisor modulo I (Tor_s(R/I, R/x_n) = 0), as on the curve, where
+    I is prime and x_n is not in it.
+
+    The lemma needs a graded complex: C's own cached reads
+    (`GradedComplex._nonzero_product` and `_off_degree`, the `dd_zero` and
+    `homogeneous` entries of `verify_complex`) decide that, and the
+    differentials are multiplied once per `--verify` run.  When C is not a
+    graded complex, or F/x_nF is inexact at some step, the same loop runs
+    on F from step 0 and decides, so the verdict and its witness are those
+    of the loop on F in every case.  When `gens` and the entries of d_1
+    top-reduce each other to zero, as in the `en`, `cone` and oracle
+    complexes, (a) makes no run.
     """
     if len(C.steps[0]) != 1:
         raise ValueError("step 0 must have rank 1")
-    d1 = C.differential(1)
-    ring = d1.ring
-    if not ideal_contains(gens, list(d1.nonzero.values()), limits=limits):
+    image = list(C.differential(1).nonzero.values())
+    if not (ideal_contains(gens, image, limits=limits)
+            and ideal_contains(image, gens, limits=limits)):
         return _exactness("image of the first differential")
-    syz = [g.packed for g in gens]
-    for s in range(C.length + 1):
-        rank = len(C.steps[s])  # d_{s+1}'s rows: C checks the shapes
-        next_syz, gb = (syzygies_and_basis(_flat_columns(C.differential(s + 1)),
-                                           ring, rank, limits=limits)
-                        if s < C.length else ([], []))
-        reducer = module_reducer(gb, ring)
-        if any(reducer.top_reduce(v) for v in syz):
-            return _exactness(f"exactness at step {s}" if s
-                              else "image of the first differential")
-        syz = next_syz
-    return _exactness()
+    if (not C._nonzero_product() and not C._off_degree()
+            and _first_inexact_step(C, limits, modulo_last=True) is None):
+        return _exactness()
+    s = _first_inexact_step(C, limits)
+    return _exactness(None if s is None else f"exactness at step {s}")

@@ -41,9 +41,8 @@ perform.
 the map once; sums, differences, `mul_term` and products (one `add_mul` per
 term of the shorter factor) go through it, and the Buchberger engine keeps
 each vector it reduces in one such map from start to finish.  `terms`,
-`leading_term`, `leading_monomial`, `from_dict`, `monomial` and `mul_term`
-speak exponent tuples and decode or encode at the boundary; the engine works
-on packed terms.  It reads the layout (`guard`, `_degree_shift`, `_mask`,
+`from_dict`, `monomial` and `mul_term` speak exponent tuples and decode
+or encode at the boundary; the engine works on packed terms.  It reads the layout (`guard`, `_degree_shift`, `_mask`,
 `degree_cap` and `position_unit`) once per run to do what `divides`,
 `packed_degree` and `check_degree` do inline on its keys (it keys a term of
 a module vector by its packed monomial and position).  Its pair criteria
@@ -619,15 +618,6 @@ class Polynomial:
 
     def is_monomial(self) -> bool:
         return len(self.packed) == 1
-
-    def leading_term(self):
-        if not self.packed:
-            raise ValueError("zero polynomial has no leading term")
-        m, c = self.packed[0]
-        return self.ring.decode(m), c
-
-    def leading_monomial(self):
-        return self.leading_term()[0]
 
     def weighted_degree(self):
         """Common weighted degree of all terms, or None if inhomogeneous.

@@ -6,6 +6,9 @@ or package function reads it:
 
   monomial_divides/div/lcm  exponent-tuple monomial arithmetic, against
                             which the packed layout of `ring` is tested
+  leading_term/monomial     a polynomial's lead as an exponent tuple
+  all_minors2               every 2x2 minor of a 2-row matrix, which CI's
+                            ideal identity sums over matrix_a and matrix_b
   word_lcms                 the lcm of exponent words, a field-wise max,
                             which the engine's pair criteria compute inline
   semigroup_contains        exact membership in the semigroup of a sequence
@@ -40,6 +43,7 @@ from arithcurve.groebner import (
     minimal_module_generators,
     syzygies_and_basis,
 )
+from arithcurve.matrices import PolyMatrix
 from arithcurve.oracle import ideal_contains
 from arithcurve.ring import Polynomial, PolyRing
 
@@ -74,6 +78,23 @@ def word_lcms(ring: PolyRing, a: int, words: Sequence[int]) -> list[int]:
         m = t - (t >> bits)
         out.append((a & m) | (b & (fields ^ m)))
     return out
+
+
+def leading_term(p: Polynomial) -> tuple:
+    """(exponent tuple, coefficient) of p's lead under its ring's order."""
+    if not p.packed:
+        raise ValueError("zero polynomial has no leading term")
+    m, c = p.packed[0]
+    return p.ring.decode(m), c
+
+
+def leading_monomial(p: Polynomial) -> tuple:
+    return leading_term(p)[0]
+
+
+def all_minors2(M: PolyMatrix) -> list[Polynomial]:
+    """Every 2x2 minor of a 2-row matrix, columns in lexicographic order."""
+    return [M.minor2(c1, c2) for c1, c2 in combinations(range(M.cols), 2)]
 
 
 # -- the semigroup ------------------------------------------------------------

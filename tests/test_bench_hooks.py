@@ -90,7 +90,8 @@ def test_traced_resolve_counts_engine_work(capsys):
     that changes their types or shapes moves these counts.  The oracle
     method resolves over the full ring, so its pruning sees the 10
     generators and the 46 raw syzygies of its steps, and the S-pairs of
-    its runs and of the exactness check's come to 157.  (The oracle
+    its runs and of the exactness check's, which runs on the complex
+    modulo x_4, come to 123.  (The oracle
     entries of `--verify` on the other methods read `artinian_table`,
     which prunes nothing.)"""
     from arithcurve import cli
@@ -104,7 +105,7 @@ def test_traced_resolve_counts_engine_work(capsys):
     _, counts = tracer.metrics()
     expected = {"groebner.prune.candidates": 56, "groebner.prune.kept": 49,
                 "groebner.syzygy.inputs": 49, "groebner.syzygy.raw": 46,
-                "groebner.spairs": 157, "groebner.syzygy.calls": 4}
+                "groebner.spairs": 123, "groebner.syzygy.calls": 4}
     assert {counter: counts[counter] for counter in expected} == expected
 
 

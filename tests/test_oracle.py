@@ -47,8 +47,11 @@ from arithcurve.ring import (
     weighted_degree_of,
 )
 from references import (
+    all_minors2,
     colon_check,
     colon_ideal,
+    leading_monomial,
+    leading_term,
     minimal_generators,
     monomial_div,
     monomial_lcm,
@@ -93,7 +96,7 @@ class TestToricIdeal:
         full = groebner([ext.var(i + 1) - ext.var(0, w) for i, w in enumerate(weights)])
         target = curve_ring(weights, field)
         return [drop_first_variable(g, target) for g in full
-                if g.leading_monomial()[0] == 0]
+                if leading_monomial(g)[0] == 0]
 
     @pytest.mark.parametrize("weights", [
         (2, 3), (3, 5, 7), (4, 5, 6, 7, 8), (7, 3, 5), (3, 3, 5), (6, 10, 15),
@@ -234,7 +237,7 @@ def membership_cases(draw):
     gens = [binomial(draw(st.sampled_from([k for k in binomial_degrees if k <= 12])))
             for _ in range(draw(st.integers(1, 3)))]
     if len(gens) >= 2 and draw(st.booleans()):
-        (a, ca), (b, cb) = gens[0].leading_term(), gens[1].leading_term()
+        (a, ca), (b, cb) = leading_term(gens[0]), leading_term(gens[1])
         lcm = monomial_lcm(a, b)
         top = weighted_degree_of(lcm, CURVE.weights)
         member = (gens[0].mul_term(monomial_div(lcm, a), cb)
@@ -371,9 +374,10 @@ class TestIdealContains:
             seq = validate_sequence(m0, d, n)
             assert ideal_equal(toric_ideal(seq), list(seq.generators().all))
         # every command but the 3 closed-form ones checks a complex's d_1,
-        # and each identity tests both inclusions
+        # its image against the generators both ways, and each identity
+        # tests both inclusions
         assert len(commands) == 46
-        assert made == [0] * (43 + 2 * 5)
+        assert made == [0] * (2 * 43 + 2 * 5)
 
     def test_polynomials_from_different_rings_raise(self):
         """Generators and elements must share one ring: the first generator
@@ -435,7 +439,7 @@ class TestIdealEqual:
     def test_sum_of_minor_ideals_is_kernel(self):
         for m0, d, n in [(5, 1, 4), (7, 1, 3), (4, 1, 2), (6, 1, 4)]:
             seq = validate_sequence(m0, d, n)
-            both = seq.matrix_a().all_minors2() + seq.matrix_b().all_minors2()
+            both = all_minors2(seq.matrix_a()) + all_minors2(seq.matrix_b())
             assert ideal_equal(both, toric_ideal(seq))
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -446,14 +450,14 @@ class TestIdealEqual:
             m0 = a * n + b
             if math.gcd(m0, d) == 1:
                 seq = validate_sequence(m0, d, n)
-                both = seq.matrix_a().all_minors2() + seq.matrix_b().all_minors2()
+                both = all_minors2(seq.matrix_a()) + all_minors2(seq.matrix_b())
                 assert ideal_equal(both, toric_ideal(seq)), (m0, d, n)
 
     def test_b1_pair_minors_inside_power_minors(self):
         # when b = 1 the power matrix contains every consecutive pair
         seq = validate_sequence(5, 1, 4)
         assert ideal_contains(
-            seq.matrix_b().all_minors2(), seq.matrix_a().all_minors2()
+            all_minors2(seq.matrix_b()), all_minors2(seq.matrix_a())
         )
 
     def test_other_power_minors_already_in_pair_ideal(self):
@@ -467,14 +471,14 @@ class TestIdealEqual:
                 for c1 in range(1, B.cols)
                 for c2 in range(c1 + 1, B.cols)
             ]
-            assert ideal_contains(seq.matrix_a().all_minors2(), rest)
+            assert ideal_contains(all_minors2(seq.matrix_a()), rest)
 
 
 class TestColon:
     def test_colon_by_power_binomial_fixes_pair_ideal(self):
         for m0, d, n in [(8, 1, 4), (6, 1, 3)]:
             seq = validate_sequence(m0, d, n)
-            minors = seq.matrix_a().all_minors2()
+            minors = all_minors2(seq.matrix_a())
             psi = seq.generators().powers[0]
             assert colon_check(minors, psi)
 
@@ -502,7 +506,7 @@ class TestColon:
         power binomial, pinned as above; at n = 4 both sequences print the
         same list."""
         seq = validate_sequence(m0, d, n)
-        quotient = [str(p) for p in colon_ideal(seq.matrix_a().all_minors2(),
+        quotient = [str(p) for p in colon_ideal(all_minors2(seq.matrix_a()),
                                                 seq.generators().powers[0])]
         assert len(quotient) == count
         assert hashlib.sha256(repr(quotient).encode()).hexdigest() == digest
@@ -537,7 +541,7 @@ class TestColon:
     def test_prime_ideal_colon_family(self):
         # for a prime ideal, (P : f) = P for any f outside P
         seq = validate_sequence(8, 1, 4)
-        minors = seq.matrix_a().all_minors2()
+        minors = all_minors2(seq.matrix_a())
         R = seq.ring()
         for f in [R.var(1), R.var(0) * R.var(4), R.var(2) ** 2 + R.var(1) * R.var(3)]:
             assert colon_check(minors, f)
@@ -1034,45 +1038,32 @@ class TestVerifyExactness:
 
     def test_dropped_column_fails_at_middle_step(self):
         """Without one column of d_2 (its shift and the matching row of
-        d_3 go too), the image of d_2 misses a syzygy of d_1.  The check
-        stops there: after d_1's run only d_2's run is made, not those of
-        d_3 and d_4; every entry of d_1 is a generator up to a scalar, so
-        the generators' basis is not run."""
+        d_3 go too), the image of d_2 misses a syzygy of d_1, and d_2 * d_3
+        is no longer zero, so the loop on F decides alone.  It stops there:
+        after d_1's run only d_2's run is made, not those of d_3 and d_4;
+        every entry of d_1 is a generator up to a scalar, so the
+        generators' basis is not run."""
         seq = validate_sequence(5, 1, 4)
-        C = resolution_b1(seq)
-        d2, d3 = C.differential(2), C.differential(3)
-        drop = 0
-
-        def skip(k):
-            return k - (k > drop)
-
-        cut_d2 = PolyMatrix(d2.ring, d2.rows, d2.cols - 1,
-                            {(i, skip(j)): e for (i, j), e in d2.nonzero.items()
-                             if j != drop})
-        cut_d3 = PolyMatrix(d3.ring, d3.rows - 1, d3.cols,
-                            {(skip(i), j): e for (i, j), e in d3.nonzero.items()
-                             if i != drop})
-        steps = list(C.steps)
-        steps[2] = steps[2][:drop] + steps[2][drop + 1:]
-        cut = GradedComplex(steps, [C.differential(1), cut_d2, cut_d3, *C.maps[3:]])
+        cut = _drop_column(resolution_b1(seq), 2, 0)
         limits = KeepMeters()
         rep = verify_exactness(cut, list(seq.generators().all), limits=limits)
         assert rep == failed("exactness at step 1")
         assert len(limits.meters) == 2
 
     @pytest.mark.parametrize("m0,build,spairs", [
-        (5, resolution_b1, [20, 39, 19, 3]),
-        (8, resolution_bn, [14, 18, 13, 2]),
+        (5, resolution_b1, [20, 19, 6, 0]),
+        (8, resolution_bn, [14, 12, 4, 0]),
     ])
     def test_spairs_per_engine_run_pinned(self, m0, build, spairs):
         """S-pairs reduced by each engine run of the check, in order: the
-        syzygies and image basis of d_1, then one run per later
-        differential.  A second basis of d_1's entries (20 and 8 S-pairs)
-        no longer runs first, nor does the Groebner basis of the
+        syzygies and image basis of d_1 modulo x_4, then one run per later
+        differential modulo x_4; on F the runs reduced [20, 39, 19, 3] and
+        [14, 18, 13, 2].  A second basis of d_1's entries (20 and 8
+        S-pairs) no longer runs first, nor does the Groebner basis of the
         generators: every entry of d_1 is a generator up to a scalar, so
-        `ideal_contains` needs no run (completed up to the largest degree
-        of d_1's entries it reduced 0 pairs, and run to the end 20 and
-        8)."""
+        `ideal_contains` needs no run either way (completed up to the
+        largest degree of d_1's entries it reduced 0 pairs, and run to the
+        end 20 and 8)."""
         seq = validate_sequence(m0, 1, 4)
         limits = KeepMeters()
         assert verify_exactness(build(seq), list(seq.generators().all),
@@ -1082,10 +1073,10 @@ class TestVerifyExactness:
     @pytest.mark.parametrize("change", ["add X0", "drop one"])
     def test_each_inclusion_of_the_first_image_checked(self, change):
         """gens less one misses a generator of the image of d_1, which
-        `ideal_contains` decides first, with one run, before d_1's own
-        run; gens + X0 escapes only the image of d_1, the inclusion decided
-        against the basis of d_1's run at step 0, after an `ideal_contains`
-        that needs no run.  No syzygy run of a later differential follows."""
+        `ideal_contains` decides first, with one run; gens + X0 escapes
+        only the image of d_1, which the second `ideal_contains` decides
+        with one basis run of d_1's entries, after a first that needs no
+        run.  No syzygy run of any differential follows."""
         seq = validate_sequence(5, 1, 4)
         C = resolution_b1(seq)
         gens = list(seq.generators().all)
@@ -1099,9 +1090,10 @@ class TestVerifyExactness:
         assert len(limits.meters) == 1
 
     def test_failure_returns_before_a_cap_applies(self):
-        """gens + X0 fails at d_1, whose run reduces 20 S-pairs; d_2's run
-        would reduce 39, so under a 30-pair cap a check that went on would
-        raise ResourceLimitExceeded instead of reporting the failure."""
+        """gens + X0 fails at the image of d_1, decided by one basis run of
+        d_1's entries that reduces 20 S-pairs under a 30-pair cap; the
+        check returns there and makes no syzygy run.  (On F, d_2's run
+        reduces 39 S-pairs, past the cap; modulo x_4 it reduces 19.)"""
         seq = validate_sequence(5, 1, 4)
         gens = list(seq.generators().all) + [seq.ring().var(0)]
         limits = KeepMeters(max_spairs=30)
@@ -1114,6 +1106,122 @@ class TestVerifyExactness:
         C = resolution_b1(seq)
         wrong = [seq.ring().var(0)]
         assert verify_exactness(C, wrong) == failed("image of the first differential")
+
+    def test_section_certifies_an_exact_complex(self, monkeypatch):
+        """On a graded complex whose section modulo x_4 is exact, the loop
+        on F/x_4F decides alone: one syzygy run per differential, and no
+        run of the loop on F."""
+        seq = validate_sequence(5, 1, 4)
+        C, gens = resolution_b1(seq), list(seq.generators().all)
+        assert arithcurve.oracle._first_inexact_step(C, Limits(), modulo_last=True) is None
+        rep, starts = meters_started(monkeypatch, lambda: verify_exactness(C, gens))
+        assert rep == EXACT
+        assert starts == C.length
+
+    def test_full_loop_decides_where_the_section_fails(self, monkeypatch):
+        """0 -> R(-3) -> R with d_1 = [X0*X1] over k[X0, X1] resolves
+        R/(X0*X1), but X1 divides zero there: modulo X1, d_1 is 0, whose
+        kernel is the whole of step 1, so the section fails at step 1 and
+        the loop on F decides.  One run on d_1 modulo X1, then one on d_1."""
+        R = curve_ring((1, 2))
+        x0x1 = R.var(0) * R.var(1)
+        C = GradedComplex([(0,), (3,)], [PolyMatrix(R, 1, 1, {(0, 0): x0x1})])
+        assert arithcurve.oracle._first_inexact_step(C, Limits(), modulo_last=True) == 1
+        rep, starts = meters_started(monkeypatch, lambda: verify_exactness(C, [x0x1]))
+        assert rep == EXACT
+        assert starts == 2
+
+    def test_inhomogeneous_complex_skips_the_section(self, monkeypatch):
+        """The Koszul complex of a = (1 + x2)*x0 and b = (1 + x2)*x1 is a
+        complex, but its entries are not homogeneous: modulo x2 it is the
+        Koszul complex of x0, x1, which is exact, while on F the syzygy
+        (x1, -x0) of d_1 is not (1 + x2) times anything.  So the loop on F
+        alone decides, with the runs on d_1 and d_2."""
+        R = curve_ring((1, 1, 1))
+        x0, x1, x2 = (R.var(i) for i in range(3))
+        a, b = (R.one + x2) * x0, (R.one + x2) * x1
+        C = GradedComplex([(0,), (2, 2), (4,)],
+                          [PolyMatrix(R, 1, 2, {(0, 0): a, (0, 1): b}),
+                           PolyMatrix(R, 2, 1, {(0, 0): b, (1, 0): -a})])
+        assert not C._nonzero_product() and C._off_degree() == (1, 0, 0)
+        assert arithcurve.oracle._first_inexact_step(C, Limits(), modulo_last=True) is None
+        rep, starts = meters_started(monkeypatch, lambda: verify_exactness(C, [a, b]))
+        assert rep == failed("exactness at step 1")
+        assert starts == 2
+
+    def test_non_complex_skips_the_section(self, monkeypatch):
+        """Twice one entry of d_3 of the b = 1 complex of 5 1 4 makes
+        d_2 * d_3 nonzero: the loop on F alone decides, failing at step 2
+        after the runs on d_1, d_2 and d_3."""
+        seq = validate_sequence(5, 1, 4)
+        C = _scale_entry(resolution_b1(seq), 3, 0, 2)
+        assert C._nonzero_product() == (3, 0, 0)
+        rep, starts = meters_started(
+            monkeypatch, lambda: verify_exactness(C, list(seq.generators().all)))
+        assert rep == failed("exactness at step 2")
+        assert starts == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(5, resolution_b1), (8, resolution_bn)]), st.data())
+    def test_verdict_is_the_loop_on_f(self, case, data):
+        """A complex of 5 1 4 or 8 1 4 with one column of some d_s dropped,
+        or one entry of some d_s scaled by 0, 2 or a variable, or left as
+        it is: `verify_exactness` gives the verdict and witness of the loop
+        on F, whichever route decides."""
+        m0, build = case
+        seq = validate_sequence(m0, 1, 4)
+        C, gens = build(seq), list(seq.generators().all)
+        s = data.draw(st.integers(1, C.length), label="s")
+        change = data.draw(st.sampled_from(["none", "drop", "scale"]), label="change")
+        if change == "drop":
+            C = _drop_column(C, s, data.draw(st.integers(0, C.differential(s).cols - 1)))
+        elif change == "scale":
+            R = seq.ring()
+            factor = data.draw(st.sampled_from([R.zero, R.one * 2, *map(R.var, range(5))]))
+            C = _scale_entry(C, s, data.draw(st.integers(0, len(C.differential(s).nonzero) - 1)),
+                             factor)
+        assert verify_exactness(C, gens) == _loop_on_f(C, gens)
+
+
+def _drop_column(C: GradedComplex, s: int, drop: int) -> GradedComplex:
+    """C without column `drop` of d_s: its shift at step s goes, and so does
+    row `drop` of d_{s+1}."""
+    def skip(k):
+        return k - (k > drop)
+
+    maps, steps = list(C.maps), list(C.steps)
+    d = maps[s - 1]
+    maps[s - 1] = PolyMatrix(d.ring, d.rows, d.cols - 1,
+                             {(i, skip(j)): e for (i, j), e in d.nonzero.items()
+                              if j != drop})
+    if s < C.length:
+        d = maps[s]
+        maps[s] = PolyMatrix(d.ring, d.rows - 1, d.cols,
+                             {(skip(i), j): e for (i, j), e in d.nonzero.items()
+                              if i != drop})
+    steps[s] = steps[s][:drop] + steps[s][drop + 1:]
+    return GradedComplex(steps, maps)
+
+
+def _scale_entry(C: GradedComplex, s: int, k: int, factor) -> GradedComplex:
+    """C with the k-th nonzero entry of d_s, row-major, times `factor`."""
+    d = C.differential(s)
+    entries = dict(d.nonzero)
+    key = list(entries)[k]
+    entries[key] = entries[key] * factor
+    maps = list(C.maps)
+    maps[s - 1] = PolyMatrix(d.ring, d.rows, d.cols,
+                             {at: e for at, e in entries.items() if not e.is_zero()})
+    return GradedComplex(C.steps, maps)
+
+
+def _loop_on_f(C: GradedComplex, gens) -> dict:
+    """The verdict of the exactness loop on F, after the image of d_1 is
+    compared with the ideal of `gens`."""
+    if not ideal_equal(gens, list(C.differential(1).nonzero.values())):
+        return failed("image of the first differential")
+    s = arithcurve.oracle._first_inexact_step(C, Limits())
+    return EXACT if s is None else failed(f"exactness at step {s}")
 
 
 def meters_started(monkeypatch, run):
@@ -1154,8 +1262,9 @@ class TestOneMeterPerRun:
 
     @pytest.mark.parametrize("m0,d,n", [(5, 1, 4), (9, 2, 4)])
     def test_exactness_is_one_run_per_differential(self, monkeypatch, m0, d, n):
-        """One syzygy run per differential; the first inclusion and the
-        reducer of each step's image basis start none."""
+        """One syzygy run per differential, each modulo x_4; both
+        inclusions of the first image and the reducer of each step's image
+        basis start none."""
         seq = validate_sequence(m0, d, n)
         C, gens = resolution_b1(seq), list(seq.generators().all)
         rep, starts = meters_started(monkeypatch, lambda: verify_exactness(C, gens))

@@ -41,7 +41,13 @@ from arithcurve.ring import (
     _is_prime,
     _revlex_ring,
 )
-from references import monomial_div, monomial_divides, monomial_lcm, word_lcms
+from references import (
+    leading_monomial,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    word_lcms,
+)
 
 W = (5, 6, 7, 8, 9)
 
@@ -100,14 +106,14 @@ def test_no_zero_coefficients_stored(R):
 def test_grevlex_tie_break(R):
     # X1^2 and X0*X2 share weighted degree 12; grevlex puts X1^2 first
     p = R.var(0) * R.var(2) - R.var(1) ** 2
-    assert p.leading_monomial() == (0, 2, 0, 0, 0)
+    assert leading_monomial(p) == (0, 2, 0, 0, 0)
 
 
 def test_elimination_order_puts_t_first():
     ext = elimination_ring(W)
     t, x0 = ext.var(0), ext.var(1)
     p = x0 ** 5 - t
-    assert p.leading_monomial() == (1, 0, 0, 0, 0, 0)
+    assert leading_monomial(p) == (1, 0, 0, 0, 0, 0)
 
 
 def test_scalar_and_power(R):
@@ -485,7 +491,7 @@ def test_revlex_lead_of_a_tied_degree():
     for ring, lead in ((curve_ring((3, 4, 5)), (3, 0, 0)),
                        (revlex_ring((3, 4, 5)), (0, 1, 1))):
         x0, x1, x2 = (ring.var(i) for i in range(3))
-        assert (x0 ** 3 - x1 * x2).leading_monomial() == lead
+        assert leading_monomial(x0 ** 3 - x1 * x2) == lead
 
 
 @settings(max_examples=100, deadline=None)
@@ -502,7 +508,7 @@ def test_revlex_lead_involving_x0_divides_by_x0(data):
     chosen = data.draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
     p = ring.from_dict({e: k for k, e in enumerate(chosen, 1)})
     assert p.weighted_degree() == degree
-    if p.leading_monomial()[0]:
+    if leading_monomial(p)[0]:
         assert all(e[0] for e, _ in p.terms)
 
 
@@ -650,7 +656,7 @@ def test_range_check_covers_terms_below_the_lead():
     last, w = ring.nvars - 1, ring.weights[-1]
     k = (ring.degree_cap - 1) // w
     p = ring.var(0) + ring.var(last, k)
-    assert p.leading_monomial() == (1,) + (0,) * last
+    assert leading_monomial(p) == (1,) + (0,) * last
     with pytest.raises(MonomialOutOfRange):
         p.mul_term((0,) * last + (1,), 1)
 
